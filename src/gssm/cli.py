@@ -322,8 +322,10 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+_MODEL_DEFAULTS = ModelConfig()
 _RUN_DEFAULTS = {"seeds": "0-9", "variant": "s4", "init": "all",
-                 "blocks": 2, "state_size": 6, "mechanism": "repr_mix",
+                 "blocks": _MODEL_DEFAULTS.num_blocks,
+                 "state_size": _MODEL_DEFAULTS.state_size, "mechanism": "repr_mix",
                  "skip_static": False, "lr": 0.5, "epochs": 400, "l2": 1e-3,
                  "backend": "parallel", "threads": 1}
 
@@ -441,8 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="layer variant (default s4)")
     p.add_argument("--init", choices=[s.value for s in InitStrategy] + ["all"],
                    help="state initialization (default: all three)")
-    p.add_argument("--blocks", type=int, help="number of blocks (default 2)")
-    p.add_argument("--state-size", type=int, help="state entries per channel (default 4)")
+    p.add_argument("--blocks", type=int,
+                   help=f"number of blocks (default {_RUN_DEFAULTS['blocks']})")
+    p.add_argument("--state-size", type=int, help="state entries per channel "
+                   f"(default {_RUN_DEFAULTS['state_size']})")
     p.add_argument("--mechanism", choices=[m.value for m in MixMechanism],
                    help="mixing mechanism of the first block (default repr_mix)")
     p.add_argument("--skip-static", action="store_const", const=True, default=None,

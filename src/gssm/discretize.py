@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .tgraph import (EventStream, LaplacianKind, adjacency_from_edges, edges_at,
                      laplacian)
@@ -123,8 +123,11 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
         X_tilde = sum_i (I + alpha*L_i)^{-1} x_i  (outer)  (w_i * B)
 
     everything elementwise over the diagonal entries `a_diag`; d is the
-    interval length and w_i are `segment_weights`.
+    interval length and w_i are `segment_weights`.  `alpha` must be finite
+    and >= 0, as in `HippoConfig`.
     """
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError("alpha must be finite and >= 0")
     a = _check_diag(a_diag)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != a.size:
@@ -138,7 +141,7 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
     eye = np.eye(sched.num_nodes)
     for i in range(sched.num_segments):
         lap = laplacian(sched.adjacencies[i], kind)
-        smoothed = cho_solve(cho_factor(eye + alpha * lap), sched.features[i])
+        smoothed = lu_solve(lu_factor(eye + alpha * lap), sched.features[i])
         drive += np.outer(smoothed, weights[i] * b)
     length = sched.t_end - sched.t_start
     decay = np.exp(length * a)
@@ -154,7 +157,7 @@ def discrete_step(u_prev: np.ndarray, x_hat: np.ndarray, delta, a_diag, b, c):
     Shapes: scalar-channel x_hat [V] with state [V x N], or vectorized
     x_hat [V x D] with state [V x D x N] (the same a/b/c across channels).
     `delta` may be a scalar, per-node [V], or per-node-per-channel [V x D];
-    it must be nonnegative.
+    it must be finite and nonnegative.
     """
     a = _check_diag(a_diag)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -173,8 +176,8 @@ def discrete_step(u_prev: np.ndarray, x_hat: np.ndarray, delta, a_diag, b, c):
     u = u_prev[:, None, :] if squeeze else u_prev
 
     delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
-        raise ValueError("delta must be nonnegative")
+    if not np.all(delta >= 0) or not np.all(np.isfinite(delta)):
+        raise ValueError("delta must be finite and nonnegative")
     if delta.ndim == 0:
         delta = np.full((v, d), float(delta))
     elif delta.shape == (v,):

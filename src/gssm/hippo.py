@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import eigvalsh, lu_factor, lu_solve
 
 from .tgraph import EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at, laplacian
 
@@ -80,10 +80,13 @@ class CoefficientState:
 
 
 def _smoother(stream: EventStream, t: float, alpha: float, kind: LaplacianKind):
-    """Cholesky factor of (I + alpha*L) for the graph in force at time t."""
+    """LU factor of (I + alpha*L) for the graph in force at time t.
+
+    LU rather than Cholesky: the random-walk Laplacian is not symmetric.
+    """
     adj = adjacency_from_edges(edges_at(stream, t), stream.num_nodes)
     mat = np.eye(stream.num_nodes) + alpha * laplacian(adj, kind)
-    return cho_factor(mat)
+    return lu_factor(mat)
 
 
 def _feature_vector(feature_path, t: float, num_nodes: int) -> np.ndarray:
@@ -137,12 +140,12 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     cuts.append(t_end)
 
     for seg_a, seg_b in zip(cuts, cuts[1:]):
-        chol = _smoother(stream, seg_a, cfg.alpha, cfg.laplacian)
+        smooth = _smoother(stream, seg_a, cfg.alpha, cfg.laplacian)
         right_lim = np.nextafter(seg_b, seg_a)
 
         def rhs(t, state):
             x = _feature_vector(feature_path, min(t, right_lim), stream.num_nodes)
-            return state @ a_t + np.outer(cho_solve(chol, x), b_vec)
+            return state @ a_t + np.outer(lu_solve(smooth, x), b_vec)
 
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
         h = (seg_b - seg_a) / nst
@@ -194,8 +197,8 @@ def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
     w[0] *= 0.5
     w[-1] *= 0.5
     q = (x * w[:, None]).T @ basis.T / t
-    chol = _smoother(stream, t, cfg.alpha, cfg.laplacian)
-    return CoefficientState(cho_solve(chol, q), t)
+    smooth = _smoother(stream, t, cfg.alpha, cfg.laplacian)
+    return CoefficientState(lu_solve(smooth, q), t)
 
 
 def consensus_profile(snap, kind: LaplacianKind):

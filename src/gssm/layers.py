@@ -2,8 +2,9 @@
 
 Building blocks, bottom up:
 
-* `gnn_diffuse` -- one aggregate-then-combine round over a snapshot; the
-  first-order approximation of the Laplacian smoother used by the layers.
+* `gnn_diffuse` -- one aggregate-then-combine round over a snapshot's
+  cached sparse adjacency; the first-order approximation of the Laplacian
+  smoother used by the layers.
 * `mix_conv1d` / `mix_interp` -- combine two consecutive representations
   (width-2 convolution, or a learned gated interpolation).
 * `s4_forward` / `s5_forward` / `s6_forward` -- layer forwards over a
@@ -76,13 +77,17 @@ def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
 
     GcnLike aggregates neighbors with symmetric 1/sqrt(d_u d_v) weights,
     SageMeanLike with the plain neighborhood mean.  Nodes without neighbors
-    skip aggregation entirely (pure self term).
+    skip aggregation entirely (pure self term).  Aggregation is a product
+    with the snapshot's cached boolean CSR adjacency and degree vector
+    (`Snapshot.adjacency_csr`, `Snapshot.degree`), so the graph work is
+    O(edges x D) per call and the operator is built once per snapshot, no
+    matter how many layers, blocks or selective GNNs diffuse over it.
     """
     x = np.asarray(x, dtype=float)
-    adj = snap.adjacency.astype(float)
-    if x.ndim != 2 or x.shape != (adj.shape[0], p.weight.shape[0]):
-        raise ValueError(f"x must be [{adj.shape[0]} x {p.weight.shape[0]}]")
-    deg = adj.sum(axis=1)
+    num_nodes = snap.num_nodes
+    if x.ndim != 2 or x.shape != (num_nodes, p.weight.shape[0]):
+        raise ValueError(f"x must be [{num_nodes} x {p.weight.shape[0]}]")
+    adj, deg = snap.adjacency_csr, snap.degree
     nz = deg > 0
     if p.flavor is GnnFlavor.GCN_LIKE:
         dis = np.zeros_like(deg)
@@ -253,7 +258,7 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
 
 
 def _drive_estimates(seq, hidden_in, p, mechanism):
-    """Mixed-and-diffused layer inputs H_l, one [V x D] array per step."""
+    """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]."""
     def gnn(x, g):
         return gnn_diffuse(x, g, p.gnn)
 
@@ -266,11 +271,11 @@ def _drive_estimates(seq, hidden_in, p, mechanism):
         g_prev = seq[l - 1] if l > 0 else None
         out.append(mixed_estimate(x_prev, hidden_in[:, l], g_prev, seq[l],
                                   mechanism, gnn, mix))
-    return out
+    return np.stack(out)
 
 
 def _run_scan(decays, drives, u0, backend, chunk, threads):
-    inp = RecurrenceInputs(np.stack(decays), np.stack(drives), u0)
+    inp = RecurrenceInputs(decays, drives, u0)
     if backend == "sequential":
         return scan_sequential(inp)
     if backend == "parallel":
@@ -286,13 +291,11 @@ def s4_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
         raise ValueError("s4_forward needs S4 params")
     hidden_in = _check_hidden(seq, hidden_in, p)
     v, _, d = hidden_in.shape
-    drives_h = _drive_estimates(seq, hidden_in, p,
-                                p.mix_mechanism if mechanism is None else mechanism)
-    decays, drives = [], []
-    for h in drives_h:
-        delta = softplus(h @ p.delta_weight + p.delta_bias)           # [V]
-        decays.append(np.exp(delta[:, None, None] * p.a[None]))       # [V,D,N]
-        drives.append((delta[:, None, None] * p.b[None]) * h[:, :, None])
+    h = _drive_estimates(seq, hidden_in, p,
+                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
+    delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]      # [L,V,1,1]
+    decays = np.exp(delta * p.a)                                               # [L,V,D,N]
+    drives = (delta * p.b) * h[..., None]
     states = _run_scan(decays, drives, np.zeros((v, d, p.state_size)),
                        backend, chunk, threads)
     return np.einsum("lvdn,dn->vld", states, p.c)
@@ -306,13 +309,11 @@ def s5_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
         raise ValueError("s5_forward needs S5 params")
     hidden_in = _check_hidden(seq, hidden_in, p)
     v = hidden_in.shape[0]
-    drives_h = _drive_estimates(seq, hidden_in, p,
-                                p.mix_mechanism if mechanism is None else mechanism)
-    decays, drives = [], []
-    for h in drives_h:
-        delta = softplus(h @ p.delta_weight + p.delta_bias)           # [V]
-        decays.append(np.exp(delta[:, None] * p.a[None]))             # [V,N]
-        drives.append(delta[:, None] * (h @ p.b))                     # [V,N]
+    h = _drive_estimates(seq, hidden_in, p,
+                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
+    delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]            # [L,V,1]
+    decays = np.exp(delta * p.a)                                               # [L,V,N]
+    drives = delta * (h @ p.b)
     states = _run_scan(decays, drives, np.zeros((v, p.state_size)),
                        backend, chunk, threads)
     return np.einsum("lvn,nd->vld", states, p.c)
@@ -327,19 +328,20 @@ def s6_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
         raise ValueError("s6_forward needs S6 params")
     hidden_in = _check_hidden(seq, hidden_in, p)
     v, _, d = hidden_in.shape
-    drives_h = _drive_estimates(seq, hidden_in, p,
-                                p.mix_mechanism if mechanism is None else mechanism)
-    decays, drives, readouts = [], [], []
-    for l, h in enumerate(drives_h):
-        x_l = hidden_in[:, l]
-        delta = softplus(gnn_diffuse(x_l, seq[l], p.gnn_delta) + p.delta_bias)  # [V,D]
-        b_sel = gnn_diffuse(x_l, seq[l], p.gnn_b)                               # [V,N]
-        readouts.append(gnn_diffuse(x_l, seq[l], p.gnn_c))                      # [V,N]
-        decays.append(np.exp(delta[:, :, None] * p.a[None]))                    # [V,D,N]
-        drives.append((delta[:, :, None] * b_sel[:, None, :]) * h[:, :, None])
+    h = _drive_estimates(seq, hidden_in, p,
+                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
+
+    def selective(g):
+        return np.stack([gnn_diffuse(hidden_in[:, l], snap, g)
+                         for l, snap in enumerate(seq)])
+
+    delta = softplus(selective(p.gnn_delta) + p.delta_bias)[..., None]         # [L,V,D,1]
+    b_sel = selective(p.gnn_b)[:, :, None, :]                                  # [L,V,1,N]
+    decays = np.exp(delta * p.a)                                               # [L,V,D,N]
+    drives = (delta * b_sel) * h[..., None]
     states = _run_scan(decays, drives, np.zeros((v, d, p.state_size)),
                        backend, chunk, threads)
-    return np.einsum("lvdn,lvn->vld", states, np.stack(readouts))
+    return np.einsum("lvdn,lvn->vld", states, selective(p.gnn_c))
 
 
 _FORWARDS = {SsmVariant.S4: s4_forward, SsmVariant.S5: s5_forward,

@@ -76,18 +76,21 @@ def _scan_block(decay, drive, u0, chunk):
     length = decay.shape[0]
     lane_shape = decay.shape[1:]
     num_chunks = -(-length // chunk)
-    pad = num_chunks * chunk - length
-    if pad:
-        decay = np.concatenate([decay, np.ones((pad,) + lane_shape)], axis=0)
-        drive = np.concatenate([drive, np.zeros((pad,) + lane_shape)], axis=0)
-
-    prod = decay.reshape(num_chunks, chunk, *lane_shape).copy()
-    part = drive.reshape(num_chunks, chunk, *lane_shape).copy()
-    step = decay.reshape(num_chunks, chunk, *lane_shape)
+    # The only copies of the inputs: padded [chunks x chunk x lanes] buffers
+    # (identity elements a=1, b=0 in the tail) that pass 1 updates in place.
+    prod = np.empty((num_chunks, chunk) + lane_shape)
+    part = np.empty((num_chunks, chunk) + lane_shape)
+    flat_prod = prod.reshape(num_chunks * chunk, *lane_shape)
+    flat_part = part.reshape(num_chunks * chunk, *lane_shape)
+    flat_prod[:length] = decay
+    flat_prod[length:] = 1.0
+    flat_part[:length] = drive
+    flat_part[length:] = 0.0
     # Pass 1: inclusive scan inside every chunk at once.  After the loop,
     # (prod[k, j], part[k, j]) is the composition of elements k*chunk..k*chunk+j.
+    # prod[:, j] still holds the raw decay when it scales part[:, j - 1].
     for j in range(1, chunk):
-        part[:, j] += step[:, j] * part[:, j - 1]
+        part[:, j] += prod[:, j] * part[:, j - 1]
         prod[:, j] *= prod[:, j - 1]
     # Carry actual states across the chunk boundaries (short sequential pass).
     carries = np.empty((num_chunks,) + lane_shape)
@@ -96,8 +99,9 @@ def _scan_block(decay, drive, u0, chunk):
         carries[k] = state
         state = prod[k, -1] * state + part[k, -1]
     # Pass 2: apply each chunk's incoming state everywhere inside the chunk.
-    out = prod * carries[:, None] + part
-    return out.reshape(num_chunks * chunk, *lane_shape)[:length]
+    prod *= carries[:, None]
+    prod += part
+    return flat_prod[:length]
 
 
 def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None,

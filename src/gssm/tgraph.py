@@ -8,10 +8,16 @@ serializes sequences to a line-oriented text format.
 
 All types are immutable after construction and every operation is a pure
 function, so shared read-only instances are safe to use from multiple threads.
+A :class:`Snapshot` additionally caches values derived from its adjacency --
+a boolean CSR copy and the degree vector, built on first access -- so graph
+diffusion over the same snapshot reuses one sparse operator.  The cache is
+not a dataclass field: equality, immutability and the stored arrays are
+unchanged by it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +122,10 @@ def adjacency_from_edges(edges, num_nodes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One observation of the evolving graph: adjacency + node features."""
+    """One observation of the evolving graph: adjacency + node features.
+
+    The timestamp must be finite.
+    """
 
     adjacency: np.ndarray
     features: np.ndarray
@@ -135,6 +144,8 @@ class Snapshot:
             raise ValueError("features must be [num_nodes x d]")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
+        if not np.isfinite(self.timestamp):
+            raise ValueError("timestamp must be finite")
         adj.flags.writeable = False
         feats.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
@@ -148,6 +159,22 @@ class Snapshot:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def adjacency_csr(self):
+        """Boolean CSR copy of the adjacency (sorted indices), built once."""
+        from scipy.sparse import csr_array
+        csr = csr_array(self.adjacency)
+        for arr in (csr.data, csr.indices, csr.indptr):
+            arr.flags.writeable = False
+        return csr
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Per-node neighbor counts as floats, read off the cached CSR."""
+        deg = np.diff(self.adjacency_csr.indptr).astype(float)
+        deg.flags.writeable = False
+        return deg
 
     def edge_set(self) -> frozenset:
         iu, iv = np.nonzero(np.triu(self.adjacency, 1))
@@ -169,7 +196,7 @@ class SnapshotSequence:
             if s.num_nodes != v or s.num_features != d:
                 raise ValueError("all snapshots must share node count and feature width")
         ts = [s.timestamp for s in snaps]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(not b > a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot timestamps must be strictly increasing")
         object.__setattr__(self, "snapshots", snaps)
 
@@ -209,8 +236,8 @@ def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> Sna
     the library never interpolates features between observations.
     """
     times = [float(t) for t in observe_times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("observe_times must be strictly increasing")
+    if not all(np.isfinite(times)) or any(not b > a for a, b in zip(times, times[1:])):
+        raise ValueError("observe_times must be finite and strictly increasing")
     if times and not (0.0 <= times[0] and times[-1] <= stream.horizon):
         raise ValueError("observe_times must lie within [0, horizon]")
 

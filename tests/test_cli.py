@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gssm import (
+    ModelConfig,
     Snapshot,
     SnapshotSequence,
     TaskConfig,
@@ -37,6 +38,15 @@ def test_help_exits_zero_and_documents_the_config_flag(capsys, subcommand):
     assert code == 0
     assert "usage:" in out
     assert "--config" in out
+
+
+def test_run_help_states_the_model_defaults(capsys):
+    code, out, _ = _run(capsys, ["run", "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    defaults = ModelConfig()
+    assert f"state entries per channel (default {defaults.state_size})" in text
+    assert f"number of blocks (default {defaults.num_blocks})" in text
 
 
 def test_top_level_help_lists_every_subcommand(capsys):

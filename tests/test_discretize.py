@@ -14,6 +14,7 @@ from gssm import (
     MutationSchedule,
     discrete_step,
     integrate_hippo,
+    laplacian,
     mixed_estimate,
     segment_weights,
     zoh_oracle_step,
@@ -224,6 +225,14 @@ def test_oracle_step_rejects_wrong_state_shape():
                         LaplacianKind.SYMMETRIC)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, np.nan, np.inf])
+def test_oracle_step_rejects_negative_or_non_finite_alpha(alpha):
+    sched = _blank_schedule(0.0, 1.0, ())
+    with pytest.raises(ValueError):
+        zoh_oracle_step(np.zeros((2, 1)), sched, np.array([-1.0]), np.ones(1), alpha,
+                        LaplacianKind.SYMMETRIC)
+
+
 # ---------------------------------------------------------------------------
 # practical step
 
@@ -307,6 +316,12 @@ def test_discrete_step_rejects_negative_delta():
                       np.ones(1))
 
 
+def test_discrete_step_rejects_nan_delta():
+    with pytest.raises(ValueError):
+        discrete_step(np.zeros((1, 1)), np.zeros(1), np.nan, np.array([-1.0]), np.ones(1),
+                      np.ones(1))
+
+
 def test_discrete_step_rejects_mismatched_state_vectors():
     with pytest.raises(ValueError):
         discrete_step(np.zeros((1, 2)), np.zeros(1), 0.1, np.array([-1.0, -1.0]), np.ones(1),
@@ -362,3 +377,20 @@ def test_mixed_estimate_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         mixed_estimate(np.zeros((2, 2)), np.zeros((3, 2)), "g0", "g1",
                        MixMechanism.FEATURE_MIX, _double_gnn, lambda a, b: b)
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_oracle_step_smoother_solve_has_tiny_residual_for_both_laplacians(kind):
+    # Path graph: unequal degrees make I + alpha*L_rw non-symmetric.
+    adj = np.zeros((4, 4), dtype=bool)
+    for i in range(3):
+        adj[i, i + 1] = adj[i + 1, i] = True
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    sched = MutationSchedule(t_start=0.0, t_end=0.5, mutation_times=(),
+                             adjacencies=(adj,), features=(x,))
+    a = np.array([-1.0])
+    # One segment, zero start: U = y * expm1(d*a)/a with y = (I + alpha*L)^{-1} x.
+    u = zoh_oracle_step(np.zeros((4, 1)), sched, a, np.ones(1), 2.0, kind)
+    y = u[:, 0] * a[0] / np.expm1(0.5 * a[0])
+    smoother = np.eye(4) + 2.0 * laplacian(adj, kind)
+    assert np.linalg.norm(smoother @ y - x) <= 1e-12

@@ -317,3 +317,20 @@ def test_consensus_isolated_node_is_its_own_component():
         lonely = [z for z in profiles if z[2] != 0.0]
         assert len(lonely) == 1
         assert lonely[0] == pytest.approx(np.array([0.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# smoother solve
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_smoother_solve_has_tiny_residual_for_both_laplacians(kind):
+    # Path graph: unequal degrees make I + alpha*L_rw non-symmetric.
+    stream = EventStream(num_nodes=4, horizon=2.0,
+                         initial_edges=frozenset({(0, 1), (1, 2), (2, 3)}), events=())
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    cfg = HippoConfig(order=3, alpha=2.0, laplacian=kind, quadrature_points=11)
+    # Constant features project onto degree 0 only, so column 0 is M^{-1} x.
+    y = projection_oracle(stream, lambda t: x, cfg, 1.0).u[:, 0]
+    smoother = np.eye(4) + 2.0 * laplacian(adjacency_from_edges(stream.initial_edges, 4), kind)
+    assert np.linalg.norm(smoother @ y - x) <= 1e-12

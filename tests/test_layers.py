@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gssm import (
     BlockParams,
@@ -170,6 +172,84 @@ def test_diffuse_rejects_wrong_input_width():
     p = GnnParams(weight=np.eye(3), bias=np.zeros(3))
     with pytest.raises(ValueError):
         gnn_diffuse(np.zeros((2, 2)), snap, p)
+
+
+def _dense_gnn_diffuse(x, adjacency, p):
+    """Reference diffusion over the dense adjacency (the pre-CSR implementation)."""
+    adj = np.asarray(adjacency).astype(float)
+    deg = adj.sum(axis=1)
+    nz = deg > 0
+    if p.flavor is GnnFlavor.GCN_LIKE:
+        dis = np.zeros_like(deg)
+        dis[nz] = 1.0 / np.sqrt(deg[nz])
+        agg = dis[:, None] * (adj @ (dis[:, None] * x))
+    else:
+        agg = np.zeros_like(x)
+        agg[nz] = (adj @ x)[nz] / deg[nz, None]
+    h = np.where(nz[:, None], (1.0 - p.self_mix) * x + p.self_mix * agg, x)
+    return h @ p.weight + p.bias
+
+
+@st.composite
+def _graphs(draw, max_nodes=12):
+    """Random symmetric adjacencies; some edgeless, most with isolated nodes."""
+    v = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = np.zeros((v, v), dtype=bool)
+    for (i, j), on in zip(pairs, present):
+        adj[i, j] = adj[j, i] = on
+    for node in draw(st.lists(st.integers(0, v - 1), max_size=v)):
+        adj[node, :] = adj[:, node] = False
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=_graphs(), flavor=st.sampled_from(list(GnnFlavor)),
+       self_mix=st.floats(0.0, 1.0), d_in=st.integers(1, 4), d_out=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(adj=np.zeros((5, 5), dtype=bool), flavor=GnnFlavor.SAGE_MEAN_LIKE, self_mix=1.0,
+         d_in=2, d_out=3, seed=0)
+@example(adj=np.array([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=bool),
+         flavor=GnnFlavor.GCN_LIKE, self_mix=0.7, d_in=3, d_out=2, seed=1)
+def test_diffuse_matches_the_dense_reference(adj, flavor, self_mix, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(adj.shape[0], d_in))
+    snap = Snapshot(adjacency=adj, features=x, timestamp=0.0)
+    p = GnnParams(weight=rng.normal(size=(d_in, d_out)), bias=rng.normal(size=d_out),
+                  flavor=flavor, self_mix=self_mix)
+    ref = _dense_gnn_diffuse(x, adj, p)
+    out = gnn_diffuse(x, snap, p)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_snapshot_builds_its_sparse_adjacency_once():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(6, 2))
+    snap = Snapshot(adjacency=_random_adjacency(rng, 6), features=x, timestamp=0.0)
+    csr, deg = snap.adjacency_csr, snap.degree
+    for flavor in GnnFlavor:
+        gnn_diffuse(x, snap, _gnn(rng, 2, 2, flavor=flavor))
+    assert snap.adjacency_csr is csr
+    assert snap.degree is deg
+    assert np.array_equal(csr.toarray(), snap.adjacency)
+    assert np.array_equal(deg, snap.adjacency.sum(axis=1))
+    assert not csr.data.flags.writeable and not deg.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.adjacency_csr = csr
+
+
+def test_snapshot_equality_ignores_the_cached_operator():
+    names = [f.name for f in dataclasses.fields(Snapshot)]
+    assert names == ["adjacency", "features", "timestamp"]
+    # Single-node snapshots compare by value (size-1 arrays have a truth value).
+    first = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[2.0]], timestamp=1.0)
+    second = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[2.0]], timestamp=1.0)
+    other = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[3.0]], timestamp=1.0)
+    assert first == second and first != other
+    first.adjacency_csr, first.degree
+    assert first == second and first != other
 
 
 def test_gnn_params_reject_out_of_range_self_mix():

@@ -116,3 +116,19 @@ def test_bench_emits_one_row_per_length_and_backend():
 def test_bench_rejects_unknown_backend():
     with pytest.raises(ValueError):
         bench_recurrence([8], lanes=2, backends=("fancy",), repeats=1)
+
+
+@pytest.mark.parametrize("length,chunk,lane_shape,threads",
+                         [(7, 3, (4,), 1), (10, 4, (2, 3), 1), (5, 8, (3,), 1),
+                          (11, None, (6,), 2)])
+def test_parallel_leaves_inputs_untouched_and_matches_with_a_ragged_last_chunk(
+        length, chunk, lane_shape, threads):
+    rng = np.random.default_rng(length)
+    inp = _random_inputs(rng, length, lane_shape)
+    decay, drive, u0 = inp.decay.copy(), inp.drive.copy(), inp.u0.copy()
+    states = scan_parallel(inp, chunk=chunk, threads=threads)
+    assert np.array_equal(inp.decay, decay)
+    assert np.array_equal(inp.drive, drive)
+    assert np.array_equal(inp.u0, u0)
+    assert states.shape == drive.shape
+    assert np.max(np.abs(states - scan_sequential(inp))) <= 1e-10

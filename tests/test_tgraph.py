@@ -370,3 +370,22 @@ def test_sequence_rejects_nonincreasing_timestamps():
     feats = np.zeros((2, 1))
     with pytest.raises(ValueError):
         SnapshotSequence(snapshots=(_snap(adj, feats, 1.0), _snap(adj, feats, 1.0)))
+
+
+def test_snapshot_rejects_non_finite_timestamps():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            _snap(np.zeros((2, 2)), np.zeros((2, 1)), bad)
+
+
+def test_sequence_with_a_nan_timestamp_is_rejected():
+    adj = np.zeros((2, 2), dtype=bool)
+    feats = np.zeros((2, 1))
+    with pytest.raises(ValueError):
+        SnapshotSequence(snapshots=tuple(_snap(adj, feats, t) for t in (1.0, np.nan, 3.0)))
+
+
+def test_materialize_rejects_nan_observe_times():
+    stream = EventStream(num_nodes=3, horizon=5.0, initial_edges=frozenset({(0, 1)}), events=())
+    with pytest.raises(ValueError):
+        materialize_snapshots(stream, [1.0, np.nan, 3.0], lambda t: np.zeros((3, 1)))
