@@ -1,9 +1,10 @@
 """Temporal-graph state-space models at desk scale.
 
 Continuous-time graph-regularized memory (hippo), its exact and practical
-discretizations (discretize), graph SSM layers with S4/S5/S6 wirings and a
-parallel scan (layers, scan), temporal-graph containers and formats (tgraph),
-and a synthetic node-classification harness (harness).  `gssm.cli.main` is
+discretizations (discretize), one graph SSM layer forward (`ssm_forward`)
+with S4/S5/S6 wirings over a sequential scan, with a chunked parallel scan
+as its cross-check (layers, scan), temporal-graph containers and formats
+(tgraph), and a synthetic node-classification harness (harness).  `gssm.cli.main` is
 the command-line entry point.
 """
 
@@ -23,8 +24,8 @@ from .layers import (BlockParams, ConvMixParams, GnnFlavor, GnnParams,
                      SsmVariant, StateInitRule, align_memory, apply_mix,
                      block_forward, delta_bias_init, glorot, gnn_diffuse,
                      init_a, layer_norm, load_checkpoint, mix_conv1d,
-                     mix_interp, relu, s4_forward, s5_forward, s6_forward,
-                     save_checkpoint, softplus)
+                     mix_interp, relu, save_checkpoint, softplus,
+                     ssm_forward)
 from .scan import (RecurrenceInputs, bench_recurrence, combine,
                    scan_parallel, scan_sequential)
 from .tgraph import (Action, EventStream, LaplacianKind, Snapshot,

@@ -14,6 +14,8 @@ ignored so one file can serve several subcommands.
 """
 
 import argparse
+import dataclasses
+import inspect
 import sys
 import time
 
@@ -258,6 +260,8 @@ _VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000,
 
 def cmd_verify(args) -> int:
     cfg = _settings(args, _VERIFY_DEFAULTS)
+    if cfg["instances"] < 1 or cfg["schedules"] < 1:
+        raise ValueError("--instances and --schedules must be at least 1")
     # alpha default None means the criterion set {0, 0.5, 2}
     if cfg["alpha"] is None:
         alphas = (0.0, 0.5, 2.0)
@@ -292,16 +296,14 @@ def cmd_verify(args) -> int:
 # gen / metrics / run / bench
 # ---------------------------------------------------------------------------
 
-_TASK_DEFAULTS = {"v": 200, "l": 16, "d": 8, "c": 4, "p_in": 0.22,
-                  "p_out": 0.02, "p_decay": 0.10, "drift_rate": 0.15,
-                  "noise": 1.0, "radius": 1.0, "omega": float(np.pi / 16)}
+# Task flag -> TaskConfig field; the four size fields have one-letter flags.
+_SHORT = {"num_nodes": "v", "seq_len": "l", "num_features": "d", "num_classes": "c"}
+_TASK_FLAGS = {_SHORT.get(f.name, f.name): f.name for f in dataclasses.fields(TaskConfig)}
+_TASK_DEFAULTS = {flag: getattr(TaskConfig(), field) for flag, field in _TASK_FLAGS.items()}
 
 
 def _task_config(cfg: dict) -> TaskConfig:
-    return TaskConfig(num_nodes=cfg["v"], seq_len=cfg["l"], num_features=cfg["d"],
-                      num_classes=cfg["c"], p_in=cfg["p_in"], p_out=cfg["p_out"],
-                      p_decay=cfg["p_decay"], drift_rate=cfg["drift_rate"],
-                      noise=cfg["noise"], radius=cfg["radius"], omega=cfg["omega"])
+    return TaskConfig(**{field: cfg[flag] for flag, field in _TASK_FLAGS.items()})
 
 
 def cmd_gen(args) -> int:
@@ -322,12 +324,12 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-_MODEL_DEFAULTS = ModelConfig()
-_RUN_DEFAULTS = {"seeds": "0-9", "variant": "s4", "init": "all",
-                 "blocks": _MODEL_DEFAULTS.num_blocks,
-                 "state_size": _MODEL_DEFAULTS.state_size, "mechanism": "repr_mix",
-                 "skip_static": False, "lr": 0.5, "epochs": 400, "l2": 1e-3,
-                 "backend": "parallel", "threads": 1}
+_MODEL = ModelConfig()
+_EXPERIMENT = {k: v.default for k, v in inspect.signature(run_experiment).parameters.items()}
+_RUN_DEFAULTS = {"seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
+                 "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
+                 "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
+                 **{k: _EXPERIMENT[k] for k in ("lr", "epochs", "l2", "backend")}}
 
 
 def cmd_run(args) -> int:
@@ -340,8 +342,7 @@ def cmd_run(args) -> int:
                             mix_mechanism=MixMechanism(cfg["mechanism"]))
     rows = run_experiment(seeds, _task_config(cfg), model_cfg, inits=inits,
                           include_static=not cfg["skip_static"], lr=cfg["lr"],
-                          epochs=cfg["epochs"], l2=cfg["l2"],
-                          backend=cfg["backend"], threads=cfg["threads"])
+                          epochs=cfg["epochs"], l2=cfg["l2"], backend=cfg["backend"])
     csv_text = results_to_csv(rows)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(csv_text)
@@ -359,7 +360,7 @@ def cmd_run(args) -> int:
 
 
 _BENCH_DEFAULTS = {"l_values": "1024,2048,4096,8192,16384,32768,65536",
-                   "lanes": 128, "repeats": 3, "chunk": 0, "threads": 1,
+                   "lanes": 128, "repeats": 3, "chunk": 0,
                    "backends": "sequential,parallel", "seed": 0}
 
 
@@ -368,8 +369,7 @@ def cmd_bench(args) -> int:
     l_values = [int(x) for x in str(cfg["l_values"]).split(",") if x.strip()]
     backends = tuple(b.strip() for b in cfg["backends"].split(",") if b.strip())
     rows = bench_recurrence(l_values, lanes=cfg["lanes"], backends=backends,
-                            repeats=cfg["repeats"],
-                            chunk=cfg["chunk"] or None, threads=cfg["threads"],
+                            repeats=cfg["repeats"], chunk=cfg["chunk"] or None,
                             seed=cfg["seed"])
     lines = ["L,lanes,backend,ns_per_element"]
     lines += [f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}"
@@ -388,18 +388,25 @@ def cmd_bench(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _option(sub, defaults: dict, key: str, text: str, **kwargs):
+    """--<key>, typed like its default and with the default ending its help."""
+    sub.add_argument("--" + key.replace("_", "-"), type=type(defaults[key]),
+                     help=f"{text} (default {defaults[key]})", **kwargs)
+
+
+_TASK_HELP = {"v": "number of nodes", "l": "number of snapshots",
+              "d": "feature dimensions", "c": "number of classes",
+              "p_in": "initial intra-community edge probability",
+              "p_out": "inter-community edge probability",
+              "p_decay": "per-step decay of p_in toward p_out",
+              "drift_rate": "per-step pair resample probability",
+              "noise": "feature noise scale", "radius": "centroid circle radius",
+              "omega": "centroid rotation per step (radians)"}
+
+
 def _add_task_flags(sub):
-    sub.add_argument("--v", type=int, help="number of nodes")
-    sub.add_argument("--l", type=int, help="number of snapshots")
-    sub.add_argument("--d", type=int, help="feature dimensions")
-    sub.add_argument("--c", type=int, help="number of classes")
-    sub.add_argument("--p-in", type=float, help="initial intra-community edge probability")
-    sub.add_argument("--p-out", type=float, help="inter-community edge probability")
-    sub.add_argument("--p-decay", type=float, help="per-step decay of p_in toward p_out")
-    sub.add_argument("--drift-rate", type=float, help="per-step pair resample probability")
-    sub.add_argument("--noise", type=float, help="feature noise scale")
-    sub.add_argument("--radius", type=float, help="centroid circle radius")
-    sub.add_argument("--omega", type=float, help="centroid rotation per step (radians)")
+    for key, text in _TASK_HELP.items():
+        _option(sub, _TASK_DEFAULTS, key, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -421,13 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the oracle-agreement suites (exit 1 on breach)")
-    p.add_argument("--seed", type=int, help="instance seed (default 0)")
-    p.add_argument("--instances", type=int, help="instances per agreement suite (default 20)")
-    p.add_argument("--schedules", type=int, help="schedules for the weight check (default 1000)")
+    d = _VERIFY_DEFAULTS
+    _option(p, d, "seed", "instance seed")
+    _option(p, d, "instances", "instances per agreement suite, at least 1")
+    _option(p, d, "schedules", "schedules for the weight check, at least 1")
     p.add_argument("--alpha", type=float,
-                   help="restrict smoothing strength (default: 0, 0.5 and 2)")
-    p.add_argument("--ode-steps", type=int, help="RK4 steps per time unit (default 200)")
-    p.add_argument("--quad-points", type=int, help="quadrature nodes (default 2001)")
+                   help="restrict smoothing strength to one value (unset: 0, 0.5 and 2)")
+    _option(p, d, "ode_steps", "RK4 steps per time unit")
+    _option(p, d, "quad_points", "quadrature nodes")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("metrics", parents=[common],
@@ -437,39 +445,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common],
                        help="frozen-backbone experiment; writes the results CSV")
+    d = _RUN_DEFAULTS
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--seeds", help="comma list and/or inclusive ranges, e.g. 0-9")
-    p.add_argument("--variant", choices=[v.value for v in SsmVariant],
-                   help="layer variant (default s4)")
-    p.add_argument("--init", choices=[s.value for s in InitStrategy] + ["all"],
-                   help="state initialization (default: all three)")
-    p.add_argument("--blocks", type=int,
-                   help=f"number of blocks (default {_RUN_DEFAULTS['blocks']})")
-    p.add_argument("--state-size", type=int, help="state entries per channel "
-                   f"(default {_RUN_DEFAULTS['state_size']})")
-    p.add_argument("--mechanism", choices=[m.value for m in MixMechanism],
-                   help="mixing mechanism of the first block (default repr_mix)")
+    _option(p, d, "seeds", "comma list and/or inclusive ranges")
+    _option(p, d, "variant", "layer variant", choices=[v.value for v in SsmVariant])
+    _option(p, d, "init", "state initialization, or all three",
+            choices=[s.value for s in InitStrategy] + ["all"])
+    _option(p, d, "blocks", "number of blocks")
+    _option(p, d, "state_size", "state entries per channel")
+    _option(p, d, "mechanism", "mixing mechanism of the first block",
+            choices=[m.value for m in MixMechanism])
     p.add_argument("--skip-static", action="store_const", const=True, default=None,
                    help="skip the static last-snapshot baseline")
-    p.add_argument("--lr", type=float, help="readout learning rate (default 0.5)")
-    p.add_argument("--epochs", type=int, help="readout epochs (default 400)")
-    p.add_argument("--l2", type=float, help="readout weight penalty (default 1e-3)")
-    p.add_argument("--backend", choices=["sequential", "parallel"],
-                   help="scan backend (default parallel)")
-    p.add_argument("--threads", type=int, help="scan threads, 0 = auto (default 1)")
+    _option(p, d, "lr", "readout learning rate")
+    _option(p, d, "epochs", "readout epochs")
+    _option(p, d, "l2", "readout weight penalty")
+    _option(p, d, "backend", "scan backend", choices=["sequential", "parallel"])
     _add_task_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", parents=[common],
                        help="scan throughput benchmark; writes CSV")
+    d = _BENCH_DEFAULTS
     p.add_argument("--out", default="-", help="CSV path, - for stdout (default -)")
-    p.add_argument("--l-values", help="comma list of sequence lengths")
-    p.add_argument("--lanes", type=int, help="independent lanes (default 128)")
-    p.add_argument("--repeats", type=int, help="best-of repeats (default 3)")
-    p.add_argument("--chunk", type=int, help="parallel chunk length (default sqrt(L))")
-    p.add_argument("--threads", type=int, help="scan threads, 0 = auto (default 1)")
-    p.add_argument("--backends", help="comma list from sequential,parallel")
-    p.add_argument("--seed", type=int, help="workload seed (default 0)")
+    _option(p, d, "l_values", "comma list of sequence lengths")
+    _option(p, d, "lanes", "independent lanes")
+    _option(p, d, "repeats", "best-of repeats")
+    _option(p, d, "chunk", "parallel chunk length, 0 = ceil(sqrt(L))")
+    _option(p, d, "backends", "comma list from sequential,parallel")
+    _option(p, d, "seed", "workload seed")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -14,7 +14,7 @@ reported metric.
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,9 @@ class TaskConfig:
         for name in ("p_in", "p_out", "p_decay", "drift_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"infeasible config: {name} must lie in [0, 1]")
+        for name in ("noise", "radius", "omega"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"infeasible config: {name} must be finite")
         if self.noise < 0 or self.radius < 0:
             raise ValueError("infeasible config: noise and radius must be >= 0")
 
@@ -244,13 +247,12 @@ def sample_model(rng: np.random.Generator, cfg: ModelConfig,
     return blocks
 
 
-def extract_features(task: SyntheticTask, blocks, backend: str = "parallel",
-                     chunk: int | None = None, threads: int = 1) -> np.ndarray:
+def extract_features(task: SyntheticTask, blocks,
+                     backend: str = "sequential") -> np.ndarray:
     """Last-step representations of the frozen block stack, [V x D]."""
     seq = task.sequence
     hidden = np.stack([s.features for s in seq], axis=1)
-    out = block_forward(hidden, seq, blocks, backend=backend, chunk=chunk,
-                        threads=threads)
+    out = block_forward(hidden, seq, blocks, backend=backend)
     return out[:, -1, :]
 
 
@@ -390,7 +392,7 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
                           InitStrategy.RANDOM),
                    include_static: bool = True, lr: float = 0.5,
                    epochs: int = 400, l2: float = 1e-3,
-                   backend: str = "parallel", threads: int = 1) -> list:
+                   backend: str = "sequential") -> list:
     """Per (seed, init) and optional static-baseline test-split scores.
 
     Rows are dicts with keys seed, variant, init, micro_f1, macro_f1 --
@@ -410,18 +412,10 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
                              task.num_classes)
 
         for init in inits:
-            cfg_i = ModelConfig(num_blocks=model_cfg.num_blocks,
-                                state_size=model_cfg.state_size,
-                                variant=model_cfg.variant, init=init,
-                                mix_mechanism=model_cfg.mix_mechanism,
-                                self_mix=model_cfg.self_mix,
-                                c_scale=model_cfg.c_scale,
-                                res_scale=model_cfg.res_scale,
-                                delta_scale=model_cfg.delta_scale)
+            cfg_i = replace(model_cfg, init=init)
             blocks = sample_model(named_rng(seed, "model"), cfg_i,
                                   task_cfg.num_features, task_cfg.seq_len)
-            micro, macro = score(extract_features(task, blocks, backend=backend,
-                                                  threads=threads))
+            micro, macro = score(extract_features(task, blocks, backend=backend))
             rows.append({"seed": int(seed), "variant": cfg_i.variant.value,
                          "init": InitStrategy(init).value,
                          "micro_f1": micro, "macro_f1": macro})

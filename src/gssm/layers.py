@@ -7,15 +7,15 @@ Building blocks, bottom up:
   smoother used by the layers.
 * `mix_conv1d` / `mix_interp` -- combine two consecutive representations
   (width-2 convolution, or a learned gated interpolation).
-* `s4_forward` / `s5_forward` / `s6_forward` -- layer forwards over a
-  snapshot sequence with per-channel (SISO) or shared (MIMO) states and,
-  for the selective variant, input-dependent state parameters.
+* `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
+  SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
+  step size, drive and readout) variants share one discretized update.
 * `block_forward` -- residual block composition around a layer; the mixing
   mechanism is by default confined to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
 
-All recurrences run through the scan module, selectable between the
-sequential and parallel backends.
+All recurrences run through the scan module: the sequential fold by
+default, the chunked parallel scan on request.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .discretize import MixMechanism, mixed_estimate
-from .scan import RecurrenceInputs, scan_parallel, scan_sequential
+from .scan import RecurrenceInputs, run_scan
 from .tgraph import Snapshot, SnapshotSequence
 
 
@@ -274,78 +274,43 @@ def _drive_estimates(seq, hidden_in, p, mechanism):
     return np.stack(out)
 
 
-def _run_scan(decays, drives, u0, backend, chunk, threads):
-    inp = RecurrenceInputs(decays, drives, u0)
-    if backend == "sequential":
-        return scan_sequential(inp)
-    if backend == "parallel":
-        return scan_parallel(inp, chunk=chunk, threads=threads)
-    raise ValueError(f"unknown backend {backend!r}")
+def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
+                mechanism: MixMechanism | None = None,
+                backend: str = "sequential") -> np.ndarray:
+    """One layer over the sequence: per snapshot l and node,
 
+        u_l = e^{delta_l a} * u_{l-1} + delta_l * B h_l,    y_l = C u_l,
 
-def s4_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
-               mechanism: MixMechanism | None = None, backend: str = "parallel",
-               chunk: int | None = None, threads: int = 1) -> np.ndarray:
-    """SISO layer: one length-N state per (node, channel)."""
-    if p.variant is not SsmVariant.S4:
-        raise ValueError("s4_forward needs S4 params")
+    with h_l the mixed-and-diffused input.  The variant only decides where
+    delta, B and C come from.  S4 (SISO): one length-N state per (node,
+    channel), delta an affine map of h_l.  S5 (MIMO): one state per node
+    shared across channels, delta as in S4.  S6 (selective SISO): delta, B
+    and C produced from the layer input by the three selective GNNs.
+    """
     hidden_in = _check_hidden(seq, hidden_in, p)
-    v, _, d = hidden_in.shape
     h = _drive_estimates(seq, hidden_in, p,
                          p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
-    delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]      # [L,V,1,1]
-    decays = np.exp(delta * p.a)                                               # [L,V,D,N]
-    drives = (delta * p.b) * h[..., None]
-    states = _run_scan(decays, drives, np.zeros((v, d, p.state_size)),
-                       backend, chunk, threads)
-    return np.einsum("lvdn,dn->vld", states, p.c)
+    if p.variant is SsmVariant.S6:
+        def selective(g):
+            return np.stack([gnn_diffuse(hidden_in[:, l], snap, g)
+                             for l, snap in enumerate(seq)])
 
-
-def s5_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
-               mechanism: MixMechanism | None = None, backend: str = "parallel",
-               chunk: int | None = None, threads: int = 1) -> np.ndarray:
-    """MIMO layer: a single length-N state per node, shared across channels."""
-    if p.variant is not SsmVariant.S5:
-        raise ValueError("s5_forward needs S5 params")
-    hidden_in = _check_hidden(seq, hidden_in, p)
-    v = hidden_in.shape[0]
-    h = _drive_estimates(seq, hidden_in, p,
-                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
-    delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]            # [L,V,1]
-    decays = np.exp(delta * p.a)                                               # [L,V,N]
-    drives = delta * (h @ p.b)
-    states = _run_scan(decays, drives, np.zeros((v, p.state_size)),
-                       backend, chunk, threads)
-    return np.einsum("lvn,nd->vld", states, p.c)
-
-
-def s6_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
-               mechanism: MixMechanism | None = None, backend: str = "parallel",
-               chunk: int | None = None, threads: int = 1) -> np.ndarray:
-    """Selective SISO layer: step size, drive and readout all depend on the
-    layer input at each snapshot through small GNNs."""
-    if p.variant is not SsmVariant.S6:
-        raise ValueError("s6_forward needs S6 params")
-    hidden_in = _check_hidden(seq, hidden_in, p)
-    v, _, d = hidden_in.shape
-    h = _drive_estimates(seq, hidden_in, p,
-                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
-
-    def selective(g):
-        return np.stack([gnn_diffuse(hidden_in[:, l], snap, g)
-                         for l, snap in enumerate(seq)])
-
-    delta = softplus(selective(p.gnn_delta) + p.delta_bias)[..., None]         # [L,V,D,1]
-    b_sel = selective(p.gnn_b)[:, :, None, :]                                  # [L,V,1,N]
-    decays = np.exp(delta * p.a)                                               # [L,V,D,N]
-    drives = (delta * b_sel) * h[..., None]
-    states = _run_scan(decays, drives, np.zeros((v, d, p.state_size)),
-                       backend, chunk, threads)
-    return np.einsum("lvdn,lvn->vld", states, selective(p.gnn_c))
-
-
-_FORWARDS = {SsmVariant.S4: s4_forward, SsmVariant.S5: s5_forward,
-             SsmVariant.S6: s6_forward}
+        delta = softplus(selective(p.gnn_delta) + p.delta_bias)[..., None]     # [L,V,D,1]
+        b_sel = selective(p.gnn_b)[:, :, None, :]                              # [L,V,1,N]
+        drives = (delta * b_sel) * h[..., None]                                # [L,V,D,N]
+        readout, c = "lvdn,lvn->vld", selective(p.gnn_c)
+    else:
+        delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]        # [L,V,1]
+        if p.variant is SsmVariant.S5:
+            drives = delta * (h @ p.b)                                         # [L,V,N]
+            readout, c = "lvn,nd->vld", p.c
+        else:
+            delta = delta[..., None]                                           # [L,V,1,1]
+            drives = (delta * p.b) * h[..., None]                              # [L,V,D,N]
+            readout, c = "lvdn,dn->vld", p.c
+    states = run_scan(RecurrenceInputs(np.exp(delta * p.a), drives,
+                                       np.zeros(drives.shape[1:])), backend)
+    return np.einsum(readout, states, c)
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -379,8 +344,7 @@ class BlockParams:
 
 
 def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
-                  activation=relu, backend: str = "parallel",
-                  chunk: int | None = None, threads: int = 1,
+                  activation=relu, backend: str = "sequential",
                   first_block_mixing_only: bool = True) -> np.ndarray:
     """Residual composition of K blocks over the sequence.
 
@@ -396,8 +360,7 @@ def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
         mech = p.mix_mechanism
         if first_block_mixing_only and k > 0:
             mech = MixMechanism.ORDINARY
-        y = _FORWARDS[p.variant](seq, hidden, p, mechanism=mech, backend=backend,
-                                 chunk=chunk, threads=threads)
+        y = ssm_forward(seq, hidden, p, mechanism=mech, backend=backend)
         res = hidden if blk.res_weight is None else hidden @ blk.res_weight
         if blk.res_bias is not None:
             res = res + blk.res_bias
@@ -520,6 +483,8 @@ def save_checkpoint(named: dict, path) -> None:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"tensor name {name!r} must be non-empty without whitespace")
         arr = np.asarray(tensor, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"tensor {name!r} has non-finite values")
         lines.append(" ".join([name, str(arr.ndim)] + [str(s) for s in arr.shape]))
         lines.append(" ".join(repr(x) for x in arr.reshape(-1).tolist()) or "")
     with open(path, "w", encoding="ascii") as fh:
@@ -535,25 +500,33 @@ def load_checkpoint(path) -> dict:
     if len(header) != 3 or " ".join(header[:2]) != _CKPT_MAGIC:
         raise ValueError(f"{path}: malformed header (expected '{_CKPT_MAGIC} <count>')")
     count = int(header[2])
+    if count < 0:
+        raise ValueError(f"{path}: negative tensor count {count}")
     named = {}
     pos = 1
     for _ in range(count):
-        if pos + 1 >= len(lines) + 1:
+        if pos >= len(lines):
             raise ValueError(f"{path}: truncated checkpoint")
         meta = lines[pos].split()
         if len(meta) < 2:
             raise ValueError(f"{path}: malformed tensor record at line {pos + 1}")
         name, ndim = meta[0], int(meta[1])
+        if name in named:
+            raise ValueError(f"{path}: duplicate tensor {name!r}")
         if len(meta) != 2 + ndim:
             raise ValueError(f"{path}: tensor {name!r} declares {ndim} dims, "
                              f"lists {len(meta) - 2}")
         shape = tuple(int(s) for s in meta[2:])
         if pos + 1 >= len(lines):
             raise ValueError(f"{path}: missing values for tensor {name!r}")
-        values = [float(x) for x in lines[pos + 1].split()]
-        if len(values) != int(np.prod(shape, dtype=int)):
-            raise ValueError(f"{path}: tensor {name!r} has {len(values)} values, "
+        values = np.array([float(x) for x in lines[pos + 1].split()])
+        if values.size != int(np.prod(shape, dtype=int)):
+            raise ValueError(f"{path}: tensor {name!r} has {values.size} values, "
                              f"expected {int(np.prod(shape, dtype=int))}")
-        named[name] = np.array(values).reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+        named[name] = values.reshape(shape)
         pos += 2
+    if any(line.strip() for line in lines[pos:]):
+        raise ValueError(f"{path}: records past the declared count of {count}")
     return named

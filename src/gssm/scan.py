@@ -2,24 +2,22 @@
 
     u_l = a_l * u_{l-1} + b_l        (elementwise, l = 1..L)
 
-`scan_sequential` is the bit-exact reference fold.  `scan_parallel` computes
-the same prefix states through the associative combine rule
+`scan_sequential` is the bit-exact reference fold and the backend the
+layers use by default.  `scan_parallel` computes the same prefix states
+through the associative combine rule
 
     (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2)
 
-with a chunked two-pass layout: a vectorized intra-chunk inclusive scan, a
-short sequential carry across chunk boundaries, then a vectorized broadcast
-of the carries back through each chunk.  Work is O(L) per lane (each element
-is touched a constant number of times), so per-element time should stay flat
-as L grows -- that is what the bench below measures.  Lanes (all trailing
-axes) are independent, which is also what makes the optional thread split
-safe: threads partition lanes, never time, so results are bit-identical to
-the single-threaded run.
+with a chunked two-pass layout (Martin & Cundy, arXiv 1709.04057): a
+vectorized intra-chunk inclusive scan, a short sequential carry across chunk
+boundaries, then a vectorized broadcast of the carries back through each
+chunk.  Work is O(L) per lane (each element is touched a constant number of
+times), so per-element time should stay flat as L grows -- that is what the
+bench below measures.  At the layer shapes in use it is no faster than the
+fold; it stays as the cross-check of the layers and of criterion 5.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +70,20 @@ def scan_sequential(inp: RecurrenceInputs) -> np.ndarray:
     return out
 
 
-def _scan_block(decay, drive, u0, chunk):
-    length = decay.shape[0]
-    lane_shape = decay.shape[1:]
+def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray:
+    """Chunked two-pass scan; elementwise within 1e-10 of scan_sequential.
+
+    chunk=None picks ceil(sqrt(L)), balancing the vectorized passes against
+    the sequential carry.
+    """
+    length = inp.length
+    if chunk is None:
+        chunk = max(1, int(np.ceil(np.sqrt(length))))
+    if chunk < 1:
+        raise ValueError("chunk must be a positive integer")
+    if length == 0:
+        return np.empty_like(inp.drive)
+    lane_shape = inp.decay.shape[1:]
     num_chunks = -(-length // chunk)
     # The only copies of the inputs: padded [chunks x chunk x lanes] buffers
     # (identity elements a=1, b=0 in the tail) that pass 1 updates in place.
@@ -82,9 +91,9 @@ def _scan_block(decay, drive, u0, chunk):
     part = np.empty((num_chunks, chunk) + lane_shape)
     flat_prod = prod.reshape(num_chunks * chunk, *lane_shape)
     flat_part = part.reshape(num_chunks * chunk, *lane_shape)
-    flat_prod[:length] = decay
+    flat_prod[:length] = inp.decay
     flat_prod[length:] = 1.0
-    flat_part[:length] = drive
+    flat_part[:length] = inp.drive
     flat_part[length:] = 0.0
     # Pass 1: inclusive scan inside every chunk at once.  After the loop,
     # (prod[k, j], part[k, j]) is the composition of elements k*chunk..k*chunk+j.
@@ -94,7 +103,7 @@ def _scan_block(decay, drive, u0, chunk):
         prod[:, j] *= prod[:, j - 1]
     # Carry actual states across the chunk boundaries (short sequential pass).
     carries = np.empty((num_chunks,) + lane_shape)
-    state = np.broadcast_to(u0, lane_shape)
+    state = np.broadcast_to(inp.u0, lane_shape)
     for k in range(num_chunks):
         carries[k] = state
         state = prod[k, -1] * state + part[k, -1]
@@ -104,50 +113,28 @@ def _scan_block(decay, drive, u0, chunk):
     return flat_prod[:length]
 
 
-def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None,
-                  threads: int = 1) -> np.ndarray:
-    """Chunked two-pass scan; elementwise within 1e-10 of scan_sequential.
-
-    chunk=None picks ceil(sqrt(L)), balancing the vectorized passes against
-    the sequential carry.  threads > 1 (or 0 for the CPU count) splits the
-    lanes across a thread pool; the split changes nothing numerically.
-    """
-    length = inp.length
-    if chunk is None:
-        chunk = max(1, int(np.ceil(np.sqrt(length))))
-    if chunk < 1:
-        raise ValueError("chunk must be a positive integer")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if length == 0:
-        return np.empty_like(inp.drive)
-
-    lane_size = int(np.prod(inp.decay.shape[1:], dtype=int))
-    if threads == 1 or lane_size < 2 * threads:
-        return _scan_block(inp.decay, inp.drive, inp.u0, chunk)
-
-    decay = inp.decay.reshape(length, lane_size)
-    drive = inp.drive.reshape(length, lane_size)
-    u0 = np.broadcast_to(inp.u0, inp.decay.shape[1:]).reshape(lane_size)
-    out = np.empty_like(drive)
-    splits = np.array_split(np.arange(lane_size), threads)
-
-    def work(cols):
-        out[:, cols] = _scan_block(decay[:, cols], drive[:, cols], u0[cols], chunk)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, [s for s in splits if s.size]))
-    return out.reshape(inp.drive.shape)
+def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
+             chunk: int | None = None) -> np.ndarray:
+    """The recurrence's states under the named backend; `chunk` is passed to
+    the parallel one."""
+    if backend == "sequential":
+        return scan_sequential(inp)
+    if backend == "parallel":
+        return scan_parallel(inp, chunk=chunk)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
-                     repeats: int = 3, chunk: int | None = None, threads: int = 1,
-                     seed: int = 0):
+                     repeats: int = 3, chunk: int | None = None, seed: int = 0):
     """Time both backends; one row dict per (L, backend).
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
     `repeats` runs, so transient noise doesn't inflate a row).
     """
+    l_values = [int(length) for length in l_values]
+    if lanes < 1 or repeats < 1 or min(l_values, default=1) < 1:
+        raise ValueError(f"lanes, repeats and every L must be at least 1 (got "
+                         f"lanes={lanes}, repeats={repeats}, L={l_values})")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA2]))
     rows = []
     for length in l_values:
@@ -158,12 +145,7 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
             best = np.inf
             for _ in range(repeats):
                 start = time.perf_counter()
-                if backend == "sequential":
-                    scan_sequential(inp)
-                elif backend == "parallel":
-                    scan_parallel(inp, chunk=chunk, threads=threads)
-                else:
-                    raise ValueError(f"unknown backend {backend!r}")
+                run_scan(inp, backend, chunk)
                 best = min(best, time.perf_counter() - start)
             rows.append({"L": int(length), "lanes": int(lanes), "backend": backend,
                          "ns_per_element": best / (length * lanes) * 1e9})

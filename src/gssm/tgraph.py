@@ -7,7 +7,7 @@ graph Laplacians, computes temporal-continuity metrics over a sequence, and
 serializes sequences to a line-oriented text format.
 
 All types are immutable after construction and every operation is a pure
-function, so shared read-only instances are safe to use from multiple threads.
+function, so read-only instances can be shared freely.
 A :class:`Snapshot` additionally caches values derived from its adjacency --
 a boolean CSR copy and the degree vector, built on first access -- so graph
 diffusion over the same snapshot reuses one sparse operator.  The cache is

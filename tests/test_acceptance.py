@@ -38,12 +38,10 @@ from gssm import (
     named_rng,
     readout_loss,
     run_experiment,
-    s4_forward,
-    s5_forward,
-    s6_forward,
     scan_parallel,
     scan_sequential,
     softplus,
+    ssm_forward,
     temporal_continuity,
 )
 from gssm.cli import (
@@ -173,9 +171,7 @@ def test_criterion_05_scan_parity_and_linear_work():
 # ---------------------------------------------------------------------------
 
 def _forward_and_deltas(variant, seq, hidden, params):
-    forward = {SsmVariant.S4: s4_forward, SsmVariant.S5: s5_forward,
-               SsmVariant.S6: s6_forward}[variant]
-    out = forward(seq, hidden, params)
+    out = ssm_forward(seq, hidden, params)
     deltas = []
     estimates = _drive_estimates(seq, hidden, params, params.mix_mechanism)
     for l, h in enumerate(estimates):

@@ -15,7 +15,8 @@ from gssm import (
     load_sequence,
     save_sequence,
 )
-from gssm.cli import main
+from gssm.cli import (_RUN_DEFAULTS, _TASK_DEFAULTS, _VERIFY_DEFAULTS,
+                      _task_config, main)
 
 _TINY_TASK = ["--v", "24", "--l", "4", "--d", "4", "--c", "3"]
 
@@ -47,6 +48,31 @@ def test_run_help_states_the_model_defaults(capsys):
     defaults = ModelConfig()
     assert f"state entries per channel (default {defaults.state_size})" in text
     assert f"number of blocks (default {defaults.num_blocks})" in text
+
+
+@pytest.mark.parametrize("subcommand,defaults",
+                         [("run", {**_TASK_DEFAULTS, **_RUN_DEFAULTS}),
+                          ("verify", _VERIFY_DEFAULTS)])
+def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
+                                                            subcommand, defaults):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = _run(capsys, [subcommand, "--help"])
+    assert code == 0
+    options = " ".join(out.split("options:", 1)[1].split())
+    printed = {}
+    for entry in re.split(r" (?=--[a-z][a-z0-9-]* )", options):
+        match = re.search(r"\(default ([^)]*)\)", entry)
+        if match:
+            printed[entry.split()[0][2:].replace("-", "_")] = match.group(1)
+    # a flag without a single default value (a switch, or a set of alphas)
+    # states no default
+    switches = {key for key, value in defaults.items() if value is None or value is False}
+    assert printed == {key: str(value) for key, value in defaults.items()
+                       if key not in switches}
+
+
+def test_task_defaults_build_the_default_task_config():
+    assert _task_config(_TASK_DEFAULTS) == TaskConfig()
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
@@ -180,6 +206,15 @@ def test_verify_flags_a_deliberately_coarse_integrator(capsys):
     assert all(_VERIFY_LINE.match(line) for line in lines)
 
 
+@pytest.mark.parametrize("flag", ["--instances", "--schedules"])
+def test_verify_with_fewer_than_one_instance_or_schedule_is_an_input_error(capsys, flag):
+    code, out, err = _run(capsys, ["verify", "--alpha", "2", "--instances", "1",
+                                   "--schedules", "1", "--ode-steps", "50", flag, "0"])
+    assert code == 2
+    assert out == ""  # no suite reports PASS after checking nothing
+    assert err.startswith("error: ") and "at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -277,3 +312,20 @@ def test_bench_with_an_unknown_backend_is_an_input_error(capsys):
                                  "--repeats", "1", "--backends", "turbo"])
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--lanes", "0"], ["--repeats", "0"],
+                                  ["--l-values", "16,0"]])
+def test_bench_with_a_size_below_one_is_an_input_error(capsys, argv):
+    code, out, err = _run(capsys, ["bench", "--l-values", "16", "--lanes", "2",
+                                   "--repeats", "1"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least 1" in err
+
+
+def test_run_with_a_non_finite_noise_is_an_input_error(capsys, tmp_path):
+    code, _, err = _run(capsys, ["run", "--out", str(tmp_path / "r.csv"),
+                                 "--seeds", "0", "--noise", "nan"] + _TINY_TASK)
+    assert code == 2
+    assert err.startswith("error: ") and "noise must be finite" in err

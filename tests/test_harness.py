@@ -99,6 +99,13 @@ def test_gen_rejects_infeasible_configs():
         TaskConfig(num_nodes=24, num_classes=3, noise=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["noise", "radius", "omega"])
+def test_task_config_rejects_non_finite_scales(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TaskConfig(num_nodes=24, num_classes=3, **{field: bad})
+
+
 def test_gen_noise_free_static_task_is_linearly_separable():
     cfg = _tiny_task_cfg(num_nodes=40, num_classes=4, noise=0.0, drift_rate=0.0)
     task = gen_synthetic(3, cfg)

@@ -33,12 +33,11 @@ from gssm import (
     load_checkpoint,
     mix_conv1d,
     mix_interp,
-    s4_forward,
-    s5_forward,
-    s6_forward,
     save_checkpoint,
     softplus,
+    ssm_forward,
 )
+from gssm.layers import _drive_estimates
 
 
 def _random_adjacency(rng, v, p=0.4):
@@ -120,7 +119,6 @@ def _s6_params(rng, d, n, mechanism=MixMechanism.ORDINARY):
     )
 
 
-_FORWARD = {SsmVariant.S4: s4_forward, SsmVariant.S5: s5_forward, SsmVariant.S6: s6_forward}
 _PARAMS = {SsmVariant.S4: _s4_params, SsmVariant.S5: _s5_params, SsmVariant.S6: _s6_params}
 
 
@@ -331,23 +329,31 @@ def test_s4_zero_parameters_zero_input_give_zero_output():
         delta_weight=np.zeros(d),
         delta_bias=0.0,
     )
-    out = s4_forward(seq, np.zeros((v, l, d)), p)
+    out = ssm_forward(seq, np.zeros((v, l, d)), p)
     assert np.array_equal(out, np.zeros((v, l, d)))
 
 
 def test_s4_single_snapshot_equals_one_discrete_step():
+    """Each snapshot of the forward is one `discrete_step` of the carried
+    state: at L=1 with no predecessor, and over L=5 with REPR_MIX inputs."""
     rng = np.random.default_rng(17)
     v, d, n = 5, 3, 4
-    seq = _sequence(rng, v, 1, d)
-    p = _s4_params(rng, d, n, mechanism=MixMechanism.REPR_MIX, seq_len=1)
-    hidden = rng.normal(size=(v, 1, d))
-    out = s4_forward(seq, hidden, p)
+    for length in (1, 5):
+        seq = _sequence(rng, v, length, d)
+        p = _s4_params(rng, d, n, mechanism=MixMechanism.REPR_MIX, seq_len=length)
+        hidden = rng.normal(size=(v, length, d))
+        out = ssm_forward(seq, hidden, p)
 
-    h = gnn_diffuse(hidden[:, 0], seq[0], p.gnn)  # no predecessor: mixing bypassed
-    delta = softplus(h @ p.delta_weight + p.delta_bias)
-    for k in range(d):
-        _, y = discrete_step(np.zeros((v, n)), h[:, k], delta, p.a[k], p.b[k], p.c[k])
-        assert out[:, 0, k] == pytest.approx(y, abs=1e-12)
+        estimates = _drive_estimates(seq, hidden, p, p.mix_mechanism)
+        if length == 1:  # no predecessor: mixing bypassed
+            assert np.array_equal(estimates[0], gnn_diffuse(hidden[:, 0], seq[0], p.gnn))
+        states = np.zeros((d, v, n))
+        for l, h in enumerate(estimates):
+            delta = softplus(h @ p.delta_weight + p.delta_bias)
+            for k in range(d):
+                states[k], y = discrete_step(states[k], h[:, k], delta,
+                                             p.a[k], p.b[k], p.c[k])
+                assert out[:, l, k] == pytest.approx(y, abs=1e-12)
 
 
 def test_s5_zero_parameters_zero_input_give_zero_output():
@@ -363,7 +369,7 @@ def test_s5_zero_parameters_zero_input_give_zero_output():
         delta_weight=np.zeros(d),
         delta_bias=0.0,
     )
-    out = s5_forward(seq, np.zeros((v, l, d)), p)
+    out = ssm_forward(seq, np.zeros((v, l, d)), p)
     assert np.array_equal(out, np.zeros((v, l, d)))
 
 
@@ -380,8 +386,8 @@ def test_s5_collapses_to_s4_when_state_and_width_are_scalar():
                         b=np.array([[b_val]]), c=np.array([[c_val]]), **shared)
     p5 = SsmLayerParams(variant=SsmVariant.S5, a=np.array([a_val]), gnn=gnn,
                         b=np.array([[b_val]]), c=np.array([[c_val]]), **shared)
-    y4 = s4_forward(seq, hidden, p4)
-    y5 = s5_forward(seq, hidden, p5)
+    y4 = ssm_forward(seq, hidden, p4)
+    y5 = ssm_forward(seq, hidden, p5)
     assert y4 == pytest.approx(y5, abs=1e-12)
 
 
@@ -395,7 +401,7 @@ def test_s6_zero_selective_weights_keep_states_at_zero():
         p,
         gnn_b=GnnParams(weight=np.zeros((d, n)), bias=np.zeros(n)),
     )
-    out = s6_forward(seq, hidden, silent)
+    out = ssm_forward(seq, hidden, silent)
     assert np.array_equal(out, np.zeros((v, l, d)))
 
 
@@ -416,7 +422,7 @@ def test_s6_state_shapes_are_per_channel():
     seq = _sequence(rng, v, l, d)
     p = _s6_params(rng, d, n)
     assert p.state_size == n
-    out = s6_forward(seq, rng.normal(size=(v, l, d)), p)
+    out = ssm_forward(seq, rng.normal(size=(v, l, d)), p)
     assert out.shape == (v, l, d)
 
 
@@ -427,12 +433,9 @@ def test_forward_backends_agree(variant):
     seq = _sequence(rng, v, l, d)
     hidden = rng.normal(size=(v, l, d))
     p = _PARAMS[variant](rng, d, n)
-    fwd = _FORWARD[variant]
-    y_seq = fwd(seq, hidden, p, backend="sequential")
-    y_par = fwd(seq, hidden, p, backend="parallel")
+    y_seq = ssm_forward(seq, hidden, p, backend="sequential")
+    y_par = ssm_forward(seq, hidden, p, backend="parallel")
     assert np.abs(y_seq - y_par).max() <= 1e-10
-    y_par3 = fwd(seq, hidden, p, backend="parallel", chunk=3)
-    assert np.abs(y_seq - y_par3).max() <= 1e-10
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
@@ -442,7 +445,6 @@ def test_forward_is_node_permutation_equivariant(variant):
     seq = _sequence(rng, v, l, d)
     hidden = rng.normal(size=(v, l, d))
     p = _PARAMS[variant](rng, d, n, mechanism=MixMechanism.REPR_MIX)
-    fwd = _FORWARD[variant]
 
     perm = rng.permutation(v)
     permuted_seq = SnapshotSequence(
@@ -455,8 +457,8 @@ def test_forward_is_node_permutation_equivariant(variant):
             for s in seq
         )
     )
-    base = fwd(seq, hidden, p)
-    moved = fwd(permuted_seq, hidden[perm], p)
+    base = ssm_forward(seq, hidden, p)
+    moved = ssm_forward(permuted_seq, hidden[perm], p)
     assert np.abs(moved - base[perm]).max() <= 1e-12
 
 
@@ -467,8 +469,7 @@ def test_forward_is_causal(variant):
     seq = _sequence(rng, v, l, d)
     hidden = rng.normal(size=(v, l, d))
     p = _PARAMS[variant](rng, d, n, mechanism=MixMechanism.REPR_MIX)
-    fwd = _FORWARD[variant]
-    base = fwd(seq, hidden, p)
+    base = ssm_forward(seq, hidden, p)
 
     bumped_hidden = hidden.copy()
     bumped_hidden[:, -1] += rng.normal(size=(v, d))
@@ -482,21 +483,19 @@ def test_forward_is_causal(variant):
             ),
         )
     )
-    bumped = fwd(bumped_seq, bumped_hidden, p)
+    bumped = ssm_forward(bumped_seq, bumped_hidden, p)
     assert np.array_equal(bumped[:, : l - 1], base[:, : l - 1])
     assert np.abs(bumped[:, l - 1] - base[:, l - 1]).max() > 0.0
 
 
-def test_forward_rejects_variant_mismatch_and_bad_backend():
+def test_forward_rejects_bad_backend_and_hidden_width():
     rng = np.random.default_rng(53)
     seq = _sequence(rng, 3, 2, 2)
     p4 = _s4_params(rng, 2, 2)
     with pytest.raises(ValueError):
-        s5_forward(seq, np.zeros((3, 2, 2)), p4)
+        ssm_forward(seq, np.zeros((3, 2, 2)), p4, backend="vectorized")
     with pytest.raises(ValueError):
-        s4_forward(seq, np.zeros((3, 2, 2)), p4, backend="vectorized")
-    with pytest.raises(ValueError):
-        s4_forward(seq, np.zeros((3, 2, 7)), p4)
+        ssm_forward(seq, np.zeros((3, 2, 7)), p4)
 
 
 def test_layer_params_validation():
@@ -748,6 +747,52 @@ def test_checkpoint_rejects_wrong_value_count(tmp_path):
 
 def test_checkpoint_rejects_truncated_file(tmp_path):
     path = tmp_path / "trunc.gssmp"
-    path.write_text("GSSMP v1 2\nfoo 1 2\n0.0 1.0\n")
-    with pytest.raises(ValueError):
+    for text in ("GSSMP v1 2\nfoo 1 2\n0.0 1.0\n", "GSSMP v1 1\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_save_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "x.gssmp"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_checkpoint({"w": np.array([1.0, bad])}, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_checkpoint_load_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "x.gssmp"
+    path.write_text(f"GSSMP v1 1\nw 1 2\n1.0 {bad}\n")
+    with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_negative_count(tmp_path):
+    path = tmp_path / "neg.gssmp"
+    path.write_text("GSSMP v1 -3\n")
+    with pytest.raises(ValueError, match="negative"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_duplicate_names(tmp_path):
+    path = tmp_path / "dup.gssmp"
+    path.write_text("GSSMP v1 2\nw 1 1\n1.0\nw 1 1\n2.0\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_records_past_the_declared_count(tmp_path):
+    path = tmp_path / "extra.gssmp"
+    path.write_text("GSSMP v1 1\nw 1 1\n1.0\nv 1 1\n2.0\n")
+    with pytest.raises(ValueError, match="past the declared count"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_round_trips_an_empty_tensor_as_the_last_record(tmp_path):
+    path = tmp_path / "empty.gssmp"
+    save_checkpoint({"w": np.ones(2), "none": np.zeros((0, 3))}, path)
+    loaded = load_checkpoint(path)
+    assert loaded["none"].shape == (0, 3)
+    assert np.array_equal(loaded["w"], np.ones(2))

@@ -79,15 +79,6 @@ def test_parallel_default_chunk_is_deterministic():
     assert np.array_equal(scan_sequential(inp), scan_sequential(inp))
 
 
-def test_thread_split_changes_nothing():
-    rng = np.random.default_rng(43)
-    inp = _random_inputs(rng, 64, (8,))
-    lone = scan_parallel(inp, threads=1)
-    assert np.array_equal(scan_parallel(inp, threads=2), lone)
-    assert np.array_equal(scan_parallel(inp, threads=3), lone)
-    assert np.array_equal(scan_parallel(inp, threads=0), lone)  # 0 = auto
-
-
 def test_parallel_rejects_zero_chunk():
     rng = np.random.default_rng(47)
     inp = _random_inputs(rng, 8, (2,))
@@ -118,15 +109,15 @@ def test_bench_rejects_unknown_backend():
         bench_recurrence([8], lanes=2, backends=("fancy",), repeats=1)
 
 
-@pytest.mark.parametrize("length,chunk,lane_shape,threads",
-                         [(7, 3, (4,), 1), (10, 4, (2, 3), 1), (5, 8, (3,), 1),
-                          (11, None, (6,), 2)])
+@pytest.mark.parametrize("length,chunk,lane_shape",
+                         [(7, 3, (4,)), (10, 4, (2, 3)), (5, 8, (3,)),
+                          (11, None, (6,))])
 def test_parallel_leaves_inputs_untouched_and_matches_with_a_ragged_last_chunk(
-        length, chunk, lane_shape, threads):
+        length, chunk, lane_shape):
     rng = np.random.default_rng(length)
     inp = _random_inputs(rng, length, lane_shape)
     decay, drive, u0 = inp.decay.copy(), inp.drive.copy(), inp.u0.copy()
-    states = scan_parallel(inp, chunk=chunk, threads=threads)
+    states = scan_parallel(inp, chunk=chunk)
     assert np.array_equal(inp.decay, decay)
     assert np.array_equal(inp.drive, drive)
     assert np.array_equal(inp.u0, u0)
