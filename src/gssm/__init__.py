@@ -18,7 +18,7 @@ from .harness import (ModelConfig, ReadoutParams, Split, SyntheticTask,
                       static_features, train_readout)
 from .hippo import (TIME_ORIGIN, CoefficientState, HippoConfig, HippoLegS,
                     consensus_profile, hippo_legs_matrices, integrate_hippo,
-                    projection_oracle)
+                    projection_oracle, smoothing_matrix)
 from .layers import (BlockParams, ConvMixParams, GnnFlavor, GnnParams,
                      InitStrategy, InterpMixParams, SsmLayerParams,
                      SsmVariant, StateInitRule, align_memory, apply_mix,
@@ -31,6 +31,7 @@ from .scan import (RecurrenceInputs, bench_recurrence, combine,
 from .tgraph import (Action, EventStream, LaplacianKind, Snapshot,
                      SnapshotSequence, adjacency_from_edges, edges_at,
                      laplacian, load_sequence, materialize_snapshots,
-                     save_sequence, temporal_continuity)
+                     replay_edges, save_sequence, segments,
+                     temporal_continuity)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .hippo import TIME_ORIGIN, HippoConfig, integrate_hippo, projection_oracle
 from .layers import InitStrategy, SsmVariant
 from .scan import bench_recurrence
 from .tgraph import (Action, EventStream, LaplacianKind, load_sequence,
-                     save_sequence, temporal_continuity)
+                     save_sequence, segments, temporal_continuity)
 
 _KINDS = (LaplacianKind.SYMMETRIC, LaplacianKind.RANDOM_WALK)
 
@@ -215,8 +215,8 @@ def suite_reduction(seed: int, instances: int, ode_steps: int):
     """Graph smoothing off (alpha=0, or an edgeless graph) must reduce the
     joint integration to independent per-node memory flows.
 
-    The per-node side is integrated segment-by-segment over the joint run's
-    mutation cuts so both sides take identical RK4 steps.
+    The per-node side is integrated piece by piece over the joint run's
+    `segments` so both sides take identical RK4 steps.
     """
     rng = named_rng(seed, "verify-reduction")
     worst = 0.0
@@ -240,14 +240,13 @@ def suite_reduction(seed: int, instances: int, ode_steps: int):
                           ode_steps_per_unit=ode_steps)
         joint = integrate_hippo(stream, path, cfg, 4.0).u
         solo_stream = EventStream(1, 4.0, frozenset(), ())
-        cuts = [TIME_ORIGIN] + [t for t in stream.mutation_times
-                                if TIME_ORIGIN < t < 4.0] + [4.0]
+        pieces = [(lo, hi) for lo, hi, _ in segments(stream, TIME_ORIGIN, 4.0)]
         for node in range(v):
             def solo_path(t, node=node, path=path):
                 return np.array([path(t)[node]])
 
             u = None
-            for lo, hi in zip(cuts, cuts[1:]):
+            for lo, hi in pieces:
                 u = integrate_hippo(solo_stream, solo_path, cfg, hi,
                                     u_start=u, t_start=lo).u
             worst = max(worst, float(np.abs(joint[node] - u[0]).max()))

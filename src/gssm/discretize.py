@@ -4,9 +4,10 @@ Two layers of fidelity:
 
 * `zoh_oracle_step` -- the exact zero-order-hold update for a diagonal state
   matrix when the unobserved mutation times inside the interval are known.
-  Each inter-mutation segment contributes its smoothed features through a
-  convex weight (`segment_weights`), and the weights depend only on the
-  mutation times, never on the features.
+  Each inter-mutation segment (a piece of `tgraph.segments`, collected by
+  `MutationSchedule.from_stream`) contributes its features, smoothed by
+  `hippo.smoothing_matrix`, through a convex weight (`segment_weights`); the
+  weights depend only on the mutation times, never on the features.
 * `discrete_step` -- the practical per-snapshot update used by the layers:
   first-order approximation of the drive term (A^{-1}(e^{dA}-I) ~ d*I) with
   an adaptive per-node step size.
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .tgraph import (EventStream, LaplacianKind, adjacency_from_edges, edges_at,
-                     laplacian)
+from .hippo import smoothing_matrix
+from .tgraph import EventStream, LaplacianKind, adjacency_from_edges, segments
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class MutationSchedule:
 
     Segment i covers [s_i, s_{i+1}) where s_0 = t_start, s_{M+1} = t_end;
     `adjacencies[i]` and `features[i]` are the graph and the per-node scalar
-    features in force on that segment (M+1 of each).
+    features in force on that segment (M+1 of each).  The interval ends and
+    every feature value must be finite.
     """
 
     t_start: float
@@ -42,8 +43,9 @@ class MutationSchedule:
     features: tuple
 
     def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError("interval must have positive length")
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)
+                and self.t_end > self.t_start):
+            raise ValueError("interval must have finite ends and positive length")
         times = tuple(float(t) for t in self.mutation_times)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("mutation times must be strictly increasing")
@@ -57,6 +59,8 @@ class MutationSchedule:
         v = adjs[0].shape[0]
         if any(a.shape != (v, v) for a in adjs) or any(x.size != v for x in feats):
             raise ValueError("segment graphs/features disagree on node count")
+        if not all(np.all(np.isfinite(x)) for x in feats):
+            raise ValueError("segment features must be finite")
         object.__setattr__(self, "mutation_times", times)
         object.__setattr__(self, "adjacencies", adjs)
         object.__setattr__(self, "features", feats)
@@ -75,11 +79,11 @@ class MutationSchedule:
 
     @classmethod
     def from_stream(cls, stream: EventStream, t_start: float, t_end: float, features):
-        """Collect the interval's interior mutations and segment graphs from a stream."""
-        times = tuple(t for t in stream.mutation_times if t_start < t < t_end)
-        adjs = tuple(adjacency_from_edges(edges_at(stream, s), stream.num_nodes)
-                     for s in (t_start, *times))
-        return cls(t_start, t_end, times, adjs, tuple(features))
+        """Collect the interval's interior mutations and segment graphs from a
+        stream; the interval must lie inside [0, stream.horizon]."""
+        pieces = tuple(segments(stream, t_start, t_end))
+        adjs = tuple(adjacency_from_edges(edges, stream.num_nodes) for _, _, edges in pieces)
+        return cls(t_start, t_end, tuple(lo for lo, _, _ in pieces[1:]), adjs, tuple(features))
 
 
 def _check_diag(a_diag) -> np.ndarray:
@@ -137,12 +141,8 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
         raise ValueError(f"u_prev must have shape ({sched.num_nodes}, {a.size})")
 
     weights = segment_weights(sched, a)
-    drive = np.zeros_like(u_prev)
-    eye = np.eye(sched.num_nodes)
-    for i in range(sched.num_segments):
-        lap = laplacian(sched.adjacencies[i], kind)
-        smoothed = lu_solve(lu_factor(eye + alpha * lap), sched.features[i])
-        drive += np.outer(smoothed, weights[i] * b)
+    drive = sum(np.outer(smoothing_matrix(adj, alpha, kind) @ x, w * b)
+                for adj, x, w in zip(sched.adjacencies, sched.features, weights))
     length = sched.t_end - sched.t_start
     decay = np.exp(length * a)
     return u_prev * decay[None, :] + drive * (np.expm1(length * a) / a)[None, :]

@@ -471,8 +471,12 @@ def load_labels(path):
     if len(head) != 4 or " ".join(head[:2]) != _LABELS_MAGIC:
         raise ValueError(f"{path}: malformed header (expected '{_LABELS_MAGIC} <V> <C>')")
     v, c = int(head[2]), int(head[3])
+    if v < 0:
+        raise ValueError(f"{path}: negative node count {v}")
     if len(lines) < 1 + v:
         raise ValueError(f"{path}: expected {v} label lines")
+    if any(line.strip() for line in lines[1 + v:]):
+        raise ValueError(f"{path}: label lines past the declared count of {v}")
     labels = np.array([int(x) for x in lines[1:1 + v]], dtype=int)
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"{path}: label outside [0, {c})")

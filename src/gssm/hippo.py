@@ -6,12 +6,15 @@ tied together by a graph-Laplacian smoothing term.  Concretely it integrates
 
     dU/dt = U A^T + (I + alpha * L(t))^{-1} X(t) B^T,        U(t0) = 0,
 
-piecewise between edge mutations (L(t) is constant inside a segment), where
-(A, B) are the HiPPO-LegS matrices.  `projection_oracle` provides the
-independent brute-force check: project each node's history onto normalized
-Legendre polynomials by quadrature, then apply the same smoothing at the
-evaluation time.  At alpha = 0 (or on an edgeless graph) everything collapses
-to independent per-node HiPPO, which is what several tests pin down.
+piecewise between edge mutations, where (A, B) are the HiPPO-LegS matrices.
+`tgraph.segments` yields the pieces on which L(t) is constant, and
+`smoothing_matrix` turns each piece's graph into the dense operator
+(I + alpha * L)^{-1}, so every RK4 stage applies it as one matrix product.
+`projection_oracle` provides the independent brute-force check: project each
+node's history onto normalized Legendre polynomials by quadrature, then apply
+the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
+edgeless graph) everything collapses to independent per-node HiPPO, which is
+what several tests pin down.
 """
 
 import math
@@ -21,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigvalsh, lu_factor, lu_solve
 
-from .tgraph import EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at, laplacian
+from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
+                     laplacian, segments)
 
 # The unscaled flow is singular to start exactly at t=0 (the underlying
 # measure normalizes by 1/t), so integration and the oracle both treat this
@@ -79,14 +83,18 @@ class CoefficientState:
     time: float
 
 
-def _smoother(stream: EventStream, t: float, alpha: float, kind: LaplacianKind):
-    """LU factor of (I + alpha*L) for the graph in force at time t.
+def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
+    """Dense (I + alpha*L)^{-1} for the graph with adjacency `adj`.
 
-    LU rather than Cholesky: the random-walk Laplacian is not symmetric.
+    One LU factorization solved against I (LU rather than Cholesky: the
+    random-walk Laplacian is not symmetric).  The explicit inverse is safe:
+    the eigenvalues of I + alpha*L lie in [1, 1 + 2*alpha] for both kinds, so
+    the symmetric kind's condition number is at most 1 + 2*alpha; the
+    random-walk matrix is similar to it through D^{1/2}, which adds at most
+    a factor max(degree)/min(degree) over the non-isolated nodes.
     """
-    adj = adjacency_from_edges(edges_at(stream, t), stream.num_nodes)
-    mat = np.eye(stream.num_nodes) + alpha * laplacian(adj, kind)
-    return lu_factor(mat)
+    eye = np.eye(np.shape(adj)[0])
+    return lu_solve(lu_factor(eye + alpha * laplacian(adj, kind)), eye)
 
 
 def _feature_vector(feature_path, t: float, num_nodes: int) -> np.ndarray:
@@ -123,29 +131,23 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     if not (0.0 < t_start < t_end <= stream.horizon):
         raise ValueError("need 0 < t_start < t_end <= horizon")
     n = cfg.order
-    if system is None:
-        _, a_mat, b_vec = hippo_legs_matrices(n)
-    else:
-        a_mat = np.asarray(system[0], dtype=float)
-        b_vec = np.asarray(system[1], dtype=float).reshape(-1)
-        if a_mat.shape != (n, n) or b_vec.size != n:
-            raise ValueError("system override must match cfg.order")
-    a_t = a_mat.T
+    a_mat, b_vec = hippo_legs_matrices(n)[1:] if system is None else system
+    a_t = np.asarray(a_mat, dtype=float).T
+    b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
+    if a_t.shape != (n, n) or b_vec.size != n:
+        raise ValueError("system override must match cfg.order")
     u = np.zeros((stream.num_nodes, n)) if u_start is None else np.array(u_start, dtype=float)
     if u.shape != (stream.num_nodes, n):
         raise ValueError(f"u_start must have shape ({stream.num_nodes}, {n})")
 
-    cuts = [t_start]
-    cuts += [t for t in stream.mutation_times if t_start < t < t_end]
-    cuts.append(t_end)
-
-    for seg_a, seg_b in zip(cuts, cuts[1:]):
-        smooth = _smoother(stream, seg_a, cfg.alpha, cfg.laplacian)
+    for seg_a, seg_b, edges in segments(stream, t_start, t_end):
+        smooth = smoothing_matrix(adjacency_from_edges(edges, stream.num_nodes),
+                                  cfg.alpha, cfg.laplacian)
         right_lim = np.nextafter(seg_b, seg_a)
 
         def rhs(t, state):
             x = _feature_vector(feature_path, min(t, right_lim), stream.num_nodes)
-            return state @ a_t + np.outer(lu_solve(smooth, x), b_vec)
+            return state @ a_t + np.outer(smooth @ x, b_vec)
 
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
         h = (seg_b - seg_a) / nst
@@ -183,10 +185,11 @@ def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
     Computes Q[v, n] = (1/t) * integral_0^t x_v(s) P~_n(2s/t - 1) ds by
     composite-trapezoid quadrature on cfg.quadrature_points nodes, then
     returns (I + alpha*L(t))^{-1} Q.  Deliberately shares no code with the
-    RK4 integrator beyond the Laplacian itself.
+    RK4 integrator beyond the smoothing operator `smoothing_matrix`.  t must be
+    finite and in (0, horizon].
     """
-    if t <= 0:
-        raise ValueError("oracle evaluation time must be positive")
+    if not 0 < t <= stream.horizon:
+        raise ValueError(f"oracle evaluation time {t} must lie in (0, {stream.horizon}]")
     npts = cfg.quadrature_points
     s = np.linspace(0.0, t, npts)
     x = np.empty((npts, stream.num_nodes))
@@ -197,8 +200,8 @@ def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
     w[0] *= 0.5
     w[-1] *= 0.5
     q = (x * w[:, None]).T @ basis.T / t
-    smooth = _smoother(stream, t, cfg.alpha, cfg.laplacian)
-    return CoefficientState(lu_solve(smooth, q), t)
+    adj = adjacency_from_edges(edges_at(stream, t), stream.num_nodes)
+    return CoefficientState(smoothing_matrix(adj, cfg.alpha, cfg.laplacian) @ q, t)
 
 
 def consensus_profile(snap, kind: LaplacianKind):
@@ -217,21 +220,11 @@ def consensus_profile(snap, kind: LaplacianKind):
     num_nodes = adj.shape[0]
     deg = adj.sum(axis=1).astype(float)
 
-    seen = np.zeros(num_nodes, dtype=bool)
-    components = []
-    for start in range(num_nodes):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in np.nonzero(adj[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        components.append(sorted(comp))
+    from scipy.sparse.csgraph import connected_components  # scipy.sparse loads on first use
+    count, labels = connected_components(adj, directed=False)
+    # Sorted node ids per component, components ordered by smallest node id.
+    components = sorted((np.flatnonzero(labels == k) for k in range(count)),
+                        key=lambda comp: comp[0])
 
     lap = laplacian(adj, kind)
     profiles = []

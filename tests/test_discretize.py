@@ -218,6 +218,28 @@ def test_oracle_step_semigroup_over_adjoining_intervals():
     assert rel <= 1e-10
 
 
+_ADJ = np.zeros((2, 2), dtype=bool)
+_STREAM = EventStream(num_nodes=2, horizon=2.0, initial_edges=frozenset(),
+                      events=((0, 1, 1.0, Action.INSERT),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MutationSchedule(0.0, math.inf, (), (_ADJ,), (np.zeros(2),)),
+    lambda: MutationSchedule(-math.inf, 1.0, (), (_ADJ,), (np.zeros(2),)),
+    lambda: MutationSchedule(math.nan, 1.0, (), (_ADJ,), (np.zeros(2),)),
+    lambda: MutationSchedule(0.0, 1.0, (), (_ADJ,), (np.array([0.0, math.nan]),)),
+    lambda: MutationSchedule(0.0, 1.0, (0.5,), (_ADJ, _ADJ),
+                             (np.zeros(2), np.array([math.inf, 0.0]))),
+    lambda: MutationSchedule.from_stream(_STREAM, 0.2, math.inf, (np.zeros(2),) * 2),
+    lambda: MutationSchedule.from_stream(_STREAM, 0.2, 2.5, (np.zeros(2),) * 2),
+    lambda: MutationSchedule.from_stream(_STREAM, -0.5, 0.5, (np.zeros(2),)),
+], ids=["t_end_inf", "t_start_neg_inf", "t_start_nan", "nan_feature", "inf_feature",
+        "from_stream_t_end_inf", "from_stream_past_horizon", "from_stream_before_zero"])
+def test_schedule_rejects_non_finite_or_out_of_range_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_oracle_step_rejects_wrong_state_shape():
     sched = _blank_schedule(0.0, 1.0, ())
     with pytest.raises(ValueError):

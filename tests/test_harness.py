@@ -346,6 +346,19 @@ def test_labels_reject_malformed_files(tmp_path):
         load_labels(path)
 
 
+def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):
+    path = tmp_path / "bad.labels"
+    path.write_text("GSSML v1 -1 3\n")
+    with pytest.raises(ValueError, match="negative"):
+        load_labels(path)
+    path.write_text("GSSML v1 2 3\n0\n1\n2\n5\n")
+    with pytest.raises(ValueError, match="past the declared count"):
+        load_labels(path)
+    path.write_text("GSSML v1 2 3\n0\n1\n\n  \n")
+    back, c = load_labels(path)
+    assert c == 3 and np.array_equal(back, [0, 1])
+
+
 def test_split_nodes_rejects_bad_fractions():
     with pytest.raises(ValueError):
         split_nodes(np.array([0, 1]), np.random.default_rng(0), fractions=(0.5, 0.5))

@@ -20,6 +20,7 @@ from gssm import (
     integrate_hippo,
     laplacian,
     projection_oracle,
+    smoothing_matrix,
 )
 
 
@@ -106,6 +107,14 @@ def test_matrices_reject_zero_order():
 
 # ---------------------------------------------------------------------------
 # brute-force projection
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, 5.0])
+def test_oracle_rejects_non_finite_or_out_of_horizon_times(t):
+    stream = _stream_with_mutations(horizon=2.0)
+    cfg = HippoConfig(order=2, alpha=0.5, quadrature_points=11)
+    with pytest.raises(ValueError):
+        projection_oracle(stream, lambda s: np.ones(4), cfg, t)
 
 
 def test_oracle_constant_input_concentrates_on_degree_zero():
@@ -334,3 +343,14 @@ def test_smoother_solve_has_tiny_residual_for_both_laplacians(kind):
     y = projection_oracle(stream, lambda t: x, cfg, 1.0).u[:, 0]
     smoother = np.eye(4) + 2.0 * laplacian(adjacency_from_edges(stream.initial_edges, 4), kind)
     assert np.linalg.norm(smoother @ y - x) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_smoothing_matrix_inverts_the_smoother_for_both_laplacians(kind):
+    # Path graph plus an isolated node: unequal degrees, and a row with no smoothing.
+    adj = adjacency_from_edges({(0, 1), (1, 2), (2, 3)}, 5)
+    smoother = np.eye(5) + 2.0 * laplacian(adj, kind)
+    inv = smoothing_matrix(adj, 2.0, kind)
+    assert np.abs(inv @ smoother - np.eye(5)).max() <= 1e-14
+    assert np.array_equal(inv[4], np.eye(5)[4])
+    assert np.array_equal(smoothing_matrix(adj, 0.0, kind), np.eye(5))

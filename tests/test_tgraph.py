@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gssm import (
     Action,
@@ -13,7 +15,9 @@ from gssm import (
     laplacian,
     load_sequence,
     materialize_snapshots,
+    replay_edges,
     save_sequence,
+    segments,
     temporal_continuity,
 )
 
@@ -95,6 +99,80 @@ def test_edges_at_replays_inserts_and_deletes():
     assert edges_at(stream, 0.0) == frozenset({(0, 1)})
     assert edges_at(stream, 0.7) == frozenset({(0, 1), (1, 2)})
     assert edges_at(stream, 1.5) == frozenset({(1, 2)})
+
+
+def test_edges_at_rejects_a_nan_time():
+    stream = EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset(),
+                         events=((0, 1, 0.5, Action.INSERT),))
+    with pytest.raises(ValueError):
+        edges_at(stream, np.nan)
+
+
+def test_replay_rejects_decreasing_times():
+    stream = EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset(), events=())
+    with pytest.raises(ValueError):
+        list(replay_edges(stream, [0.6, 0.4]))
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(-0.1, 0.5), (0.0, 1.5), (0.5, 0.5), (0.6, 0.4),
+                                        (np.nan, 0.5), (0.0, np.inf), (-np.inf, 0.5)])
+def test_segments_reject_intervals_outside_the_horizon(t_lo, t_hi):
+    stream = EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset(), events=())
+    with pytest.raises(ValueError):
+        segments(stream, t_lo, t_hi)
+
+
+def _naive_edges(stream, t):
+    """Apply every event with time <= t, scanning the whole stream."""
+    present = set(stream.initial_edges)
+    for u, v, et, action in stream.events:
+        if et <= t:
+            (present.add if action is Action.INSERT else present.discard)((u, v))
+    return frozenset(present)
+
+
+@st.composite
+def _streams_with_grids(draw):
+    """A valid random stream plus a sorted time grid holding every event time,
+    a time just before the first event, 0, the horizon and random times."""
+    num_nodes = draw(st.integers(2, 5))
+    horizon = draw(st.floats(0.5, 20.0))
+    pairs = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
+    on = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    initial = frozenset(p for p, keep in zip(pairs, on) if keep)
+    times = sorted(set(draw(st.lists(st.floats(0.0, horizon), max_size=12))))
+    present, events = set(initial), []
+    for t in times:
+        pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+        action = Action.DELETE if pair in present else Action.INSERT
+        (present.discard if pair in present else present.add)(pair)
+        events.append((*pair, t, action))
+    stream = EventStream(num_nodes, horizon, initial, tuple(events))
+    before_first = np.nextafter(times[0], -np.inf) if times else 0.5 * horizon
+    extra = draw(st.lists(st.floats(0.0, horizon), max_size=8))
+    return stream, sorted([*times, *extra, before_first, 0.0, horizon])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_streams_with_grids())
+@example(case=(EventStream(3, 2.0, frozenset({(0, 1)}),
+                           ((0, 1, 0.0, Action.DELETE), (1, 2, 1.0, Action.INSERT),
+                            (0, 2, 2.0, Action.INSERT))),
+               [-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0]))
+def test_replay_and_segments_match_a_naive_replay(case):
+    stream, grid = case
+    assert list(replay_edges(stream, grid)) == [_naive_edges(stream, t) for t in grid]
+
+    bounds = sorted({t for t in grid if 0.0 <= t <= stream.horizon})
+    for i, lo in enumerate(bounds):
+        for hi in bounds[i + 1:]:
+            pieces = list(segments(stream, lo, hi))
+            assert pieces[0][0] == lo and pieces[-1][1] == hi
+            assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+            assert [p[0] for p in pieces[1:]] == [t for t in stream.mutation_times if lo < t < hi]
+            for p_lo, p_hi, edges in pieces:
+                assert p_lo < p_hi
+                assert edges == edges_at(stream, p_lo)
 
 
 # ---------------------------------------------------------------------------
