@@ -48,7 +48,8 @@ print(u_exact.round(6))
 print("max gap to the RK4 integration:", float(np.abs(u_exact - u_ode).max()))
 
 # --- the practical per-step recurrence ----------------------------------------
-# discrete_step is what the layers actually run: u' = u * e^{delta a} + delta * x b^T.
+# discrete_step writes out one step of what the layers run over a whole
+# sequence as a scan: u' = u * e^{delta a} + delta * x b^T.
 u1, y1 = discrete_step(u_exact, feats[1], np.array([0.3, 1.1]), a, b,
                        c=np.array([1.0, 1.0, 1.0]))
 print("\nafter one discrete step, per-node readout:", y1.round(6))
@@ -57,12 +58,13 @@ print("\nafter one discrete step, per-node readout:", y1.round(6))
 # The step's input can look at the previous snapshot too.  ORDINARY ignores it,
 # FEATURE_MIX blends before diffusion, REPR_MIX blends the diffused values --
 # with a nonlinear "diffusion" the order of operations shows up in the numbers.
-# (a None predecessor -- the first snapshot -- always falls back to ORDINARY)
+# mixed_estimate returns one estimate per snapshot and diffuses each snapshot
+# once; the first snapshot has no predecessor and always takes ORDINARY.
 x_prev, x_cur = np.array([[0.0], [4.0]]), np.array([[2.0], [2.0]])
 g_prev = Snapshot(np.zeros((2, 2), dtype=bool), x_prev, 0.0)
 g_cur = Snapshot(np.zeros((2, 2), dtype=bool), x_cur, 1.0)
 gnn = lambda x, g: x ** 2
 mix = lambda z1, z2: 0.5 * (z1 + z2)
 for mech in MixMechanism:
-    est = mixed_estimate(x_prev, x_cur, g_prev, g_cur, mech, gnn, mix)
+    est = mixed_estimate([x_prev, x_cur], [g_prev, g_cur], mech, gnn, mix)[-1]
     print(f"{mech.value:12s} -> {est.ravel()}")

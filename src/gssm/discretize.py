@@ -8,13 +8,13 @@ Two layers of fidelity:
   `MutationSchedule.from_stream`) contributes its features, smoothed by
   `hippo.smoothing_matrix`, through a convex weight (`segment_weights`); the
   weights depend only on the mutation times, never on the features.
-* `discrete_step` -- the practical per-snapshot update used by the layers:
-  first-order approximation of the drive term (A^{-1}(e^{dA}-I) ~ d*I) with
-  an adaptive per-node step size.
+* `discrete_step` -- one step of the practical update: first-order drive
+  (A^{-1}(e^{dA}-I) ~ d*I) with an adaptive per-node step size.  The layers
+  scan it over a whole sequence; their tests check them against it.
 
-`mixed_estimate` assembles the practical drive from consecutive snapshots by
-one of three mechanisms (plain diffusion, mixing features before diffusion,
-or mixing diffused representations).
+`mixed_estimate` is the one definition of the three drive mechanisms over a
+snapshot sequence (plain diffusion, mixing features before diffusion, or
+mixing diffused representations), diffusing once per snapshot.
 """
 
 from dataclasses import dataclass
@@ -199,28 +199,26 @@ class MixMechanism(Enum):
     REPR_MIX = "repr_mix"
 
 
-def mixed_estimate(x_prev, x_cur, g_prev, g_cur, mechanism: MixMechanism, gnn, mix):
-    """Drive estimate for one snapshot from (previous, current) observations.
+def mixed_estimate(xs, snaps, mechanism: MixMechanism, gnn, mix) -> list:
+    """Drive estimates for a snapshot sequence, one per snapshot.
 
-    gnn(x, snapshot) diffuses features over a graph; mix(z_prev, z_cur)
-    combines two same-shape arrays.  Mechanisms:
+    xs[l] holds the observations at snaps[l]; gnn(x, snapshot) diffuses
+    features over a graph and runs exactly once per snapshot; mix(z_prev,
+    z_cur) combines two same-shape arrays.  For l > 0:
 
-        ORDINARY     gnn(x_cur, g_cur)
-        FEATURE_MIX  gnn(mix(x_prev, x_cur), g_cur)
-        REPR_MIX     mix(gnn(x_prev, g_prev), gnn(x_cur, g_cur))
+        ORDINARY     gnn(x_l, g_l)
+        FEATURE_MIX  gnn(mix(x_{l-1}, x_l), g_l)
+        REPR_MIX     mix(gnn(x_{l-1}, g_{l-1}), gnn(x_l, g_l))
 
-    At the start of a sequence there is no predecessor; passing x_prev=None
-    (or g_prev=None) degrades any mechanism to ORDINARY.
+    The first snapshot has no predecessor and always takes ORDINARY.
     """
     mechanism = MixMechanism(mechanism)
-    if x_prev is None or g_prev is None:
-        mechanism = MixMechanism.ORDINARY
-    if mechanism is MixMechanism.ORDINARY:
-        return gnn(x_cur, g_cur)
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_cur = np.asarray(x_cur, dtype=float)
-    if x_prev.shape != x_cur.shape:
-        raise ValueError("x_prev and x_cur must have equal shapes")
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if not xs or len(xs) != len(snaps) or any(x.shape != xs[0].shape for x in xs):
+        raise ValueError("need one same-shape observation per snapshot, at least one")
     if mechanism is MixMechanism.FEATURE_MIX:
-        return gnn(mix(x_prev, x_cur), g_cur)
-    return mix(gnn(x_prev, g_prev), gnn(x_cur, g_cur))
+        xs = xs[:1] + [mix(x_prev, x_cur) for x_prev, x_cur in zip(xs, xs[1:])]
+    out = [gnn(x, g) for x, g in zip(xs, snaps)]
+    if mechanism is MixMechanism.REPR_MIX:
+        out = out[:1] + [mix(z_prev, z_cur) for z_prev, z_cur in zip(out, out[1:])]
+    return out

@@ -23,7 +23,7 @@ from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
                      block_forward, delta_bias_init, glorot, gnn_diffuse,
-                     init_a, softplus)
+                     init_a)
 from .tgraph import Snapshot, SnapshotSequence
 
 
@@ -318,8 +318,8 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
                   num_classes: int | None = None) -> ReadoutParams:
     """Full-batch gradient descent; keeps the parameters with the best
     validation Micro-F1 (checked every 10 epochs)."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
+    if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
+        raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
     tr, va = np.asarray(split.train), np.asarray(split.val)
     if tr.size == 0:
         raise ValueError("empty train split")

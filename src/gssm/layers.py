@@ -3,13 +3,14 @@
 Building blocks, bottom up:
 
 * `gnn_diffuse` -- one aggregate-then-combine round over a snapshot's
-  cached sparse adjacency; the first-order approximation of the Laplacian
-  smoother used by the layers.
+  cached sparse adjacency: the first-order approximation of the Laplacian
+  smoother.  A layer runs its graph half once per input and snapshot.
 * `mix_conv1d` / `mix_interp` -- combine two consecutive representations
   (width-2 convolution, or a learned gated interpolation).
-* `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
-  SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
-  step size, drive and readout) variants share one discretized update.
+* `ssm_forward` -- one layer over a snapshot sequence, driven by
+  `discretize.mixed_estimate`: the S4 (per-channel SISO states), S5 (one
+  shared MIMO state per node) and S6 (input-selective step size, drive and
+  readout) variants share one discretized update.
 * `block_forward` -- residual block composition around a layer; the mixing
   mechanism is by default confined to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
@@ -20,13 +21,14 @@ default, the chunked parallel scan on request.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
 from .discretize import MixMechanism, mixed_estimate
 from .scan import RecurrenceInputs, run_scan
-from .tgraph import Snapshot, SnapshotSequence
+from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
 
 def softplus(x):
@@ -46,6 +48,18 @@ class GnnFlavor(Enum):
     SAGE_MEAN_LIKE = "sage_mean_like"
 
 
+# Each flavor aggregates with one normalized adjacency of `tgraph.laplacian`.
+_FLAVOR_KIND = {GnnFlavor.GCN_LIKE: LaplacianKind.SYMMETRIC,
+                GnnFlavor.SAGE_MEAN_LIKE: LaplacianKind.RANDOM_WALK}
+
+
+def _finite(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class GnnParams:
     """Aggregate-then-combine parameters.
@@ -61,8 +75,8 @@ class GnnParams:
     self_mix: float = 0.5
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
-        b = np.asarray(self.bias, dtype=float).reshape(-1)
+        w = _finite(self.weight, "weight")
+        b = _finite(self.bias, "bias").reshape(-1)
         if w.ndim != 2 or b.size != w.shape[1]:
             raise ValueError("weight must be [D_in x D_out] with matching bias")
         if not (0.0 <= self.self_mix <= 1.0):
@@ -72,32 +86,28 @@ class GnnParams:
         object.__setattr__(self, "flavor", GnnFlavor(self.flavor))
 
 
+def _aggregate(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
+    """Graph half of `gnn_diffuse`, read off p.flavor and p.self_mix only:
+    (1 - self_mix) x + self_mix (r A c) x, isolated nodes keeping x."""
+    rows, cols = degree_scales(snap.degree, _FLAVOR_KIND[p.flavor])
+    agg = rows[:, None] * (snap.adjacency_csr @ (cols[:, None] * x))
+    return np.where(snap.degree[:, None] > 0, (1.0 - p.self_mix) * x + p.self_mix * agg, x)
+
+
 def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
     """One diffusion round followed by an affine transform.
 
     GcnLike aggregates neighbors with symmetric 1/sqrt(d_u d_v) weights,
     SageMeanLike with the plain neighborhood mean.  Nodes without neighbors
-    skip aggregation entirely (pure self term).  Aggregation is a product
-    with the snapshot's cached boolean CSR adjacency and degree vector
-    (`Snapshot.adjacency_csr`, `Snapshot.degree`), so the graph work is
-    O(edges x D) per call and the operator is built once per snapshot, no
-    matter how many layers, blocks or selective GNNs diffuse over it.
+    skip aggregation entirely (pure self term).  With identity weight and
+    zero bias this is x - self_mix L x, L the symmetric (GcnLike) or random
+    walk (SageMeanLike) Laplacian: (I + self_mix L)^{-1} to first order.  The
+    aggregation is a product with the snapshot's cached CSR adjacency.
     """
     x = np.asarray(x, dtype=float)
-    num_nodes = snap.num_nodes
-    if x.ndim != 2 or x.shape != (num_nodes, p.weight.shape[0]):
-        raise ValueError(f"x must be [{num_nodes} x {p.weight.shape[0]}]")
-    adj, deg = snap.adjacency_csr, snap.degree
-    nz = deg > 0
-    if p.flavor is GnnFlavor.GCN_LIKE:
-        dis = np.zeros_like(deg)
-        dis[nz] = 1.0 / np.sqrt(deg[nz])
-        agg = dis[:, None] * (adj @ (dis[:, None] * x))
-    else:
-        agg = np.zeros_like(x)
-        agg[nz] = (adj @ x)[nz] / deg[nz, None]
-    h = np.where(nz[:, None], (1.0 - p.self_mix) * x + p.self_mix * agg, x)
-    return h @ p.weight + p.bias
+    if x.shape != (snap.num_nodes, p.weight.shape[0]):
+        raise ValueError(f"x must be [{snap.num_nodes} x {p.weight.shape[0]}]")
+    return _aggregate(x, snap, p) @ p.weight + p.bias
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,7 @@ class ConvMixParams:
     kernel: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=float)
+        k = _finite(self.kernel, "kernel")
         if k.ndim != 2 or k.shape[0] != 2:
             raise ValueError("kernel must be [2 x D]")
         object.__setattr__(self, "kernel", k)
@@ -128,10 +138,10 @@ class InterpMixParams:
     b_blend: np.ndarray
 
     def __post_init__(self):
-        ws = np.asarray(self.w_scale, dtype=float)
-        wb = np.asarray(self.w_blend, dtype=float)
-        bs = np.asarray(self.b_scale, dtype=float).reshape(-1)
-        bb = np.asarray(self.b_blend, dtype=float).reshape(-1)
+        ws = _finite(self.w_scale, "w_scale")
+        wb = _finite(self.w_blend, "w_blend")
+        bs = _finite(self.b_scale, "b_scale").reshape(-1)
+        bb = _finite(self.b_blend, "b_blend").reshape(-1)
         d = ws.shape[1] if ws.ndim == 2 else 0
         if ws.shape != (2 * d, d) or wb.shape != (2 * d, d) or bs.size != d or bb.size != d:
             raise ValueError("interp params must be W [2D x D] with bias [D]")
@@ -204,7 +214,7 @@ class SsmLayerParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", SsmVariant(self.variant))
         object.__setattr__(self, "mix_mechanism", MixMechanism(self.mix_mechanism))
-        a = np.asarray(self.a, dtype=float)
+        a = _finite(self.a, "a")
         if not np.all(a < 0):
             raise ValueError("state matrix entries must be strictly negative")
         object.__setattr__(self, "a", a)
@@ -220,29 +230,28 @@ class SsmLayerParams:
             n = a.shape[1]
             shapes = {"b": (d, n), "c": (d, n)} if self.variant is SsmVariant.S4 else {}
         for name, want in shapes.items():
-            got = np.asarray(getattr(self, name), dtype=float)
+            got = _finite(getattr(self, name), name)
             if got.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {got.shape}")
             object.__setattr__(self, name, got)
         if self.variant is SsmVariant.S6:
             for name in ("gnn_delta", "gnn_b", "gnn_c"):
-                g = getattr(self, name)
-                if not isinstance(g, GnnParams):
+                if not isinstance(getattr(self, name), GnnParams):
                     raise ValueError(f"S6 requires {name}")
             if self.gnn_delta.weight.shape[1] != d:
                 raise ValueError("gnn_delta must produce D outputs")
             if self.gnn_b.weight.shape[1] != n or self.gnn_c.weight.shape[1] != n:
                 raise ValueError("gnn_b / gnn_c must produce N outputs")
-            bias = np.asarray(self.delta_bias, dtype=float).reshape(-1)
+            bias = _finite(self.delta_bias, "delta_bias").reshape(-1)
             if bias.size != d:
                 raise ValueError("S6 delta_bias must be [D]")
             object.__setattr__(self, "delta_bias", bias)
         else:
-            w = np.asarray(self.delta_weight, dtype=float).reshape(-1)
+            w = _finite(self.delta_weight, "delta_weight").reshape(-1)
             if w.size != d:
                 raise ValueError("delta_weight must be [D]")
             object.__setattr__(self, "delta_weight", w)
-            object.__setattr__(self, "delta_bias", float(self.delta_bias))
+            object.__setattr__(self, "delta_bias", float(_finite(self.delta_bias, "delta_bias")))
 
     @property
     def state_size(self):
@@ -250,7 +259,7 @@ class SsmLayerParams:
 
 
 def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams):
-    hidden_in = np.asarray(hidden_in, dtype=float)
+    hidden_in = _finite(hidden_in, "hidden_in")
     want = (seq.num_nodes, len(seq), p.gnn.weight.shape[0])
     if hidden_in.shape != want:
         raise ValueError(f"hidden_in must be [V x L x D] = {want}, got {hidden_in.shape}")
@@ -259,19 +268,19 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
 
 def _drive_estimates(seq, hidden_in, p, mechanism):
     """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]."""
-    def gnn(x, g):
-        return gnn_diffuse(x, g, p.gnn)
+    return np.stack(mixed_estimate(np.moveaxis(hidden_in, 1, 0), seq, mechanism,
+                                   partial(gnn_diffuse, p=p.gnn), partial(apply_mix, p=p.mix)))
 
-    def mix(z1, z2):
-        return apply_mix(z1, z2, p.mix)
 
-    out = []
-    for l in range(len(seq)):
-        x_prev = hidden_in[:, l - 1] if l > 0 else None
-        g_prev = seq[l - 1] if l > 0 else None
-        out.append(mixed_estimate(x_prev, hidden_in[:, l], g_prev, seq[l],
-                                  mechanism, gnn, mix))
-    return np.stack(out)
+def _selective(seq, hidden_in, gnns):
+    """The selective GNNs over the layer input, [L x V x out] each; the graph
+    half runs once per snapshot for each distinct (flavor, self_mix)."""
+    aggregated = {}
+    for g in gnns:
+        if (g.flavor, g.self_mix) not in aggregated:
+            aggregated[g.flavor, g.self_mix] = np.stack(
+                [_aggregate(hidden_in[:, l], snap, g) for l, snap in enumerate(seq)])
+    return [aggregated[g.flavor, g.self_mix] @ g.weight + g.bias for g in gnns]
 
 
 def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
@@ -291,14 +300,10 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     h = _drive_estimates(seq, hidden_in, p,
                          p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
     if p.variant is SsmVariant.S6:
-        def selective(g):
-            return np.stack([gnn_diffuse(hidden_in[:, l], snap, g)
-                             for l, snap in enumerate(seq)])
-
-        delta = softplus(selective(p.gnn_delta) + p.delta_bias)[..., None]     # [L,V,D,1]
-        b_sel = selective(p.gnn_b)[:, :, None, :]                              # [L,V,1,N]
-        drives = (delta * b_sel) * h[..., None]                                # [L,V,D,N]
-        readout, c = "lvdn,lvn->vld", selective(p.gnn_c)
+        pre_delta, b_sel, c = _selective(seq, hidden_in, (p.gnn_delta, p.gnn_b, p.gnn_c))
+        delta = softplus(pre_delta + p.delta_bias)[..., None]                 # [L,V,D,1]
+        drives = (delta * b_sel[:, :, None, :]) * h[..., None]                 # [L,V,D,N]
+        readout = "lvdn,lvn->vld"
     else:
         delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]        # [L,V,1]
         if p.variant is SsmVariant.S5:
@@ -333,14 +338,13 @@ class BlockParams:
 
     def __post_init__(self):
         if self.res_weight is not None:
-            w = np.asarray(self.res_weight, dtype=float)
+            w = _finite(self.res_weight, "res_weight")
             d = self.layer.gnn.weight.shape[1]
             if w.shape != (d, d):
                 raise ValueError(f"res_weight must be [{d} x {d}]")
             object.__setattr__(self, "res_weight", w)
         if self.res_bias is not None:
-            object.__setattr__(self, "res_bias",
-                               np.asarray(self.res_bias, dtype=float).reshape(-1))
+            object.__setattr__(self, "res_bias", _finite(self.res_bias, "res_bias").reshape(-1))
 
 
 def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
@@ -448,20 +452,14 @@ def align_memory(u_prev: np.ndarray, v_prev, v_new, rule: StateInitRule = StateI
             raise ValueError("adjacency must be indexed like sorted(v_new)")
 
     prev_row = {v: i for i, v in enumerate(prev_ids)}
+    surviving = np.array([v in prev_row for v in new_ids], dtype=bool)
     out = np.zeros((len(new_ids),) + u_prev.shape[1:], dtype=u_prev.dtype)
-    survivors = [i for i, v in enumerate(new_ids) if v in prev_row]
-    for i, v in enumerate(new_ids):
-        if v in prev_row:
-            out[i] = u_prev[prev_row[v]]
+    out[surviving] = u_prev[[prev_row[v] for v in new_ids if v in prev_row]]
     if rule is StateInitRule.NEIGHBOR_MEAN:
-        surviving = np.zeros(len(new_ids), dtype=bool)
-        surviving[survivors] = True
-        for i, v in enumerate(new_ids):
-            if v in prev_row:
-                continue
-            nbrs = np.nonzero(adjacency[i] & surviving)[0]
+        for i in np.flatnonzero(~surviving):
+            nbrs = np.flatnonzero(adjacency[i] & surviving)
             if nbrs.size:
-                out[i] = np.mean([u_prev[prev_row[new_ids[j]]] for j in nbrs], axis=0)
+                out[i] = np.mean(out[nbrs], axis=0)
     return out
 
 

@@ -5,9 +5,10 @@ deletions (:class:`EventStream`), observed as a :class:`SnapshotSequence` of
 (adjacency, features, timestamp) triples.  One incremental replay
 (`replay_edges`) derives the edge set in force at any nondecreasing sequence
 of times; `edges_at`, `segments` (the constant-graph pieces of an interval)
-and `materialize_snapshots` all read from it.  The module also builds
-normalized graph Laplacians, computes temporal-continuity metrics over a
-sequence, and serializes sequences to a line-oriented text format.
+and `materialize_snapshots` all read from it.  The module also owns the degree
+normalization (`degree_scales`) of the graph Laplacians and of the layers'
+diffusion, computes temporal-continuity metrics over a sequence, and
+serializes sequences to a line-oriented text format.
 
 All types are immutable after construction and every operation is a pure
 function, so read-only instances can be shared freely.
@@ -268,6 +269,19 @@ def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> Sna
     return SnapshotSequence(tuple(snaps))
 
 
+def degree_scales(deg: np.ndarray, kind: LaplacianKind):
+    """Row and column scales (r, c) of the normalized adjacency r A c: D^{-1/2}
+    on both sides for Symmetric, D^{-1} on the rows (unit columns) for
+    RandomWalk, and a zero row scale for isolated nodes."""
+    nz = deg > 0
+    rows = np.zeros_like(deg)
+    if LaplacianKind(kind) is LaplacianKind.SYMMETRIC:
+        rows[nz] = 1.0 / np.sqrt(deg[nz])
+        return rows, rows
+    rows[nz] = 1.0 / deg[nz]
+    return rows, np.ones_like(deg)
+
+
 def laplacian(snap, kind: LaplacianKind) -> np.ndarray:
     """Normalized graph Laplacian of a snapshot (or a raw adjacency matrix).
 
@@ -280,19 +294,8 @@ def laplacian(snap, kind: LaplacianKind) -> np.ndarray:
     adj = snap.adjacency if isinstance(snap, Snapshot) else np.asarray(snap)
     adj = adj.astype(float)
     deg = adj.sum(axis=1)
-    nz = deg > 0
-    if kind is LaplacianKind.SYMMETRIC:
-        dinv_sqrt = np.zeros_like(deg)
-        dinv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        lap = -dinv_sqrt[:, None] * adj * dinv_sqrt[None, :]
-    elif kind is LaplacianKind.RANDOM_WALK:
-        dinv = np.zeros_like(deg)
-        dinv[nz] = 1.0 / deg[nz]
-        lap = -dinv[:, None] * adj
-    else:
-        raise ValueError(f"unknown Laplacian kind: {kind!r}")
-    lap[nz, nz] += 1.0
-    return lap
+    rows, cols = degree_scales(deg, kind)
+    return np.diag((deg > 0).astype(float)) - rows[:, None] * adj * cols
 
 
 def temporal_continuity(seq: SnapshotSequence):

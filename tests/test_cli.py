@@ -329,3 +329,14 @@ def test_run_with_a_non_finite_noise_is_an_input_error(capsys, tmp_path):
                                  "--seeds", "0", "--noise", "nan"] + _TINY_TASK)
     assert code == 2
     assert err.startswith("error: ") and "noise must be finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--epochs", "-3"), ("--lr", "nan"),
+                                         ("--l2", "-1"), ("--l2", "nan")])
+def test_run_with_an_invalid_readout_setting_is_an_input_error(capsys, tmp_path, flag, value):
+    out = tmp_path / "r.csv"
+    code, _, err = _run(capsys, ["run", "--out", str(out), "--seeds", "0", "--init", "s4d_real",
+                                 "--blocks", "1", "--state-size", "2", flag, value] + _TINY_TASK)
+    assert code == 2
+    assert err.startswith("error: ") and "readout needs epochs >= 1" in err
+    assert not out.exists()

@@ -362,19 +362,19 @@ def test_mixed_estimate_feature_mix_with_pass_through_mix_is_ordinary():
     rng = np.random.default_rng(19)
     x_prev, x_cur = rng.normal(size=(2, 5, 3))
     take_current = lambda z_prev, z_cur: z_cur
-    mixed = mixed_estimate(x_prev, x_cur, "g0", "g1", MixMechanism.FEATURE_MIX,
+    mixed = mixed_estimate([x_prev, x_cur], ["g0", "g1"], MixMechanism.FEATURE_MIX,
                            _double_gnn, take_current)
-    plain = mixed_estimate(x_prev, x_cur, "g0", "g1", MixMechanism.ORDINARY,
+    plain = mixed_estimate([x_prev, x_cur], ["g0", "g1"], MixMechanism.ORDINARY,
                            _double_gnn, take_current)
-    assert np.array_equal(mixed, plain)
+    assert np.array_equal(mixed[-1], plain[-1])
 
 
 def test_mixed_estimate_symmetric_mix_on_equal_inputs_is_ordinary():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(4, 2))
     average = lambda z_prev, z_cur: 0.5 * (z_prev + z_cur)
-    mixed = mixed_estimate(x, x, "g", "g", MixMechanism.REPR_MIX, _double_gnn, average)
-    assert mixed == pytest.approx(_double_gnn(x, "g"))
+    mixed = mixed_estimate([x, x], ["g", "g"], MixMechanism.REPR_MIX, _double_gnn, average)
+    assert mixed[-1] == pytest.approx(_double_gnn(x, "g"))
 
 
 def test_mixed_estimate_repr_mix_composes_gnn_then_mix():
@@ -382,8 +382,8 @@ def test_mixed_estimate_repr_mix_composes_gnn_then_mix():
     x_prev, x_cur = rng.normal(size=(2, 6, 4))
     gnn = lambda x, snap: x + (1.0 if snap == "cur" else -1.0)
     mix = lambda z_prev, z_cur: z_prev * z_cur
-    got = mixed_estimate(x_prev, x_cur, "prev", "cur", MixMechanism.REPR_MIX, gnn, mix)
-    assert np.array_equal(got, (x_prev - 1.0) * (x_cur + 1.0))
+    got = mixed_estimate([x_prev, x_cur], ["prev", "cur"], MixMechanism.REPR_MIX, gnn, mix)
+    assert np.array_equal(got[-1], (x_prev - 1.0) * (x_cur + 1.0))
 
 
 def test_mixed_estimate_without_predecessor_degrades_to_ordinary():
@@ -391,14 +391,40 @@ def test_mixed_estimate_without_predecessor_degrades_to_ordinary():
     x_cur = rng.normal(size=(3, 2))
     boom = lambda z_prev, z_cur: 1 / 0
     for mechanism in MixMechanism:
-        got = mixed_estimate(None, x_cur, None, "g", mechanism, _double_gnn, boom)
-        assert np.array_equal(got, 2.0 * x_cur)
+        got = mixed_estimate([x_cur], ["g"], mechanism, _double_gnn, boom)
+        assert np.array_equal(got[0], 2.0 * x_cur)
 
 
 def test_mixed_estimate_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        mixed_estimate(np.zeros((2, 2)), np.zeros((3, 2)), "g0", "g1",
+        mixed_estimate([np.zeros((2, 2)), np.zeros((3, 2))], ["g0", "g1"],
                        MixMechanism.FEATURE_MIX, _double_gnn, lambda a, b: b)
+
+
+@pytest.mark.parametrize("xs, snaps", [([], []), ([np.zeros((2, 2))], ["g0", "g1"])])
+def test_mixed_estimate_needs_one_observation_per_snapshot(xs, snaps):
+    with pytest.raises(ValueError):
+        mixed_estimate(xs, snaps, MixMechanism.ORDINARY, _double_gnn, lambda a, b: b)
+
+
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+def test_mixed_estimate_diffuses_each_snapshot_once(mechanism):
+    rng = np.random.default_rng(37)
+    xs = rng.normal(size=(6, 4, 2))
+    snaps = [f"g{l}" for l in range(len(xs))]
+    calls = []
+
+    def counting_gnn(x, snap):
+        calls.append(snap)
+        return 2.0 * x
+
+    average = lambda z_prev, z_cur: 0.5 * (z_prev + z_cur)
+    got = mixed_estimate(xs, snaps, mechanism, counting_gnn, average)
+    assert calls == snaps
+    assert len(got) == len(xs) and np.array_equal(got[0], 2.0 * xs[0])
+    # Doubling commutes exactly with averaging, so both mixes give x_{l-1} + x_l.
+    want = 2.0 * xs[1:] if mechanism is MixMechanism.ORDINARY else xs[:-1] + xs[1:]
+    assert np.array_equal(np.stack(got[1:]), want)
 
 
 @pytest.mark.parametrize("kind", list(LaplacianKind))

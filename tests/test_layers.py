@@ -15,6 +15,7 @@ from gssm import (
     GnnParams,
     InitStrategy,
     InterpMixParams,
+    LaplacianKind,
     MixMechanism,
     Snapshot,
     SnapshotSequence,
@@ -29,6 +30,7 @@ from gssm import (
     gnn_diffuse,
     glorot,
     init_a,
+    laplacian,
     layer_norm,
     load_checkpoint,
     mix_conv1d,
@@ -38,6 +40,7 @@ from gssm import (
     ssm_forward,
 )
 from gssm.layers import _drive_estimates
+from gssm.scan import RecurrenceInputs, scan_sequential
 
 
 def _random_adjacency(rng, v, p=0.4):
@@ -220,6 +223,21 @@ def test_diffuse_matches_the_dense_reference(adj, flavor, self_mix, d_in, d_out,
     out = gnn_diffuse(x, snap, p)
     assert out.shape == ref.shape
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(adj=_graphs(), flavor=st.sampled_from(list(GnnFlavor)),
+       self_mix=st.floats(0.0, 1.0), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_diffuse_is_the_first_order_laplacian_smoother(adj, flavor, self_mix, d, seed):
+    """Identity weight, zero bias: gnn_diffuse(x) = x - self_mix * L x, with L
+    the symmetric Laplacian for GcnLike and the random-walk one for SageMeanLike."""
+    kind = {GnnFlavor.GCN_LIKE: LaplacianKind.SYMMETRIC,
+            GnnFlavor.SAGE_MEAN_LIKE: LaplacianKind.RANDOM_WALK}[flavor]
+    x = np.random.default_rng(seed).normal(size=(adj.shape[0], d))
+    snap = Snapshot(adjacency=adj, features=x, timestamp=0.0)
+    p = GnnParams(weight=np.eye(d), bias=np.zeros(d), flavor=flavor, self_mix=self_mix)
+    smoothed = x - self_mix * (laplacian(adj, kind) @ x)
+    assert np.max(np.abs(gnn_diffuse(x, snap, p) - smoothed)) <= 1e-12
 
 
 def test_snapshot_builds_its_sparse_adjacency_once():
@@ -426,6 +444,63 @@ def test_s6_state_shapes_are_per_channel():
     assert out.shape == (v, l, d)
 
 
+def _stepwise_forward(seq, hidden, p, mechanism):
+    """Reference layer: the per-snapshot composition of `gnn_diffuse` and
+    `apply_mix`, with REPR_MIX diffusing each snapshot twice and every
+    selective GNN diffusing the layer input on its own."""
+    h = []
+    for l, snap in enumerate(seq):
+        x = hidden[:, l]
+        if l == 0 or mechanism is MixMechanism.ORDINARY:
+            h.append(gnn_diffuse(x, snap, p.gnn))
+        elif mechanism is MixMechanism.FEATURE_MIX:
+            h.append(gnn_diffuse(apply_mix(hidden[:, l - 1], x, p.mix), snap, p.gnn))
+        else:
+            h.append(apply_mix(gnn_diffuse(hidden[:, l - 1], seq[l - 1], p.gnn),
+                               gnn_diffuse(x, snap, p.gnn), p.mix))
+    h = np.stack(h)
+    if p.variant is SsmVariant.S6:
+        def selective(g):
+            return np.stack([gnn_diffuse(hidden[:, l], snap, g) for l, snap in enumerate(seq)])
+
+        delta = softplus(selective(p.gnn_delta) + p.delta_bias)[..., None]
+        drives = (delta * selective(p.gnn_b)[:, :, None, :]) * h[..., None]
+        readout, c = "lvdn,lvn->vld", selective(p.gnn_c)
+    else:
+        delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]
+        if p.variant is SsmVariant.S5:
+            drives = delta * (h @ p.b)
+            readout, c = "lvn,nd->vld", p.c
+        else:
+            delta = delta[..., None]
+            drives = (delta * p.b) * h[..., None]
+            readout, c = "lvdn,dn->vld", p.c
+    states = scan_sequential(RecurrenceInputs(np.exp(delta * p.a), drives,
+                                              np.zeros(drives.shape[1:])))
+    return np.einsum(readout, states, c)
+
+
+def _s6_mixed_selective_params(rng, d, n, mechanism):
+    """S6 whose selective GNNs have three (flavor, self_mix) keys, any two of
+    them sharing either the flavor or self_mix; `_s6_params` shares one key."""
+    p = _s6_params(rng, d, n, mechanism=mechanism)
+    return dataclasses.replace(
+        p, gnn_delta=_gnn(rng, d, d, self_mix=0.3), gnn_c=_gnn(rng, d, n, self_mix=0.8),
+        gnn_b=_gnn(rng, d, n, flavor=GnnFlavor.SAGE_MEAN_LIKE, self_mix=0.3))
+
+
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+@pytest.mark.parametrize("build", [_s4_params, _s5_params, _s6_params,
+                                   _s6_mixed_selective_params])
+def test_forward_equals_the_stepwise_reference(build, mechanism):
+    rng = np.random.default_rng(47)
+    v, l, d, n = 6, 5, 3, 4
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = build(rng, d, n, mechanism=mechanism)
+    assert np.array_equal(ssm_forward(seq, hidden, p), _stepwise_forward(seq, hidden, p, mechanism))
+
+
 @pytest.mark.parametrize("variant", list(SsmVariant))
 def test_forward_backends_agree(variant):
     rng = np.random.default_rng(41)
@@ -516,6 +591,54 @@ def test_layer_params_validation():
     with pytest.raises(ValueError):
         SsmLayerParams(variant=SsmVariant.S6, a=np.full((2, 3), -1.0), gnn=gnn,
                        delta_bias=np.zeros(2))
+
+
+def _with(obj, **changes):
+    return lambda: dataclasses.replace(obj, **changes)
+
+
+def _poisoned(arr, value):
+    """A float copy of `arr` with its first entry set to `value`."""
+    out = np.array(arr, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+def _non_finite_cases():
+    rng = np.random.default_rng(67)
+    d, n = 2, 3
+    s4, s6 = _s4_params(rng, d, n), _s6_params(rng, d, n)
+    conv = ConvMixParams(kernel=np.ones((2, d)))
+    block = BlockParams(layer=s4, res_weight=np.eye(d), res_bias=np.zeros(d))
+    seq = _sequence(rng, 4, 3, d)
+    hidden = rng.normal(size=(4, 3, d))
+    hidden[1, 2, 0] = np.nan
+    nan_at = lambda arr: _poisoned(arr, np.nan)
+    inf_at = lambda arr: _poisoned(arr, -np.inf)
+    return {
+        "hidden_in": lambda: ssm_forward(seq, hidden, s4),
+        "a": _with(s4, a=inf_at(s4.a)),
+        "b": _with(s4, b=nan_at(s4.b)),
+        "c": _with(s4, c=inf_at(s4.c)),
+        "delta_weight": _with(s4, delta_weight=inf_at(s4.delta_weight)),
+        "delta_bias": _with(s4, delta_bias=np.inf),
+        "s6_delta_bias": _with(s6, delta_bias=nan_at(s6.delta_bias)),
+        "gnn_weight": _with(s4.gnn, weight=nan_at(s4.gnn.weight)),
+        "gnn_bias": _with(s4.gnn, bias=inf_at(s4.gnn.bias)),
+        "conv_kernel": _with(conv, kernel=nan_at(conv.kernel)),
+        "w_scale": _with(s4.mix, w_scale=nan_at(s4.mix.w_scale)),
+        "b_scale": _with(s4.mix, b_scale=inf_at(s4.mix.b_scale)),
+        "w_blend": _with(s4.mix, w_blend=inf_at(s4.mix.w_blend)),
+        "b_blend": _with(s4.mix, b_blend=nan_at(s4.mix.b_blend)),
+        "res_weight": _with(block, res_weight=nan_at(block.res_weight)),
+        "res_bias": _with(block, res_bias=inf_at(block.res_bias)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_finite_cases()))
+def test_non_finite_layer_inputs_and_parameters_are_rejected(name):
+    with pytest.raises(ValueError, match="must be finite"):
+        _non_finite_cases()[name]()
 
 
 # ---------------------------------------------------------------------------
