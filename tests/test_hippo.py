@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gssm import hippo
 from gssm import (
     TIME_ORIGIN,
     Action,
@@ -20,6 +23,7 @@ from gssm import (
     integrate_hippo,
     laplacian,
     projection_oracle,
+    segments,
     smoothing_matrix,
 )
 
@@ -66,6 +70,63 @@ def _exact_piecewise_state(stream, cfg, t_end, seg_values):
         u_p = -np.outer(y, ainv_b)
         u = (u - u_p) @ expm((seg_b - seg_a) * a).T + u_p
     return u
+
+
+def _stagewise_rk4(stream, feature_path, cfg, t_end, u_start=None, t_start=None, system=None):
+    """Reference: classical RK4 taken stage by stage, one feature call per stage."""
+    if t_start is None:
+        t_start = TIME_ORIGIN
+    n = cfg.order
+    a_mat, b_vec = hippo_legs_matrices(n)[1:] if system is None else system
+    a_t = np.asarray(a_mat, dtype=float).T
+    b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
+    u = np.zeros((stream.num_nodes, n)) if u_start is None else np.array(u_start, dtype=float)
+
+    for seg_a, seg_b, edges in segments(stream, t_start, t_end):
+        smooth = smoothing_matrix(adjacency_from_edges(edges, stream.num_nodes),
+                                  cfg.alpha, cfg.laplacian)
+        right_lim = np.nextafter(seg_b, seg_a)
+
+        def rhs(t, state):
+            x = hippo._feature_vector(feature_path, min(t, right_lim), stream.num_nodes)
+            return state @ a_t + np.outer(smooth @ x, b_vec)
+
+        nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
+        h = (seg_b - seg_a) / nst
+        t = seg_a
+        for _ in range(nst):
+            k1 = rhs(t, u)
+            k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+            k4 = rhs(t + h, u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+    return u
+
+
+def _random_mutating_stream(rng, num_nodes, horizon, count):
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    present = {pairs[0]}
+    events = []
+    for t in np.sort(rng.uniform(0.05 * horizon, 0.95 * horizon, size=count)):
+        pair = pairs[rng.integers(len(pairs))]
+        action = Action.DELETE if pair in present else Action.INSERT
+        (present.discard if action is Action.DELETE else present.add)(pair)
+        events.append((*pair, float(t), action))
+    return EventStream(num_nodes=num_nodes, horizon=horizon,
+                       initial_edges=frozenset({pairs[0]}), events=tuple(events))
+
+
+class _RecordingPath:
+    """Feature path that logs every time it is called at."""
+
+    def __init__(self, path):
+        self.path = path
+        self.times = []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.path(t)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +331,125 @@ def test_integrator_rejects_wrong_state_shape():
         )
 
 
+# The reference cases cover every way a caller reaches the segment loop:
+# sinusoidal and segment-keyed step paths, both Laplacians, three alphas,
+# a system override and a resumed start.  Block size 7 puts block boundaries
+# mid-segment on every segment longer than 7 steps.
+_REFERENCE_CASES = [
+    pytest.param(seed, kind, alpha, path_kind, id=f"{seed}-{kind.value}-{alpha}-{path_kind}")
+    for seed, (kind, alpha, path_kind) in enumerate(itertools.product(
+        LaplacianKind, (0.0, 0.5, 2.0), ("sine", "step", "system", "resumed")))
+]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("seed,kind,alpha,path_kind", _REFERENCE_CASES)
+def test_integrator_matches_stagewise_rk4(monkeypatch, block, seed, kind, alpha, path_kind):
+    if block is not None:
+        monkeypatch.setattr(hippo, "_BLOCK_STEPS", block)
+    rng = np.random.default_rng(100 + seed)
+    num_nodes = int(rng.integers(2, 7))
+    order = int(rng.integers(1, 7))
+    horizon = float(rng.uniform(1.5, 3.0))
+    stream = _random_mutating_stream(rng, num_nodes, horizon, int(rng.integers(1, 5)))
+    cfg = HippoConfig(order=order, alpha=alpha, laplacian=kind,
+                      ode_steps_per_unit=int(rng.integers(20, 120)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
+    freqs = rng.uniform(0.5, 3.0, size=num_nodes)
+    path = lambda t: np.cos(freqs * t + phases)
+    kwargs = {}
+    if path_kind == "step":
+        path, _, _ = _segment_features(rng, stream, horizon)
+    elif path_kind == "system":
+        kwargs["system"] = (rng.normal(size=(order, order)) - 2.0 * np.eye(order),
+                            rng.normal(size=order))
+    elif path_kind == "resumed":
+        kwargs["u_start"] = rng.normal(size=(num_nodes, order))
+        kwargs["t_start"] = float(rng.uniform(0.1, 0.5))
+    got = integrate_hippo(stream, path, cfg, horizon, **kwargs).u
+    ref = _stagewise_rk4(stream, path, cfg, horizon, **kwargs)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("steps", [4, 9, 40])
+def test_integrator_calls_features_once_per_distinct_stage_time(monkeypatch, block, steps):
+    if block is not None:
+        monkeypatch.setattr(hippo, "_BLOCK_STEPS", block)
+    rng = np.random.default_rng(200 + steps)
+    num_nodes = 4
+    # On [0.5, 1.0] at 4 steps per unit the accumulated step end lands exactly
+    # on the mutation at 1.0, so only the clamp keeps it inside the segment.
+    stream = EventStream(num_nodes=num_nodes, horizon=3.0, initial_edges=frozenset({(0, 1)}),
+                         events=((1, 2, 1.0, Action.INSERT),
+                                 *((*pair, float(t), Action.INSERT) for pair, t in
+                                   zip([(2, 3), (0, 3)], np.sort(rng.uniform(1.2, 2.8, 2))))))
+    cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=steps)
+    t_start = 0.5
+    base = lambda t: np.sin(t + np.arange(num_nodes))
+    fast = _RecordingPath(base)
+    integrate_hippo(stream, fast, cfg, 3.0, t_start=t_start)
+    slow = _RecordingPath(base)
+    _stagewise_rk4(stream, slow, cfg, 3.0, t_start=t_start)
+
+    # Per segment: 2*nst + 1 calls, all inside [seg_a, seg_b).
+    calls = iter(fast.times)
+    for seg_a, seg_b, _ in segments(stream, t_start, 3.0):
+        nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
+        seg_times = [next(calls) for _ in range(2 * nst + 1)]
+        assert all(seg_a <= t < seg_b for t in seg_times)
+    assert next(calls, None) is None
+    # ... and those are exactly the stage-by-stage reference's times, repeats dropped.
+    distinct = [t for i, t in enumerate(slow.times) if i == 0 or t != slow.times[i - 1]]
+    assert fast.times == distinct
+
+
+def test_integrator_copies_each_feature_evaluation(monkeypatch):
+    # A path may hand back the same buffer on every call, rewritten in place.
+    monkeypatch.setattr(hippo, "_BLOCK_STEPS", 7)
+    stream = _stream_with_mutations()
+    cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=30)
+    buf = np.empty(stream.num_nodes)
+
+    def path(t):
+        buf[:] = np.sin(t + np.arange(stream.num_nodes))
+        return buf
+
+    got = integrate_hippo(stream, path, cfg, 2.0).u
+    ref = _stagewise_rk4(stream, path, cfg, 2.0)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_integrator_memory_does_not_grow_with_step_count():
+    stream = _quiet_stream(4, horizon=2.0)
+    x = np.array([1.0, -0.5, 0.25, 2.0])
+    peaks = []
+    for steps in (500, 4_000):
+        cfg = HippoConfig(order=4, alpha=0.5, ode_steps_per_unit=steps)
+        tracemalloc.start()
+        try:
+            integrate_hippo(stream, lambda t: x, cfg, 2.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 8000 steps of [4 x 4] forcing alone would be 1 MB.
+    assert peaks[1] <= 1.5 * peaks[0] + 65536
+
+
+@pytest.mark.parametrize("bad", ["u_nan", "u_inf", "a_nan", "a_inf", "b_nan", "b_inf"])
+def test_integrator_rejects_nonfinite_state_or_system(bad):
+    stream = _quiet_stream(2, horizon=1.0)
+    cfg = HippoConfig(order=2, alpha=0.0)
+    u0 = np.zeros((2, 2))
+    a, b = hippo_legs_matrices(2)[1:]
+    a, b = a.copy(), b.copy()
+    value = np.nan if bad.endswith("nan") else np.inf
+    {"u": u0, "a": a, "b": b}[bad[0]].flat[1] = value
+    with pytest.raises(ValueError, match="finite"):
+        integrate_hippo(stream, lambda t: np.zeros(2), cfg, t_end=1.0,
+                        u_start=u0, t_start=0.1, system=(a, b))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HippoConfig(order=0, alpha=0.0)
@@ -277,6 +457,25 @@ def test_config_validation():
         HippoConfig(order=2, alpha=-1.0)
     with pytest.raises(ValueError):
         HippoConfig(order=2, alpha=0.0, ode_steps_per_unit=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("order", 2.5),
+    ("order", True),
+    ("ode_steps_per_unit", 2.5),
+    ("ode_steps_per_unit", True),
+    ("ode_steps_per_unit", math.nan),
+    ("quadrature_points", math.nan),
+    ("quadrature_points", 11.0),
+])
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        HippoConfig(**{"order": 2, "alpha": 0.0, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = HippoConfig(order=np.int64(3), alpha=0.0, ode_steps_per_unit=np.int32(7))
+    assert (cfg.order, cfg.ode_steps_per_unit) == (3, 7)
 
 
 # ---------------------------------------------------------------------------
