@@ -292,6 +292,21 @@ def standardize(features: np.ndarray, train_idx: np.ndarray):
     return (features - mu) / sd
 
 
+def _readout_grad(x, xt, onehot, w, b, l2):
+    """Softmax-readout gradient for K fits at once: features x [K x n x D]
+    and their transposes xt [K x D x n], one-hot labels [n x C], weights
+    w [K x D x C] and biases b [K x C].  Returns the class probabilities and
+    the gradients, with respect to w and b, of the mean cross-entropy plus
+    0.5 * l2 * |w|^2."""
+    logits = x @ w + b[:, None, :]
+    # The max over the short class axis is faster over a class-major copy.
+    logits -= np.ascontiguousarray(logits.transpose(2, 0, 1)).max(axis=0)[..., None]
+    expl = np.exp(logits)
+    prob = expl / expl.sum(axis=2, keepdims=True)
+    g = (prob - onehot) / x.shape[1]
+    return prob, xt @ g + l2 * w, g.sum(axis=1)
+
+
 def readout_loss(params_flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, num_classes: int, l2: float = 0.0):
     """Mean cross-entropy of the softmax readout plus an l2 penalty on the
@@ -300,60 +315,97 @@ def readout_loss(params_flat: np.ndarray, features: np.ndarray,
     d = features.shape[1]
     w = params_flat[: d * num_classes].reshape(d, num_classes)
     b = params_flat[d * num_classes:]
-    logits = features @ w + b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    prob = expl / expl.sum(axis=1, keepdims=True)
-    n = features.shape[0]
     onehot = np.eye(num_classes)[np.asarray(labels, dtype=int)]
-    loss = -np.mean(np.sum(onehot * np.log(prob + 1e-300), axis=1))
+    prob, grad_w, grad_b = _readout_grad(features[None], features.T[None], onehot,
+                                         w[None], b[None], l2)
+    loss = -np.mean(np.sum(onehot * np.log(prob[0] + 1e-300), axis=1))
     loss += 0.5 * l2 * np.sum(w * w)
-    g = (prob - onehot) / n
-    grad = np.concatenate([(features.T @ g + l2 * w).reshape(-1), g.sum(axis=0)])
-    return loss, grad
+    return loss, np.concatenate([grad_w[0].reshape(-1), grad_b[0]])
 
 
 def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
                   lr: float = 0.5, epochs: int = 400, l2: float = 1e-3,
-                  num_classes: int | None = None) -> ReadoutParams:
-    """Full-batch gradient descent; keeps the parameters with the best
-    validation Micro-F1 (checked every 10 epochs)."""
+                  num_classes: int | None = None):
+    """Full-batch gradient descent on the softmax readout; keeps the
+    parameters with the best validation Micro-F1 (checked every 10 epochs
+    and after the last).
+
+    features is [V x D] for one fit, which returns one ReadoutParams, or
+    [K x V x D] for K fits that share the labels and split, which returns a
+    tuple of K.  The K fits train in one loop of batched products; each
+    keeps its own best, and fit k equals the [V x D] fit on features[k].
+
+    Raises ValueError on entry for epochs < 1, an lr that is not finite and
+    positive, an l2 that is not finite and >= 0, features that are not 2-D
+    or 3-D or not finite, labels that are not one per node or lie outside
+    [0, num_classes), split indices outside [0, V), and an empty train or
+    validation split; and, at a validation check, for parameters that
+    training drove to non-finite values.
+    """
     if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
         raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
-    tr, va = np.asarray(split.train), np.asarray(split.val)
+    features = np.asarray(features, dtype=float)
+    if features.ndim not in (2, 3):
+        raise ValueError("features must be [V x D] or [K x V x D]")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    x = features if features.ndim == 3 else features[None]
+    v = x.shape[1]
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (v,):
+        raise ValueError("labels must assign one class per node")
+    tr, va = np.asarray(split.train, dtype=int), np.asarray(split.val, dtype=int)
     if tr.size == 0:
         raise ValueError("empty train split")
-    labels = np.asarray(labels, dtype=int)
+    if va.size == 0:
+        raise ValueError("empty validation split")
     c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
-    d = features.shape[1]
-    params = np.zeros(d * c + c)
-    best, best_va = params.copy(), -1.0
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must lie in [0, {c})")
+    if min(tr.min(), va.min()) < 0 or max(tr.max(), va.max()) >= v:
+        raise ValueError(f"split indices must lie in [0, {v})")
+
+    x_tr, x_va = x[:, tr], x[:, va]
+    xt_tr = x_tr.transpose(0, 2, 1)
+    onehot = np.eye(c)[labels[tr]]
+    y_va = labels[va]
+    w, b = np.zeros((x.shape[0], x.shape[2], c)), np.zeros((x.shape[0], c))
+    best_w, best_b = w.copy(), b.copy()
+    # Micro-F1 over one label per node is the share of correct predictions,
+    # so on a fixed validation split the counts rank the checks alike.
+    best_hits = np.full(x.shape[0], -1)
     for epoch in range(epochs):
-        _, grad = readout_loss(params, features[tr], labels[tr], c, l2)
-        params = params - lr * grad
+        _, grad_w, grad_b = _readout_grad(x_tr, xt_tr, onehot, w, b, l2)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
         if epoch % 10 == 0 or epoch == epochs - 1:
-            p = ReadoutParams(params[: d * c].reshape(d, c), params[d * c:])
-            micro, _ = f1_scores(p.predict(features[va]), labels[va], c)
-            if micro > best_va:
-                best_va, best = micro, params.copy()
-    return ReadoutParams(best[: d * c].reshape(d, c), best[d * c:])
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError("readout parameters must be finite")
+            hits = np.sum(np.argmax(x_va @ w + b[:, None, :], axis=2) == y_va, axis=1)
+            better = hits > best_hits
+            best_hits[better] = hits[better]
+            best_w[better], best_b[better] = w[better], b[better]
+    fits = tuple(ReadoutParams(bw, bb) for bw, bb in zip(best_w, best_b))
+    return fits if features.ndim == 3 else fits[0]
 
 
 def f1_scores(preds, labels, num_classes: int | None = None):
     """Multi-class (micro, macro) F1.  Classes absent from both predictions
-    and labels contribute 0 to the macro average."""
+    and labels contribute 0 to the macro average.  Predictions and labels
+    must lie in [0, num_classes) (num_classes defaults to the largest
+    value seen plus one)."""
     preds = np.asarray(preds, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if preds.shape != labels.shape:
         raise ValueError("preds and labels must have the same length")
     c = int(max(preds.max(), labels.max())) + 1 if num_classes is None else int(num_classes)
-    tp = np.zeros(c)
-    fp = np.zeros(c)
-    fn = np.zeros(c)
-    for k in range(c):
-        tp[k] = np.sum((preds == k) & (labels == k))
-        fp[k] = np.sum((preds == k) & (labels != k))
-        fn[k] = np.sum((preds != k) & (labels == k))
+    if preds.size and (min(preds.min(), labels.min()) < 0
+                       or max(preds.max(), labels.max()) >= c):
+        raise ValueError(f"preds and labels must lie in [0, {c})")
+    hit = preds == labels
+    tp = np.bincount(labels[hit], minlength=c)
+    fp = np.bincount(preds[~hit], minlength=c)
+    fn = np.bincount(labels[~hit], minlength=c)
     micro_den = 2 * tp.sum() + fp.sum() + fn.sum()
     micro = 2 * tp.sum() / micro_den if micro_den else 0.0
     prec = np.divide(tp, tp + fp, out=np.zeros(c), where=(tp + fp) > 0)
@@ -396,34 +448,34 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
     """Per (seed, init) and optional static-baseline test-split scores.
 
     Rows are dicts with keys seed, variant, init, micro_f1, macro_f1 --
-    the results CSV schema.
+    the results CSV schema.  A seed's standardised feature sets share its
+    labels and split, so all of its readouts train as one batch.
     """
     rows = []
     for seed in seeds:
         task = gen_synthetic(seed, task_cfg)
-        te = task.split.test
-
-        def score(features):
-            z = standardize(features, task.split.train)
-            readout = train_readout(z, task.labels, task.split, lr=lr,
-                                    epochs=epochs, l2=l2,
-                                    num_classes=task.num_classes)
-            return f1_scores(readout.predict(z[te]), task.labels[te],
-                             task.num_classes)
-
+        names, feats = [], []
         for init in inits:
             cfg_i = replace(model_cfg, init=init)
             blocks = sample_model(named_rng(seed, "model"), cfg_i,
                                   task_cfg.num_features, task_cfg.seq_len)
-            micro, macro = score(extract_features(task, blocks, backend=backend))
-            rows.append({"seed": int(seed), "variant": cfg_i.variant.value,
-                         "init": InitStrategy(init).value,
-                         "micro_f1": micro, "macro_f1": macro})
+            names.append((cfg_i.variant.value, InitStrategy(init).value))
+            feats.append(extract_features(task, blocks, backend=backend))
         if include_static:
             blocks = sample_model(named_rng(seed, "model"), model_cfg,
                                   task_cfg.num_features, task_cfg.seq_len)
-            micro, macro = score(static_features(task, blocks[0].layer.gnn))
-            rows.append({"seed": int(seed), "variant": "static", "init": "none",
+            names.append(("static", "none"))
+            feats.append(static_features(task, blocks[0].layer.gnn))
+        if not feats:
+            continue
+        z = np.stack([standardize(f, task.split.train) for f in feats])
+        readouts = train_readout(z, task.labels, task.split, lr=lr, epochs=epochs,
+                                 l2=l2, num_classes=task.num_classes)
+        te = task.split.test
+        for (variant, init), z_k, readout in zip(names, z, readouts):
+            micro, macro = f1_scores(readout.predict(z_k[te]), task.labels[te],
+                                     task.num_classes)
+            rows.append({"seed": int(seed), "variant": variant, "init": init,
                          "micro_f1": micro, "macro_f1": macro})
     return rows
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gssm import (
     BlockParams,
@@ -26,7 +31,10 @@ from gssm import (
     static_features,
     train_readout,
 )
+from gssm.cli import main
 from gssm.harness import readout_loss, results_to_csv
+
+_ACCEPTANCE_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 
 def _zero_block(d, n=2):
@@ -156,6 +164,99 @@ def test_readout_gradient_matches_finite_differences():
     assert err <= 1e-4
 
 
+def _readout_problem(seed, k=None, v=40, d=5, c=3):
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, v - c)])
+    rng.shuffle(labels)
+    split = split_nodes(labels, rng)
+    shape = (v, d) if k is None else (k, v, d)
+    return rng.normal(size=shape), labels, split
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_batched_readout_fits_equal_their_one_fit_calls(k):
+    feats, labels, split = _readout_problem(41 + k, k=k)
+    feats[-1] *= 3.0  # the fits peak at different checks
+    fits = train_readout(feats, labels, split, lr=0.7, epochs=120, num_classes=3)
+    assert isinstance(fits, tuple) and len(fits) == k
+    for f_k, fit in zip(feats, fits):
+        one = train_readout(f_k, labels, split, lr=0.7, epochs=120, num_classes=3)
+        assert np.array_equal(fit.weight, one.weight)
+        assert np.array_equal(fit.bias, one.bias)
+
+
+def test_one_readout_step_is_minus_lr_times_the_loss_gradient():
+    feats, labels, split = _readout_problem(43)
+    lr, l2 = 0.3, 1e-2
+    fit = train_readout(feats, labels, split, lr=lr, epochs=1, l2=l2, num_classes=3)
+    params = np.zeros(5 * 3 + 3)
+    _, grad = readout_loss(params, feats[split.train], labels[split.train], 3, l2)
+    step = params - lr * grad
+    assert np.array_equal(fit.weight, step[:15].reshape(5, 3))
+    assert np.array_equal(fit.bias, step[15:])
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_readout_rejects_divergence_at_a_validation_check(k):
+    # Separable features: the first check already scores every validation
+    # node, so only the finiteness check stops a silent return of that best.
+    _, labels, split = _readout_problem(47)
+    feats = 10.0 * np.eye(3)[labels] + np.random.default_rng(47).normal(size=(40, 3))
+    if k is not None:
+        feats = np.stack([feats] * k)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="readout parameters must be finite"):
+        train_readout(feats, labels, split, lr=1e300, epochs=50)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [None, 2])
+def test_readout_rejects_non_finite_features(k, bad):
+    feats, labels, split = _readout_problem(53, k=k)
+    feats[..., 0, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        train_readout(feats, labels, split)
+
+
+@pytest.mark.parametrize("shape", [(40,), (1, 2, 40, 5)])
+def test_readout_rejects_features_that_are_not_2d_or_3d(shape):
+    _, labels, split = _readout_problem(59)
+    with pytest.raises(ValueError, match=r"\[V x D\] or \[K x V x D\]"):
+        train_readout(np.zeros(shape), labels, split)
+
+
+@pytest.mark.parametrize("bad, num_classes", [(-1, None), (-1, 3), (3, 3), (7, 3)])
+def test_readout_rejects_labels_outside_the_classes(bad, num_classes):
+    feats, labels, split = _readout_problem(61)
+    labels[split.test[0]] = bad
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, "):
+        train_readout(feats, labels, split, num_classes=num_classes)
+
+
+def test_readout_rejects_labels_not_one_per_node():
+    feats, labels, split = _readout_problem(67)
+    with pytest.raises(ValueError, match="one class per node"):
+        train_readout(feats, labels[:-1], split)
+    with pytest.raises(ValueError, match="one class per node"):
+        train_readout(feats[None], labels[:, None], split)
+
+
+@pytest.mark.parametrize("part", ["train", "val"])
+@pytest.mark.parametrize("bad", [-1, 40])
+def test_readout_rejects_split_indices_outside_the_nodes(part, bad):
+    feats, labels, split = _readout_problem(71)
+    idx = getattr(split, part).copy()
+    idx[0] = bad
+    with pytest.raises(ValueError, match=r"split indices must lie in \[0, 40\)"):
+        train_readout(feats, labels, split._replace(**{part: idx}))
+
+
+def test_readout_rejects_an_empty_validation_split():
+    feats, labels, split = _readout_problem(73)
+    with pytest.raises(ValueError, match="empty validation split"):
+        train_readout(feats, labels, split._replace(val=np.array([], dtype=int)))
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -226,6 +327,52 @@ def test_f1_rejects_length_mismatch():
         f1_scores(np.array([0, 1]), np.array([0, 1, 1]))
 
 
+def _f1_by_class_loop(preds, labels, c):
+    tp, fp, fn = np.zeros(c), np.zeros(c), np.zeros(c)
+    for k in range(c):
+        tp[k] = np.sum((preds == k) & (labels == k))
+        fp[k] = np.sum((preds == k) & (labels != k))
+        fn[k] = np.sum((preds != k) & (labels == k))
+    micro_den = 2 * tp.sum() + fp.sum() + fn.sum()
+    micro = 2 * tp.sum() / micro_den if micro_den else 0.0
+    prec = np.divide(tp, tp + fp, out=np.zeros(c), where=(tp + fp) > 0)
+    rec = np.divide(tp, tp + fn, out=np.zeros(c), where=(tp + fn) > 0)
+    f1 = np.divide(2 * prec * rec, prec + rec, out=np.zeros(c), where=(prec + rec) > 0)
+    return float(micro), float(f1.mean())
+
+
+@st.composite
+def _predictions(draw):
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 30))
+    values = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+    return np.array(draw(values), dtype=int), np.array(draw(values), dtype=int), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predictions())
+@example((np.array([], dtype=int), np.array([], dtype=int), 3))
+@example((np.array([0, 0, 1]), np.array([2, 2, 2]), 3))
+def test_f1_equals_a_per_class_count(case):
+    preds, labels, c = case
+    assert f1_scores(preds, labels, c) == _f1_by_class_loop(preds, labels, c)
+    if preds.size:
+        assert f1_scores(preds, labels) == _f1_by_class_loop(
+            preds, labels, int(max(preds.max(), labels.max())) + 1)
+
+
+@pytest.mark.parametrize("preds, labels", [([0, 5], [0, 1]), ([0, -1], [0, 1]),
+                                           ([0, 1], [2, 1]), ([0, 1], [-1, 1])])
+def test_f1_rejects_values_outside_the_classes(preds, labels):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+        f1_scores(np.array(preds), np.array(labels), 2)
+
+
+def test_f1_rejects_negative_values_without_a_class_count():
+    with pytest.raises(ValueError, match="must lie in"):
+        f1_scores(np.array([0, -1]), np.array([0, 1]))
+
+
 # ---------------------------------------------------------------------------
 # feature extraction
 
@@ -292,6 +439,28 @@ def test_run_experiment_rows_schema_and_determinism():
     again = run_experiment([0, 1], task_cfg=cfg, model_cfg=model_cfg,
                            inits=(InitStrategy.S4D_REAL,), epochs=30)
     assert rows == again
+
+
+def test_run_experiment_one_init_gives_its_rows_of_the_full_run():
+    cfg = _tiny_task_cfg()
+    model_cfg = ModelConfig(num_blocks=1, state_size=2)
+    full = run_experiment([3, 4], task_cfg=cfg, model_cfg=model_cfg, epochs=60)
+    assert len(full) == 8
+    for init in (InitStrategy.S4D_REAL, InitStrategy.S4D_CONST, InitStrategy.RANDOM):
+        alone = run_experiment([3, 4], task_cfg=cfg, model_cfg=model_cfg,
+                               inits=(init,), include_static=False, epochs=60)
+        assert alone == [r for r in full if r["init"] == init.value]
+    static = run_experiment([3, 4], task_cfg=cfg, model_cfg=model_cfg, inits=(),
+                            epochs=60)
+    assert static == [r for r in full if r["variant"] == "static"]
+
+
+def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
+    out = tmp_path / "results.csv"
+    assert main(["run", "--config", str(_ACCEPTANCE_CFG), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c55dfaf09be1c645f548a14d95acc30ab542a01c5877012df6d015be2fec1b19")
 
 
 def test_results_csv_round_trips_exact_floats():
