@@ -12,9 +12,11 @@ Two layers of fidelity:
   (A^{-1}(e^{dA}-I) ~ d*I) with an adaptive per-node step size.  The layers
   scan it over a whole sequence; their tests check them against it.
 
-`mixed_estimate` is the one definition of the three drive mechanisms over a
-snapshot sequence (plain diffusion, mixing features before diffusion, or
-mixing diffused representations), diffusing once per snapshot.
+`mixed_estimate` defines the three drive mechanisms over a snapshot
+sequence (plain diffusion, mixing features before diffusion, or mixing
+diffused representations), one snapshot at a time and diffusing each once.
+The layers compute the same estimates over the whole sequence at once; their
+tests hold them to this definition bit for bit.
 """
 
 from dataclasses import dataclass

@@ -307,15 +307,29 @@ def _readout_grad(x, xt, onehot, w, b, l2):
     return prob, xt @ g + l2 * w, g.sum(axis=1)
 
 
+def _check_labels(labels, rows: int, num_classes: int | None):
+    """Labels as ints with the class count (max + 1 when num_classes is None);
+    ValueError unless there is one per row, each in [0, num_classes)."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (rows,):
+        raise ValueError("labels must assign one class per node")
+    c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must lie in [0, {c})")
+    return labels, c
+
+
 def readout_loss(params_flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, num_classes: int, l2: float = 0.0):
     """Mean cross-entropy of the softmax readout plus an l2 penalty on the
     weights, with its analytic gradient.  params_flat stacks W row-major
-    followed by the bias."""
+    followed by the bias.  Raises ValueError for labels that are not one per
+    feature row or lie outside [0, num_classes)."""
+    labels, _ = _check_labels(labels, features.shape[0], num_classes)
     d = features.shape[1]
     w = params_flat[: d * num_classes].reshape(d, num_classes)
     b = params_flat[d * num_classes:]
-    onehot = np.eye(num_classes)[np.asarray(labels, dtype=int)]
+    onehot = np.eye(num_classes)[labels]
     prob, grad_w, grad_b = _readout_grad(features[None], features.T[None], onehot,
                                          w[None], b[None], l2)
     loss = -np.mean(np.sum(onehot * np.log(prob[0] + 1e-300), axis=1))
@@ -351,17 +365,12 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
         raise ValueError("features must be finite")
     x = features if features.ndim == 3 else features[None]
     v = x.shape[1]
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (v,):
-        raise ValueError("labels must assign one class per node")
+    labels, c = _check_labels(labels, v, num_classes)
     tr, va = np.asarray(split.train, dtype=int), np.asarray(split.val, dtype=int)
     if tr.size == 0:
         raise ValueError("empty train split")
     if va.size == 0:
         raise ValueError("empty validation split")
-    c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c})")
     if min(tr.min(), va.min()) < 0 or max(tr.max(), va.max()) >= v:
         raise ValueError(f"split indices must lie in [0, {v})")
 

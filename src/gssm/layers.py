@@ -4,13 +4,18 @@ Building blocks, bottom up:
 
 * `gnn_diffuse` -- one aggregate-then-combine round over a snapshot's
   cached sparse adjacency: the first-order approximation of the Laplacian
-  smoother.  A layer runs its graph half once per input and snapshot.
+  smoother.
 * `mix_conv1d` / `mix_interp` -- combine two consecutive representations
-  (width-2 convolution, or a learned gated interpolation).
-* `ssm_forward` -- one layer over a snapshot sequence, driven by
-  `discretize.mixed_estimate`: the S4 (per-channel SISO states), S5 (one
-  shared MIMO state per node) and S6 (input-selective step size, drive and
-  readout) variants share one discretized update.
+  (width-2 convolution, or a learned gated interpolation), elementwise over
+  any leading axes.
+* `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
+  SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
+  step size, drive and readout) variants share one discretized update.  The
+  drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`,
+  computed over the whole sequence at once: the graph half runs as a few
+  products with the sequence's block-diagonal adjacency
+  (`SnapshotSequence.adjacency_csr`), once per layer input and distinct
+  (flavor, self_mix), and each mix is one call on the shifted sequence.
 * `block_forward` -- residual block composition around a layer; the mixing
   mechanism is by default confined to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
@@ -21,12 +26,11 @@ default, the chunked parallel scan on request.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
-from .discretize import MixMechanism, mixed_estimate
+from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
@@ -86,12 +90,16 @@ class GnnParams:
         object.__setattr__(self, "flavor", GnnFlavor(self.flavor))
 
 
-def _aggregate(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
+def _aggregate(x: np.ndarray, graph: Snapshot | SnapshotSequence, p: GnnParams) -> np.ndarray:
     """Graph half of `gnn_diffuse`, read off p.flavor and p.self_mix only:
-    (1 - self_mix) x + self_mix (r A c) x, isolated nodes keeping x."""
-    rows, cols = degree_scales(snap.degree, _FLAVOR_KIND[p.flavor])
-    agg = rows[:, None] * (snap.adjacency_csr @ (cols[:, None] * x))
-    return np.where(snap.degree[:, None] > 0, (1.0 - p.self_mix) * x + p.self_mix * agg, x)
+    (1 - self_mix) x + self_mix (r A c) x, isolated nodes keeping x.  x is
+    [V x D] over a Snapshot or [L x V x D] over a SnapshotSequence, whose
+    cached operator and degree cover the stacked node axis."""
+    flat = x.reshape(-1, x.shape[-1])
+    rows, cols = degree_scales(graph.degree, _FLAVOR_KIND[p.flavor])
+    agg = rows[:, None] * (graph.adjacency_csr @ (cols[:, None] * flat))
+    mixed = np.where(graph.degree[:, None] > 0, (1.0 - p.self_mix) * flat + p.self_mix * agg, flat)
+    return mixed.reshape(x.shape)
 
 
 def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
@@ -152,16 +160,18 @@ class InterpMixParams:
 
 
 def mix_conv1d(z_prev: np.ndarray, z_cur: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Width-2 convolution over the last (feature) axis."""
     kernel = np.asarray(kernel, dtype=float)
-    if z_prev.shape != z_cur.shape or kernel.shape != (2, z_prev.shape[1]):
+    if z_prev.shape != z_cur.shape or kernel.shape != (2, z_prev.shape[-1]):
         raise ValueError("kernel/operand shape mismatch")
     return kernel[0] * z_prev + kernel[1] * z_cur
 
 
 def mix_interp(z1: np.ndarray, z2: np.ndarray, p: InterpMixParams) -> np.ndarray:
-    if z1.shape != z2.shape or z1.shape[1] != p.b_scale.size:
+    """Gated interpolation over the last (feature) axis."""
+    if z1.shape != z2.shape or z1.shape[-1] != p.b_scale.size:
         raise ValueError("operand shape mismatch")
-    cc = np.concatenate([z1, z2], axis=1)
+    cc = np.concatenate([z1, z2], axis=-1)
     scale = softplus(cc @ p.w_scale + p.b_scale)
     blend = expit(cc @ p.w_blend + p.b_blend)
     return scale * (blend * z1 + (1.0 - blend) * z2)
@@ -266,21 +276,37 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
     return hidden_in
 
 
+def _aggregations(seq, x):
+    """`_aggregate(x, seq, g)` of one [L x V x D] layer input, computed once
+    per distinct (g.flavor, g.self_mix) -- the only parameters it reads."""
+    done = {}
+
+    def aggregate(g):
+        if (g.flavor, g.self_mix) not in done:
+            done[g.flavor, g.self_mix] = _aggregate(x, seq, g)
+        return done[g.flavor, g.self_mix]
+    return aggregate
+
+
+def _drive(seq, x, p, mechanism, aggregate):
+    """`mixed_estimate(x, seq, mechanism, gnn_diffuse, apply_mix)` over the
+    whole sequence, stacked into [L x V x D]; `aggregate` diffuses the
+    unmixed layer input x."""
+    mechanism = MixMechanism(mechanism)
+    if mechanism is MixMechanism.FEATURE_MIX:
+        agg = _aggregate(np.concatenate([x[:1], apply_mix(x[:-1], x[1:], p.mix)]), seq, p.gnn)
+    else:
+        agg = aggregate(p.gnn)
+    h = agg @ p.gnn.weight + p.gnn.bias
+    if mechanism is MixMechanism.REPR_MIX:
+        h = np.concatenate([h[:1], apply_mix(h[:-1], h[1:], p.mix)])
+    return h
+
+
 def _drive_estimates(seq, hidden_in, p, mechanism):
     """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]."""
-    return np.stack(mixed_estimate(np.moveaxis(hidden_in, 1, 0), seq, mechanism,
-                                   partial(gnn_diffuse, p=p.gnn), partial(apply_mix, p=p.mix)))
-
-
-def _selective(seq, hidden_in, gnns):
-    """The selective GNNs over the layer input, [L x V x out] each; the graph
-    half runs once per snapshot for each distinct (flavor, self_mix)."""
-    aggregated = {}
-    for g in gnns:
-        if (g.flavor, g.self_mix) not in aggregated:
-            aggregated[g.flavor, g.self_mix] = np.stack(
-                [_aggregate(hidden_in[:, l], snap, g) for l, snap in enumerate(seq)])
-    return [aggregated[g.flavor, g.self_mix] @ g.weight + g.bias for g in gnns]
+    x = np.moveaxis(hidden_in, 1, 0)
+    return _drive(seq, x, p, mechanism, _aggregations(seq, x))
 
 
 def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
@@ -296,11 +322,12 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     shared across channels, delta as in S4.  S6 (selective SISO): delta, B
     and C produced from the layer input by the three selective GNNs.
     """
-    hidden_in = _check_hidden(seq, hidden_in, p)
-    h = _drive_estimates(seq, hidden_in, p,
-                         p.mix_mechanism if mechanism is None else mechanism)  # [L,V,D]
+    x = np.moveaxis(_check_hidden(seq, hidden_in, p), 1, 0)                   # [L,V,D]
+    aggregate = _aggregations(seq, x)
+    h = _drive(seq, x, p, p.mix_mechanism if mechanism is None else mechanism, aggregate)
     if p.variant is SsmVariant.S6:
-        pre_delta, b_sel, c = _selective(seq, hidden_in, (p.gnn_delta, p.gnn_b, p.gnn_c))
+        pre_delta, b_sel, c = (aggregate(g) @ g.weight + g.bias
+                               for g in (p.gnn_delta, p.gnn_b, p.gnn_c))
         delta = softplus(pre_delta + p.delta_bias)[..., None]                 # [L,V,D,1]
         drives = (delta * b_sel[:, :, None, :]) * h[..., None]                 # [L,V,D,N]
         readout = "lvdn,lvn->vld"

@@ -13,10 +13,12 @@ serializes sequences to a line-oriented text format.
 All types are immutable after construction and every operation is a pure
 function, so read-only instances can be shared freely.
 A :class:`Snapshot` additionally caches values derived from its adjacency --
-a boolean CSR copy and the degree vector, built on first access -- so graph
-diffusion over the same snapshot reuses one sparse operator.  The cache is
-not a dataclass field: equality, immutability and the stored arrays are
-unchanged by it.
+a boolean CSR copy and the degree vector, built on first access -- and so
+does a :class:`SnapshotSequence` over its stacked [L*V] node axis: the
+block-diagonal operator of all L adjacencies (`BlockDiagonalCsr`) and the
+stacked degree vector, so graph diffusion over a whole sequence is a few
+sparse products.  The caches are not dataclass fields: equality,
+immutability and the stored arrays are unchanged by them.
 """
 
 from dataclasses import dataclass
@@ -183,11 +185,7 @@ class Snapshot:
     @cached_property
     def adjacency_csr(self):
         """Boolean CSR copy of the adjacency (sorted indices), built once."""
-        from scipy.sparse import csr_array
-        csr = csr_array(self.adjacency)
-        for arr in (csr.data, csr.indices, csr.indptr):
-            arr.flags.writeable = False
-        return csr
+        return _block_csr((self.adjacency,))
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -245,6 +243,91 @@ class SnapshotSequence:
     def gaps(self):
         """Inter-observation gaps, length L-1."""
         return np.diff(self.timestamps)
+
+    @cached_property
+    def adjacency_csr(self) -> "BlockDiagonalCsr":
+        """Block-diagonal adjacency of the whole sequence over the stacked
+        [L*V] node axis (snapshot l owns rows l*V .. (l+1)*V - 1), built once.
+
+        Consecutive snapshots share one CSR block until the next would take
+        the block past `_RUN_ENTRIES` stored entries; a snapshot over the cap
+        is a block of its own, its `Snapshot.adjacency_csr`.  Each block is
+        built as soon as it closes.
+        """
+        blocks, run, entries = [], [], 0
+        for snap in self.snapshots:
+            count = np.count_nonzero(snap.adjacency)
+            if run and entries + count > _RUN_ENTRIES:
+                blocks.append(_run_csr(run))
+                run, entries = [], 0
+            run.append(snap)
+            entries += count
+        blocks.append(_run_csr(run))
+        return BlockDiagonalCsr(tuple(blocks))
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Stacked [L*V] neighbor counts as floats, read off `adjacency_csr`."""
+        deg = np.concatenate([np.diff(b.indptr) for b in self.adjacency_csr.blocks]).astype(float)
+        deg.flags.writeable = False
+        return deg
+
+
+# Stored entries at which a sequence's block-diagonal operator starts a new
+# CSR block.  A product with a boolean CSR first copies its entries to
+# float64 (8 bytes each), so the cap bounds that per-product temporary at
+# 1 MB on large graphs, while a sequence of small graphs still diffuses in
+# one product.
+_RUN_ENTRIES = 1 << 17
+
+
+def _block_csr(adjacencies):
+    """Read-only boolean CSR of the block-diagonal matrix of square dense
+    adjacencies, with sorted indices; every CSR here is built by it."""
+    from scipy.sparse import csr_array
+    offsets = np.cumsum([0] + [adj.shape[0] for adj in adjacencies])
+    counts = np.concatenate([np.count_nonzero(adj, axis=1) for adj in adjacencies])
+    idx = np.int32 if max(offsets[-1], counts.sum()) <= np.iinfo(np.int32).max else np.int64
+    indices = np.concatenate([np.nonzero(adj)[1].astype(idx) + idx(off)
+                              for adj, off in zip(adjacencies, offsets)])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
+    csr = csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                    shape=(offsets[-1], offsets[-1]))
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.flags.writeable = False
+    return csr
+
+
+def _run_csr(snaps):
+    """One block of a sequence's operator; a lone snapshot reuses its own CSR."""
+    if len(snaps) == 1:
+        return snaps[0].adjacency_csr
+    return _block_csr([s.adjacency for s in snaps])
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDiagonalCsr:
+    """Square CSR blocks along the diagonal, applied block by block."""
+
+    blocks: tuple
+
+    @property
+    def shape(self):
+        n = sum(b.shape[0] for b in self.blocks)
+        return n, n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a dense [n x D] array, [n x D]."""
+        out = np.empty((self.shape[0], x.shape[1]))
+        start = 0
+        for b in self.blocks:
+            out[start:start + b.shape[0]] = b @ x[start:start + b.shape[0]]
+            start += b.shape[0]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        from scipy.sparse import block_diag
+        return block_diag(self.blocks, format="csr").toarray()
 
 
 def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> SnapshotSequence:

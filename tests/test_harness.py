@@ -164,6 +164,18 @@ def test_readout_gradient_matches_finite_differences():
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("labels, match", [([0, 1, -1], r"labels must lie in \[0, 3\)"),
+                                           ([0, 1, 3], r"labels must lie in \[0, 3\)"),
+                                           ([0, 1], "one class per node"),
+                                           ([[0], [1], [2]], "one class per node")])
+def test_readout_loss_rejects_labels_outside_the_classes_or_not_one_per_row(labels, match):
+    # A -1 label used to index the one-hot as class C-1 and return the same
+    # loss as labels [0, 1, 2].
+    with pytest.raises(ValueError, match=match):
+        readout_loss(np.zeros(9), np.ones((3, 2)), labels, 3)
+    assert readout_loss(np.zeros(9), np.ones((3, 2)), [0, 1, 2], 3)[0] == pytest.approx(np.log(3))
+
+
 def _readout_problem(seed, k=None, v=40, d=5, c=3):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.arange(c), rng.integers(0, c, v - c)])

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from gssm import (
     InterpMixParams,
     LaplacianKind,
     MixMechanism,
+    ModelConfig,
     Snapshot,
     SnapshotSequence,
     SsmLayerParams,
@@ -35,10 +38,14 @@ from gssm import (
     load_checkpoint,
     mix_conv1d,
     mix_interp,
+    mixed_estimate,
+    relu,
+    sample_model,
     save_checkpoint,
     softplus,
     ssm_forward,
 )
+from gssm import tgraph
 from gssm.layers import _drive_estimates
 from gssm.scan import RecurrenceInputs, scan_sequential
 
@@ -60,6 +67,26 @@ def _sequence(rng, v, l, d):
             )
         )
     return SnapshotSequence(snapshots=tuple(snaps))
+
+
+def _sparse_sequence(rng, v, l, d):
+    """Snapshots with isolated nodes; the second one has no edges at all."""
+    snaps = []
+    for step in range(l):
+        adj = _random_adjacency(rng, v, p=0.3)
+        lonely = rng.random(v) < 0.3
+        adj[lonely] = False
+        adj[:, lonely] = False
+        if step == 1:
+            adj[:] = False
+        snaps.append(Snapshot(adjacency=adj, features=rng.normal(size=(v, d)),
+                              timestamp=float(step + 1)))
+    return SnapshotSequence(snapshots=tuple(snaps))
+
+
+# A run cap that splits a `_sparse_sequence` of 6 nodes into blocks of one to
+# a few snapshots.
+_SMALL_CAP = 12
 
 
 def _gnn(rng, d_in, d_out, flavor=GnnFlavor.GCN_LIKE, self_mix=0.5):
@@ -268,6 +295,67 @@ def test_snapshot_equality_ignores_the_cached_operator():
     assert first == second and first != other
 
 
+@pytest.mark.parametrize("cap", [None, 0, _SMALL_CAP])
+def test_sequence_builds_its_block_diagonal_operator_once(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+    rng = np.random.default_rng(13)
+    seq = _sparse_sequence(rng, 6, 7, 2)
+    hidden = rng.normal(size=(6, 7, 2))
+    op, deg = seq.adjacency_csr, seq.degree
+    p = _s4_params(rng, 2, 3, mechanism=MixMechanism.REPR_MIX)
+    for flavor in GnnFlavor:
+        _drive_estimates(seq, hidden, dataclasses.replace(p, gnn=_gnn(rng, 2, 2, flavor=flavor)),
+                         p.mix_mechanism)
+    assert seq.adjacency_csr is op
+    assert seq.degree is deg
+    assert op.shape == (42, 42)
+    assert np.array_equal(op.toarray(), scipy.linalg.block_diag(*(s.adjacency for s in seq)))
+    assert np.array_equal(deg, np.concatenate([s.adjacency.sum(axis=1) for s in seq]))
+    assert not deg.flags.writeable
+    for block in op.blocks:
+        assert block.indices.dtype == np.int32 and block.indptr.dtype == np.int32
+        assert not any(a.flags.writeable for a in (block.data, block.indices, block.indptr))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.adjacency_csr = op
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.blocks = ()
+
+
+@pytest.mark.parametrize("cap", [0, _SMALL_CAP, 30, tgraph._RUN_ENTRIES])
+def test_sequence_operator_closes_a_block_before_it_passes_the_cap(monkeypatch, cap):
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+    seq = _sparse_sequence(np.random.default_rng(17), 6, 9, 2)
+    counts = [np.count_nonzero(s.adjacency) for s in seq]
+    start = 0
+    for block in seq.adjacency_csr.blocks:
+        size = block.shape[0] // 6
+        assert size >= 1 and block.shape[0] == 6 * size
+        assert size == 1 or sum(counts[start:start + size]) <= cap
+        if start + size < len(seq):  # the next snapshot would pass the cap
+            assert sum(counts[start:start + size + 1]) > cap
+        if size == 1:  # a lone snapshot's block is its own cached CSR
+            assert block is seq[start].adjacency_csr
+        start += size
+    assert start == len(seq)
+    if cap >= sum(counts):
+        assert len(seq.adjacency_csr.blocks) == 1
+
+
+def test_sequence_equality_ignores_the_cached_operator():
+    assert [f.name for f in dataclasses.fields(SnapshotSequence)] == ["snapshots"]
+
+    def single_node(value):
+        return SnapshotSequence(tuple(
+            Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[value]], timestamp=t)
+            for t in (1.0, 2.0)))
+
+    first, second, other = single_node(2.0), single_node(2.0), single_node(3.0)
+    assert first == second and first != other
+    first.adjacency_csr, first.degree
+    assert first == second and first != other
+
+
 def test_gnn_params_reject_out_of_range_self_mix():
     with pytest.raises(ValueError):
         GnnParams(weight=np.eye(2), bias=np.zeros(2), self_mix=1.5)
@@ -319,6 +407,25 @@ def test_interp_mix_equal_inputs_ignore_the_blend():
     lo = mix_interp(z, z, InterpMixParams(b_blend=np.full(3, -4.0), **shared))
     hi = mix_interp(z, z, InterpMixParams(b_blend=np.full(3, 4.0), **shared))
     assert lo == pytest.approx(hi, abs=1e-12)
+
+
+def test_stacked_mixes_equal_their_per_snapshot_calls():
+    rng = np.random.default_rng(13)
+    z1, z2 = rng.normal(size=(2, 5, 4, 3))  # [L x V x D] each
+    kernel, p = rng.normal(size=(2, 3)), _interp(rng, 3)
+    assert np.array_equal(mix_conv1d(z1, z2, kernel),
+                          np.stack([mix_conv1d(a, b, kernel) for a, b in zip(z1, z2)]))
+    assert np.array_equal(mix_interp(z1, z2, p),
+                          np.stack([mix_interp(a, b, p) for a, b in zip(z1, z2)]))
+    for bad_z2 in (z2[1:], z2[:, :3]):
+        with pytest.raises(ValueError):
+            mix_conv1d(z1, bad_z2, kernel)
+        with pytest.raises(ValueError):
+            mix_interp(z1, bad_z2, p)
+    with pytest.raises(ValueError):
+        mix_conv1d(z1, z2, rng.normal(size=(2, 4)))
+    with pytest.raises(ValueError):
+        mix_interp(z1[..., :2], z2[..., :2], p)
 
 
 def test_apply_mix_dispatches_and_rejects_unknown_params():
@@ -499,6 +606,51 @@ def test_forward_equals_the_stepwise_reference(build, mechanism):
     hidden = rng.normal(size=(v, l, d))
     p = build(rng, d, n, mechanism=mechanism)
     assert np.array_equal(ssm_forward(seq, hidden, p), _stepwise_forward(seq, hidden, p, mechanism))
+
+
+@pytest.mark.parametrize("cap", [None, _SMALL_CAP])
+@pytest.mark.parametrize("mix", ["conv", "interp"])
+@pytest.mark.parametrize("flavor", list(GnnFlavor))
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism, flavor,
+                                                          mix, cap):
+    """The whole-sequence drive is `mixed_estimate` over `gnn_diffuse` and
+    `apply_mix` bit for bit, also when the operator splits into blocks."""
+    if cap is not None:
+        monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+    rng = np.random.default_rng(53)
+    v, l, d = 6, 7, 3
+    seq = _sparse_sequence(rng, v, l, d)
+    if cap is not None:
+        assert 1 < len(seq.adjacency_csr.blocks) < l
+    hidden = rng.normal(size=(v, l, d))
+    p = dataclasses.replace(
+        _s4_params(rng, d, 2, mechanism=mechanism),
+        gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.7),
+        mix=_interp(rng, d) if mix == "interp" else ConvMixParams(kernel=rng.normal(size=(2, d))))
+    ref = np.stack(mixed_estimate(np.moveaxis(hidden, 1, 0), seq, mechanism,
+                                  partial(gnn_diffuse, p=p.gnn), partial(apply_mix, p=p.mix)))
+    assert np.array_equal(_drive_estimates(seq, hidden, p, mechanism), ref)
+
+
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+@pytest.mark.parametrize("variant", list(SsmVariant))
+def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mechanism):
+    """Sampled models (S6's four GNNs share one flavor and self_mix) over a
+    sequence whose operator splits into blocks, against `_stepwise_forward`."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    rng = np.random.default_rng(59)
+    v, l, d = 6, 7, 3
+    seq = _sparse_sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    blocks = sample_model(rng, ModelConfig(variant=variant, mix_mechanism=mechanism), d, l)
+    ref = hidden
+    for blk in blocks:
+        y = _stepwise_forward(seq, ref, blk.layer, blk.layer.mix_mechanism)
+        ref = relu(y) + (ref @ blk.res_weight + blk.res_bias)
+        if variant is SsmVariant.S6:
+            ref = layer_norm(ref)
+    assert np.array_equal(block_forward(hidden, seq, blocks), ref)
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
