@@ -26,18 +26,20 @@ stream = EventStream(3, 16.0, frozenset({(0, 1), (1, 2), (0, 2)}),
 x = np.array([1.0, -0.5, 2.0])
 cfg = HippoConfig(order=4, alpha=0.8, laplacian=LaplacianKind.SYMMETRIC)
 
-result = integrate_hippo(stream, lambda t: x, cfg, 16.0)
+# A feature path maps an array of K times to the [K x nodes] features at them.
+constant = lambda t: np.broadcast_to(x, (t.size, x.size))
+result = integrate_hippo(stream, constant, cfg, 16.0)
 print("\nmemory at t=16 (rows = nodes, cols = Legendre degrees):")
 print(result.u.round(6))
 
 # The oracle computes the same thing by brute-force projection (dense
 # quadrature against the orthonormal Legendre basis on [0, t]).
-oracle = projection_oracle(stream, lambda t: x, cfg, 16.0)
+oracle = projection_oracle(stream, constant, cfg, 16.0)
 rel = np.linalg.norm(result.u - oracle.u) / np.linalg.norm(oracle.u)
 print(f"relative gap to the projection oracle: {rel:.2e}")
 
 # With alpha=0 the graph term vanishes: degree-0 memory == raw features.
-plain = integrate_hippo(stream, lambda t: x, HippoConfig(order=4, alpha=0.0), 16.0)
+plain = integrate_hippo(stream, constant, HippoConfig(order=4, alpha=0.0), 16.0)
 print("alpha=0 degree-0 coefficients:", plain.u[:, 0].round(6), "(the raw x)")
 
 # --- what the graph term preserves -------------------------------------------

@@ -38,7 +38,7 @@ u_exact = zoh_oracle_step(u0, sched, a, b, alpha=1.0,
                           kind=LaplacianKind.SYMMETRIC)
 
 def path(t):
-    return feats[0] if t < 1.0 else feats[1]
+    return np.where(t[:, None] < 1.0, feats[0], feats[1])
 
 cfg = HippoConfig(order=3, alpha=1.0, laplacian=LaplacianKind.SYMMETRIC)
 u_ode = integrate_hippo(stream, path, cfg, 2.5, u_start=u0, t_start=0.5,

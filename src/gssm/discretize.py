@@ -111,10 +111,8 @@ def segment_weights(sched: MutationSchedule, a_diag) -> np.ndarray:
     a = _check_diag(a_diag)
     bounds = np.asarray(sched.boundaries)
     den = np.expm1((sched.t_end - sched.t_start) * a)
-    weights = np.empty((sched.num_segments, a.size))
-    for i in range(sched.num_segments):
-        weights[i] = (np.exp((sched.t_end - bounds[i + 1]) * a)
-                      * np.expm1((bounds[i + 1] - bounds[i]) * a) / den)
+    weights = (np.exp((sched.t_end - bounds[1:, None]) * a)
+               * np.expm1(np.diff(bounds)[:, None] * a) / den)
     residual = 1.0 - weights.sum(axis=0)
     top = np.argmax(weights, axis=0)
     weights[top, np.arange(a.size)] += residual

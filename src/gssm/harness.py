@@ -307,10 +307,22 @@ def _readout_grad(x, xt, onehot, w, b, l2):
     return prob, xt @ g + l2 * w, g.sum(axis=1)
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """values as an int array; ValueError for any value that is not an
+    integer (integer-valued floats are accepted)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        arr = np.asarray(arr, dtype=float)
+        if not (np.isfinite(arr).all() and (arr == np.floor(arr)).all()):
+            raise ValueError(f"{name} must be integers")
+    return arr.astype(int)
+
+
 def _check_labels(labels, rows: int, num_classes: int | None):
     """Labels as ints with the class count (max + 1 when num_classes is None);
-    ValueError unless there is one per row, each in [0, num_classes)."""
-    labels = np.asarray(labels, dtype=int)
+    ValueError unless there is one per row, each an integer in
+    [0, num_classes)."""
+    labels = _integer_array(labels, "labels")
     if labels.shape != (rows,):
         raise ValueError("labels must assign one class per node")
     c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
@@ -324,7 +336,7 @@ def readout_loss(params_flat: np.ndarray, features: np.ndarray,
     """Mean cross-entropy of the softmax readout plus an l2 penalty on the
     weights, with its analytic gradient.  params_flat stacks W row-major
     followed by the bias.  Raises ValueError for labels that are not one per
-    feature row or lie outside [0, num_classes)."""
+    feature row, are not integers or lie outside [0, num_classes)."""
     labels, _ = _check_labels(labels, features.shape[0], num_classes)
     d = features.shape[1]
     w = params_flat[: d * num_classes].reshape(d, num_classes)
@@ -351,8 +363,8 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
 
     Raises ValueError on entry for epochs < 1, an lr that is not finite and
     positive, an l2 that is not finite and >= 0, features that are not 2-D
-    or 3-D or not finite, labels that are not one per node or lie outside
-    [0, num_classes), split indices outside [0, V), and an empty train or
+    or 3-D or not finite, labels that are not one per node, are not integers
+    or lie outside [0, num_classes), split indices outside [0, V), and an empty train or
     validation split; and, at a validation check, for parameters that
     training drove to non-finite values.
     """
@@ -402,9 +414,9 @@ def f1_scores(preds, labels, num_classes: int | None = None):
     """Multi-class (micro, macro) F1.  Classes absent from both predictions
     and labels contribute 0 to the macro average.  Predictions and labels
     must lie in [0, num_classes) (num_classes defaults to the largest
-    value seen plus one)."""
-    preds = np.asarray(preds, dtype=int)
-    labels = np.asarray(labels, dtype=int)
+    value seen plus one), and be integers."""
+    preds = _integer_array(preds, "preds")
+    labels = _integer_array(labels, "labels")
     if preds.shape != labels.shape:
         raise ValueError("preds and labels must have the same length")
     c = int(max(preds.max(), labels.max())) + 1 if num_classes is None else int(num_classes)

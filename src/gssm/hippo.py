@@ -17,6 +17,12 @@ node's history onto normalized Legendre polynomials by quadrature, then apply
 the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
 edgeless graph) everything collapses to independent per-node HiPPO, which is
 what several tests pin down.
+
+Both read the node features X(t) through a feature path on a time grid:
+`feature_path(times)` takes a 1-D float array of K times and returns the
+[K x V] features at those times, one row per time.  The integrator calls it
+once per block of RK4 steps on the block's stage times, the oracle once on
+its quadrature nodes; each result is checked once for shape and finiteness.
 """
 
 import math
@@ -107,12 +113,22 @@ def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
     return lu_solve(lu_factor(eye + alpha * laplacian(adj, kind)), eye)
 
 
-def _feature_vector(feature_path, t: float, num_nodes: int) -> np.ndarray:
-    x = np.asarray(feature_path(t), dtype=float).reshape(-1)
-    if x.size != num_nodes:
-        raise ValueError(f"feature_path({t}) has size {x.size}, expected {num_nodes}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"feature_path({t}) returned non-finite values")
+def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray:
+    """feature_path(times) copied into a C-contiguous [K x V] float64 array.
+
+    The copy gives every caller the same memory layout whatever the path
+    returns (a broadcast view, a reused buffer), so the products taken over it
+    sum in the same order.  ValueError unless the shape is [K x V] and every
+    value is finite; the message names the first time with a non-finite row.
+    """
+    x = np.array(feature_path(times), dtype=float, order="C")
+    if x.shape != (times.size, num_nodes):
+        raise ValueError(f"feature_path on {times.size} times from {float(times[0])!r} "
+                         f"returned shape {x.shape}, expected ({times.size}, {num_nodes})")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = float(times[np.argmin(finite)])
+        raise ValueError(f"feature_path({bad!r}) returned non-finite values")
     return x
 
 
@@ -122,13 +138,13 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
                     system=None) -> CoefficientState:
     """Integrate the smoothed-projection flow up to t_end with classical RK4.
 
-    feature_path maps a time to the [V] vector of scalar node features
-    (multi-channel callers loop over channels; the channels are independent).
-    Integration is split exactly at every mutation time, so no RK4 step ever
-    straddles a Laplacian discontinuity.  Within a segment the feature path
-    is sampled with the right endpoint clamped just inside the segment, which
-    keeps step-function feature paths (keyed by segment) from leaking their
-    next value into the k4 stage.
+    feature_path maps a 1-D array of K times to the [K x V] scalar node
+    features at those times (multi-channel callers loop over channels; the
+    channels are independent).  Integration is split exactly at every
+    mutation time, so no RK4 step ever straddles a Laplacian discontinuity.
+    Within a segment the feature path is sampled with the right endpoint
+    clamped just inside the segment, which keeps step-function feature paths
+    (keyed by segment) from leaking their next value into the k4 stage.
 
     On a segment the flow is linear and time-invariant in U, so one RK4 step
     of size h is exactly the affine map
@@ -138,10 +154,11 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     with Z = h A^T, P = I + Z + Z^2/2 + Z^3/6 + Z^4/24 (RK4's stability
     polynomial), bQ0 = h b (I + Z + Z^2/2 + Z^3/4)/6, bQmid = h b (4I + 2Z +
     Z^2/2)/6, bQ1 = h b/6 and x0, x_mid, x1 the features at the step's start,
-    midpoint and end.  P and the bQ rows are built once per segment, and the
-    feature path is called once per distinct stage time: 2*nst + 1 times on a
-    segment of nst steps, in increasing time order.  Steps are taken in
-    blocks of a fixed size, so the extra memory does not grow with nst.
+    midpoint and end.  P and the bQ rows are built once per segment.  Steps
+    are taken in blocks of a fixed size, so the extra memory does not grow
+    with nst, and the feature path is called once per block on the block's
+    stage times not yet evaluated: over a segment of nst steps the calls
+    cover its 2*nst + 1 distinct stage times once each, in increasing order.
 
     u_start/t_start default to a zero state at TIME_ORIGIN; passing both lets
     discretization tests resume the flow mid-interval.  `system` optionally
@@ -193,9 +210,7 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
             grid[0::2] = ends
             grid[1::2] = ends[:-1] + 0.5 * h
             times = np.minimum(grid[len(carried):], right_lim)
-            x = np.empty((times.size, stream.num_nodes))
-            for i, ti in enumerate(times.tolist()):
-                x[i] = _feature_vector(feature_path, ti, stream.num_nodes)
+            x = _feature_grid(feature_path, times, stream.num_nodes)
             s = np.concatenate((carried, x @ smooth_t))
             # Step k reads the smoothed features at stages 2k, 2k+1, 2k+2.
             stages = np.lib.stride_tricks.sliding_window_view(s, 3, axis=0)[::2]
@@ -227,17 +242,17 @@ def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
 
     Computes Q[v, n] = (1/t) * integral_0^t x_v(s) P~_n(2s/t - 1) ds by
     composite-trapezoid quadrature on cfg.quadrature_points nodes, then
-    returns (I + alpha*L(t))^{-1} Q.  Deliberately shares no code with the
-    RK4 integrator beyond the smoothing operator `smoothing_matrix`.  t must be
-    finite and in (0, horizon].
+    returns (I + alpha*L(t))^{-1} Q.  feature_path is called once, on the
+    quadrature nodes, and must return their [K x V] features (see
+    `integrate_hippo`).  Deliberately shares no code with the RK4 integrator
+    beyond the feature-path check and the smoothing operator
+    `smoothing_matrix`.  t must be finite and in (0, horizon].
     """
     if not 0 < t <= stream.horizon:
         raise ValueError(f"oracle evaluation time {t} must lie in (0, {stream.horizon}]")
     npts = cfg.quadrature_points
     s = np.linspace(0.0, t, npts)
-    x = np.empty((npts, stream.num_nodes))
-    for i, si in enumerate(s):
-        x[i] = _feature_vector(feature_path, si, stream.num_nodes)
+    x = _feature_grid(feature_path, s, stream.num_nodes)
     basis = _normalized_legendre(2.0 * s / t - 1.0, cfg.order)
     w = np.full(npts, t / (npts - 1))
     w[0] *= 0.5

@@ -468,8 +468,11 @@ def load_sequence(path) -> SnapshotSequence:
         e_line = rd.next("edge count").split()
         if len(e_line) != 2 or e_line[0] != "E":
             raise ValueError(f"{path}: snapshot {snap_idx}: expected 'E <num_edges>'")
+        num_edges = int(e_line[1])
+        if num_edges < 0:
+            raise ValueError(f"{path}: snapshot {snap_idx}: negative edge count {num_edges}")
         edges = []
-        for _ in range(int(e_line[1])):
+        for _ in range(num_edges):
             parts = rd.next("edge").split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: snapshot {snap_idx}: malformed edge line")

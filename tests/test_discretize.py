@@ -75,6 +75,20 @@ def test_weights_midpoint_mutation_closed_form():
     assert w[0, 0] == pytest.approx(0.2689414213699951, abs=1e-15)
 
 
+def _segment_weights_loop(sched, a):
+    """Reference: the closed form one segment at a time, then the residual fold."""
+    bounds = np.asarray(sched.boundaries)
+    den = np.expm1((sched.t_end - sched.t_start) * a)
+    weights = np.empty((sched.num_segments, a.size))
+    for i in range(sched.num_segments):
+        weights[i] = (np.exp((sched.t_end - bounds[i + 1]) * a)
+                      * np.expm1((bounds[i + 1] - bounds[i]) * a) / den)
+    residual = 1.0 - weights.sum(axis=0)
+    top = np.argmax(weights, axis=0)
+    weights[top, np.arange(a.size)] += residual
+    return weights
+
+
 def test_weights_are_convex_on_random_schedules():
     rng = np.random.default_rng(41)
     for _ in range(300):
@@ -85,6 +99,7 @@ def test_weights_are_convex_on_random_schedules():
         sched = _blank_schedule(t_start, t_start + length, times)
         a = -np.exp(rng.uniform(-7.0, 3.5, size=rng.integers(1, 7)))
         w = segment_weights(sched, a)
+        assert np.array_equal(w, _segment_weights_loop(sched, a))
         assert w.min() >= 0.0
         assert w.max() <= 1.0
         assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
@@ -172,7 +187,7 @@ def test_oracle_step_matches_ode_integration_with_mutations():
         times = np.asarray(sched.mutation_times)
 
         def path(t):
-            return values[int(np.searchsorted(times, t, side="right"))]
+            return values[np.searchsorted(times, t, side="right")]
 
         cfg = HippoConfig(order=order, alpha=alpha, ode_steps_per_unit=200)
         ode = integrate_hippo(

@@ -167,13 +167,25 @@ def test_readout_gradient_matches_finite_differences():
 @pytest.mark.parametrize("labels, match", [([0, 1, -1], r"labels must lie in \[0, 3\)"),
                                            ([0, 1, 3], r"labels must lie in \[0, 3\)"),
                                            ([0, 1], "one class per node"),
-                                           ([[0], [1], [2]], "one class per node")])
+                                           ([[0], [1], [2]], "one class per node"),
+                                           ([0, 1, 1.9], "labels must be integers"),
+                                           ([0, 1, np.nan], "labels must be integers"),
+                                           ([0, 1, np.inf], "labels must be integers")])
 def test_readout_loss_rejects_labels_outside_the_classes_or_not_one_per_row(labels, match):
     # A -1 label used to index the one-hot as class C-1 and return the same
-    # loss as labels [0, 1, 2].
+    # loss as labels [0, 1, 2]; a 1.9 label used to be truncated to class 1.
     with pytest.raises(ValueError, match=match):
         readout_loss(np.zeros(9), np.ones((3, 2)), labels, 3)
     assert readout_loss(np.zeros(9), np.ones((3, 2)), [0, 1, 2], 3)[0] == pytest.approx(np.log(3))
+
+
+def test_readout_loss_accepts_integer_valued_float_labels():
+    feats = np.arange(6.0).reshape(3, 2)
+    params = np.linspace(-1.0, 1.0, 9)
+    as_int = readout_loss(params, feats, np.array([0, 2, 1]), 3)
+    as_float = readout_loss(params, feats, np.array([0.0, 2.0, 1.0]), 3)
+    assert as_float[0] == as_int[0]
+    assert np.array_equal(as_float[1], as_int[1])
 
 
 def _readout_problem(seed, k=None, v=40, d=5, c=3):
@@ -337,6 +349,19 @@ def test_f1_absent_class_contributes_zero_to_macro():
 def test_f1_rejects_length_mismatch():
     with pytest.raises(ValueError):
         f1_scores(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("preds, labels, name", [([0, 1, 1.5], [0, 1, 1], "preds"),
+                                                 ([0, 1, 1], [0, 0.5, 1], "labels"),
+                                                 ([0, 1, 1], [0, np.nan, 1], "labels")])
+def test_f1_rejects_non_integer_values(preds, labels, name):
+    with pytest.raises(ValueError, match=f"{name} must be integers"):
+        f1_scores(np.array(preds), np.array(labels), 2)
+
+
+def test_f1_accepts_integer_valued_floats():
+    preds, labels = np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2])
+    assert f1_scores(preds.astype(float), labels.astype(float), 3) == f1_scores(preds, labels, 3)
 
 
 def _f1_by_class_loop(preds, labels, c):

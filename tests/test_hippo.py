@@ -47,9 +47,15 @@ def _segment_features(rng, stream, t_end):
     values = rng.uniform(-1.0, 1.0, size=(times.size + 1, stream.num_nodes))
 
     def path(t):
-        return values[int(np.searchsorted(times, t, side="right"))]
+        return values[np.searchsorted(times, t, side="right")]
 
     return path, times, values
+
+
+def _constant_path(x):
+    """Feature path holding the [V] features x at every time."""
+    x = np.asarray(x, dtype=float)
+    return lambda t: np.broadcast_to(x, (t.size, x.size))
 
 
 def _exact_piecewise_state(stream, cfg, t_end, seg_values):
@@ -73,7 +79,8 @@ def _exact_piecewise_state(stream, cfg, t_end, seg_values):
 
 
 def _stagewise_rk4(stream, feature_path, cfg, t_end, u_start=None, t_start=None, system=None):
-    """Reference: classical RK4 taken stage by stage, one feature call per stage."""
+    """Reference: classical RK4 taken stage by stage, one feature call per
+    stage, each on a one-time grid."""
     if t_start is None:
         t_start = TIME_ORIGIN
     n = cfg.order
@@ -88,7 +95,8 @@ def _stagewise_rk4(stream, feature_path, cfg, t_end, u_start=None, t_start=None,
         right_lim = np.nextafter(seg_b, seg_a)
 
         def rhs(t, state):
-            x = hippo._feature_vector(feature_path, min(t, right_lim), stream.num_nodes)
+            x = hippo._feature_grid(feature_path, np.array([min(t, right_lim)]),
+                                    stream.num_nodes)[0]
             return state @ a_t + np.outer(smooth @ x, b_vec)
 
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
@@ -118,14 +126,14 @@ def _random_mutating_stream(rng, num_nodes, horizon, count):
 
 
 class _RecordingPath:
-    """Feature path that logs every time it is called at."""
+    """Feature path that logs the time grid of every call."""
 
     def __init__(self, path):
         self.path = path
-        self.times = []
+        self.calls = []
 
     def __call__(self, t):
-        self.times.append(t)
+        self.calls.append(t.tolist())
         return self.path(t)
 
 
@@ -175,14 +183,14 @@ def test_oracle_rejects_non_finite_or_out_of_horizon_times(t):
     stream = _stream_with_mutations(horizon=2.0)
     cfg = HippoConfig(order=2, alpha=0.5, quadrature_points=11)
     with pytest.raises(ValueError):
-        projection_oracle(stream, lambda s: np.ones(4), cfg, t)
+        projection_oracle(stream, _constant_path(np.ones(4)), cfg, t)
 
 
 def test_oracle_constant_input_concentrates_on_degree_zero():
     stream = _quiet_stream(3)
     # trapezoid error is O(h^2); 40001 nodes push the degree>=2 residue under 1e-8
     cfg = HippoConfig(order=4, alpha=0.0, quadrature_points=40001)
-    state = projection_oracle(stream, lambda t: np.array([2.5, -1.0, 0.5]), cfg, t=3.0)
+    state = projection_oracle(stream, _constant_path([2.5, -1.0, 0.5]), cfg, t=3.0)
     assert state.u[:, 0] == pytest.approx(np.array([2.5, -1.0, 0.5]), abs=1e-10)
     assert np.abs(state.u[:, 1:]).max() <= 1e-8
     assert state.time == 3.0
@@ -191,7 +199,7 @@ def test_oracle_constant_input_concentrates_on_degree_zero():
 def test_oracle_zero_input_gives_zero_coefficients():
     stream = _quiet_stream(2)
     cfg = HippoConfig(order=3, alpha=1.0)
-    state = projection_oracle(stream, lambda t: np.zeros(2), cfg, t=2.0)
+    state = projection_oracle(stream, _constant_path(np.zeros(2)), cfg, t=2.0)
     assert state.u == pytest.approx(np.zeros((2, 3)), abs=0.0)
 
 
@@ -201,7 +209,7 @@ def test_oracle_linear_input_supported_on_first_two_degrees():
     stream = _quiet_stream(1)
     cfg = HippoConfig(order=3, alpha=0.0, quadrature_points=40001)
     t = 3.0
-    state = projection_oracle(stream, lambda s: np.array([s]), cfg, t=t)
+    state = projection_oracle(stream, lambda s: s[:, None], cfg, t=t)
     assert state.u[0, 0] == pytest.approx(t / 2.0, abs=1e-8)
     assert state.u[0, 1] == pytest.approx(math.sqrt(3.0) * t / 6.0, abs=1e-8)
     assert abs(state.u[0, 2]) <= 1e-8
@@ -211,7 +219,7 @@ def test_oracle_rejects_nonpositive_time():
     stream = _quiet_stream(2)
     cfg = HippoConfig(order=2, alpha=0.0)
     with pytest.raises(ValueError):
-        projection_oracle(stream, lambda t: np.zeros(2), cfg, t=0.0)
+        projection_oracle(stream, _constant_path(np.zeros(2)), cfg, t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +245,8 @@ def test_integrator_matches_oracle_on_random_instances():
         )
         feats = rng.uniform(-1.0, 1.0, size=num_nodes)
         cfg = HippoConfig(order=4, alpha=alpha)
-        ode = integrate_hippo(stream, lambda t: feats, cfg, t_end=horizon)
-        ref = projection_oracle(stream, lambda t: feats, cfg, t=horizon)
+        ode = integrate_hippo(stream, _constant_path(feats), cfg, t_end=horizon)
+        ref = projection_oracle(stream, _constant_path(feats), cfg, t=horizon)
         rel = np.linalg.norm(ode.u - ref.u) / np.linalg.norm(ref.u)
         assert rel <= 1e-3
 
@@ -249,13 +257,13 @@ def test_integrator_alpha_zero_equals_independent_single_node_runs():
     t_end = 2.0
     rng = np.random.default_rng(5)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=stream.num_nodes)
-    path = lambda t: np.sin(t + phases)
+    path = lambda t: np.sin(t[:, None] + phases)
     joint = integrate_hippo(stream, path, cfg, t_end=t_end)
 
     cuts = [TIME_ORIGIN, *stream.mutation_times, t_end]
     for v in range(stream.num_nodes):
         solo_stream = _quiet_stream(1, horizon=stream.horizon)
-        solo_path = lambda t: np.array([np.sin(t + phases[v])])
+        solo_path = lambda t: np.sin(t[:, None] + phases[v])
         u = np.zeros((1, cfg.order))
         for seg_a, seg_b in zip(cuts, cuts[1:]):
             u = integrate_hippo(
@@ -268,14 +276,14 @@ def test_integrator_edgeless_graph_ignores_alpha():
     stream = _quiet_stream(3, horizon=3.0)
     rng = np.random.default_rng(17)
     scales = rng.uniform(0.5, 2.0, size=3)
-    path = lambda t: scales * np.cos(t)
+    path = lambda t: scales * np.cos(t[:, None])
     smoothed = integrate_hippo(stream, path, HippoConfig(order=4, alpha=2.0), t_end=3.0)
     plain = integrate_hippo(stream, path, HippoConfig(order=4, alpha=0.0), t_end=3.0)
     assert np.abs(smoothed.u - plain.u).max() <= 1e-10
     for v in range(3):
         solo = integrate_hippo(
             _quiet_stream(1, horizon=3.0),
-            lambda t: np.array([scales[v] * np.cos(t)]),
+            lambda t: scales[v] * np.cos(t[:, None]),
             HippoConfig(order=4, alpha=2.0),
             t_end=3.0,
         )
@@ -310,16 +318,16 @@ def test_integrator_rejects_bad_time_window():
     stream = _quiet_stream(2, horizon=1.0)
     cfg = HippoConfig(order=2, alpha=0.0)
     with pytest.raises(ValueError):
-        integrate_hippo(stream, lambda t: np.zeros(2), cfg, t_end=2.0)
+        integrate_hippo(stream, _constant_path(np.zeros(2)), cfg, t_end=2.0)
     with pytest.raises(ValueError):
-        integrate_hippo(stream, lambda t: np.zeros(2), cfg, t_end=0.5, t_start=0.5)
+        integrate_hippo(stream, _constant_path(np.zeros(2)), cfg, t_end=0.5, t_start=0.5)
 
 
 def test_integrator_rejects_nonfinite_features():
     stream = _quiet_stream(2, horizon=1.0)
     cfg = HippoConfig(order=2, alpha=0.0)
     with pytest.raises(ValueError):
-        integrate_hippo(stream, lambda t: np.array([np.nan, 0.0]), cfg, t_end=1.0)
+        integrate_hippo(stream, _constant_path([np.nan, 0.0]), cfg, t_end=1.0)
 
 
 def test_integrator_rejects_wrong_state_shape():
@@ -327,7 +335,8 @@ def test_integrator_rejects_wrong_state_shape():
     cfg = HippoConfig(order=2, alpha=0.0)
     with pytest.raises(ValueError):
         integrate_hippo(
-            stream, lambda t: np.zeros(2), cfg, t_end=1.0, u_start=np.zeros((3, 2)), t_start=0.1
+            stream, _constant_path(np.zeros(2)), cfg, t_end=1.0, u_start=np.zeros((3, 2)),
+            t_start=0.1
         )
 
 
@@ -356,7 +365,7 @@ def test_integrator_matches_stagewise_rk4(monkeypatch, block, seed, kind, alpha,
                       ode_steps_per_unit=int(rng.integers(20, 120)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
     freqs = rng.uniform(0.5, 3.0, size=num_nodes)
-    path = lambda t: np.cos(freqs * t + phases)
+    path = lambda t: np.cos(freqs * t[:, None] + phases)
     kwargs = {}
     if path_kind == "step":
         path, _, _ = _segment_features(rng, stream, horizon)
@@ -386,22 +395,68 @@ def test_integrator_calls_features_once_per_distinct_stage_time(monkeypatch, blo
                                    zip([(2, 3), (0, 3)], np.sort(rng.uniform(1.2, 2.8, 2))))))
     cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=steps)
     t_start = 0.5
-    base = lambda t: np.sin(t + np.arange(num_nodes))
+    base = lambda t: np.sin(t[:, None] + np.arange(num_nodes))
     fast = _RecordingPath(base)
     integrate_hippo(stream, fast, cfg, 3.0, t_start=t_start)
     slow = _RecordingPath(base)
     _stagewise_rk4(stream, slow, cfg, 3.0, t_start=t_start)
 
-    # Per segment: 2*nst + 1 calls, all inside [seg_a, seg_b).
-    calls = iter(fast.times)
+    # Per segment: one call per block of steps, all its times inside [seg_a, seg_b).
+    calls = iter(fast.calls)
     for seg_a, seg_b, _ in segments(stream, t_start, 3.0):
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
-        seg_times = [next(calls) for _ in range(2 * nst + 1)]
-        assert all(seg_a <= t < seg_b for t in seg_times)
+        for _ in range(math.ceil(nst / hippo._BLOCK_STEPS)):
+            assert all(seg_a <= t < seg_b for t in next(calls))
     assert next(calls, None) is None
-    # ... and those are exactly the stage-by-stage reference's times, repeats dropped.
-    distinct = [t for i, t in enumerate(slow.times) if i == 0 or t != slow.times[i - 1]]
-    assert fast.times == distinct
+    # ... and in order they are exactly the stage-by-stage reference's times,
+    # repeats dropped.
+    ref = [t for (t,) in slow.calls]
+    distinct = [t for i, t in enumerate(ref) if i == 0 or t != ref[i - 1]]
+    assert [t for times in fast.calls for t in times] == distinct
+
+
+def test_oracle_calls_features_once_on_its_quadrature_nodes():
+    stream = _stream_with_mutations()
+    cfg = HippoConfig(order=3, alpha=0.5, quadrature_points=101)
+    path = _RecordingPath(lambda t: np.cos(t[:, None] + np.arange(stream.num_nodes)))
+    projection_oracle(stream, path, cfg, 1.7)
+    assert path.calls == [np.linspace(0.0, 1.7, 101).tolist()]
+
+
+_MISSHAPED = {"[K]": lambda x: x[:, 0], "[V]": lambda x: x[0],
+              "[K x (V+1)]": lambda x: np.hstack([x, x[:, :1]])}
+
+
+@pytest.mark.parametrize("caller", [integrate_hippo, projection_oracle])
+@pytest.mark.parametrize("shape", list(_MISSHAPED))
+def test_feature_grid_rejects_a_misshaped_path(caller, shape):
+    stream = _stream_with_mutations()
+    cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=20, quadrature_points=51)
+    path = _RecordingPath(lambda t: _MISSHAPED[shape](np.cos(t[:, None] + np.arange(4))))
+    with pytest.raises(ValueError, match=r"returned shape .*, expected \(\d+, 4\)") as info:
+        caller(stream, path, cfg, 2.0)
+    (times,) = path.calls
+    assert f"feature_path on {len(times)} times from {times[0]!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("caller", [integrate_hippo, projection_oracle])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feature_grid_names_the_first_time_with_a_non_finite_row(monkeypatch, caller, bad):
+    monkeypatch.setattr(hippo, "_BLOCK_STEPS", 7)
+    stream = _stream_with_mutations()
+    cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=20, quadrature_points=51)
+
+    def values(t):
+        x = np.cos(t[:, None] + np.arange(4))
+        x[t > 0.9, 2] = bad
+        return x
+
+    path = _RecordingPath(values)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        caller(stream, path, cfg, 2.0)
+    assert all(t <= 0.9 for times in path.calls[:-1] for t in times)
+    first_bad = next(t for t in path.calls[-1] if t > 0.9)
+    assert f"feature_path({first_bad!r})" in str(info.value)
 
 
 def test_integrator_copies_each_feature_evaluation(monkeypatch):
@@ -409,11 +464,12 @@ def test_integrator_copies_each_feature_evaluation(monkeypatch):
     monkeypatch.setattr(hippo, "_BLOCK_STEPS", 7)
     stream = _stream_with_mutations()
     cfg = HippoConfig(order=3, alpha=0.5, ode_steps_per_unit=30)
-    buf = np.empty(stream.num_nodes)
+    buf = np.empty((2 * 7 + 1, stream.num_nodes))
 
     def path(t):
-        buf[:] = np.sin(t + np.arange(stream.num_nodes))
-        return buf
+        out = buf[:t.size]
+        out[:] = np.sin(t[:, None] + np.arange(stream.num_nodes))
+        return out
 
     got = integrate_hippo(stream, path, cfg, 2.0).u
     ref = _stagewise_rk4(stream, path, cfg, 2.0)
@@ -428,7 +484,7 @@ def test_integrator_memory_does_not_grow_with_step_count():
         cfg = HippoConfig(order=4, alpha=0.5, ode_steps_per_unit=steps)
         tracemalloc.start()
         try:
-            integrate_hippo(stream, lambda t: x, cfg, 2.0)
+            integrate_hippo(stream, _constant_path(x), cfg, 2.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -446,7 +502,7 @@ def test_integrator_rejects_nonfinite_state_or_system(bad):
     value = np.nan if bad.endswith("nan") else np.inf
     {"u": u0, "a": a, "b": b}[bad[0]].flat[1] = value
     with pytest.raises(ValueError, match="finite"):
-        integrate_hippo(stream, lambda t: np.zeros(2), cfg, t_end=1.0,
+        integrate_hippo(stream, _constant_path(np.zeros(2)), cfg, t_end=1.0,
                         u_start=u0, t_start=0.1, system=(a, b))
 
 
@@ -539,7 +595,7 @@ def test_smoother_solve_has_tiny_residual_for_both_laplacians(kind):
     x = np.array([1.0, -2.0, 0.5, 3.0])
     cfg = HippoConfig(order=3, alpha=2.0, laplacian=kind, quadrature_points=11)
     # Constant features project onto degree 0 only, so column 0 is M^{-1} x.
-    y = projection_oracle(stream, lambda t: x, cfg, 1.0).u[:, 0]
+    y = projection_oracle(stream, _constant_path(x), cfg, 1.0).u[:, 0]
     smoother = np.eye(4) + 2.0 * laplacian(adjacency_from_edges(stream.initial_edges, 4), kind)
     assert np.linalg.norm(smoother @ y - x) <= 1e-12
 

@@ -415,6 +415,15 @@ def test_load_rejects_malformed_header(tmp_path):
         load_sequence(path)
 
 
+def test_load_rejects_a_negative_edge_count(tmp_path):
+    # Used to load as an edgeless snapshot.
+    path = tmp_path / "neg.gssm"
+    path.write_text("GSSM v1 2 1 2\nT 0.0\nE 0\nX\n1.0\n2.0\n"
+                    "T 1.0\nE -1\nX\n1.0\n2.0\n")
+    with pytest.raises(ValueError, match=r"neg\.gssm: snapshot 1: negative edge count -1"):
+        load_sequence(path)
+
+
 def test_load_hand_written_single_snapshot_fixture(tmp_path):
     path = tmp_path / "fixture.gssm"
     path.write_text(
