@@ -24,7 +24,7 @@ from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
                      block_forward, delta_bias_init, glorot, gnn_diffuse,
                      init_a)
-from .tgraph import Snapshot, SnapshotSequence
+from .tgraph import Snapshot, SnapshotSequence, _csr_from_pairs
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -85,14 +85,14 @@ class SyntheticTask:
     split: Split
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _integer_array(self.labels, "labels")
         v = self.sequence.num_nodes
         if labels.shape != (v,):
             raise ValueError("labels must assign one class per node")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError("labels out of class range")
         object.__setattr__(self, "labels", labels)
-        parts = [np.asarray(s, dtype=int) for s in self.split]
+        parts = [_integer_array(s, f"split.{name}") for name, s in zip(Split._fields, self.split)]
         object.__setattr__(self, "split", Split(*parts))
         joined = np.concatenate(parts)
         if len(set(joined.tolist())) != joined.size or joined.size != v:
@@ -111,7 +111,7 @@ def split_nodes(labels: np.ndarray, rng: np.random.Generator,
     of exact stratification."""
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
         raise ValueError("fractions must be three positive values summing to 1")
-    labels = np.asarray(labels, dtype=int)
+    labels = _integer_array(labels, "labels")
     train, val, test = [], [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -157,16 +157,15 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
         else:
             redraw = rng.random(pair_p.size) < cfg.drift_rate
             state = np.where(redraw, rng.random(pair_p.size) < pair_p, state)
-        adj = np.zeros((v, v), dtype=bool)
-        adj[iu] = state
-        adj |= adj.T
+        idx = np.flatnonzero(state)
+        indptr, indices = _csr_from_pairs(iu[0][idx], iu[1][idx], v)
 
         ang = 2.0 * np.pi * labels / c + cfg.omega * l
         cent = np.zeros((v, d))
         cent[:, 0] = cfg.radius * np.cos(ang)
         cent[:, 1] = cfg.radius * np.sin(ang)
         feats = cent + cfg.noise * rng.normal(size=(v, d))
-        snaps.append(Snapshot(adjacency=adj, features=feats, timestamp=float(l + 1)))
+        snaps.append(Snapshot.from_csr(indptr, indices, feats, float(l + 1)))
 
     seq = SnapshotSequence(tuple(snaps))
     split = split_nodes(labels, named_rng(seed, "split"))
@@ -378,7 +377,7 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
     x = features if features.ndim == 3 else features[None]
     v = x.shape[1]
     labels, c = _check_labels(labels, v, num_classes)
-    tr, va = np.asarray(split.train, dtype=int), np.asarray(split.val, dtype=int)
+    tr, va = _integer_array(split.train, "split.train"), _integer_array(split.val, "split.val")
     if tr.size == 0:
         raise ValueError("empty train split")
     if va.size == 0:
@@ -526,7 +525,7 @@ _LABELS_MAGIC = "GSSML v1"
 
 
 def save_labels(labels: np.ndarray, num_classes: int, path) -> None:
-    labels = np.asarray(labels, dtype=int)
+    labels = _integer_array(labels, "labels")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("labels out of class range")
     with open(path, "w", encoding="ascii") as fh:

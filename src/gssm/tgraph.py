@@ -12,10 +12,12 @@ serializes sequences to a line-oriented text format.
 
 All types are immutable after construction and every operation is a pure
 function, so read-only instances can be shared freely.
-A :class:`Snapshot` additionally caches values derived from its adjacency --
-a boolean CSR copy and the degree vector, built on first access -- and so
-does a :class:`SnapshotSequence` over its stacked [L*V] node axis: the
-block-diagonal operator of all L adjacencies (`BlockDiagonalCsr`) and the
+A :class:`Snapshot` stores its adjacency as a CSR pattern (`indptr`,
+`indices`), O(V + E) memory; the dense V x V matrix is derived on demand for
+small-graph callers and never kept.  A snapshot caches a boolean CSR array
+over its pattern and the degree vector, built on first access, and a
+:class:`SnapshotSequence` caches the same over its stacked [L*V] node axis:
+the block-diagonal operator of all L adjacencies (`BlockDiagonalCsr`) and the
 stacked degree vector, so graph diffusion over a whole sequence is a few
 sparse products.  The caches are not dataclass fields: equality,
 immutability and the stored arrays are unchanged by them.
@@ -136,67 +138,161 @@ def segments(stream: EventStream, t_lo: float, t_hi: float):
 
 
 def adjacency_from_edges(edges, num_nodes: int) -> np.ndarray:
+    """Dense symmetric boolean adjacency of an edge set; ValueError for an
+    edge with a node id outside [0, num_nodes)."""
     adj = np.zeros((num_nodes, num_nodes), dtype=bool)
     for u, v in edges:
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u}, {v}) references a node outside [0, {num_nodes})")
         adj[u, v] = adj[v, u] = True
     return adj
 
 
-@dataclass(frozen=True)
+def _index_dtype(largest: int):
+    """The index type of every CSR here: int32 when `largest` fits it."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr_from_pairs(u, w, num_nodes: int):
+    """(indptr, indices) of the symmetric pattern holding (u, w) and (w, u)
+    for each pair of node ids in [0, num_nodes), rows in order; the one
+    pair-to-CSR builder.  It sorts the keys row*V + column of all entries;
+    a row starts at its first key.  A self-loop or a repeated pair is left
+    in, for the `Snapshot` check to reject."""
+    u, w = np.asarray(u, dtype=np.int64), np.asarray(w, dtype=np.int64)
+    keys = np.concatenate([u * num_nodes + w, w * num_nodes + u])
+    keys.sort()
+    return np.searchsorted(keys, np.arange(0, (num_nodes + 1) * num_nodes, num_nodes)), keys % num_nodes
+
+
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row id of each stored entry of a CSR pattern."""
+    return np.arange(indptr.size - 1, dtype=indptr.dtype).repeat(indptr[1:] - indptr[:-1])
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Snapshot:
     """One observation of the evolving graph: adjacency + node features.
 
-    The timestamp must be finite.
+    The adjacency is stored as its CSR pattern: `indptr` (V+1 row starts)
+    and `indices` (each row's neighbors, sorted and listed once), read-only
+    int32 arrays (int64 past int32's range).  `Snapshot(adjacency, features,
+    timestamp)` takes a dense square matrix and `Snapshot.from_csr` takes
+    the pattern; both go through one check that the graph is symmetric with
+    no self-loops.  `adjacency` rebuilds the dense read-only boolean matrix
+    on each access, so it is for small graphs.  The timestamp must be
+    finite.  Snapshots compare by value.
     """
 
-    adjacency: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     features: np.ndarray
     timestamp: float
 
-    def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=bool)
-        feats = np.array(self.features, dtype=float)
+    def __init__(self, adjacency, features, timestamp):
+        adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if adj.diagonal().any():
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))])
+        self._store(indptr, np.nonzero(adj)[1], features, timestamp)
+
+    @classmethod
+    def from_csr(cls, indptr, indices, features, timestamp) -> "Snapshot":
+        """The snapshot whose adjacency has the CSR pattern (indptr, indices)."""
+        snap = cls.__new__(cls)
+        snap._store(indptr, indices, features, timestamp)
+        return snap
+
+    def _store(self, indptr, indices, features, timestamp):
+        """Check and set the fields, in O(E log E): the CSR pattern must be
+        well-formed, in range, sorted and unique within each row, free of
+        diagonal entries and symmetric (its transposed keys indices*V + row,
+        sorted, equal its keys row*V + indices)."""
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        if indices.size == 0:
+            indices = indices.astype(np.int64)
+        if (indptr.ndim != 1 or indptr.size == 0 or indices.ndim != 1
+                or indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu"):
+            raise ValueError("CSR indptr and indices must be 1-D integer arrays")
+        v = indptr.size - 1
+        indptr = indptr.astype(np.int64, copy=False)
+        indices = indices.astype(np.int64, copy=False)
+        if indptr[0] != 0 or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError("CSR indptr must rise from 0 to the number of indices")
+        if indices.size and (indices.min() < 0 or indices.max() >= v):
+            raise ValueError(f"CSR indices must lie in [0, {v})")
+        rows = _csr_rows(indptr)
+        if (rows == indices).any():
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
-        if feats.ndim != 2 or feats.shape[0] != adj.shape[0]:
+        keys = rows * v + indices
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("CSR indices must be strictly increasing within each row "
+                             "(no duplicate edges)")
+        transposed = indices * v + rows
+        transposed.sort()
+        if not (transposed == keys).all():
+            raise ValueError("adjacency must be symmetric")
+        feats = np.array(features, dtype=float)
+        if feats.ndim != 2 or feats.shape[0] != v:
             raise ValueError("features must be [num_nodes x d]")
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        if not np.isfinite(self.timestamp):
+        if not np.isfinite(timestamp):
             raise ValueError("timestamp must be finite")
-        adj.flags.writeable = False
-        feats.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
+        idx = _index_dtype(max(v, indices.size))
+        indptr, indices = indptr.astype(idx), indices.astype(idx)
+        for arr in (indptr, indices, feats):
+            arr.flags.writeable = False
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "timestamp", float(timestamp))
+
+    def __eq__(self, other):
+        if not isinstance(other, Snapshot):
+            return NotImplemented
+        return (self.timestamp == other.timestamp
+                and all(np.array_equal(a, b) for a, b in
+                        zip((self.indptr, self.indices, self.features),
+                            (other.indptr, other.indices, other.features))))
 
     @property
     def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.indptr.size - 1
 
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense read-only boolean [V x V] adjacency, rebuilt on each access."""
+        adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        adj[_csr_rows(self.indptr), self.indices] = True
+        adj.flags.writeable = False
+        return adj
+
     @cached_property
     def adjacency_csr(self):
-        """Boolean CSR copy of the adjacency (sorted indices), built once."""
-        return _block_csr((self.adjacency,))
+        """Boolean CSR array over the stored pattern, built once."""
+        return _block_csr((self,))
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Per-node neighbor counts as floats, read off the cached CSR."""
-        deg = np.diff(self.adjacency_csr.indptr).astype(float)
+        """Per-node neighbor counts as floats, read off `indptr`."""
+        deg = np.diff(self.indptr).astype(float)
         deg.flags.writeable = False
         return deg
 
+    def _upper(self):
+        """(rows, cols) of the stored entries above the diagonal: each edge
+        once as u < v, in sorted order."""
+        rows = _csr_rows(self.indptr)
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper]
+
     def edge_set(self) -> frozenset:
-        iu, iv = np.nonzero(np.triu(self.adjacency, 1))
-        return frozenset(zip(iu.tolist(), iv.tolist()))
+        return frozenset(zip(*(a.tolist() for a in self._upper())))
 
 
 @dataclass(frozen=True)
@@ -256,7 +352,7 @@ class SnapshotSequence:
         """
         blocks, run, entries = [], [], 0
         for snap in self.snapshots:
-            count = np.count_nonzero(snap.adjacency)
+            count = snap.indices.size
             if run and entries + count > _RUN_ENTRIES:
                 blocks.append(_run_csr(run))
                 run, entries = [], 0
@@ -267,8 +363,8 @@ class SnapshotSequence:
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Stacked [L*V] neighbor counts as floats, read off `adjacency_csr`."""
-        deg = np.concatenate([np.diff(b.indptr) for b in self.adjacency_csr.blocks]).astype(float)
+        """Stacked [L*V] neighbor counts as floats, read off each `indptr`."""
+        deg = np.concatenate([np.diff(s.indptr) for s in self.snapshots]).astype(float)
         deg.flags.writeable = False
         return deg
 
@@ -281,18 +377,24 @@ class SnapshotSequence:
 _RUN_ENTRIES = 1 << 17
 
 
-def _block_csr(adjacencies):
-    """Read-only boolean CSR of the block-diagonal matrix of square dense
-    adjacencies, with sorted indices; every CSR here is built by it."""
+def _block_csr(snaps):
+    """Read-only boolean CSR array of the block-diagonal matrix of the
+    snapshots' adjacencies, with sorted indices; every CSR here is built by
+    it.  One snapshot's array shares its pattern arrays; several are joined
+    with each snapshot's indices offset by its first row."""
     from scipy.sparse import csr_array
-    offsets = np.cumsum([0] + [adj.shape[0] for adj in adjacencies])
-    counts = np.concatenate([np.count_nonzero(adj, axis=1) for adj in adjacencies])
-    idx = np.int32 if max(offsets[-1], counts.sum()) <= np.iinfo(np.int32).max else np.int64
-    indices = np.concatenate([np.nonzero(adj)[1].astype(idx) + idx(off)
-                              for adj, off in zip(adjacencies, offsets)])
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
-    csr = csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
-                    shape=(offsets[-1], offsets[-1]))
+    if len(snaps) == 1:
+        indptr, indices = snaps[0].indptr, snaps[0].indices
+    else:
+        v = snaps[0].num_nodes
+        sizes = [s.indices.size for s in snaps]
+        idx = _index_dtype(max(len(snaps) * v, sum(sizes)))
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        indptr = np.concatenate([np.zeros(1, dtype=idx)]
+                                + [s.indptr[1:].astype(idx) + start for s, start in zip(snaps, starts)])
+        indices = np.concatenate([s.indices.astype(idx) + k * v for k, s in enumerate(snaps)])
+    n = indptr.size - 1
+    csr = csr_array((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
     for arr in (csr.data, csr.indices, csr.indptr):
         arr.flags.writeable = False
     return csr
@@ -302,7 +404,7 @@ def _run_csr(snaps):
     """One block of a sequence's operator; a lone snapshot reuses its own CSR."""
     if len(snaps) == 1:
         return snaps[0].adjacency_csr
-    return _block_csr([s.adjacency for s in snaps])
+    return _block_csr(snaps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +450,9 @@ def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> Sna
         if feats.ndim != 2 or feats.shape[0] != stream.num_nodes:
             raise ValueError(f"feature_fn({t}) returned shape {feats.shape}, "
                              f"expected [{stream.num_nodes} x d]")
-        snaps.append(Snapshot(adjacency_from_edges(edges, stream.num_nodes), feats, t))
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        snaps.append(Snapshot.from_csr(*_csr_from_pairs(pairs[:, 0], pairs[:, 1], stream.num_nodes),
+                                       feats, t))
     return SnapshotSequence(tuple(snaps))
 
 
@@ -391,12 +495,14 @@ def temporal_continuity(seq: SnapshotSequence):
     """
     if len(seq) < 2:
         raise ValueError("temporal continuity needs at least two snapshots")
+    v = seq.num_nodes
+    keys = [rows.astype(np.int64) * v + cols for rows, cols in (s._upper() for s in seq)]
     jac = []
     cos = []
-    for prev, cur in zip(seq.snapshots, seq.snapshots[1:]):
-        e_prev, e_cur = prev.edge_set(), cur.edge_set()
-        union = len(e_prev | e_cur)
-        jac.append(1.0 if union == 0 else len(e_prev & e_cur) / union)
+    for k_prev, k_cur, prev, cur in zip(keys, keys[1:], seq.snapshots, seq.snapshots[1:]):
+        common = np.intersect1d(k_prev, k_cur, assume_unique=True).size
+        union = k_prev.size + k_cur.size - common
+        jac.append(1.0 if union == 0 else common / union)
         dots = np.sum(prev.features * cur.features, axis=1)
         norms = np.linalg.norm(prev.features, axis=1) * np.linalg.norm(cur.features, axis=1)
         sims = np.where(norms > 0, dots / np.where(norms > 0, norms, 1.0), 0.0)
@@ -423,9 +529,9 @@ def save_sequence(seq: SnapshotSequence, path) -> None:
     lines = [f"{_MAGIC} {seq.num_nodes} {seq.num_features} {len(seq)}"]
     for snap in seq:
         lines.append(f"T {snap.timestamp!r}")
-        edges = sorted(snap.edge_set())
-        lines.append(f"E {len(edges)}")
-        lines.extend(f"{u} {v}" for u, v in edges)
+        rows, cols = snap._upper()
+        lines.append(f"E {rows.size}")
+        lines.extend(f"{u} {v}" for u, v in zip(rows.tolist(), cols.tolist()))
         lines.append("X")
         lines.extend(" ".join(repr(x) for x in row) for row in snap.features.tolist())
     with open(path, "w", encoding="ascii") as fh:
@@ -437,58 +543,77 @@ class _LineReader:
         with open(path, "r", encoding="ascii") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
-        self.path = path
 
     def next(self, what):
         if self.pos >= len(self.lines):
-            raise ValueError(f"{self.path}: unexpected end of file while reading {what}")
+            raise ValueError(f"unexpected end of file while reading {what}")
         line = self.lines[self.pos]
         self.pos += 1
         return line
 
 
-def load_sequence(path) -> SnapshotSequence:
-    rd = _LineReader(path)
-    header = rd.next("header").split()
-    if len(header) != 5 or " ".join(header[:2]) != _MAGIC:
-        raise ValueError(f"{path}: malformed header (expected '{_MAGIC} <V> <d> <L>')")
+def _numbers(tokens, kind, what):
+    """The tokens parsed by `kind` (int or float); ValueError naming `what`
+    if one does not parse."""
     try:
-        num_nodes, d, length = (int(x) for x in header[2:])
+        return [kind(x) for x in tokens]
     except ValueError:
-        raise ValueError(f"{path}: non-integer sizes in header") from None
-    if num_nodes < 1 or d < 0 or length < 1:
-        raise ValueError(f"{path}: nonsensical sizes in header")
+        raise ValueError(f"malformed {what} {' '.join(tokens)!r}: expected "
+                         + ("integers" if kind is int else "numbers")) from None
 
-    snaps = []
-    for snap_idx in range(length):
-        t_line = rd.next("timestamp").split()
-        if len(t_line) != 2 or t_line[0] != "T":
-            raise ValueError(f"{path}: snapshot {snap_idx}: expected 'T <timestamp>'")
-        timestamp = float(t_line[1])
-        e_line = rd.next("edge count").split()
-        if len(e_line) != 2 or e_line[0] != "E":
-            raise ValueError(f"{path}: snapshot {snap_idx}: expected 'E <num_edges>'")
-        num_edges = int(e_line[1])
-        if num_edges < 0:
-            raise ValueError(f"{path}: snapshot {snap_idx}: negative edge count {num_edges}")
-        edges = []
-        for _ in range(num_edges):
-            parts = rd.next("edge").split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: snapshot {snap_idx}: malformed edge line")
-            edges.append((int(parts[0]), int(parts[1])))
-        if rd.next("feature marker") != "X":
-            raise ValueError(f"{path}: snapshot {snap_idx}: expected 'X' marker")
-        rows = []
-        for _ in range(num_nodes):
-            row = rd.next("feature row").split()
-            if len(row) != d:
-                raise ValueError(f"{path}: snapshot {snap_idx}: feature row has "
-                                 f"{len(row)} values, expected {d}")
-            rows.append([float(x) for x in row])
-        feats = np.array(rows, dtype=float).reshape(num_nodes, d)
-        snaps.append(Snapshot(adjacency_from_edges(edges, num_nodes), feats, timestamp))
+
+def load_sequence(path) -> SnapshotSequence:
+    """Read a file written by `save_sequence`.  Every malformed record
+    raises ValueError naming the path, and the snapshot for one inside a
+    snapshot."""
+    rd = _LineReader(path)
     try:
+        header = rd.next("header").split()
+        if len(header) != 5 or " ".join(header[:2]) != _MAGIC:
+            raise ValueError(f"malformed header (expected '{_MAGIC} <V> <d> <L>')")
+        num_nodes, d, length = _numbers(header[2:], int, "header sizes")
+        if num_nodes < 1 or d < 0 or length < 1:
+            raise ValueError("nonsensical sizes in header")
+        snaps = []
+        for snap_idx in range(length):
+            try:
+                snaps.append(_read_snapshot(rd, num_nodes, d))
+            except ValueError as exc:
+                raise ValueError(f"snapshot {snap_idx}: {exc}") from None
         return SnapshotSequence(tuple(snaps))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
+    """One snapshot's records: 'T', 'E' and its edge lines, 'X' and V rows."""
+    t_line = rd.next("timestamp").split()
+    if len(t_line) != 2 or t_line[0] != "T":
+        raise ValueError("expected 'T <timestamp>'")
+    (timestamp,) = _numbers(t_line[1:], float, "timestamp")
+    e_line = rd.next("edge count").split()
+    if len(e_line) != 2 or e_line[0] != "E":
+        raise ValueError("expected 'E <num_edges>'")
+    (num_edges,) = _numbers(e_line[1:], int, "edge count")
+    if num_edges < 0:
+        raise ValueError(f"negative edge count {num_edges}")
+    pairs = []
+    for _ in range(num_edges):
+        parts = rd.next("edge").split()
+        if len(parts) != 2:
+            raise ValueError("malformed edge line")
+        u, w = _numbers(parts, int, "edge")
+        if not (0 <= u < num_nodes and 0 <= w < num_nodes):
+            raise ValueError(f"edge ({u}, {w}) references a node outside [0, {num_nodes})")
+        pairs.append((u, w))
+    if rd.next("feature marker") != "X":
+        raise ValueError("expected 'X' marker")
+    rows = []
+    for _ in range(num_nodes):
+        row = rd.next("feature row").split()
+        if len(row) != d:
+            raise ValueError(f"feature row has {len(row)} values, expected {d}")
+        rows.append(_numbers(row, float, "feature row"))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return Snapshot.from_csr(*_csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes),
+                             np.array(rows, dtype=float).reshape(num_nodes, d), timestamp)

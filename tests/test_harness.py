@@ -13,10 +13,14 @@ from gssm import (
     GnnParams,
     InitStrategy,
     ModelConfig,
+    Snapshot,
+    SnapshotSequence,
     Split,
     SsmLayerParams,
     SsmVariant,
+    SyntheticTask,
     TaskConfig,
+    block_forward,
     extract_features,
     f1_scores,
     finite_diff_check,
@@ -72,6 +76,97 @@ def test_gen_is_deterministic_in_the_seed():
         assert np.array_equal(part_a, part_b)
     other = gen_synthetic(12, cfg)
     assert not np.array_equal(one.sequence[0].features, other.sequence[0].features)
+
+
+def _dense_gen_synthetic(seed, cfg):
+    """The generator's loop as it was when each snapshot was built through a
+    dense V x V adjacency (scatter, symmetrize, dense constructor): the
+    reference `gen_synthetic`'s CSR-first build is pinned to."""
+    v, length = cfg.num_nodes, cfg.seq_len
+    c, d = cfg.num_classes, cfg.num_features
+    rng = named_rng(seed, "task")
+    labels = np.repeat(np.arange(c), v // c)
+    labels = np.concatenate([labels, rng.integers(0, c, v - labels.size)])
+    rng.shuffle(labels)
+    same = labels[:, None] == labels[None, :]
+    iu = np.triu_indices(v, 1)
+    same_u = same[iu]
+    snaps, state = [], None
+    for l in range(length):
+        pin_l = cfg.p_out + (cfg.p_in - cfg.p_out) * (1.0 - cfg.p_decay) ** l
+        pair_p = np.where(same_u, pin_l, cfg.p_out)
+        if state is None:
+            state = rng.random(pair_p.size) < pair_p
+        else:
+            redraw = rng.random(pair_p.size) < cfg.drift_rate
+            state = np.where(redraw, rng.random(pair_p.size) < pair_p, state)
+        adj = np.zeros((v, v), dtype=bool)
+        adj[iu] = state
+        adj |= adj.T
+        ang = 2.0 * np.pi * labels / c + cfg.omega * l
+        cent = np.zeros((v, d))
+        cent[:, 0] = cfg.radius * np.cos(ang)
+        cent[:, 1] = cfg.radius * np.sin(ang)
+        feats = cent + cfg.noise * rng.normal(size=(v, d))
+        snaps.append(Snapshot(adjacency=adj, features=feats, timestamp=float(l + 1)))
+    return SnapshotSequence(tuple(snaps)), labels, split_nodes(labels, named_rng(seed, "split"))
+
+
+@pytest.mark.parametrize("seed, overrides", [
+    (0, {}), (3, dict(num_nodes=64, seq_len=3)), (8, dict(num_nodes=97, seq_len=2, p_in=0.6)),
+    (5, dict(num_nodes=40, seq_len=3, p_in=0.0, p_out=0.0)),
+])
+def test_gen_csr_build_equals_the_dense_build(seed, overrides):
+    cfg = _tiny_task_cfg(**overrides)
+    task = gen_synthetic(seed, cfg)
+    seq, labels, split = _dense_gen_synthetic(seed, cfg)
+    assert task.sequence == seq
+    for got, want in zip(task.sequence, seq):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.features, want.features)
+        assert got.timestamp == want.timestamp
+    assert np.array_equal(task.labels, labels)
+    for got, want in zip(task.split, split):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", list(SsmVariant))
+def test_block_forward_on_the_csr_built_task_equals_the_dense_built_one(variant):
+    cfg = _tiny_task_cfg(num_nodes=48, seq_len=5)
+    task = gen_synthetic(2, cfg)
+    seq, _, _ = _dense_gen_synthetic(2, cfg)
+    hidden = np.stack([s.features for s in seq], axis=1)
+    model = sample_model(named_rng(2, "model"), ModelConfig(variant=variant),
+                         cfg.num_features, cfg.seq_len)
+    assert np.array_equal(block_forward(hidden, task.sequence, model),
+                          block_forward(hidden, seq, model))
+
+
+def test_gen_stores_no_dense_adjacency():
+    import tracemalloc
+
+    import scipy.sparse  # noqa: F401  (its import is not part of the build)
+    v = 600
+    # Sparse enough that one V x V boolean array outweighs the whole CSR build.
+    task = gen_synthetic(1, _tiny_task_cfg(num_nodes=v, seq_len=4, p_in=0.02, p_out=0.002))
+    seq = task.sequence
+    tracemalloc.start()
+    try:
+        op = seq.adjacency_csr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v * v
+    entries = sum(s.indices.size for s in seq)
+    assert sum(b.indices.size for b in op.blocks) == entries > 0
+    for snap in seq:
+        snap.adjacency_csr, snap.degree
+        held = [a for a in vars(snap).values() if isinstance(a, np.ndarray)]
+        csr = snap.adjacency_csr
+        held += [csr.data, csr.indices, csr.indptr]
+        assert held and all(a.size < v * v for a in held)
+        assert snap.indptr.nbytes + snap.indices.nbytes == 4 * (v + 1 + snap.indices.size)
 
 
 def test_gen_default_config_has_no_dominant_class():
@@ -563,6 +658,34 @@ def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):
     path.write_text("GSSML v1 2 3\n0\n1\n\n  \n")
     back, c = load_labels(path)
     assert c == 3 and np.array_equal(back, [0, 1])
+
+
+def test_task_rejects_non_integer_labels_and_split_indices():
+    task = gen_synthetic(4, _tiny_task_cfg())
+    labels = task.labels.astype(float)
+    labels[0] += 0.5
+    with pytest.raises(ValueError, match="labels must be integers"):
+        SyntheticTask(task.sequence, labels, task.num_classes, task.split)
+    split = task.split._replace(test=task.split.test + 0.25)
+    with pytest.raises(ValueError, match="split.test must be integers"):
+        SyntheticTask(task.sequence, task.labels, task.num_classes, split)
+    same = SyntheticTask(task.sequence, task.labels.astype(float), task.num_classes,
+                         Split(*(p.astype(float) for p in task.split)))
+    assert same.labels.dtype.kind == "i" and np.array_equal(same.labels, task.labels)
+
+
+@pytest.mark.parametrize("part", ["train", "val"])
+def test_readout_rejects_non_integer_split_indices(part):
+    feats, labels, split = _readout_problem(79)
+    with pytest.raises(ValueError, match=f"split.{part} must be integers"):
+        train_readout(feats, labels, split._replace(**{part: getattr(split, part) + 0.4}))
+
+
+def test_split_nodes_and_save_labels_reject_non_integer_labels(tmp_path):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        split_nodes(np.array([0, 1, 1.5]), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        save_labels(np.array([0, 1, 2.5]), 3, tmp_path / "bad.labels")
 
 
 def test_split_nodes_rejects_bad_fractions():

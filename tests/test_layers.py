@@ -285,7 +285,7 @@ def test_snapshot_builds_its_sparse_adjacency_once():
 
 def test_snapshot_equality_ignores_the_cached_operator():
     names = [f.name for f in dataclasses.fields(Snapshot)]
-    assert names == ["adjacency", "features", "timestamp"]
+    assert names == ["indptr", "indices", "features", "timestamp"]
     # Single-node snapshots compare by value (size-1 arrays have a truth value).
     first = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[2.0]], timestamp=1.0)
     second = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[2.0]], timestamp=1.0)

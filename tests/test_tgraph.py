@@ -11,6 +11,7 @@ from gssm import (
     LaplacianKind,
     Snapshot,
     SnapshotSequence,
+    adjacency_from_edges,
     edges_at,
     laplacian,
     load_sequence,
@@ -394,6 +395,7 @@ def test_save_load_round_trip(tmp_path):
         assert back.timestamp == orig.timestamp
         assert np.array_equal(back.adjacency, orig.adjacency)
         assert np.array_equal(back.features, orig.features)
+    assert loaded == seq
 
 
 def test_load_rejects_decreasing_timestamps(tmp_path):
@@ -422,6 +424,50 @@ def test_load_rejects_a_negative_edge_count(tmp_path):
                     "T 1.0\nE -1\nX\n1.0\n2.0\n")
     with pytest.raises(ValueError, match=r"neg\.gssm: snapshot 1: negative edge count -1"):
         load_sequence(path)
+
+
+def _two_snapshot_text(t="1.0", e="1", edges=("0 1",), row="2.0"):
+    """A V=3, d=1 file whose second snapshot carries the given records."""
+    return ("GSSM v1 3 1 2\nT 0.0\nE 1\n1 2\nX\n1.0\n2.0\n3.0\n"
+            + f"T {t}\nE {e}\n" + "".join(f"{x}\n" for x in edges)
+            + f"X\n1.0\n{row}\n3.0\n")
+
+
+@pytest.mark.parametrize("records, match", [
+    (dict(e="x", edges=()), "malformed edge count 'x'"),
+    (dict(t="abc"), "malformed timestamp 'abc'"),
+    (dict(edges=("0 q",)), "malformed edge '0 q'"),
+    (dict(edges=("0 5",)), r"edge \(0, 5\) references a node outside \[0, 3\)"),
+    (dict(edges=("0 -1",)), r"edge \(0, -1\) references a node outside \[0, 3\)"),
+    (dict(e="2", edges=("0 1", "1 0")), "no duplicate edges"),
+    (dict(edges=("0 0",)), "no self-loops"),
+    (dict(row="abc"), "malformed feature row 'abc'"),
+    (dict(t="nan"), "timestamp must be finite"),
+])
+def test_load_rejects_a_bad_record_naming_the_path_and_snapshot(tmp_path, records, match):
+    path = tmp_path / "bad.gssm"
+    path.write_text(_two_snapshot_text(**records))
+    with pytest.raises(ValueError, match=rf"bad\.gssm: snapshot 1: .*{match}"):
+        load_sequence(path)
+
+
+def test_load_reads_an_edge_in_either_order_and_rejects_a_truncated_file(tmp_path):
+    path = tmp_path / "seq.gssm"
+    path.write_text(_two_snapshot_text(edges=("2 0",)))
+    seq = load_sequence(path)
+    assert seq[1].edge_set() == frozenset({(0, 2)})
+    path.write_text(_two_snapshot_text()[:-4])
+    with pytest.raises(ValueError, match=r"seq\.gssm: snapshot 1: unexpected end of file"):
+        load_sequence(path)
+    path.write_text("GSSM v1 3 x 1\n")
+    with pytest.raises(ValueError, match=r"seq\.gssm: malformed header sizes"):
+        load_sequence(path)
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (3, 1), (-3, 0)])
+def test_adjacency_from_edges_rejects_node_ids_outside_the_graph(edge):
+    with pytest.raises(ValueError, match=r"references a node outside \[0, 3\)"):
+        adjacency_from_edges([edge], 3)
 
 
 def test_load_hand_written_single_snapshot_fixture(tmp_path):
@@ -476,3 +522,93 @@ def test_materialize_rejects_nan_observe_times():
     stream = EventStream(num_nodes=3, horizon=5.0, initial_edges=frozenset({(0, 1)}), events=())
     with pytest.raises(ValueError):
         materialize_snapshots(stream, [1.0, np.nan, 3.0], lambda t: np.zeros((3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# CSR storage
+
+
+@st.composite
+def _symmetric_adjacencies(draw):
+    """Random symmetric boolean adjacency without self-loops, V in 1..9."""
+    v = draw(st.integers(1, 9))
+    pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+    on = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = np.zeros((v, v), dtype=bool)
+    for (u, w), keep in zip(pairs, on):
+        adj[u, w] = adj[w, u] = keep
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(adj=_symmetric_adjacencies())
+@example(adj=np.zeros((1, 1), dtype=bool))
+@example(adj=np.zeros((4, 4), dtype=bool))
+@example(adj=np.pad(_path_graph(4), ((0, 1), (0, 1))))  # node 4 is isolated
+def test_both_constructors_store_the_scipy_csr_pattern(adj):
+    import scipy.sparse
+    v = adj.shape[0]
+    feats = np.arange(2.0 * v).reshape(v, 2)
+    ref = scipy.sparse.csr_array(adj)
+    dense = Snapshot(adj, feats, 1.0)
+    sparse = Snapshot.from_csr(ref.indptr, ref.indices, feats, 1.0)
+    assert dense == sparse
+    for snap in (dense, sparse):
+        assert np.array_equal(snap.indptr, ref.indptr) and np.array_equal(snap.indices, ref.indices)
+        assert snap.indptr.dtype == snap.indices.dtype == np.int32
+        assert not (snap.indptr.flags.writeable or snap.indices.flags.writeable)
+        assert np.array_equal(snap.adjacency, adj) and not snap.adjacency.flags.writeable
+        assert np.array_equal(snap.adjacency_csr.toarray(), adj)
+        assert np.array_equal(snap.degree, adj.sum(axis=1))
+        iu, iv = np.nonzero(np.triu(adj, 1))
+        assert snap.edge_set() == frozenset(zip(iu.tolist(), iv.tolist()))
+
+
+def test_from_csr_copies_its_inputs():
+    indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+    snap = Snapshot.from_csr(indptr, indices, np.zeros((2, 1)), 0.0)
+    indices[:] = 0
+    assert snap.edge_set() == frozenset({(0, 1)})
+
+
+# The path 0-1-2 is indptr [0, 1, 3, 4], indices [1, 0, 2, 1].
+@pytest.mark.parametrize("indptr, indices, match", [
+    ([0, 1, 1, 1], [1], "symmetric"),
+    ([0, 1, 3, 4], [1, 0, 2, 0], "symmetric"),
+    ([0, 1, 1, 1], [0], "no self-loops"),
+    ([0, 1, 3, 4], [1, 2, 0, 1], "strictly increasing"),
+    ([0, 2, 4, 4], [1, 1, 0, 0], "no duplicate edges"),
+    ([0, 1, 3, 4], [1, 0, 3, 1], r"lie in \[0, 3\)"),
+    ([0, 1, 3, 4], [1, -1, 2, 1], r"lie in \[0, 3\)"),
+    ([1, 1, 3, 4], [1, 0, 2, 1], "indptr must rise"),
+    ([0, 3, 1, 4], [1, 0, 2, 1], "indptr must rise"),
+    ([0, 1, 3, 5], [1, 0, 2, 1], "indptr must rise"),
+    ([[0, 1, 3, 4]], [1, 0, 2, 1], "1-D integer"),
+    ([0, 1, 3, 4], [1.0, 0.0, 2.0, 1.0], "1-D integer"),
+])
+def test_from_csr_rejects_a_malformed_pattern(indptr, indices, match):
+    with pytest.raises(ValueError, match=match):
+        Snapshot.from_csr(np.array(indptr), np.array(indices), np.zeros((3, 1)), 0.0)
+
+
+def test_snapshots_compare_by_value_at_any_size():
+    adj = _path_graph(5)
+    feats = np.arange(10.0).reshape(5, 2)
+    assert _snap(adj, feats) == _snap(adj.copy(), feats.copy())
+    assert _snap(adj, feats) != _snap(np.zeros((5, 5)), feats)
+    assert _snap(adj, feats) != _snap(adj, feats + 1.0)
+    assert _snap(adj, feats) != _snap(adj, feats, 1.0)
+    assert _snap(adj, feats) != "not a snapshot"
+
+
+def test_temporal_continuity_structure_equals_the_edge_set_jaccard():
+    rng = np.random.default_rng(29)
+    snaps = []
+    for l in range(6):
+        adj = np.triu(rng.random((7, 7)) < 0.3, 1)
+        snaps.append(_snap(adj | adj.T, rng.normal(size=(7, 2)), float(l)))
+    jac = []
+    for prev, cur in zip(snaps, snaps[1:]):
+        a, b = prev.edge_set(), cur.edge_set()
+        jac.append(1.0 if not a | b else len(a & b) / len(a | b))
+    assert temporal_continuity(SnapshotSequence(tuple(snaps)))[0] == float(np.mean(jac))
