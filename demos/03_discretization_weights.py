@@ -3,27 +3,24 @@ interior graph mutations collapses into a single convex-weighted step."""
 
 import numpy as np
 
-from gssm import (Action, EventStream, HippoConfig, LaplacianKind, Snapshot,
-                  MixMechanism, MutationSchedule, discrete_step,
-                  integrate_hippo, mixed_estimate, segment_weights,
-                  zoh_oracle_step)
+from gssm import (Action, EventStream, GnnParams, HippoConfig, LaplacianKind,
+                  MixMechanism, MutationSchedule, Snapshot, SnapshotSequence,
+                  SsmLayerParams, SsmVariant, integrate_hippo, mixed_estimate,
+                  segment_weights, ssm_forward, zoh_oracle_step)
 
 # --- segment weights ----------------------------------------------------------
 # One mutation at the midpoint of a length-2 interval, scalar state a=-1.
 # The interval splits into two segments whose exact contributions are convex
-# weights: they sit in [0,1] and sum to 1 per state entry.
-blank = np.zeros((2, 2), dtype=bool)
-sched = MutationSchedule(t_start=0.0, t_end=2.0, mutation_times=(1.0,),
-                         adjacencies=(blank, blank),
-                         features=(np.zeros(2), np.zeros(2)))
-w = segment_weights(sched, np.array([-1.0]))
+# weights: they sit in [0,1] and sum to 1 per state entry.  The weights read
+# only the boundary times (t_start, *mutation_times, t_end) and a.
+bounds = (0.0, 1.0, 2.0)
+w = segment_weights(bounds, np.array([-1.0]))
 print("midpoint-mutation weights (a=-1, length 2):", w.ravel())
 print("sum:", w.sum())
 
-# The weights depend only on the times and a -- a faster decay shifts mass
-# onto the segment nearest the interval's end.
+# A faster decay shifts mass onto the segment nearest the interval's end.
 for a in (-0.1, -1.0, -4.0):
-    print(f"a={a:5.1f} ->", segment_weights(sched, np.array([a])).ravel().round(4))
+    print(f"a={a:5.1f} ->", segment_weights(bounds, np.array([a])).ravel().round(4))
 
 # --- the exact one-interval update vs the ODE ---------------------------------
 # Two nodes, an edge appearing mid-interval, piecewise-constant features.
@@ -48,11 +45,20 @@ print(u_exact.round(6))
 print("max gap to the RK4 integration:", float(np.abs(u_exact - u_ode).max()))
 
 # --- the practical per-step recurrence ----------------------------------------
-# discrete_step writes out one step of what the layers run over a whole
-# sequence as a scan: u' = u * e^{delta a} + delta * x b^T.
-u1, y1 = discrete_step(u_exact, feats[1], np.array([0.3, 1.1]), a, b,
-                       c=np.array([1.0, 1.0, 1.0]))
-print("\nafter one discrete step, per-node readout:", y1.round(6))
+# The layers scan u' = u * e^{delta a} + delta * x b^T over a whole sequence.
+# One snapshot from a zero state through an S4 layer with an identity GNN
+# takes one such step, with the first-order drive delta standing in for the
+# exact (e^{delta a} - 1)/a above.
+layer = SsmLayerParams(
+    variant=SsmVariant.S4, a=a[None, :],
+    gnn=GnnParams(weight=np.eye(1), bias=np.zeros(1), self_mix=0.0),
+    b=b[None, :], c=np.ones((1, 3)), delta_weight=np.zeros(1),
+    delta_bias=np.log(np.expm1(0.3)))  # delta = softplus(delta_bias) = 0.3
+one = SnapshotSequence((Snapshot(np.zeros((2, 2), dtype=bool), np.zeros((2, 1)), 1.0),))
+y1 = ssm_forward(one, feats[1].reshape(2, 1, 1), layer)[:, 0, 0]
+exact = feats[1] * float(b @ (np.expm1(0.3 * a) / a))
+print("\none practical step (delta=0.3), per-node readout:", y1.round(6))
+print("exact zero-order hold over the same step:      ", exact.round(6))
 
 # --- drive estimates between consecutive snapshots -----------------------------
 # The step's input can look at the previous snapshot too.  ORDINARY ignores it,

@@ -1,15 +1,16 @@
 """Temporal-graph state-space models at desk scale.
 
-Continuous-time graph-regularized memory (hippo), its exact and practical
-discretizations (discretize), one graph SSM layer forward (`ssm_forward`)
-with S4/S5/S6 wirings over a sequential scan, with a chunked parallel scan
-as its cross-check (layers, scan), temporal-graph containers and formats
-(tgraph), and a synthetic node-classification harness (harness).  `gssm.cli.main` is
-the command-line entry point.
+Continuous-time graph-regularized memory (hippo), its exact one-interval
+discretization and the definition of the layers' drive (discretize), one
+graph SSM layer forward (`ssm_forward`) with S4/S5/S6 wirings over a
+sequential scan, with a chunked parallel scan as its cross-check (layers,
+scan), temporal-graph containers and formats (tgraph), and a synthetic
+node-classification harness (harness).  `gssm.cli.main` is the command-line
+entry point.
 """
 
-from .discretize import (MixMechanism, MutationSchedule, discrete_step,
-                         mixed_estimate, segment_weights, zoh_oracle_step)
+from .discretize import (MixMechanism, MutationSchedule, mixed_estimate,
+                         segment_weights, zoh_oracle_step)
 from .harness import (ModelConfig, ReadoutParams, Split, SyntheticTask,
                       TaskConfig, extract_features, f1_scores,
                       finite_diff_check, gen_synthetic, load_labels,

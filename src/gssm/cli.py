@@ -201,12 +201,9 @@ def suite_weights(seed: int, schedules: int):
         fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
         while len(set(fracs.tolist())) != m:
             fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
-        times = tuple(t0 + length * f for f in fracs)
-        blank = np.zeros((2, 2), dtype=bool)
-        sched = MutationSchedule(t0, t0 + length, times,
-                                 (blank,) * (m + 1), (np.zeros(2),) * (m + 1))
+        bounds = (t0, *(t0 + length * fracs), t0 + length)
         a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
-        w = segment_weights(sched, a)
+        w = segment_weights(bounds, a)
         worst_sum = max(worst_sum, float(np.abs(w.sum(axis=0) - 1.0).max()))
         worst_range = max(worst_range, float(max(-w.min(), w.max() - 1.0)))
     return max(worst_sum, worst_range)
@@ -254,8 +251,10 @@ def suite_reduction(seed: int, instances: int, ode_steps: int):
     return worst
 
 
-_VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000,
-                    "alpha": None, "ode_steps": 200, "quad_points": 2001}
+_HIPPO = {f.name: f.default for f in dataclasses.fields(HippoConfig)}
+_VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000, "alpha": None,
+                    "ode_steps": _HIPPO["ode_steps_per_unit"],
+                    "quad_points": _HIPPO["quadrature_points"]}
 
 
 def cmd_verify(args) -> int:

@@ -1,16 +1,13 @@
-"""Discretizations of the memory flow over one observation interval.
+"""The exact discretization of the memory flow over one observation interval,
+and the definition of the layers' drive.
 
-Two layers of fidelity:
-
-* `zoh_oracle_step` -- the exact zero-order-hold update for a diagonal state
-  matrix when the unobserved mutation times inside the interval are known.
-  Each inter-mutation segment (a piece of `tgraph.segments`, collected by
-  `MutationSchedule.from_stream`) contributes its features, smoothed by
-  `hippo.smoothing_matrix`, through a convex weight (`segment_weights`); the
-  weights depend only on the mutation times, never on the features.
-* `discrete_step` -- one step of the practical update: first-order drive
-  (A^{-1}(e^{dA}-I) ~ d*I) with an adaptive per-node step size.  The layers
-  scan it over a whole sequence; their tests check them against it.
+`zoh_oracle_step` is the exact zero-order-hold update for a diagonal state
+matrix when the unobserved mutation times inside the interval are known.
+Each inter-mutation segment (a piece of `tgraph.segments`, collected by
+`MutationSchedule.from_stream`) contributes its features, smoothed by
+`hippo.smoothing_matrix`, through a convex weight (`segment_weights`); the
+weights depend only on the boundary times, so that is all they take.  The
+practical first-order update lives in `layers.ssm_forward`.
 
 `mixed_estimate` defines the three drive mechanisms over a snapshot
 sequence (plain diffusion, mixing features before diffusion, or mixing
@@ -34,8 +31,8 @@ class MutationSchedule:
 
     Segment i covers [s_i, s_{i+1}) where s_0 = t_start, s_{M+1} = t_end;
     `adjacencies[i]` and `features[i]` are the graph and the per-node scalar
-    features in force on that segment (M+1 of each).  The interval ends and
-    every feature value must be finite.
+    features in force on that segment (M+1 of each).  The boundaries must be
+    finite and strictly increasing, and every feature value finite.
     """
 
     t_start: float
@@ -45,14 +42,9 @@ class MutationSchedule:
     features: tuple
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)
-                and self.t_end > self.t_start):
-            raise ValueError("interval must have finite ends and positive length")
         times = tuple(float(t) for t in self.mutation_times)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("mutation times must be strictly increasing")
-        if times and not (self.t_start < times[0] and times[-1] < self.t_end):
-            raise ValueError("mutation times must lie strictly inside the interval")
+        object.__setattr__(self, "mutation_times", times)
+        _check_boundaries(self.boundaries)
         adjs = tuple(np.asarray(a, dtype=bool) for a in self.adjacencies)
         feats = tuple(np.asarray(x, dtype=float).reshape(-1) for x in self.features)
         if len(adjs) != len(times) + 1 or len(feats) != len(times) + 1:
@@ -63,7 +55,6 @@ class MutationSchedule:
             raise ValueError("segment graphs/features disagree on node count")
         if not all(np.all(np.isfinite(x)) for x in feats):
             raise ValueError("segment features must be finite")
-        object.__setattr__(self, "mutation_times", times)
         object.__setattr__(self, "adjacencies", adjs)
         object.__setattr__(self, "features", feats)
 
@@ -88,30 +79,38 @@ class MutationSchedule:
         return cls(t_start, t_end, tuple(lo for lo, _, _ in pieces[1:]), adjs, tuple(features))
 
 
+def _check_boundaries(boundaries) -> np.ndarray:
+    s = np.asarray(boundaries, dtype=float)
+    if not (s.ndim == 1 and s.size >= 2 and np.isfinite(s).all() and (np.diff(s) > 0).all()):
+        raise ValueError("boundary times must be at least two finite, strictly "
+                         "increasing values")
+    return s
+
+
 def _check_diag(a_diag) -> np.ndarray:
     a = np.asarray(a_diag, dtype=float).reshape(-1)
-    if not np.all(a < 0):
-        raise ValueError("diagonal state entries must be strictly negative")
+    if not (np.isfinite(a).all() and (a < 0).all()):
+        raise ValueError("diagonal state entries must be finite and strictly negative")
     return a
 
 
-def segment_weights(sched: MutationSchedule, a_diag) -> np.ndarray:
-    """Convex weights [num_segments x N] tying each segment's drive into the
-    zero-order-hold update.
+def segment_weights(boundaries, a_diag) -> np.ndarray:
+    """Convex weights [S x N] tying each of the S = len(boundaries) - 1
+    segments' drive into the zero-order-hold update.
 
-    Closed form per diagonal entry a < 0, with s the interval boundaries:
+    Closed form per diagonal entry a < 0, with s = boundaries = (t_start,
+    *mutation_times, t_end) finite and strictly increasing:
 
         w_i = e^{(t_end - s_{i+1}) a} * (e^{(s_{i+1} - s_i) a} - 1) / (e^{(t_end - t_start) a} - 1)
 
     which telescopes to sum 1 over the segments.  Computed with expm1 for
     stability; the (tiny) float residual of the sum is folded into the
-    largest weight so the convexity contract holds exactly.  The weights
-    depend only on the mutation times, never on features or graphs.
+    largest weight so the convexity contract holds exactly.
     """
     a = _check_diag(a_diag)
-    bounds = np.asarray(sched.boundaries)
-    den = np.expm1((sched.t_end - sched.t_start) * a)
-    weights = (np.exp((sched.t_end - bounds[1:, None]) * a)
+    bounds = _check_boundaries(boundaries)
+    den = np.expm1((bounds[-1] - bounds[0]) * a)
+    weights = (np.exp((bounds[-1] - bounds[1:, None]) * a)
                * np.expm1(np.diff(bounds)[:, None] * a) / den)
     residual = 1.0 - weights.sum(axis=0)
     top = np.argmax(weights, axis=0)
@@ -128,7 +127,7 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
 
     everything elementwise over the diagonal entries `a_diag`; d is the
     interval length and w_i are `segment_weights`.  `alpha` must be finite
-    and >= 0, as in `HippoConfig`.
+    and >= 0, as in `HippoConfig`; `u_prev` and `b` must be finite.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be finite and >= 0")
@@ -139,58 +138,15 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
     u_prev = np.asarray(u_prev, dtype=float)
     if u_prev.shape != (sched.num_nodes, a.size):
         raise ValueError(f"u_prev must have shape ({sched.num_nodes}, {a.size})")
+    if not (np.isfinite(b).all() and np.isfinite(u_prev).all()):
+        raise ValueError("u_prev and b must be finite")
 
-    weights = segment_weights(sched, a)
+    weights = segment_weights(sched.boundaries, a)
     drive = sum(np.outer(smoothing_matrix(adj, alpha, kind) @ x, w * b)
                 for adj, x, w in zip(sched.adjacencies, sched.features, weights))
     length = sched.t_end - sched.t_start
     decay = np.exp(length * a)
     return u_prev * decay[None, :] + drive * (np.expm1(length * a) / a)[None, :]
-
-
-def discrete_step(u_prev: np.ndarray, x_hat: np.ndarray, delta, a_diag, b, c):
-    """Practical per-snapshot update and readout.
-
-        u_next = u_prev * e^{delta a} + delta * (x_hat outer b)
-        y      = contract(u_next, c)
-
-    Shapes: scalar-channel x_hat [V] with state [V x N], or vectorized
-    x_hat [V x D] with state [V x D x N] (the same a/b/c across channels).
-    `delta` may be a scalar, per-node [V], or per-node-per-channel [V x D];
-    it must be finite and nonnegative.
-    """
-    a = _check_diag(a_diag)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if not (a.size == b.size == c.size):
-        raise ValueError("a_diag, b, c must share length")
-    x_hat = np.asarray(x_hat, dtype=float)
-    squeeze = x_hat.ndim == 1
-    x = x_hat[:, None] if squeeze else x_hat
-    v, d = x.shape
-
-    u_prev = np.asarray(u_prev, dtype=float)
-    expect = (v, a.size) if squeeze else (v, d, a.size)
-    if u_prev.shape != expect:
-        raise ValueError(f"u_prev must have shape {expect}")
-    u = u_prev[:, None, :] if squeeze else u_prev
-
-    delta = np.asarray(delta, dtype=float)
-    if not np.all(delta >= 0) or not np.all(np.isfinite(delta)):
-        raise ValueError("delta must be finite and nonnegative")
-    if delta.ndim == 0:
-        delta = np.full((v, d), float(delta))
-    elif delta.shape == (v,):
-        delta = np.broadcast_to(delta[:, None], (v, d))
-    elif delta.shape != (v, d):
-        raise ValueError("delta must be scalar, [V], or [V x D]")
-
-    decay = np.exp(delta[:, :, None] * a[None, None, :])
-    u_next = u * decay + (delta * x)[:, :, None] * b[None, None, :]
-    y = u_next @ c
-    if squeeze:
-        return u_next[:, 0, :], y[:, 0]
-    return u_next, y
 
 
 class MixMechanism(Enum):

@@ -24,7 +24,7 @@ from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
                      block_forward, delta_bias_init, glorot, gnn_diffuse,
                      init_a)
-from .tgraph import Snapshot, SnapshotSequence, _csr_from_pairs
+from .tgraph import Snapshot, SnapshotSequence, _csr_from_pairs, _numbers
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -535,21 +535,24 @@ def save_labels(labels: np.ndarray, num_classes: int, path) -> None:
 
 
 def load_labels(path):
+    """Read a file written by `save_labels`.  Every malformed record raises
+    ValueError naming the path."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty labels file")
-    head = lines[0].split()
-    if len(head) != 4 or " ".join(head[:2]) != _LABELS_MAGIC:
-        raise ValueError(f"{path}: malformed header (expected '{_LABELS_MAGIC} <V> <C>')")
-    v, c = int(head[2]), int(head[3])
-    if v < 0:
-        raise ValueError(f"{path}: negative node count {v}")
-    if len(lines) < 1 + v:
-        raise ValueError(f"{path}: expected {v} label lines")
-    if any(line.strip() for line in lines[1 + v:]):
-        raise ValueError(f"{path}: label lines past the declared count of {v}")
-    labels = np.array([int(x) for x in lines[1:1 + v]], dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"{path}: label outside [0, {c})")
+    try:
+        head = lines[0].split() if lines else []
+        if len(head) != 4 or " ".join(head[:2]) != _LABELS_MAGIC:
+            raise ValueError(f"malformed header (expected '{_LABELS_MAGIC} <V> <C>')")
+        v, c = _numbers(head[2:], int, "header sizes")
+        if v < 0:
+            raise ValueError(f"negative node count {v}")
+        if len(lines) < 1 + v:
+            raise ValueError(f"expected {v} label lines")
+        if any(line.strip() for line in lines[1 + v:]):
+            raise ValueError(f"label lines past the declared count of {v}")
+        labels = np.array([_numbers([x], int, "label")[0] for x in lines[1:1 + v]], dtype=int)
+        if labels.size and (labels.min() < 0 or labels.max() >= c):
+            raise ValueError(f"label outside [0, {c})")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return labels, c

@@ -32,7 +32,7 @@ from scipy.special import expit
 
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
-from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
+from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, _numbers, degree_scales
 
 
 def softplus(x):
@@ -517,41 +517,49 @@ def save_checkpoint(named: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Read a file written by `save_checkpoint`.  Every malformed record
+    raises ValueError naming the path."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty checkpoint")
-    header = lines[0].split()
+    try:
+        return _parse_checkpoint(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(lines) -> dict:
+    header = lines[0].split() if lines else []
     if len(header) != 3 or " ".join(header[:2]) != _CKPT_MAGIC:
-        raise ValueError(f"{path}: malformed header (expected '{_CKPT_MAGIC} <count>')")
-    count = int(header[2])
+        raise ValueError(f"malformed header (expected '{_CKPT_MAGIC} <count>')")
+    (count,) = _numbers(header[2:], int, "tensor count")
     if count < 0:
-        raise ValueError(f"{path}: negative tensor count {count}")
+        raise ValueError(f"negative tensor count {count}")
     named = {}
     pos = 1
     for _ in range(count):
         if pos >= len(lines):
-            raise ValueError(f"{path}: truncated checkpoint")
+            raise ValueError("truncated checkpoint")
         meta = lines[pos].split()
         if len(meta) < 2:
-            raise ValueError(f"{path}: malformed tensor record at line {pos + 1}")
-        name, ndim = meta[0], int(meta[1])
+            raise ValueError(f"malformed tensor record at line {pos + 1}")
+        name, (ndim,) = meta[0], _numbers(meta[1:2], int, "tensor rank")
         if name in named:
-            raise ValueError(f"{path}: duplicate tensor {name!r}")
+            raise ValueError(f"duplicate tensor {name!r}")
         if len(meta) != 2 + ndim:
-            raise ValueError(f"{path}: tensor {name!r} declares {ndim} dims, "
-                             f"lists {len(meta) - 2}")
-        shape = tuple(int(s) for s in meta[2:])
+            raise ValueError(f"tensor {name!r} declares {ndim} dims, lists {len(meta) - 2}")
+        shape = tuple(_numbers(meta[2:], int, f"tensor {name!r} shape"))
+        if any(s < 0 for s in shape):
+            raise ValueError(f"tensor {name!r} has a negative dimension")
         if pos + 1 >= len(lines):
-            raise ValueError(f"{path}: missing values for tensor {name!r}")
-        values = np.array([float(x) for x in lines[pos + 1].split()])
+            raise ValueError(f"missing values for tensor {name!r}")
+        values = np.array(_numbers(lines[pos + 1].split(), float, f"tensor {name!r} values"))
         if values.size != int(np.prod(shape, dtype=int)):
-            raise ValueError(f"{path}: tensor {name!r} has {values.size} values, "
+            raise ValueError(f"tensor {name!r} has {values.size} values, "
                              f"expected {int(np.prod(shape, dtype=int))}")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+            raise ValueError(f"tensor {name!r} has non-finite values")
         named[name] = values.reshape(shape)
         pos += 2
     if any(line.strip() for line in lines[pos:]):
-        raise ValueError(f"{path}: records past the declared count of {count}")
+        raise ValueError(f"records past the declared count of {count}")
     return named

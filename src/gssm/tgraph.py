@@ -554,11 +554,12 @@ class _LineReader:
 
 def _numbers(tokens, kind, what):
     """The tokens parsed by `kind` (int or float); ValueError naming `what`
-    if one does not parse."""
+    and quoting the first eight tokens if one does not parse."""
     try:
         return [kind(x) for x in tokens]
     except ValueError:
-        raise ValueError(f"malformed {what} {' '.join(tokens)!r}: expected "
+        shown = " ".join(tokens[:8]) + (" ..." if len(tokens) > 8 else "")
+        raise ValueError(f"malformed {what} {shown!r}: expected "
                          + ("integers" if kind is int else "numbers")) from None
 
 

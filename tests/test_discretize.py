@@ -12,7 +12,6 @@ from gssm import (
     LaplacianKind,
     MixMechanism,
     MutationSchedule,
-    discrete_step,
     integrate_hippo,
     laplacian,
     mixed_estimate,
@@ -60,8 +59,7 @@ def _random_schedule(rng, num_nodes=6, num_mutations=3, t_start=0.3, t_end=3.3):
 
 
 def test_weights_without_mutations_are_all_ones():
-    sched = _blank_schedule(0.0, 1.5, ())
-    w = segment_weights(sched, np.array([-1.0, -0.1, -40.0]))
+    w = segment_weights((0.0, 1.5), np.array([-1.0, -0.1, -40.0]))
     assert w.shape == (1, 3)
     assert np.all(w == 1.0)
 
@@ -69,19 +67,18 @@ def test_weights_without_mutations_are_all_ones():
 def test_weights_midpoint_mutation_closed_form():
     # a = -1 on an interval of length 2 with one mutation at the midpoint:
     # last weight (e^{-1}-1)/(e^{-2}-1), first weight is its complement.
-    sched = _blank_schedule(0.0, 2.0, (1.0,))
-    w = segment_weights(sched, np.array([-1.0]))
+    w = segment_weights((0.0, 1.0, 2.0), np.array([-1.0]))
     assert w[1, 0] == pytest.approx(0.7310585786300049, abs=1e-15)
     assert w[0, 0] == pytest.approx(0.2689414213699951, abs=1e-15)
 
 
-def _segment_weights_loop(sched, a):
+def _segment_weights_loop(bounds, a):
     """Reference: the closed form one segment at a time, then the residual fold."""
-    bounds = np.asarray(sched.boundaries)
-    den = np.expm1((sched.t_end - sched.t_start) * a)
-    weights = np.empty((sched.num_segments, a.size))
-    for i in range(sched.num_segments):
-        weights[i] = (np.exp((sched.t_end - bounds[i + 1]) * a)
+    bounds = np.asarray(bounds)
+    den = np.expm1((bounds[-1] - bounds[0]) * a)
+    weights = np.empty((bounds.size - 1, a.size))
+    for i in range(bounds.size - 1):
+        weights[i] = (np.exp((bounds[-1] - bounds[i + 1]) * a)
                       * np.expm1((bounds[i + 1] - bounds[i]) * a) / den)
     residual = 1.0 - weights.sum(axis=0)
     top = np.argmax(weights, axis=0)
@@ -95,34 +92,31 @@ def test_weights_are_convex_on_random_schedules():
         length = float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
         t_start = rng.uniform(0.0, 2.0)
         cuts = np.sort(rng.uniform(0.01, 0.99, size=rng.integers(0, 5)))
-        times = tuple(t_start + float(f) * length for f in np.unique(cuts))
-        sched = _blank_schedule(t_start, t_start + length, times)
+        bounds = (t_start, *(t_start + float(f) * length for f in np.unique(cuts)),
+                  t_start + length)
         a = -np.exp(rng.uniform(-7.0, 3.5, size=rng.integers(1, 7)))
-        w = segment_weights(sched, a)
-        assert np.array_equal(w, _segment_weights_loop(sched, a))
+        w = segment_weights(bounds, a)
+        assert np.array_equal(w, _segment_weights_loop(bounds, a))
         assert w.min() >= 0.0
         assert w.max() <= 1.0
         assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
 
 
-def test_weights_ignore_features_and_graphs():
-    rng = np.random.default_rng(43)
-    times = (0.4, 1.1)
-    adj = np.zeros((3, 3), dtype=bool)
-    busy = np.triu(np.ones((3, 3), dtype=bool), 1)
-    busy = busy | busy.T
-    a = np.array([-0.5, -2.0])
-    blank = MutationSchedule(0.0, 2.0, times, (adj,) * 3, tuple(np.zeros(3) for _ in range(3)))
-    noisy = MutationSchedule(
-        0.0, 2.0, times, (busy,) * 3, tuple(rng.normal(size=3) for _ in range(3))
-    )
-    assert np.array_equal(segment_weights(blank, a), segment_weights(noisy, a))
+@pytest.mark.parametrize("bounds", [
+    (0.0, math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, 0.5, 0.5, 1.0),
+    (0.0, 0.7, 0.3, 1.0), (1.0, 0.0), (0.0,), (), [[0.0, 1.0]],
+], ids=["nan", "inf", "neg_inf", "repeated", "decreasing", "reversed", "one", "none",
+        "two_dimensional"])
+def test_weights_reject_bad_boundaries(bounds):
+    with pytest.raises(ValueError, match="boundary times"):
+        segment_weights(bounds, np.array([-1.0]))
 
 
-def test_weights_reject_nonnegative_diagonal():
-    sched = _blank_schedule(0.0, 1.0, ())
-    with pytest.raises(ValueError):
-        segment_weights(sched, np.array([-1.0, 0.0]))
+@pytest.mark.parametrize("a", [[-1.0, 0.0], [-math.inf, -1.0], [math.nan, -1.0]],
+                         ids=["zero", "neg_inf", "nan"])
+def test_weights_reject_nonnegative_or_non_finite_diagonal(a):
+    with pytest.raises(ValueError, match="diagonal"):
+        segment_weights((0.0, 1.0), np.array(a))
 
 
 # ---------------------------------------------------------------------------
@@ -270,99 +264,24 @@ def test_oracle_step_rejects_negative_or_non_finite_alpha(alpha):
                         LaplacianKind.SYMMETRIC)
 
 
-# ---------------------------------------------------------------------------
-# practical step
+@pytest.mark.parametrize("a", [[-math.inf, -1.0], [math.nan, -1.0], [-1.0, 0.0]],
+                         ids=["neg_inf", "nan", "zero"])
+def test_oracle_step_rejects_nonnegative_or_non_finite_diagonal(a):
+    sched = _blank_schedule(0.0, 1.0, ())
+    with pytest.raises(ValueError, match="diagonal"):
+        zoh_oracle_step(np.zeros((2, 2)), sched, np.array(a), np.ones(2), 0.0,
+                        LaplacianKind.SYMMETRIC)
 
 
-def test_discrete_step_zero_delta_is_identity():
-    rng = np.random.default_rng(7)
-    u_prev = rng.normal(size=(3, 2))
-    c = np.array([1.0, -2.0])
-    u_next, y = discrete_step(u_prev, rng.normal(size=3), 0.0, np.array([-1.0, -0.5]),
-                              np.ones(2), c)
-    assert np.array_equal(u_next, u_prev)
-    assert y == pytest.approx(u_prev @ c)
-
-
-def test_discrete_step_zero_state_zero_input():
-    u_next, y = discrete_step(np.zeros((2, 2)), np.zeros(2), 0.7, np.array([-1.0, -2.0]),
-                              np.ones(2), np.ones(2))
-    assert np.all(u_next == 0.0)
-    assert np.all(y == 0.0)
-
-
-def test_discrete_step_scalar_snapshot_evaluation():
-    u_next, y = discrete_step(np.array([[0.5]]), np.array([1.0]), 1.0, np.array([-1.0]),
-                              np.array([1.0]), np.array([1.0]))
-    assert u_next[0, 0] == pytest.approx(0.5 * math.exp(-1.0) + 1.0, abs=1e-15)
-    assert y[0] == pytest.approx(1.1839397205857212, abs=1e-15)
-
-
-def test_discrete_step_drive_error_shrinks_quadratically():
-    # the step approximates (e^{da}-1)/a by d; halving d cuts the gap ~4x
-    a = np.array([-1.3])
-    b = np.array([1.0])
-    c = np.array([1.0])
-    u_prev = np.array([[0.0]])
-    x = np.array([1.0])
-
-    def gap(delta):
-        approx, _ = discrete_step(u_prev, x, delta, a, b, c)
-        exact = np.expm1(delta * a) / a
-        return abs(approx[0, 0] - exact[0])
-
-    ratio_one = gap(0.2) / gap(0.1)
-    ratio_two = gap(0.1) / gap(0.05)
-    assert 3.4 <= ratio_one <= 4.6
-    assert 3.7 <= ratio_two <= 4.3
-
-
-def test_discrete_step_vectorized_channels_match_scalar_loop():
-    rng = np.random.default_rng(13)
-    v, d, n = 4, 3, 2
-    a = -np.exp(rng.uniform(-1.0, 1.0, size=n))
-    b = rng.normal(size=n)
-    c = rng.normal(size=n)
-    u_prev = rng.normal(size=(v, d, n))
-    x = rng.normal(size=(v, d))
-    delta = rng.uniform(0.1, 1.0, size=(v, d))
-    u_next, y = discrete_step(u_prev, x, delta, a, b, c)
-    for k in range(d):
-        u_k, y_k = discrete_step(u_prev[:, k, :], x[:, k], delta[:, k], a, b, c)
-        assert np.array_equal(u_next[:, k, :], u_k)
-        assert y[:, k] == pytest.approx(y_k, abs=1e-14)  # matmul path differs by ~1 ulp
-
-
-def test_discrete_step_per_node_delta_broadcasts_over_channels():
-    rng = np.random.default_rng(17)
-    v, d, n = 3, 2, 2
-    a = np.array([-1.0, -0.3])
-    b = np.ones(n)
-    c = np.ones(n)
-    u_prev = rng.normal(size=(v, d, n))
-    x = rng.normal(size=(v, d))
-    delta_v = rng.uniform(0.1, 1.0, size=v)
-    direct = discrete_step(u_prev, x, delta_v, a, b, c)
-    tiled = discrete_step(u_prev, x, np.tile(delta_v[:, None], (1, d)), a, b, c)
-    assert np.array_equal(direct[0], tiled[0])
-
-
-def test_discrete_step_rejects_negative_delta():
-    with pytest.raises(ValueError):
-        discrete_step(np.zeros((1, 1)), np.zeros(1), -0.1, np.array([-1.0]), np.ones(1),
-                      np.ones(1))
-
-
-def test_discrete_step_rejects_nan_delta():
-    with pytest.raises(ValueError):
-        discrete_step(np.zeros((1, 1)), np.zeros(1), np.nan, np.array([-1.0]), np.ones(1),
-                      np.ones(1))
-
-
-def test_discrete_step_rejects_mismatched_state_vectors():
-    with pytest.raises(ValueError):
-        discrete_step(np.zeros((1, 2)), np.zeros(1), 0.1, np.array([-1.0, -1.0]), np.ones(1),
-                      np.ones(2))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["u_prev", "b"])
+def test_oracle_step_rejects_non_finite_state_or_input_vector(where, bad):
+    sched = _blank_schedule(0.0, 1.0, ())
+    args = {"u_prev": np.zeros((2, 2)), "b": np.ones(2)}
+    args[where].flat[1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        zoh_oracle_step(args["u_prev"], sched, np.array([-1.0, -2.0]), args["b"], 0.0,
+                        LaplacianKind.SYMMETRIC)
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,21 @@ def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):
     assert c == 3 and np.array_equal(back, [0, 1])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("GSSML v1 2 3\n0\n1.5\n", "malformed label '1.5'"),
+    ("GSSML v1 x 3\n", "malformed header sizes 'x 3'"),
+    ("GSSML v1 2 y\n0\n1\n", "malformed header sizes '2 y'"),
+    ("", "malformed header"),
+    ("GSSML v1 1 3\n0 1\n", "malformed label '0 1'"),
+], ids=["float_label", "bad_count", "bad_classes", "empty", "two_tokens"])
+def test_labels_parse_errors_name_the_path(tmp_path, text, message):
+    path = tmp_path / "bad.labels"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_labels(path)
+    assert str(excinfo.value).startswith(f"{path}: {message}")
+
+
 def test_task_rejects_non_integer_labels_and_split_indices():
     task = gen_synthetic(4, _tiny_task_cfg())
     labels = task.labels.astype(float)

@@ -29,7 +29,6 @@ from gssm import (
     apply_mix,
     block_forward,
     delta_bias_init,
-    discrete_step,
     gnn_diffuse,
     glorot,
     init_a,
@@ -458,9 +457,11 @@ def test_s4_zero_parameters_zero_input_give_zero_output():
     assert np.array_equal(out, np.zeros((v, l, d)))
 
 
-def test_s4_single_snapshot_equals_one_discrete_step():
-    """Each snapshot of the forward is one `discrete_step` of the carried
-    state: at L=1 with no predecessor, and over L=5 with REPR_MIX inputs."""
+def test_s4_single_snapshot_equals_one_per_channel_step():
+    """Each snapshot of the forward is one step of the carried state,
+    u <- u * e^{delta a_k} + delta * h_k b_k with one delta per node for
+    every channel k: at L=1 with no predecessor, and over L=5 with REPR_MIX
+    inputs."""
     rng = np.random.default_rng(17)
     v, d, n = 5, 3, 4
     for length in (1, 5):
@@ -472,13 +473,72 @@ def test_s4_single_snapshot_equals_one_discrete_step():
         estimates = _drive_estimates(seq, hidden, p, p.mix_mechanism)
         if length == 1:  # no predecessor: mixing bypassed
             assert np.array_equal(estimates[0], gnn_diffuse(hidden[:, 0], seq[0], p.gnn))
-        states = np.zeros((d, v, n))
+        states = np.zeros((v, d, n))
         for l, h in enumerate(estimates):
             delta = softplus(h @ p.delta_weight + p.delta_bias)
             for k in range(d):
-                states[k], y = discrete_step(states[k], h[:, k], delta,
-                                             p.a[k], p.b[k], p.c[k])
-                assert out[:, l, k] == pytest.approx(y, abs=1e-12)
+                states[:, k] = (states[:, k] * np.exp(np.outer(delta, p.a[k]))
+                                + np.outer(delta * h[:, k], p.b[k]))
+                assert out[:, l, k] == pytest.approx(states[:, k] @ p.c[k], abs=1e-12)
+
+
+def _scalar_s4(a, b, c, delta_bias):
+    """S4 on one channel and one state entry with an identity GNN and a
+    constant step delta = softplus(delta_bias)."""
+    return SsmLayerParams(
+        variant=SsmVariant.S4, a=np.array([[a]]),
+        gnn=GnnParams(weight=np.eye(1), bias=np.zeros(1), self_mix=0.0),
+        b=np.array([[b]]), c=np.array([[c]]), delta_weight=np.zeros(1),
+        delta_bias=delta_bias,
+    )
+
+
+def _one_node_sequence(length):
+    return SnapshotSequence(tuple(
+        Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=np.zeros((1, 1)),
+                 timestamp=float(t + 1))
+        for t in range(length)))
+
+
+def test_s4_scalar_two_snapshot_evaluation():
+    # delta = 1: u_1 = 0.5, then u_2 = 0.5 e^{-1} + 1 and y_2 = u_2.
+    p = _scalar_s4(-1.0, 1.0, 1.0, math.log(math.expm1(1.0)))
+    y = ssm_forward(_one_node_sequence(2), np.array([[[0.5], [1.0]]]), p)
+    assert y[0, :, 0] == pytest.approx([0.5, 0.5 * math.exp(-1.0) + 1.0], abs=1e-15)
+    assert y[0, 1, 0] == pytest.approx(1.1839397205857212, abs=1e-15)
+
+
+def test_s4_zero_step_or_zero_drive_keeps_the_state_at_zero():
+    """delta = softplus(-800) is exactly 0, so the state never leaves its zero
+    start whatever the input; with a zero input there is no drive at all."""
+    rng = np.random.default_rng(7)
+    v, l, d, n = 3, 4, 2, 3
+    seq = _sequence(rng, v, l, d)
+    p = _s4_params(rng, d, n)
+    stuck = dataclasses.replace(p, delta_weight=np.zeros(d), delta_bias=-800.0)
+    assert softplus(-800.0) == 0.0
+    assert np.array_equal(ssm_forward(seq, rng.normal(size=(v, l, d)), stuck),
+                          np.zeros((v, l, d)))
+    undriven = dataclasses.replace(p, gnn=dataclasses.replace(p.gnn, bias=np.zeros(d)))
+    assert np.array_equal(ssm_forward(seq, np.zeros((v, l, d)), undriven),
+                          np.zeros((v, l, d)))
+
+
+def test_s4_drive_error_shrinks_quadratically():
+    # One snapshot from a zero state: the layer's drive delta*b*h stands in
+    # for the exact (e^{delta a} - 1)/a * b*h; halving delta cuts the gap ~4x.
+    a = -1.3
+
+    def gap(delta):
+        p = _scalar_s4(a, 1.0, 1.0, math.log(math.expm1(delta)))
+        step = float(softplus(p.delta_bias))
+        y = ssm_forward(_one_node_sequence(1), np.ones((1, 1, 1)), p)[0, 0, 0]
+        return abs(y - math.expm1(step * a) / a)
+
+    ratio_one = gap(0.2) / gap(0.1)
+    ratio_two = gap(0.1) / gap(0.05)
+    assert 3.4 <= ratio_one <= 4.6
+    assert 3.7 <= ratio_two <= 4.3
 
 
 def test_s5_zero_parameters_zero_input_give_zero_output():
@@ -1011,6 +1071,24 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
     path.write_text("GSSMX v1 1\nfoo 1 2\n0.0 1.0\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("GSSMP v1 1\nfoo 1 2\n0.0 abc\n", "malformed tensor 'foo' values '0.0 abc'"),
+    ("GSSMP v1 1\nfoo 1 10\n0 0 0 0 0 0 0 0 0 abc\n",
+     "malformed tensor 'foo' values '0 0 0 0 0 0 0 0 ...'"),
+    ("GSSMP v1 1\nfoo x 2\n0.0 1.0\n", "malformed tensor rank 'x'"),
+    ("GSSMP v1 1\nfoo 2 -2 -1\n0.0 1.0\n", "tensor 'foo' has a negative dimension"),
+    ("GSSMP v1 1\nfoo 1 2.5\n0.0 1.0\n", "malformed tensor 'foo' shape '2.5'"),
+    ("GSSMP v1 one\n", "malformed tensor count 'one'"),
+    ("", "malformed header"),
+], ids=["bad_value", "long_bad_values", "bad_rank", "negative_dims", "float_dim", "bad_count", "empty"])
+def test_checkpoint_parse_errors_name_the_path(tmp_path, text, message):
+    path = tmp_path / "bad.gssmp"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value).startswith(f"{path}: {message}")
 
 
 def test_checkpoint_rejects_wrong_value_count(tmp_path):
