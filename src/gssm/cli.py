@@ -21,7 +21,8 @@ import time
 
 import numpy as np
 
-from .discretize import MixMechanism, MutationSchedule, segment_weights, zoh_oracle_step
+from .discretize import (MixMechanism, MutationSchedule, _segment_weights_stack,
+                         zoh_oracle_step)
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, named_rng,
                       results_to_csv, run_experiment, save_labels)
 from .hippo import TIME_ORIGIN, HippoConfig, integrate_hippo, projection_oracle
@@ -63,23 +64,31 @@ def _coerce(value: str, like):
         if low in _FALSE:
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+    for kind, name in ((int, "an integer"), (float, "a number")):
+        if isinstance(like, kind):
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"expected {name}, got {value!r}") from None
     return value
 
 
 def _settings(args, defaults: dict) -> dict:
-    """Effective settings: explicit flag > config file > default."""
-    file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    """Effective settings: explicit flag > config file > default.  A file value
+    that does not parse as its default's type raises ValueError naming the
+    file and the key."""
+    path = getattr(args, "config", None)
+    file_cfg = _load_config(path) if path else {}
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
-            out[key] = _coerce(file_cfg[key], default if default is not None else "")
+            try:
+                out[key] = _coerce(file_cfg[key], default if default is not None else "")
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
         else:
             out[key] = default
     return out
@@ -189,10 +198,12 @@ def suite_zoh(seed: int, instances: int, alphas, ode_steps: int):
 
 
 def suite_weights(seed: int, schedules: int):
-    """Convexity of the segment weights: entries in [0,1], columns sum to 1."""
+    """Convexity of the segment weights: entries in [0,1], columns sum to 1.
+
+    The schedules are drawn one at a time, then weighed in one stack per
+    (mutation count, diagonal size)."""
     rng = named_rng(seed, "verify-weights")
-    worst_sum = 0.0
-    worst_range = 0.0
+    stacks = {}
     for _ in range(schedules):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(0, 7))
@@ -203,10 +214,14 @@ def suite_weights(seed: int, schedules: int):
             fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
         bounds = (t0, *(t0 + length * fracs), t0 + length)
         a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
-        w = segment_weights(bounds, a)
-        worst_sum = max(worst_sum, float(np.abs(w.sum(axis=0) - 1.0).max()))
-        worst_range = max(worst_range, float(max(-w.min(), w.max() - 1.0)))
-    return max(worst_sum, worst_range)
+        stacks.setdefault((m, n), []).append((bounds, a))
+    worst = 0.0
+    for rows in stacks.values():
+        bounds, a = zip(*rows)
+        w = _segment_weights_stack(bounds, a)
+        worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()),
+                    float(-w.min()), float(w.max() - 1.0))
+    return worst
 
 
 def suite_reduction(seed: int, instances: int, ode_steps: int):

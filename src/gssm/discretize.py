@@ -79,16 +79,19 @@ class MutationSchedule:
         return cls(t_start, t_end, tuple(lo for lo, _, _ in pieces[1:]), adjs, tuple(features))
 
 
-def _check_boundaries(boundaries) -> np.ndarray:
+def _check_boundaries(boundaries, ndim=1) -> np.ndarray:
+    """Boundary times as a float array of `ndim` dimensions whose rows along
+    the last axis are each at least two finite, strictly increasing values."""
     s = np.asarray(boundaries, dtype=float)
-    if not (s.ndim == 1 and s.size >= 2 and np.isfinite(s).all() and (np.diff(s) > 0).all()):
+    if not (s.ndim == ndim and s.shape[-1] >= 2 and np.isfinite(s).all()
+            and (np.diff(s, axis=-1) > 0).all()):
         raise ValueError("boundary times must be at least two finite, strictly "
                          "increasing values")
     return s
 
 
 def _check_diag(a_diag) -> np.ndarray:
-    a = np.asarray(a_diag, dtype=float).reshape(-1)
+    a = np.asarray(a_diag, dtype=float)
     if not (np.isfinite(a).all() and (a < 0).all()):
         raise ValueError("diagonal state entries must be finite and strictly negative")
     return a
@@ -105,16 +108,28 @@ def segment_weights(boundaries, a_diag) -> np.ndarray:
 
     which telescopes to sum 1 over the segments.  Computed with expm1 for
     stability; the (tiny) float residual of the sum is folded into the
-    largest weight so the convexity contract holds exactly.
+    largest weight so the convexity contract holds exactly.  This is the
+    one-schedule case of `_segment_weights_stack`, which computes a stack of
+    schedules with the same segment and diagonal counts in one pass.
     """
+    bounds = np.asarray(boundaries, dtype=float)[None]
+    return _segment_weights_stack(bounds, np.reshape(a_diag, (1, -1)))[0]
+
+
+def _segment_weights_stack(boundaries, a_diag) -> np.ndarray:
+    """`segment_weights` of B schedules at once: boundaries [B x (S+1)] and
+    diagonals [B x N] in, weights [B x S x N] out, row b bit-identical to
+    segment_weights(boundaries[b], a_diag[b])."""
     a = _check_diag(a_diag)
-    bounds = _check_boundaries(boundaries)
-    den = np.expm1((bounds[-1] - bounds[0]) * a)
-    weights = (np.exp((bounds[-1] - bounds[1:, None]) * a)
-               * np.expm1(np.diff(bounds)[:, None] * a) / den)
-    residual = 1.0 - weights.sum(axis=0)
-    top = np.argmax(weights, axis=0)
-    weights[top, np.arange(a.size)] += residual
+    bounds = _check_boundaries(boundaries, ndim=2)
+    den = np.expm1((bounds[:, -1] - bounds[:, 0])[:, None] * a)[:, None, :]
+    a = a[:, None, :]
+    weights = (np.exp((bounds[:, -1:] - bounds[:, 1:])[:, :, None] * a)
+               * np.expm1(np.diff(bounds, axis=1)[:, :, None] * a) / den)
+    residual = 1.0 - weights.sum(axis=1)
+    top = np.argmax(weights, axis=1)
+    rows, cols = np.indices(top.shape, sparse=True)
+    weights[rows, top, cols] += residual
     return weights
 
 
@@ -131,7 +146,7 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be finite and >= 0")
-    a = _check_diag(a_diag)
+    a = _check_diag(a_diag).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != a.size:
         raise ValueError("a_diag and b must have equal length")

@@ -546,6 +546,8 @@ def load_labels(path):
         v, c = _numbers(head[2:], int, "header sizes")
         if v < 0:
             raise ValueError(f"negative node count {v}")
+        if c < 1:
+            raise ValueError(f"class count {c} is below 1")
         if len(lines) < 1 + v:
             raise ValueError(f"expected {v} label lines")
         if any(line.strip() for line in lines[1 + v:]):

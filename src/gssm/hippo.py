@@ -11,7 +11,9 @@ piecewise between edge mutations, where (A, B) are the HiPPO-LegS matrices.
 `smoothing_matrix` turns each piece's graph into the dense operator
 (I + alpha * L)^{-1}.  On such a piece the flow is linear and time-invariant
 in U, so `integrate_hippo` takes each classical RK4 step as one precomputed
-affine map and smooths all of a block's stage features in one product.
+affine map, smooths all of a block's stage features in one product, and
+composes the block's steps in one product more: the step matrix's powers
+(built by doubling) and the stage gains are built once per segment.
 `projection_oracle` provides the independent brute-force check: project each
 node's history onto normalized Legendre polynomials by quadrature, then apply
 the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
@@ -41,7 +43,8 @@ from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges,
 # as the earliest usable time origin.
 TIME_ORIGIN = 1e-3
 
-# RK4 steps whose stage features and forcing integrate_hippo holds at once.
+# RK4 steps whose stage features, step-matrix powers and gains
+# integrate_hippo holds at once.
 _BLOCK_STEPS = 256
 
 
@@ -154,11 +157,19 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     with Z = h A^T, P = I + Z + Z^2/2 + Z^3/6 + Z^4/24 (RK4's stability
     polynomial), bQ0 = h b (I + Z + Z^2/2 + Z^3/4)/6, bQmid = h b (4I + 2Z +
     Z^2/2)/6, bQ1 = h b/6 and x0, x_mid, x1 the features at the step's start,
-    midpoint and end.  P and the bQ rows are built once per segment.  Steps
-    are taken in blocks of a fixed size, so the extra memory does not grow
-    with nst, and the feature path is called once per block on the block's
-    stage times not yet evaluated: over a segment of nst steps the calls
-    cover its 2*nst + 1 distinct stage times once each, in increasing order.
+    midpoint and end.  Steps are taken in blocks of at most kmax =
+    min(_BLOCK_STEPS, nst), and a block of j steps with smoothed stage
+    features y_k,s (step k, stage s) needs only its end state:
+
+        U <- U P^j + sum_k sum_s y_k,s (x) G[kmax - j + k, s],
+        G[k, s] = bQs P^(kmax - 1 - k),
+
+    one product and one einsum.  Once per segment P^0..P^kmax are built by
+    doubling (log2 kmax stacked products) and the gains G from them, so the
+    extra memory does not grow with nst.  The feature path is called once
+    per block on the block's stage times not yet evaluated: over a segment of
+    nst steps the calls cover its 2*nst + 1 distinct stage times once each,
+    in increasing order.
 
     u_start/t_start default to a zero state at TIME_ORIGIN; passing both lets
     discretization tests resume the flow mid-interval.  `system` optionally
@@ -198,6 +209,12 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
         bq = (h / 6.0) * np.stack([b_vec @ (eye + z + z2 / 2.0 + z3 / 4.0),
                                    b_vec @ (4.0 * eye + 2.0 * z + z2 / 2.0),
                                    b_vec])
+        # P^0 .. P^kmax by doubling; gains[k, s] = bq[s] P^(kmax-1-k).
+        kmax = min(_BLOCK_STEPS, nst)
+        powers = np.stack([eye, p])
+        while len(powers) <= kmax:
+            powers = np.concatenate((powers, powers[1:kmax + 2 - len(powers)] @ powers[-1]))
+        gains = bq @ powers[kmax - 1::-1]
 
         t = seg_a
         carried = np.empty((0, stream.num_nodes))  # smoothed features at t, once known
@@ -214,8 +231,7 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
             s = np.concatenate((carried, x @ smooth_t))
             # Step k reads the smoothed features at stages 2k, 2k+1, 2k+2.
             stages = np.lib.stride_tricks.sliding_window_view(s, 3, axis=0)[::2]
-            for drive in np.einsum("kvs,sn->kvn", stages, bq):
-                u = u @ p + drive
+            u = u @ powers[steps] + np.einsum("kvs,ksn->vn", stages, gains[kmax - steps:])
             t, carried = ends[-1], s[-1:]
     return CoefficientState(u, t_end)
 

@@ -276,6 +276,26 @@ def test_config_file_with_a_malformed_line_is_an_input_error(capsys, tmp_path):
     assert "key=value" in err
 
 
+@pytest.mark.parametrize("line, argv, message", [
+    ("ode_steps = 1.5", ["verify"], "ode_steps: expected an integer, got '1.5'"),
+    ("noise = abc", ["run", "--seeds", "0"], "noise: expected a number, got 'abc'"),
+    ("skip_static = maybe", ["run", "--seeds", "0"],
+     "skip_static: expected a boolean, got 'maybe'"),
+], ids=["int", "float", "bool"])
+def test_config_value_of_the_wrong_type_names_the_file_and_key(capsys, tmp_path,
+                                                                line, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 0\n{line}\n", encoding="ascii")
+    out = tmp_path / "r.csv"
+    if argv[0] == "run":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from gssm import (
     segment_weights,
     zoh_oracle_step,
 )
+from gssm.cli import suite_weights
+from gssm.discretize import _segment_weights_stack
+from gssm.harness import named_rng
 
 
 def _blank_schedule(t_start, t_end, mutation_times, num_nodes=2):
@@ -117,6 +120,75 @@ def test_weights_reject_bad_boundaries(bounds):
 def test_weights_reject_nonnegative_or_non_finite_diagonal(a):
     with pytest.raises(ValueError, match="diagonal"):
         segment_weights((0.0, 1.0), np.array(a))
+
+
+def _random_stack(rng, count, segs, size):
+    """`count` schedules of `segs` segments and `size` diagonal entries, with
+    lengths from 1e-3 to 50 and rates from e^-7 to e^3.5."""
+    t_start = rng.uniform(-5.0, 5.0, size=(count, 1))
+    length = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), size=(count, 1)))
+    cuts = np.sort(rng.uniform(0.01, 0.99, size=(count, segs - 1)), axis=1)
+    bounds = np.hstack([t_start, t_start + length * cuts, t_start + length])
+    return bounds, -np.exp(rng.uniform(-7.0, 3.5, size=(count, size)))
+
+
+@pytest.mark.parametrize("count,segs,size", [(1, 1, 1), (5, 1, 4), (40, 3, 1), (17, 7, 8),
+                                             (9, 12, 3), (3, 30, 11)])
+def test_weight_stack_equals_the_loop_row_by_row(count, segs, size):
+    rng = np.random.default_rng(1000 * count + 10 * segs + size)
+    bounds, a = _random_stack(rng, count, segs, size)
+    w = _segment_weights_stack(bounds, a)
+    assert w.shape == (count, segs, size)
+    for row, (b, d) in enumerate(zip(bounds, a)):
+        assert np.array_equal(w[row], _segment_weights_loop(b, d))
+        assert np.array_equal(w[row], segment_weights(b, d))
+
+
+# One bad entry: (array, column, new value given the row of that array).
+_BAD_ROWS = {"nan": ("bounds", 2, lambda r: math.nan), "inf": ("bounds", 0, lambda r: math.inf),
+             "repeated": ("bounds", 2, lambda r: r[1]), "decreasing": ("bounds", 3, lambda r: r[1]),
+             "zero_rate": ("a", 1, lambda r: 0.0), "positive_rate": ("a", 0, lambda r: 0.5),
+             "nan_rate": ("a", 2, lambda r: math.nan)}
+
+
+@pytest.mark.parametrize("row", [0, 6, 11])
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+def test_weight_stack_rejects_one_bad_row_like_the_single_schedule(bad, row):
+    bounds, a = _random_stack(np.random.default_rng(7), 12, 4, 3)
+    which, col, value = _BAD_ROWS[bad]
+    target = a if which == "a" else bounds
+    target[row, col] = value(target[row])
+    with pytest.raises(ValueError) as single:
+        segment_weights(bounds[row], a[row])
+    with pytest.raises(ValueError) as stacked:
+        _segment_weights_stack(bounds, a)
+    assert str(stacked.value) == str(single.value)
+
+
+def _suite_weights_loop(seed, schedules):
+    """Reference: the weights suite one schedule at a time, as it was drawn."""
+    rng = named_rng(seed, "verify-weights")
+    worst_sum = 0.0
+    worst_range = 0.0
+    for _ in range(schedules):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(0, 7))
+        t0 = float(rng.uniform(-5.0, 5.0))
+        length = float(rng.uniform(1e-3, 50.0))
+        fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
+        while len(set(fracs.tolist())) != m:
+            fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
+        bounds = (t0, *(t0 + length * fracs), t0 + length)
+        a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
+        w = segment_weights(bounds, a)
+        worst_sum = max(worst_sum, float(np.abs(w.sum(axis=0) - 1.0).max()))
+        worst_range = max(worst_range, float(max(-w.min(), w.max() - 1.0)))
+    return max(worst_sum, worst_range)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weights_suite_equals_the_per_schedule_loop(seed):
+    assert suite_weights(seed, 1000) == _suite_weights_loop(seed, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -595,6 +595,19 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
         "c55dfaf09be1c645f548a14d95acc30ab542a01c5877012df6d015be2fec1b19")
 
 
+def test_verify_prints_the_pinned_oracle_errors(capsys):
+    # The benchmark's verify op on seed 0; hippo-reduction is left out, its
+    # error sits at the level of float rounding.
+    argv = ["verify", "--config", str(_ACCEPTANCE_CFG), "--seed", "0",
+            "--instances", "3", "--ode-steps", "50"]
+    assert main(argv) == 0
+    errors = dict(line.split()[1:3] for line in capsys.readouterr().out.splitlines())
+    assert {name: errors[name] for name in
+            ("projection-vs-ode", "zoh-vs-ode", "weights-convexity")} == {
+        "projection-vs-ode": "max_err=9.570e-06", "zoh-vs-ode": "max_err=1.146e-08",
+        "weights-convexity": "max_err=2.220e-16"}
+
+
 def test_results_csv_round_trips_exact_floats():
     rows = [
         {"seed": 0, "variant": "s4", "init": "s4d_real",
@@ -645,6 +658,16 @@ def test_labels_reject_malformed_files(tmp_path):
     path.write_text("GSSML v1 2 2\n0\n5\n")
     with pytest.raises(ValueError):
         load_labels(path)
+
+
+@pytest.mark.parametrize("text", ["GSSML v1 0 -3\n", "GSSML v1 0 0\n", "GSSML v1 2 0\n0\n0\n"],
+                         ids=["negative_empty", "zero_empty", "zero_with_labels"])
+def test_labels_reject_a_class_count_below_one(tmp_path, text):
+    path = tmp_path / "bad.labels"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_labels(path)
+    assert str(excinfo.value).startswith(f"{path}: class count ")
 
 
 def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):

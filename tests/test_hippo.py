@@ -351,7 +351,7 @@ _REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("seed,kind,alpha,path_kind", _REFERENCE_CASES)
 def test_integrator_matches_stagewise_rk4(monkeypatch, block, seed, kind, alpha, path_kind):
     if block is not None:
@@ -377,6 +377,26 @@ def test_integrator_matches_stagewise_rk4(monkeypatch, block, seed, kind, alpha,
         kwargs["t_start"] = float(rng.uniform(0.1, 0.5))
     got = integrate_hippo(stream, path, cfg, horizon, **kwargs).u
     ref = _stagewise_rk4(stream, path, cfg, horizon, **kwargs)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# One run per way a block composition can go wrong: a 6200-step segment (24
+# full blocks of 256 and a partial one of 56), and order 8 at one step per
+# unit, where h*(-8) lies outside RK4's stability region so the powers of
+# the step matrix grow by about 1e2 per step.
+@pytest.mark.parametrize("block,order,steps_per_unit", [
+    (None, 4, 2000), (None, 8, 1), (2, 8, 1)], ids=["long", "unstable", "unstable-block2"])
+def test_integrator_matches_stagewise_rk4_on_long_and_unstable_segments(
+        monkeypatch, block, order, steps_per_unit):
+    if block is not None:
+        monkeypatch.setattr(hippo, "_BLOCK_STEPS", block)
+    horizon = 3.3 if steps_per_unit > 1 else 12.0
+    stream = EventStream(num_nodes=3, horizon=horizon, initial_edges=frozenset({(0, 1)}),
+                         events=((1, 2, 0.2, Action.INSERT), (0, 2, 0.55 * horizon, Action.INSERT)))
+    cfg = HippoConfig(order=order, alpha=0.5, ode_steps_per_unit=steps_per_unit)
+    path = lambda t: np.cos(np.array([0.7, 1.3, 2.1]) * t[:, None] + np.arange(3))
+    got = integrate_hippo(stream, path, cfg, horizon).u
+    ref = _stagewise_rk4(stream, path, cfg, horizon)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
