@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from ._checks import integer, parse_like, read_text
 from .discretize import (MixMechanism, MutationSchedule, _segment_weights_stack,
                          zoh_oracle_step)
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, named_rng,
@@ -39,72 +40,58 @@ _KINDS = (LaplacianKind.SYMMETRIC, LaplacianKind.RANDOM_WALK)
 # ---------------------------------------------------------------------------
 
 def _load_config(path) -> dict:
+    text = read_text(path, "UTF-8").replace("\r\n", "\n").replace("\r", "\n")
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        low = value.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    for kind, name in ((int, "an integer"), (float, "a number")):
-        if isinstance(like, kind):
-            try:
-                return kind(value)
-            except ValueError:
-                raise ValueError(f"expected {name}, got {value!r}") from None
-    return value
-
-
-def _settings(args, defaults: dict) -> dict:
+def _settings(args, defaults: dict, parsers=None) -> dict:
     """Effective settings: explicit flag > config file > default.  A file value
-    that does not parse as its default's type raises ValueError naming the
-    file and the key."""
+    is parsed as its default's type, then any string value of a key in
+    `parsers` by that key's parser.  A value that does not parse raises
+    ValueError naming the key, and the file when the value came from it."""
     path = getattr(args, "config", None)
     file_cfg = _load_config(path) if path else {}
+    parsers = parsers or {}
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            try:
-                out[key] = _coerce(file_cfg[key], default if default is not None else "")
-            except ValueError as exc:
-                raise ValueError(f"{path}: {key}: {exc}") from None
-        else:
-            out[key] = default
+        from_file = flag is None and key in file_cfg
+        value = file_cfg[key] if from_file else (default if flag is None else flag)
+        try:
+            if from_file:
+                value = parse_like(value, default)
+            if key in parsers and isinstance(value, str):
+                value = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}" if from_file else f"{key}: {exc}") from None
+        out[key] = value
     return out
 
 
 def _parse_seeds(text: str):
+    """Seeds of a comma list of integers and inclusive ranges 'a-b'."""
     seeds = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:  # inclusive range; a leading '-' is a sign
-            cut = part.index("-", 1)
-            seeds.extend(range(int(part[:cut]), int(part[cut + 1:]) + 1))
-        else:
-            seeds.append(int(part))
+        cut = part.find("-", 1)  # inclusive range; a leading '-' is a sign
+        try:
+            lo, hi = (int(part[:cut]), int(part[cut + 1:])) if cut > 0 else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"expected integers or ranges a-b, got {part!r}") from None
+        if hi < lo:
+            raise ValueError(f"range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
@@ -273,14 +260,11 @@ _VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000, "alpha": None
 
 
 def cmd_verify(args) -> int:
-    cfg = _settings(args, _VERIFY_DEFAULTS)
-    if cfg["instances"] < 1 or cfg["schedules"] < 1:
-        raise ValueError("--instances and --schedules must be at least 1")
+    cfg = _settings(args, _VERIFY_DEFAULTS, {"alpha": lambda text: parse_like(text, 0.0)})
+    for key in ("instances", "schedules"):
+        integer(cfg[key], key, 1)
     # alpha default None means the criterion set {0, 0.5, 2}
-    if cfg["alpha"] is None:
-        alphas = (0.0, 0.5, 2.0)
-    else:
-        alphas = (float(cfg["alpha"]),)
+    alphas = (0.0, 0.5, 2.0) if cfg["alpha"] is None else (cfg["alpha"],)
     checks = [
         ("projection-vs-ode", 1e-3,
          lambda: suite_projection(cfg["seed"], cfg["instances"], alphas,
@@ -343,20 +327,19 @@ _EXPERIMENT = {k: v.default for k, v in inspect.signature(run_experiment).parame
 _RUN_DEFAULTS = {"seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
                  "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
                  "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
-                 **{k: _EXPERIMENT[k] for k in ("lr", "epochs", "l2", "backend")}}
+                 **{k: _EXPERIMENT[k] for k in ("lr", "epochs", "l2")}}
 
 
 def cmd_run(args) -> int:
-    cfg = _settings(args, dict(_TASK_DEFAULTS, **_RUN_DEFAULTS))
-    seeds = _parse_seeds(cfg["seeds"]) if isinstance(cfg["seeds"], str) else cfg["seeds"]
+    cfg = _settings(args, dict(_TASK_DEFAULTS, **_RUN_DEFAULTS), {"seeds": _parse_seeds})
     inits = ([InitStrategy(cfg["init"])] if cfg["init"] != "all"
              else [InitStrategy.S4D_REAL, InitStrategy.S4D_CONST, InitStrategy.RANDOM])
     model_cfg = ModelConfig(num_blocks=cfg["blocks"], state_size=cfg["state_size"],
                             variant=SsmVariant(cfg["variant"]),
                             mix_mechanism=MixMechanism(cfg["mechanism"]))
-    rows = run_experiment(seeds, _task_config(cfg), model_cfg, inits=inits,
+    rows = run_experiment(cfg["seeds"], _task_config(cfg), model_cfg, inits=inits,
                           include_static=not cfg["skip_static"], lr=cfg["lr"],
-                          epochs=cfg["epochs"], l2=cfg["l2"], backend=cfg["backend"])
+                          epochs=cfg["epochs"], l2=cfg["l2"])
     csv_text = results_to_csv(rows)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(csv_text)
@@ -474,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(p, d, "lr", "readout learning rate")
     _option(p, d, "epochs", "readout epochs")
     _option(p, d, "l2", "readout weight penalty")
-    _option(p, d, "backend", "scan backend", choices=["sequential", "parallel"])
     _add_task_flags(p)
     p.set_defaults(func=cmd_run)
 

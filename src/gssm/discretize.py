@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import finite, negative, nonnegative
 from .hippo import smoothing_matrix
 from .tgraph import EventStream, LaplacianKind, adjacency_from_edges, segments
 
@@ -46,21 +47,15 @@ class MutationSchedule:
         object.__setattr__(self, "mutation_times", times)
         _check_boundaries(self.boundaries)
         adjs = tuple(np.asarray(a, dtype=bool) for a in self.adjacencies)
-        feats = tuple(np.asarray(x, dtype=float).reshape(-1) for x in self.features)
+        feats = tuple(finite(x, "segment features").reshape(-1) for x in self.features)
         if len(adjs) != len(times) + 1 or len(feats) != len(times) + 1:
             raise ValueError(f"{len(times)} mutations need {len(times) + 1} "
                              "segment graphs and feature vectors")
         v = adjs[0].shape[0]
         if any(a.shape != (v, v) for a in adjs) or any(x.size != v for x in feats):
             raise ValueError("segment graphs/features disagree on node count")
-        if not all(np.all(np.isfinite(x)) for x in feats):
-            raise ValueError("segment features must be finite")
         object.__setattr__(self, "adjacencies", adjs)
         object.__setattr__(self, "features", feats)
-
-    @property
-    def num_segments(self):
-        return len(self.mutation_times) + 1
 
     @property
     def num_nodes(self):
@@ -90,13 +85,6 @@ def _check_boundaries(boundaries, ndim=1) -> np.ndarray:
     return s
 
 
-def _check_diag(a_diag) -> np.ndarray:
-    a = np.asarray(a_diag, dtype=float)
-    if not (np.isfinite(a).all() and (a < 0).all()):
-        raise ValueError("diagonal state entries must be finite and strictly negative")
-    return a
-
-
 def segment_weights(boundaries, a_diag) -> np.ndarray:
     """Convex weights [S x N] tying each of the S = len(boundaries) - 1
     segments' drive into the zero-order-hold update.
@@ -120,7 +108,7 @@ def _segment_weights_stack(boundaries, a_diag) -> np.ndarray:
     """`segment_weights` of B schedules at once: boundaries [B x (S+1)] and
     diagonals [B x N] in, weights [B x S x N] out, row b bit-identical to
     segment_weights(boundaries[b], a_diag[b])."""
-    a = _check_diag(a_diag)
+    a = negative(a_diag, "diagonal state entries")
     bounds = _check_boundaries(boundaries, ndim=2)
     den = np.expm1((bounds[:, -1] - bounds[:, 0])[:, None] * a)[:, None, :]
     a = a[:, None, :]
@@ -144,17 +132,14 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
     interval length and w_i are `segment_weights`.  `alpha` must be finite
     and >= 0, as in `HippoConfig`; `u_prev` and `b` must be finite.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError("alpha must be finite and >= 0")
-    a = _check_diag(a_diag).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    alpha = nonnegative(alpha, "alpha")
+    a = negative(a_diag, "diagonal state entries").reshape(-1)
+    b = finite(b, "b").reshape(-1)
     if b.size != a.size:
         raise ValueError("a_diag and b must have equal length")
-    u_prev = np.asarray(u_prev, dtype=float)
+    u_prev = finite(u_prev, "u_prev")
     if u_prev.shape != (sched.num_nodes, a.size):
         raise ValueError(f"u_prev must have shape ({sched.num_nodes}, {a.size})")
-    if not (np.isfinite(b).all() and np.isfinite(u_prev).all()):
-        raise ValueError("u_prev and b must be finite")
 
     weights = segment_weights(sched.boundaries, a)
     drive = sum(np.outer(smoothing_matrix(adj, alpha, kind) @ x, w * b)

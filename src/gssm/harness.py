@@ -19,12 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import class_ids, finite, integers, nonnegative, numbers, read_records
 from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
                      block_forward, delta_bias_init, glorot, gnn_diffuse,
                      init_a)
-from .tgraph import Snapshot, SnapshotSequence, _csr_from_pairs, _numbers
+from .tgraph import Snapshot, SnapshotSequence, _csr_from_pairs
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -64,11 +65,9 @@ class TaskConfig:
         for name in ("p_in", "p_out", "p_decay", "drift_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"infeasible config: {name} must lie in [0, 1]")
-        for name in ("noise", "radius", "omega"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"infeasible config: {name} must be finite")
-        if self.noise < 0 or self.radius < 0:
-            raise ValueError("infeasible config: noise and radius must be >= 0")
+        finite(self.omega, "infeasible config: omega")
+        for name in ("noise", "radius"):
+            nonnegative(getattr(self, name), f"infeasible config: {name}")
 
 
 class Split(NamedTuple):
@@ -85,14 +84,10 @@ class SyntheticTask:
     split: Split
 
     def __post_init__(self):
-        labels = _integer_array(self.labels, "labels")
         v = self.sequence.num_nodes
-        if labels.shape != (v,):
-            raise ValueError("labels must assign one class per node")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ValueError("labels out of class range")
+        labels, _ = class_ids(self.labels, self.num_classes, rows=v)
         object.__setattr__(self, "labels", labels)
-        parts = [_integer_array(s, f"split.{name}") for name, s in zip(Split._fields, self.split)]
+        parts = [integers(s, f"split.{name}") for name, s in zip(Split._fields, self.split)]
         object.__setattr__(self, "split", Split(*parts))
         joined = np.concatenate(parts)
         if len(set(joined.tolist())) != joined.size or joined.size != v:
@@ -111,7 +106,7 @@ def split_nodes(labels: np.ndarray, rng: np.random.Generator,
     of exact stratification."""
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
         raise ValueError("fractions must be three positive values summing to 1")
-    labels = _integer_array(labels, "labels")
+    labels = integers(labels, "labels")
     train, val, test = [], [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -176,24 +171,23 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
 # Model sampling and feature extraction
 # ---------------------------------------------------------------------------
 
+# Fixed scales of the sampled backbone: every GNN's self_mix, and the factors
+# on the glorot draws of C, the residual weight and the step-size weight.
+_SELF_MIX = 0.5
+_C_SCALE = 2.0
+_RES_SCALE = 0.05
+_DELTA_SCALE = 0.1
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Random frozen-backbone sampler settings.
-
-    The two scale knobs keep the residual path from drowning the layer
-    output at small widths; they are plumbing of this harness, not of the
-    layers module.
-    """
+    """Random frozen-backbone sampler settings."""
 
     num_blocks: int = 2
     state_size: int = 6
     variant: SsmVariant = SsmVariant.S4
     init: InitStrategy = InitStrategy.S4D_REAL
     mix_mechanism: MixMechanism = MixMechanism.REPR_MIX
-    self_mix: float = 0.5
-    c_scale: float = 2.0
-    res_scale: float = 0.05
-    delta_scale: float = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "variant", SsmVariant(self.variant))
@@ -214,44 +208,43 @@ def sample_model(rng: np.random.Generator, cfg: ModelConfig,
         if cfg.variant is SsmVariant.S5:
             a = init_a(cfg.init, (n,), rng)
             extra["b"] = np.ones((d, n))
-            extra["c"] = glorot(rng, (n, d)) * cfg.c_scale
+            extra["c"] = glorot(rng, (n, d)) * _C_SCALE
         else:
             a = init_a(cfg.init, (d, n), rng)
             if cfg.variant is SsmVariant.S4:
                 extra["b"] = np.ones((d, n))
-                extra["c"] = glorot(rng, (d, n)) * cfg.c_scale
+                extra["c"] = glorot(rng, (d, n)) * _C_SCALE
             else:
                 extra["gnn_delta"] = GnnParams(glorot(rng, (d, d)), np.zeros(d),
-                                               self_mix=cfg.self_mix)
+                                               self_mix=_SELF_MIX)
                 extra["gnn_b"] = GnnParams(glorot(rng, (d, n)), np.zeros(n),
-                                           self_mix=cfg.self_mix)
+                                           self_mix=_SELF_MIX)
                 extra["gnn_c"] = GnnParams(glorot(rng, (d, n)), np.zeros(n),
-                                           self_mix=cfg.self_mix)
+                                           self_mix=_SELF_MIX)
         gnn = GnnParams(glorot(rng, (d, d)), np.zeros(d),
-                        flavor=GnnFlavor.GCN_LIKE, self_mix=cfg.self_mix)
+                        flavor=GnnFlavor.GCN_LIKE, self_mix=_SELF_MIX)
         mix = InterpMixParams(glorot(rng, (2 * d, d)), np.zeros(d),
                               glorot(rng, (2 * d, d)), np.zeros(d))
         if cfg.variant is SsmVariant.S6:
             delta = {"delta_bias": np.full(d, delta_bias_init(seq_len))}
         else:
-            delta = {"delta_weight": glorot(rng, (d,)) * cfg.delta_scale,
+            delta = {"delta_weight": glorot(rng, (d,)) * _DELTA_SCALE,
                      "delta_bias": delta_bias_init(seq_len)}
         layer = SsmLayerParams(
             variant=cfg.variant, a=a, gnn=gnn, mix=mix,
             mix_mechanism=cfg.mix_mechanism if k == 0 else MixMechanism.ORDINARY,
             **extra, **delta)
         blocks.append(BlockParams(layer=layer,
-                                  res_weight=glorot(rng, (d, d)) * cfg.res_scale,
+                                  res_weight=glorot(rng, (d, d)) * _RES_SCALE,
                                   res_bias=np.zeros(d)))
     return blocks
 
 
-def extract_features(task: SyntheticTask, blocks,
-                     backend: str = "sequential") -> np.ndarray:
+def extract_features(task: SyntheticTask, blocks) -> np.ndarray:
     """Last-step representations of the frozen block stack, [V x D]."""
     seq = task.sequence
     hidden = np.stack([s.features for s in seq], axis=1)
-    out = block_forward(hidden, seq, blocks, backend=backend)
+    out = block_forward(hidden, seq, blocks)
     return out[:, -1, :]
 
 
@@ -271,12 +264,10 @@ class ReadoutParams:
     bias: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
-        b = np.asarray(self.bias, dtype=float).reshape(-1)
+        w = finite(self.weight, "readout weight")
+        b = finite(self.bias, "readout bias").reshape(-1)
         if w.ndim != 2 or b.size != w.shape[1]:
             raise ValueError("weight must be [D x C] with matching bias")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("readout parameters must be finite")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -306,37 +297,13 @@ def _readout_grad(x, xt, onehot, w, b, l2):
     return prob, xt @ g + l2 * w, g.sum(axis=1)
 
 
-def _integer_array(values, name: str) -> np.ndarray:
-    """values as an int array; ValueError for any value that is not an
-    integer (integer-valued floats are accepted)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biu":
-        arr = np.asarray(arr, dtype=float)
-        if not (np.isfinite(arr).all() and (arr == np.floor(arr)).all()):
-            raise ValueError(f"{name} must be integers")
-    return arr.astype(int)
-
-
-def _check_labels(labels, rows: int, num_classes: int | None):
-    """Labels as ints with the class count (max + 1 when num_classes is None);
-    ValueError unless there is one per row, each an integer in
-    [0, num_classes)."""
-    labels = _integer_array(labels, "labels")
-    if labels.shape != (rows,):
-        raise ValueError("labels must assign one class per node")
-    c = int(labels.max()) + 1 if num_classes is None else int(num_classes)
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c})")
-    return labels, c
-
-
 def readout_loss(params_flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, num_classes: int, l2: float = 0.0):
     """Mean cross-entropy of the softmax readout plus an l2 penalty on the
     weights, with its analytic gradient.  params_flat stacks W row-major
     followed by the bias.  Raises ValueError for labels that are not one per
     feature row, are not integers or lie outside [0, num_classes)."""
-    labels, _ = _check_labels(labels, features.shape[0], num_classes)
+    labels, _ = class_ids(labels, num_classes, rows=features.shape[0])
     d = features.shape[1]
     w = params_flat[: d * num_classes].reshape(d, num_classes)
     b = params_flat[d * num_classes:]
@@ -372,12 +339,11 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
     features = np.asarray(features, dtype=float)
     if features.ndim not in (2, 3):
         raise ValueError("features must be [V x D] or [K x V x D]")
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
+    finite(features, "features")
     x = features if features.ndim == 3 else features[None]
     v = x.shape[1]
-    labels, c = _check_labels(labels, v, num_classes)
-    tr, va = _integer_array(split.train, "split.train"), _integer_array(split.val, "split.val")
+    labels, c = class_ids(labels, num_classes, rows=v)
+    tr, va = integers(split.train, "split.train"), integers(split.val, "split.val")
     if tr.size == 0:
         raise ValueError("empty train split")
     if va.size == 0:
@@ -399,8 +365,8 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
         w = w - lr * grad_w
         b = b - lr * grad_b
         if epoch % 10 == 0 or epoch == epochs - 1:
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("readout parameters must be finite")
+            finite(w, "readout parameters")
+            finite(b, "readout parameters")
             hits = np.sum(np.argmax(x_va @ w + b[:, None, :], axis=2) == y_va, axis=1)
             better = hits > best_hits
             best_hits[better] = hits[better]
@@ -414,14 +380,11 @@ def f1_scores(preds, labels, num_classes: int | None = None):
     and labels contribute 0 to the macro average.  Predictions and labels
     must lie in [0, num_classes) (num_classes defaults to the largest
     value seen plus one), and be integers."""
-    preds = _integer_array(preds, "preds")
-    labels = _integer_array(labels, "labels")
+    preds, c_pred = class_ids(preds, num_classes, name="preds")
+    labels, c_true = class_ids(labels, num_classes)
     if preds.shape != labels.shape:
         raise ValueError("preds and labels must have the same length")
-    c = int(max(preds.max(), labels.max())) + 1 if num_classes is None else int(num_classes)
-    if preds.size and (min(preds.min(), labels.min()) < 0
-                       or max(preds.max(), labels.max()) >= c):
-        raise ValueError(f"preds and labels must lie in [0, {c})")
+    c = max(c_pred, c_true)
     hit = preds == labels
     tp = np.bincount(labels[hit], minlength=c)
     fp = np.bincount(preds[~hit], minlength=c)
@@ -441,8 +404,8 @@ def finite_diff_check(scalar_fn, params: np.ndarray, eps: float = 1e-5) -> float
         raise ValueError("eps must be positive")
     params = np.asarray(params, dtype=float)
     value, grad = scalar_fn(params)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise ValueError("scalar_fn produced a non-finite value or gradient")
+    finite(value, "scalar_fn's value")
+    finite(grad, "scalar_fn's gradient")
     numeric = np.empty_like(params)
     for i in range(params.size):
         bump = np.zeros_like(params)
@@ -463,8 +426,7 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
                    inits=(InitStrategy.S4D_REAL, InitStrategy.S4D_CONST,
                           InitStrategy.RANDOM),
                    include_static: bool = True, lr: float = 0.5,
-                   epochs: int = 400, l2: float = 1e-3,
-                   backend: str = "sequential") -> list:
+                   epochs: int = 400, l2: float = 1e-3) -> list:
     """Per (seed, init) and optional static-baseline test-split scores.
 
     Rows are dicts with keys seed, variant, init, micro_f1, macro_f1 --
@@ -480,7 +442,7 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
             blocks = sample_model(named_rng(seed, "model"), cfg_i,
                                   task_cfg.num_features, task_cfg.seq_len)
             names.append((cfg_i.variant.value, InitStrategy(init).value))
-            feats.append(extract_features(task, blocks, backend=backend))
+            feats.append(extract_features(task, blocks))
         if include_static:
             blocks = sample_model(named_rng(seed, "model"), model_cfg,
                                   task_cfg.num_features, task_cfg.seq_len)
@@ -525,36 +487,22 @@ _LABELS_MAGIC = "GSSML v1"
 
 
 def save_labels(labels: np.ndarray, num_classes: int, path) -> None:
-    labels = _integer_array(labels, "labels")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError("labels out of class range")
+    labels, c = class_ids(labels, num_classes)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_LABELS_MAGIC} {labels.size} {int(num_classes)}\n")
+        fh.write(f"{_LABELS_MAGIC} {labels.size} {c}\n")
         for x in labels.tolist():
             fh.write(f"{x}\n")
 
 
 def load_labels(path):
-    """Read a file written by `save_labels`.  Every malformed record raises
-    ValueError naming the path."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    try:
-        head = lines[0].split() if lines else []
-        if len(head) != 4 or " ".join(head[:2]) != _LABELS_MAGIC:
-            raise ValueError(f"malformed header (expected '{_LABELS_MAGIC} <V> <C>')")
-        v, c = _numbers(head[2:], int, "header sizes")
-        if v < 0:
-            raise ValueError(f"negative node count {v}")
-        if c < 1:
-            raise ValueError(f"class count {c} is below 1")
-        if len(lines) < 1 + v:
-            raise ValueError(f"expected {v} label lines")
-        if any(line.strip() for line in lines[1 + v:]):
-            raise ValueError(f"label lines past the declared count of {v}")
-        labels = np.array([_numbers([x], int, "label")[0] for x in lines[1:1 + v]], dtype=int)
-        if labels.size and (labels.min() < 0 or labels.max() >= c):
-            raise ValueError(f"label outside [0, {c})")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return labels, c
+    """Read a file written by `save_labels`: (labels, class count).  Every
+    malformed record raises ValueError naming the path."""
+    return read_records(path, _parse_labels)
+
+
+def _parse_labels(rd):
+    v, c = rd.header(_LABELS_MAGIC, "<V> <C>")
+    if v < 0:
+        raise ValueError(f"negative node count {v}")
+    ids = [numbers([rd.next("label")], int, "label")[0] for _ in range(v)]
+    return class_ids(np.array(ids, dtype=int), c)

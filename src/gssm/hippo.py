@@ -28,13 +28,13 @@ its quadrature nodes; each result is checked once for shape and finiteness.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh, lu_factor, lu_solve
 
+from ._checks import finite, integer, nonnegative
 from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
                      laplacian, segments)
 
@@ -62,9 +62,7 @@ def hippo_legs_matrices(order: int) -> HippoLegS:
               0                    for n < k
     B[n]    = sqrt(2n+1)
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    n = np.arange(order)
+    n = np.arange(integer(order, "order", 1))
     root = np.sqrt(2.0 * n + 1.0)
     a = -np.outer(root, root)
     a = np.tril(a, -1) + np.diag(-(n + 1.0))
@@ -82,16 +80,9 @@ class HippoConfig:
     quadrature_points: int = 2001
 
     def __post_init__(self):
-        for name in ("order", "ode_steps_per_unit", "quadrature_points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError("alpha must be finite and >= 0")
-        if self.ode_steps_per_unit < 1 or self.quadrature_points < 2:
-            raise ValueError("grid resolutions too small")
+        for name, least in (("order", 1), ("ode_steps_per_unit", 1), ("quadrature_points", 2)):
+            integer(getattr(self, name), name, least)
+        nonnegative(self.alpha, "alpha")
 
 
 @dataclass
@@ -128,9 +119,9 @@ def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray
     if x.shape != (times.size, num_nodes):
         raise ValueError(f"feature_path on {times.size} times from {float(times[0])!r} "
                          f"returned shape {x.shape}, expected ({times.size}, {num_nodes})")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        bad = float(times[np.argmin(finite)])
+    ok = np.isfinite(x).all(axis=1)
+    if not ok.all():
+        bad = float(times[np.argmin(ok)])
         raise ValueError(f"feature_path({bad!r}) returned non-finite values")
     return x
 
@@ -183,17 +174,14 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
         raise ValueError("need 0 < t_start < t_end <= horizon")
     n = cfg.order
     a_mat, b_vec = hippo_legs_matrices(n)[1:] if system is None else system
-    a_t = np.asarray(a_mat, dtype=float).T
-    b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
+    a_t = finite(a_mat, "system override").T
+    b_vec = finite(b_vec, "system override").reshape(-1)
     if a_t.shape != (n, n) or b_vec.size != n:
         raise ValueError("system override must match cfg.order")
-    if not (np.isfinite(a_t).all() and np.isfinite(b_vec).all()):
-        raise ValueError("system override must be finite")
     u = np.zeros((stream.num_nodes, n)) if u_start is None else np.array(u_start, dtype=float)
     if u.shape != (stream.num_nodes, n):
         raise ValueError(f"u_start must have shape ({stream.num_nodes}, {n})")
-    if not np.isfinite(u).all():
-        raise ValueError("u_start must be finite")
+    finite(u, "u_start")
 
     eye = np.eye(n)
     for seg_a, seg_b, edges in segments(stream, t_start, t_end):

@@ -24,15 +24,17 @@ All recurrences run through the scan module: the sequential fold by
 default, the chunked parallel scan on request.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import expit
 
+from ._checks import finite, negative, numbers, read_records
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
-from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, _numbers, degree_scales
+from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
 
 def softplus(x):
@@ -57,13 +59,6 @@ _FLAVOR_KIND = {GnnFlavor.GCN_LIKE: LaplacianKind.SYMMETRIC,
                 GnnFlavor.SAGE_MEAN_LIKE: LaplacianKind.RANDOM_WALK}
 
 
-def _finite(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class GnnParams:
     """Aggregate-then-combine parameters.
@@ -79,8 +74,8 @@ class GnnParams:
     self_mix: float = 0.5
 
     def __post_init__(self):
-        w = _finite(self.weight, "weight")
-        b = _finite(self.bias, "bias").reshape(-1)
+        w = finite(self.weight, "weight")
+        b = finite(self.bias, "bias").reshape(-1)
         if w.ndim != 2 or b.size != w.shape[1]:
             raise ValueError("weight must be [D_in x D_out] with matching bias")
         if not (0.0 <= self.self_mix <= 1.0):
@@ -129,7 +124,7 @@ class ConvMixParams:
     kernel: np.ndarray
 
     def __post_init__(self):
-        k = _finite(self.kernel, "kernel")
+        k = finite(self.kernel, "kernel")
         if k.ndim != 2 or k.shape[0] != 2:
             raise ValueError("kernel must be [2 x D]")
         object.__setattr__(self, "kernel", k)
@@ -146,10 +141,10 @@ class InterpMixParams:
     b_blend: np.ndarray
 
     def __post_init__(self):
-        ws = _finite(self.w_scale, "w_scale")
-        wb = _finite(self.w_blend, "w_blend")
-        bs = _finite(self.b_scale, "b_scale").reshape(-1)
-        bb = _finite(self.b_blend, "b_blend").reshape(-1)
+        ws = finite(self.w_scale, "w_scale")
+        wb = finite(self.w_blend, "w_blend")
+        bs = finite(self.b_scale, "b_scale").reshape(-1)
+        bb = finite(self.b_blend, "b_blend").reshape(-1)
         d = ws.shape[1] if ws.ndim == 2 else 0
         if ws.shape != (2 * d, d) or wb.shape != (2 * d, d) or bs.size != d or bb.size != d:
             raise ValueError("interp params must be W [2D x D] with bias [D]")
@@ -224,9 +219,7 @@ class SsmLayerParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", SsmVariant(self.variant))
         object.__setattr__(self, "mix_mechanism", MixMechanism(self.mix_mechanism))
-        a = _finite(self.a, "a")
-        if not np.all(a < 0):
-            raise ValueError("state matrix entries must be strictly negative")
+        a = negative(self.a, "state matrix a")
         object.__setattr__(self, "a", a)
         d = self.gnn.weight.shape[1]
         if self.variant is SsmVariant.S5:
@@ -240,7 +233,7 @@ class SsmLayerParams:
             n = a.shape[1]
             shapes = {"b": (d, n), "c": (d, n)} if self.variant is SsmVariant.S4 else {}
         for name, want in shapes.items():
-            got = _finite(getattr(self, name), name)
+            got = finite(getattr(self, name), name)
             if got.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {got.shape}")
             object.__setattr__(self, name, got)
@@ -252,16 +245,16 @@ class SsmLayerParams:
                 raise ValueError("gnn_delta must produce D outputs")
             if self.gnn_b.weight.shape[1] != n or self.gnn_c.weight.shape[1] != n:
                 raise ValueError("gnn_b / gnn_c must produce N outputs")
-            bias = _finite(self.delta_bias, "delta_bias").reshape(-1)
+            bias = finite(self.delta_bias, "delta_bias").reshape(-1)
             if bias.size != d:
                 raise ValueError("S6 delta_bias must be [D]")
             object.__setattr__(self, "delta_bias", bias)
         else:
-            w = _finite(self.delta_weight, "delta_weight").reshape(-1)
+            w = finite(self.delta_weight, "delta_weight").reshape(-1)
             if w.size != d:
                 raise ValueError("delta_weight must be [D]")
             object.__setattr__(self, "delta_weight", w)
-            object.__setattr__(self, "delta_bias", float(_finite(self.delta_bias, "delta_bias")))
+            object.__setattr__(self, "delta_bias", float(finite(self.delta_bias, "delta_bias")))
 
     @property
     def state_size(self):
@@ -269,7 +262,7 @@ class SsmLayerParams:
 
 
 def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams):
-    hidden_in = _finite(hidden_in, "hidden_in")
+    hidden_in = finite(hidden_in, "hidden_in")
     want = (seq.num_nodes, len(seq), p.gnn.weight.shape[0])
     if hidden_in.shape != want:
         raise ValueError(f"hidden_in must be [V x L x D] = {want}, got {hidden_in.shape}")
@@ -365,13 +358,13 @@ class BlockParams:
 
     def __post_init__(self):
         if self.res_weight is not None:
-            w = _finite(self.res_weight, "res_weight")
+            w = finite(self.res_weight, "res_weight")
             d = self.layer.gnn.weight.shape[1]
             if w.shape != (d, d):
                 raise ValueError(f"res_weight must be [{d} x {d}]")
             object.__setattr__(self, "res_weight", w)
         if self.res_bias is not None:
-            object.__setattr__(self, "res_bias", _finite(self.res_bias, "res_bias").reshape(-1))
+            object.__setattr__(self, "res_bias", finite(self.res_bias, "res_bias").reshape(-1))
 
 
 def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
@@ -505,13 +498,11 @@ _CKPT_MAGIC = "GSSMP v1"
 def save_checkpoint(named: dict, path) -> None:
     lines = [f"{_CKPT_MAGIC} {len(named)}"]
     for name, tensor in named.items():
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"tensor name {name!r} must be non-empty without whitespace")
-        arr = np.asarray(tensor, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {name!r} has non-finite values")
+        if not name or not name.isascii() or any(ch.isspace() for ch in name):
+            raise ValueError(f"tensor name {name!r} must be non-empty ASCII without whitespace")
+        arr = finite(tensor, f"tensor {name!r}")
         lines.append(" ".join([name, str(arr.ndim)] + [str(s) for s in arr.shape]))
-        lines.append(" ".join(repr(x) for x in arr.reshape(-1).tolist()) or "")
+        lines.append(" ".join(repr(x) for x in arr.reshape(-1).tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -519,47 +510,30 @@ def save_checkpoint(named: dict, path) -> None:
 def load_checkpoint(path) -> dict:
     """Read a file written by `save_checkpoint`.  Every malformed record
     raises ValueError naming the path."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    try:
-        return _parse_checkpoint(lines)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_records(path, _parse_checkpoint)
 
 
-def _parse_checkpoint(lines) -> dict:
-    header = lines[0].split() if lines else []
-    if len(header) != 3 or " ".join(header[:2]) != _CKPT_MAGIC:
-        raise ValueError(f"malformed header (expected '{_CKPT_MAGIC} <count>')")
-    (count,) = _numbers(header[2:], int, "tensor count")
+def _parse_checkpoint(rd) -> dict:
+    (count,) = rd.header(_CKPT_MAGIC, "<count>", "tensor count")
     if count < 0:
         raise ValueError(f"negative tensor count {count}")
     named = {}
-    pos = 1
     for _ in range(count):
-        if pos >= len(lines):
-            raise ValueError("truncated checkpoint")
-        meta = lines[pos].split()
+        meta = rd.next("tensor record").split()
         if len(meta) < 2:
-            raise ValueError(f"malformed tensor record at line {pos + 1}")
-        name, (ndim,) = meta[0], _numbers(meta[1:2], int, "tensor rank")
+            raise ValueError(f"malformed tensor record at line {rd.pos}")
+        name, (ndim,) = meta[0], numbers(meta[1:2], int, "tensor rank")
         if name in named:
             raise ValueError(f"duplicate tensor {name!r}")
         if len(meta) != 2 + ndim:
             raise ValueError(f"tensor {name!r} declares {ndim} dims, lists {len(meta) - 2}")
-        shape = tuple(_numbers(meta[2:], int, f"tensor {name!r} shape"))
+        shape = tuple(numbers(meta[2:], int, f"tensor {name!r} shape"))
         if any(s < 0 for s in shape):
             raise ValueError(f"tensor {name!r} has a negative dimension")
-        if pos + 1 >= len(lines):
-            raise ValueError(f"missing values for tensor {name!r}")
-        values = np.array(_numbers(lines[pos + 1].split(), float, f"tensor {name!r} values"))
-        if values.size != int(np.prod(shape, dtype=int)):
+        tokens = rd.next(f"tensor {name!r} values").split()
+        values = finite(numbers(tokens, float, f"tensor {name!r} values"), f"tensor {name!r}")
+        if values.size != math.prod(shape):
             raise ValueError(f"tensor {name!r} has {values.size} values, "
-                             f"expected {int(np.prod(shape, dtype=int))}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"tensor {name!r} has non-finite values")
+                             f"expected {math.prod(shape)}")
         named[name] = values.reshape(shape)
-        pos += 2
-    if any(line.strip() for line in lines[pos:]):
-        raise ValueError(f"records past the declared count of {count}")
     return named

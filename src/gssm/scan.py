@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
+
 
 @dataclass(frozen=True)
 class RecurrenceInputs:
@@ -79,8 +81,7 @@ def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray
     length = inp.length
     if chunk is None:
         chunk = max(1, int(np.ceil(np.sqrt(length))))
-    if chunk < 1:
-        raise ValueError("chunk must be a positive integer")
+    integer(chunk, "chunk", 1)
     if length == 0:
         return np.empty_like(inp.drive)
     lane_shape = inp.decay.shape[1:]
@@ -132,9 +133,8 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
     `repeats` runs, so transient noise doesn't inflate a row).
     """
     l_values = [int(length) for length in l_values]
-    if lanes < 1 or repeats < 1 or min(l_values, default=1) < 1:
-        raise ValueError(f"lanes, repeats and every L must be at least 1 (got "
-                         f"lanes={lanes}, repeats={repeats}, L={l_values})")
+    for name, value in (("lanes", lanes), ("repeats", repeats), *(("L", x) for x in l_values)):
+        integer(value, name, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA2]))
     rows = []
     for length in l_values:

@@ -29,6 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import finite, integers, numbers, read_records
+
 
 class Action(Enum):
     INSERT = "insert"
@@ -88,7 +90,7 @@ class EventStream:
 
     def _edge(self, u, v, what):
         """Canonical (min, max) form of an undirected edge on known nodes."""
-        u, v = sorted((int(u), int(v)))
+        u, v = sorted(integers((u, v), f"{what} ({u}, {v}) node ids").tolist())
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if not (0 <= u and v < self.num_nodes):
@@ -235,10 +237,8 @@ class Snapshot:
         feats = np.array(features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] != v:
             raise ValueError("features must be [num_nodes x d]")
-        if not np.isfinite(feats).all():
-            raise ValueError("features must be finite")
-        if not np.isfinite(timestamp):
-            raise ValueError("timestamp must be finite")
+        finite(feats, "features")
+        finite(timestamp, "timestamp")
         idx = _index_dtype(max(v, indices.size))
         indptr, indices = indptr.astype(idx), indices.astype(idx)
         for arr in (indptr, indices, feats):
@@ -334,11 +334,6 @@ class SnapshotSequence:
     @property
     def timestamps(self):
         return np.array([s.timestamp for s in self.snapshots])
-
-    @property
-    def gaps(self):
-        """Inter-observation gaps, length L-1."""
-        return np.diff(self.timestamps)
 
     @cached_property
     def adjacency_csr(self) -> "BlockDiagonalCsr":
@@ -538,52 +533,24 @@ def save_sequence(seq: SnapshotSequence, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, path):
-        with open(path, "r", encoding="ascii") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-
-    def next(self, what):
-        if self.pos >= len(self.lines):
-            raise ValueError(f"unexpected end of file while reading {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-
-def _numbers(tokens, kind, what):
-    """The tokens parsed by `kind` (int or float); ValueError naming `what`
-    and quoting the first eight tokens if one does not parse."""
-    try:
-        return [kind(x) for x in tokens]
-    except ValueError:
-        shown = " ".join(tokens[:8]) + (" ..." if len(tokens) > 8 else "")
-        raise ValueError(f"malformed {what} {shown!r}: expected "
-                         + ("integers" if kind is int else "numbers")) from None
-
-
 def load_sequence(path) -> SnapshotSequence:
     """Read a file written by `save_sequence`.  Every malformed record
     raises ValueError naming the path, and the snapshot for one inside a
     snapshot."""
-    rd = _LineReader(path)
-    try:
-        header = rd.next("header").split()
-        if len(header) != 5 or " ".join(header[:2]) != _MAGIC:
-            raise ValueError(f"malformed header (expected '{_MAGIC} <V> <d> <L>')")
-        num_nodes, d, length = _numbers(header[2:], int, "header sizes")
-        if num_nodes < 1 or d < 0 or length < 1:
-            raise ValueError("nonsensical sizes in header")
-        snaps = []
-        for snap_idx in range(length):
-            try:
-                snaps.append(_read_snapshot(rd, num_nodes, d))
-            except ValueError as exc:
-                raise ValueError(f"snapshot {snap_idx}: {exc}") from None
-        return SnapshotSequence(tuple(snaps))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_records(path, _parse_sequence)
+
+
+def _parse_sequence(rd) -> SnapshotSequence:
+    num_nodes, d, length = rd.header(_MAGIC, "<V> <d> <L>")
+    if num_nodes < 1 or d < 0 or length < 1:
+        raise ValueError("nonsensical sizes in header")
+    snaps = []
+    for snap_idx in range(length):
+        try:
+            snaps.append(_read_snapshot(rd, num_nodes, d))
+        except ValueError as exc:
+            raise ValueError(f"snapshot {snap_idx}: {exc}") from None
+    return SnapshotSequence(tuple(snaps))
 
 
 def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
@@ -591,11 +558,11 @@ def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
     t_line = rd.next("timestamp").split()
     if len(t_line) != 2 or t_line[0] != "T":
         raise ValueError("expected 'T <timestamp>'")
-    (timestamp,) = _numbers(t_line[1:], float, "timestamp")
+    (timestamp,) = numbers(t_line[1:], float, "timestamp")
     e_line = rd.next("edge count").split()
     if len(e_line) != 2 or e_line[0] != "E":
         raise ValueError("expected 'E <num_edges>'")
-    (num_edges,) = _numbers(e_line[1:], int, "edge count")
+    (num_edges,) = numbers(e_line[1:], int, "edge count")
     if num_edges < 0:
         raise ValueError(f"negative edge count {num_edges}")
     pairs = []
@@ -603,7 +570,7 @@ def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
         parts = rd.next("edge").split()
         if len(parts) != 2:
             raise ValueError("malformed edge line")
-        u, w = _numbers(parts, int, "edge")
+        u, w = numbers(parts, int, "edge")
         if not (0 <= u < num_nodes and 0 <= w < num_nodes):
             raise ValueError(f"edge ({u}, {w}) references a node outside [0, {num_nodes})")
         pairs.append((u, w))
@@ -614,7 +581,7 @@ def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
         row = rd.next("feature row").split()
         if len(row) != d:
             raise ValueError(f"feature row has {len(row)} values, expected {d}")
-        rows.append(_numbers(row, float, "feature row"))
+        rows.append(numbers(row, float, "feature row"))
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return Snapshot.from_csr(*_csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes),
                              np.array(rows, dtype=float).reshape(num_nodes, d), timestamp)

@@ -281,7 +281,9 @@ def test_config_file_with_a_malformed_line_is_an_input_error(capsys, tmp_path):
     ("noise = abc", ["run", "--seeds", "0"], "noise: expected a number, got 'abc'"),
     ("skip_static = maybe", ["run", "--seeds", "0"],
      "skip_static: expected a boolean, got 'maybe'"),
-], ids=["int", "float", "bool"])
+    ("alpha = abc", ["verify"], "alpha: expected a number, got 'abc'"),
+    ("seeds = 0-x", ["run"], "seeds: expected integers or ranges a-b, got '0-x'"),
+], ids=["int", "float", "bool", "alpha", "seeds"])
 def test_config_value_of_the_wrong_type_names_the_file_and_key(capsys, tmp_path,
                                                                 line, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -294,6 +296,38 @@ def test_config_value_of_the_wrong_type_names_the_file_and_key(capsys, tmp_path,
     assert stdout == ""
     assert err == f"error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+def test_a_config_file_that_is_not_utf8_names_the_file_and_offset(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed = 0\n# caf\xe9\n")
+    code, stdout, err = _run(capsys, ["verify", "--config", str(cfg)])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {cfg}: non-UTF-8 byte 0xe9 at offset 14\n"
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("0-x", "expected integers or ranges a-b, got '0-x'"),
+    ("0,5-3", "range '5-3' runs backwards"),
+], ids=["not_a_number", "backwards_range"])
+def test_a_malformed_seeds_flag_names_the_key(capsys, tmp_path, seeds, message):
+    out = tmp_path / "r.csv"
+    code, stdout, err = _run(capsys, ["run", "--seeds", seeds, "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: seeds: {message}\n"
+    assert not out.exists()
+
+
+def test_alpha_from_a_config_file_restricts_the_suites(capsys, tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("alpha = 2\n", encoding="ascii")
+    code, out, err = _run(capsys, ["verify", "--config", str(cfg), "--instances", "1",
+                                   "--schedules", "1", "--ode-steps", "50"])
+    assert (code, err) == (0, "")
+    # without alpha = 0 in the set there is no reduction suite
+    assert [line.split()[1] for line in out.splitlines()] == [
+        "projection-vs-ode", "zoh-vs-ode", "weights-convexity"]
 
 
 # ---------------------------------------------------------------------------

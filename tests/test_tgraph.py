@@ -90,6 +90,18 @@ def test_event_stream_rejects_self_loop():
         EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset({(1, 1)}), events=())
 
 
+@pytest.mark.parametrize("initial, events, what", [
+    ({(0.5, 1)}, (), r"edge \(0.5, 1\)"),
+    (set(), ((1.2, 2, 0.5, Action.INSERT),), r"event \(1.2, 2\)"),
+], ids=["edge", "event"])
+def test_event_stream_rejects_non_integer_node_ids(initial, events, what):
+    # int() used to truncate them: (0.5, 1.7) became the edge (0, 1)
+    with pytest.raises(ValueError, match=rf"{what} node ids must be integers"):
+        EventStream(num_nodes=3, horizon=1.0, initial_edges=frozenset(initial), events=events)
+    same = EventStream(num_nodes=3, horizon=1.0, initial_edges=frozenset({(1.0, 0.0)}), events=())
+    assert same.initial_edges == frozenset({(0, 1)})
+
+
 def test_edges_at_replays_inserts_and_deletes():
     stream = EventStream(
         num_nodes=3,
