@@ -144,6 +144,8 @@ def class_ids(values, num_classes: int | None = None, rows: int | None = None,
     arr = integers(values, name)
     if arr.ndim != 1 or (rows is not None and arr.size != rows):
         raise ValueError(f"{name} must assign one class per node")
+    if num_classes is None and arr.size == 0:
+        raise ValueError(f"{name} are empty: the class count cannot be inferred, pass num_classes")
     c = int(arr.max()) + 1 if num_classes is None else int(num_classes)
     if num_classes is not None and c < 1:
         raise ValueError(f"class count {c} is below 1")

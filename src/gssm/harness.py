@@ -120,6 +120,13 @@ def split_nodes(labels: np.ndarray, rng: np.random.Generator,
     return Split(np.sort(train), np.sort(val), np.sort(test))
 
 
+def _upper_pairs(v: int):
+    """The two node ids of every pair i < j, listed row-major as by
+    `np.triu_indices(v, 1)`, built as int32 without an int64 intermediate."""
+    ids = np.arange(v, dtype=np.int32)
+    return np.repeat(ids, ids[::-1]), np.concatenate([ids[i + 1:] for i in range(v)])
+
+
 def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     """Deterministic planted-partition temporal task.
 
@@ -139,7 +146,7 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     rng.shuffle(labels)
 
     same = labels[:, None] == labels[None, :]
-    iu = np.triu_indices(v, 1)
+    iu = _upper_pairs(v)
     same_u = same[iu]
 
     snaps = []

@@ -16,12 +16,15 @@ Building blocks, bottom up:
   products with the sequence's block-diagonal adjacency
   (`SnapshotSequence.adjacency_csr`), once per layer input and distinct
   (flavor, self_mix), and each mix is one call on the shifted sequence.
+  The per-state arrays (decay, drive, states) exist one time tile at a
+  time: consecutive snapshots holding about `_TILE_ELEMENTS` state entries.
 * `block_forward` -- residual block composition around a layer; the mixing
   mechanism is by default confined to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
 
-All recurrences run through the scan module: the sequential fold by
-default, the chunked parallel scan on request.
+All recurrences run through the scan module, one `run_scan` call per time
+tile with the previous tile's last state as its initial state: the
+sequential fold by default, the chunked parallel scan on request.
 """
 
 import math
@@ -302,6 +305,12 @@ def _drive_estimates(seq, hidden_in, p, mechanism):
     return _drive(seq, x, p, mechanism, _aggregations(seq, x))
 
 
+# Element count of one time tile's decay, drive and states each: the layer
+# builds and scans the per-state arrays a tile of snapshots at a time, so no
+# [L x V x D x N] array exists and a tile stays in cache through its scan.
+_TILE_ELEMENTS = 1 << 16
+
+
 def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
                 mechanism: MixMechanism | None = None,
                 backend: str = "sequential") -> np.ndarray:
@@ -314,28 +323,48 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     channel), delta an affine map of h_l.  S5 (MIMO): one state per node
     shared across channels, delta as in S4.  S6 (selective SISO): delta, B
     and C produced from the layer input by the three selective GNNs.
+
+    delta, B, C and h are built for the whole sequence; the decay, drive
+    and states are built, scanned and read out one tile of consecutive
+    snapshots at a time, each tile starting from the last state of the one
+    before, so no [L x V x D x N] array is ever held.  The tiles change no
+    bit of the output.
     """
     x = np.moveaxis(_check_hidden(seq, hidden_in, p), 1, 0)                   # [L,V,D]
     aggregate = _aggregations(seq, x)
     h = _drive(seq, x, p, p.mix_mechanism if mechanism is None else mechanism, aggregate)
     if p.variant is SsmVariant.S6:
-        pre_delta, b_sel, c = (aggregate(g) @ g.weight + g.bias
-                               for g in (p.gnn_delta, p.gnn_b, p.gnn_c))
+        pre_delta, b_sel, c_sel = (aggregate(g) @ g.weight + g.bias
+                                   for g in (p.gnn_delta, p.gnn_b, p.gnn_c))
         delta = softplus(pre_delta + p.delta_bias)[..., None]                 # [L,V,D,1]
-        drives = (delta * b_sel[:, :, None, :]) * h[..., None]                 # [L,V,D,N]
         readout = "lvdn,lvn->vld"
+
+        def tile(t):                                                           # [T,V,D,N]
+            return (delta[t] * b_sel[t, :, None, :]) * h[t, ..., None], c_sel[t]
     else:
         delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]        # [L,V,1]
         if p.variant is SsmVariant.S5:
-            drives = delta * (h @ p.b)                                         # [L,V,N]
-            readout, c = "lvn,nd->vld", p.c
+            readout = "lvn,nd->vld"
+
+            def tile(t):                                                       # [T,V,N]
+                return delta[t] * (h[t] @ p.b), p.c
         else:
             delta = delta[..., None]                                           # [L,V,1,1]
-            drives = (delta * p.b) * h[..., None]                              # [L,V,D,N]
-            readout, c = "lvdn,dn->vld", p.c
-    states = run_scan(RecurrenceInputs(np.exp(delta * p.a), drives,
-                                       np.zeros(drives.shape[1:])), backend)
-    return np.einsum(readout, states, c)
+            readout = "lvdn,dn->vld"
+
+            def tile(t):                                                       # [T,V,D,N]
+                return (delta[t] * p.b) * h[t, ..., None], p.c
+    lanes = (seq.num_nodes,) + p.a.shape
+    step = max(1, _TILE_ELEMENTS // math.prod(lanes))
+    out = np.empty((seq.num_nodes, len(seq), p.gnn.weight.shape[1]))
+    carry = np.zeros(lanes)
+    for start in range(0, len(seq), step):
+        t = slice(start, start + step)
+        drives, c = tile(t)
+        states = run_scan(RecurrenceInputs(np.exp(delta[t] * p.a), drives, carry), backend)
+        np.einsum(readout, states, c, out=out[:, t])
+        carry = states[-1]
+    return out
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gssm import (Snapshot, SnapshotSequence, SyntheticTask, TaskConfig,
-                  gen_synthetic, load_checkpoint, load_labels, load_sequence,
-                  readout_loss, save_checkpoint, save_labels, save_sequence,
-                  train_readout)
+                  f1_scores, gen_synthetic, load_checkpoint, load_labels,
+                  load_sequence, readout_loss, save_checkpoint, save_labels,
+                  save_sequence, train_readout)
 
 
 def _sequence():
@@ -158,3 +158,13 @@ def test_every_label_boundary_names_the_value_and_the_range(tmp_path, entry):
     task, labels = _labelled()
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got 7"):
         _LABEL_ENTRY_POINTS[entry](task, labels, tmp_path / "bad.labels")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda empty: f1_scores(empty, empty),
+    lambda empty: readout_loss(np.zeros(0), np.ones((0, 2)), empty, None),
+], ids=["f1_scores", "readout_loss"])
+def test_empty_labels_without_a_class_count_name_the_labels(entry):
+    with pytest.raises(ValueError, match=r"^(preds|labels) are empty: the class count "
+                                         r"cannot be inferred"):
+        entry(np.array([], dtype=int))

@@ -36,7 +36,7 @@ from gssm import (
     train_readout,
 )
 from gssm.cli import main
-from gssm.harness import readout_loss, results_to_csv
+from gssm.harness import _upper_pairs, readout_loss, results_to_csv
 
 _ACCEPTANCE_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
@@ -141,6 +141,30 @@ def test_block_forward_on_the_csr_built_task_equals_the_dense_built_one(variant)
                          cfg.num_features, cfg.seq_len)
     assert np.array_equal(block_forward(hidden, task.sequence, model),
                           block_forward(hidden, seq, model))
+
+
+def test_gen_pair_indices_are_int32_and_list_the_upper_triangle():
+    for v in (2, 5, 97):
+        rows, cols = _upper_pairs(v)
+        want = np.triu_indices(v, 1)
+        assert rows.dtype == cols.dtype == np.int32
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+
+
+def test_gen_peak_memory_per_node_pair_is_bounded():
+    import tracemalloc
+    v = 600
+    cfg = _tiny_task_cfg(num_nodes=v)
+    gen_synthetic(1, _tiny_task_cfg())  # first-call allocations are not part of the build
+    tracemalloc.start()
+    try:
+        gen_synthetic(1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 34.5 bytes per pair with int32 pair indices; int64 ones (16 bytes
+    # a pair on their own) put the peak at 42.5.
+    assert peak < 38 * v * (v - 1) // 2
 
 
 def test_gen_stores_no_dense_adjacency():
@@ -593,6 +617,23 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c55dfaf09be1c645f548a14d95acc30ab542a01c5877012df6d015be2fec1b19")
+
+
+@pytest.mark.parametrize("variant, digest", [
+    (SsmVariant.S4, "348a19dc674dd13930b1291a6f08c5203a4c9ca01c7b7ac18566a6f94de4ec52"),
+    (SsmVariant.S5, "adf0646888670ec5fa90a5be6ecbb6b3265ec88132a23aa0f55f0b6786acf861"),
+    (SsmVariant.S6, "507e511ed74d2e25ff8299d1ae2a895e2844176b6312fd2bc2cfe290025a1f5f"),
+])
+def test_block_forward_output_keeps_its_digest(variant, digest):
+    """The forward's bits on a generated task (V=64, L=128), as the
+    whole-sequence layer produced them before it was run in time tiles."""
+    task = gen_synthetic(0, TaskConfig(num_nodes=64, seq_len=128))
+    seq = task.sequence
+    hidden = np.stack([s.features for s in seq], axis=1)
+    model = sample_model(named_rng(0, "model"), ModelConfig(variant=variant),
+                         seq.num_features, len(seq))
+    out = block_forward(hidden, seq, model)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_verify_prints_the_pinned_oracle_errors(capsys):

@@ -44,9 +44,9 @@ from gssm import (
     softplus,
     ssm_forward,
 )
-from gssm import tgraph
+from gssm import layers, tgraph
 from gssm.layers import _drive_estimates
-from gssm.scan import RecurrenceInputs, scan_sequential
+from gssm.scan import RecurrenceInputs, run_scan, scan_sequential
 
 
 def _random_adjacency(rng, v, p=0.4):
@@ -713,16 +713,69 @@ def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mech
     assert np.array_equal(block_forward(hidden, seq, blocks), ref)
 
 
+def _tiled(monkeypatch, tile, v, p):
+    """Set the tile size to `tile` snapshots of p's per-node state on V nodes;
+    returns the list each `run_scan` call appends its tile length to."""
+    monkeypatch.setattr(layers, "_TILE_ELEMENTS", tile * v * p.a.size)
+    lengths = []
+
+    def spy(inp, backend):
+        lengths.append(inp.length)
+        return run_scan(inp, backend)
+    monkeypatch.setattr(layers, "run_scan", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("tile, lengths", [(1, [1] * 5), (2, [2, 2, 1]), (8, [5])],
+                         ids=["one-snapshot", "ragged", "past-the-end"])
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
 @pytest.mark.parametrize("variant", list(SsmVariant))
-def test_forward_backends_agree(variant):
+def test_tiled_forward_equals_the_stepwise_reference(monkeypatch, variant, mechanism,
+                                                     tile, lengths):
+    rng = np.random.default_rng(61)
+    v, l, d, n = 6, 5, 3, 4
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _PARAMS[variant](rng, d, n, mechanism=mechanism)
+    seen = _tiled(monkeypatch, tile, v, p)
+    assert np.array_equal(ssm_forward(seq, hidden, p), _stepwise_forward(seq, hidden, p, mechanism))
+    assert seen == lengths
+
+
+@pytest.mark.parametrize("tile, lengths", [(3, [3, 3, 1]), (8, [7])],
+                         ids=["ragged", "one-tile"])
+@pytest.mark.parametrize("variant", list(SsmVariant))
+def test_forward_backends_agree(monkeypatch, variant, tile, lengths):
     rng = np.random.default_rng(41)
     v, l, d, n = 5, 7, 3, 4
     seq = _sequence(rng, v, l, d)
     hidden = rng.normal(size=(v, l, d))
     p = _PARAMS[variant](rng, d, n)
+    seen = _tiled(monkeypatch, tile, v, p)
     y_seq = ssm_forward(seq, hidden, p, backend="sequential")
     y_par = ssm_forward(seq, hidden, p, backend="parallel")
+    assert seen == lengths * 2
     assert np.abs(y_seq - y_par).max() <= 1e-10
+
+
+def test_forward_peak_memory_stays_below_a_quarter_of_one_state_array():
+    """With N*D >> D a whole-sequence S4 state [L x V x D x N] would dwarf
+    the [L x V x D] inputs; one layer's traced peak stays under a quarter of
+    one such float64 array."""
+    import tracemalloc
+    rng = np.random.default_rng(71)
+    v, l, d, n = 16, 1024, 2, 64
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s4_params(rng, d, n)
+    ssm_forward(seq, hidden, p)  # builds the sequence's cached operator
+    tracemalloc.start()
+    try:
+        ssm_forward(seq, hidden, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < l * v * d * n * 8 / 4
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
