@@ -12,10 +12,10 @@ from gssm import (Action, EventStream, HippoConfig, LaplacianKind,
                   hippo_legs_matrices, integrate_hippo, projection_oracle)
 
 # --- the transition matrices themselves --------------------------------------
-legs = hippo_legs_matrices(4)
+a, b = hippo_legs_matrices(4)
 print("A (lower triangular):")
-print(legs.A)
-print("B:", legs.B)
+print(a)
+print("B:", b)
 
 # --- integrate a small mutating graph ----------------------------------------
 # Triangle that loses an edge at t=4; constant node features, so once the
@@ -28,19 +28,19 @@ cfg = HippoConfig(order=4, alpha=0.8, laplacian=LaplacianKind.SYMMETRIC)
 
 # A feature path maps an array of K times to the [K x nodes] features at them.
 constant = lambda t: np.broadcast_to(x, (t.size, x.size))
-result = integrate_hippo(stream, constant, cfg, 16.0)
+u = integrate_hippo(stream, constant, cfg, 16.0)
 print("\nmemory at t=16 (rows = nodes, cols = Legendre degrees):")
-print(result.u.round(6))
+print(u.round(6))
 
 # The oracle computes the same thing by brute-force projection (dense
 # quadrature against the orthonormal Legendre basis on [0, t]).
 oracle = projection_oracle(stream, constant, cfg, 16.0)
-rel = np.linalg.norm(result.u - oracle.u) / np.linalg.norm(oracle.u)
+rel = np.linalg.norm(u - oracle) / np.linalg.norm(oracle)
 print(f"relative gap to the projection oracle: {rel:.2e}")
 
 # With alpha=0 the graph term vanishes: degree-0 memory == raw features.
 plain = integrate_hippo(stream, constant, HippoConfig(order=4, alpha=0.0), 16.0)
-print("alpha=0 degree-0 coefficients:", plain.u[:, 0].round(6), "(the raw x)")
+print("alpha=0 degree-0 coefficients:", plain[:, 0].round(6), "(the raw x)")
 
 # --- what the graph term preserves -------------------------------------------
 # On each connected component the smoother has a null direction: a profile the

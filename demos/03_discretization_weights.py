@@ -39,7 +39,7 @@ def path(t):
 
 cfg = HippoConfig(order=3, alpha=1.0, laplacian=LaplacianKind.SYMMETRIC)
 u_ode = integrate_hippo(stream, path, cfg, 2.5, u_start=u0, t_start=0.5,
-                        system=(np.diag(a), b)).u
+                        system=(np.diag(a), b))
 print("\nexact one-interval update:")
 print(u_exact.round(6))
 print("max gap to the RK4 integration:", float(np.abs(u_exact - u_ode).max()))

@@ -4,9 +4,10 @@ Continuous-time graph-regularized memory (hippo), its exact one-interval
 discretization and the definition of the layers' drive (discretize), one
 graph SSM layer forward (`ssm_forward`) with S4/S5/S6 wirings over a
 sequential scan, with a chunked parallel scan as its cross-check (layers,
-scan), temporal-graph containers and formats (tgraph), and a synthetic
-node-classification harness (harness).  `gssm.cli.main` is the command-line
-entry point.
+scan), temporal-graph containers and formats (tgraph), a synthetic
+node-classification harness (harness), and the oracle-agreement suites that
+check the memory flow against its references (verify).  `gssm.cli.main` is
+the command-line entry point.
 """
 
 from .discretize import (MixMechanism, MutationSchedule, mixed_estimate,
@@ -17,9 +18,9 @@ from .harness import (ModelConfig, ReadoutParams, Split, SyntheticTask,
                       named_rng, readout_loss, results_to_csv, run_experiment,
                       sample_model, save_labels, split_nodes, standardize,
                       static_features, train_readout)
-from .hippo import (TIME_ORIGIN, CoefficientState, HippoConfig, HippoLegS,
-                    consensus_profile, hippo_legs_matrices, integrate_hippo,
-                    projection_oracle, smoothing_matrix)
+from .hippo import (TIME_ORIGIN, HippoConfig, consensus_profile,
+                    hippo_legs_matrices, integrate_hippo, projection_oracle,
+                    smoothing_matrix)
 from .layers import (BlockParams, ConvMixParams, GnnFlavor, GnnParams,
                      InitStrategy, InterpMixParams, SsmLayerParams,
                      SsmVariant, StateInitRule, align_memory, apply_mix,

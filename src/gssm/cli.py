@@ -22,17 +22,14 @@ import time
 import numpy as np
 
 from ._checks import integer, parse_like, read_text
-from .discretize import (MixMechanism, MutationSchedule, _segment_weights_stack,
-                         zoh_oracle_step)
-from .harness import (ModelConfig, TaskConfig, gen_synthetic, named_rng,
-                      results_to_csv, run_experiment, save_labels)
-from .hippo import TIME_ORIGIN, HippoConfig, integrate_hippo, projection_oracle
+from .discretize import MixMechanism
+from .harness import (ModelConfig, TaskConfig, gen_synthetic, results_to_csv,
+                      run_experiment, save_labels)
+from .hippo import HippoConfig
 from .layers import InitStrategy, SsmVariant
 from .scan import bench_recurrence
-from .tgraph import (Action, EventStream, LaplacianKind, load_sequence,
-                     save_sequence, segments, temporal_continuity)
-
-_KINDS = (LaplacianKind.SYMMETRIC, LaplacianKind.RANDOM_WALK)
+from .tgraph import load_sequence, save_sequence, temporal_continuity
+from .verify import suite_projection, suite_reduction, suite_weights, suite_zoh
 
 
 # ---------------------------------------------------------------------------
@@ -98,165 +95,12 @@ def _parse_seeds(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Verification suites (gen/verify share the random-instance builders)
+# Subcommands
 # ---------------------------------------------------------------------------
 
-def _random_stream(rng, num_nodes: int, horizon: float, num_events: int,
-                   t_lo: float, t_hi: float) -> EventStream:
-    pairs = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
-    initial = frozenset(p for p in pairs if rng.random() < 0.4)
-    times = np.sort(rng.uniform(t_lo, t_hi, size=num_events))
-    while len(set(times.tolist())) != num_events:
-        times = np.sort(rng.uniform(t_lo, t_hi, size=num_events))
-    current = set(initial)
-    events = []
-    for t in times:
-        present = sorted(current)
-        absent = sorted(set(pairs) - current)
-        insert = not present or (absent and rng.random() < 0.5)
-        pool = absent if insert else present
-        u, v = pool[int(rng.integers(len(pool)))]
-        events.append((u, v, float(t), Action.INSERT if insert else Action.DELETE))
-        (current.add if insert else current.discard)((u, v))
-    return EventStream(num_nodes, horizon, initial, tuple(events))
-
-
-def suite_projection(seed: int, instances: int, alphas, ode_steps: int,
-                     quad_points: int):
-    """ODE integration vs the quadrature projection oracle at the horizon.
-
-    Constant-in-time features over a horizon long enough for the start-up
-    transient to decay; mutations confined to the first half.
-    """
-    rng = named_rng(seed, "verify-projection")
-    worst = 0.0
-    for i in range(instances):
-        v = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(0, 6))
-        stream = _random_stream(rng, v, 16.0, m, 0.25, 6.0)
-        x = rng.normal(size=v)
-        cfg = HippoConfig(order=n, alpha=float(alphas[i % len(alphas)]),
-                          laplacian=_KINDS[i % 2], ode_steps_per_unit=ode_steps,
-                          quadrature_points=quad_points)
-        path = lambda t: np.broadcast_to(x, (t.size, v))
-        u = integrate_hippo(stream, path, cfg, 16.0).u
-        q = projection_oracle(stream, path, cfg, 16.0).u
-        worst = max(worst, np.linalg.norm(u - q) / np.linalg.norm(q))
-    return worst
-
-
-def suite_zoh(seed: int, instances: int, alphas, ode_steps: int):
-    """One-interval exact discretization vs RK4 on the same diagonal system
-    with the same interior mutation schedule and piecewise-constant features."""
-    rng = named_rng(seed, "verify-zoh")
-    worst = 0.0
-    for i in range(instances):
-        v = int(rng.integers(2, 9))
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 6))
-        t_start = float(rng.uniform(0.2, 0.8))
-        length = float(rng.uniform(1.0, 4.0))
-        t_end = t_start + length
-        stream = _random_stream(rng, v, t_end + 0.5, m,
-                                t_start + 0.05 * length, t_end - 0.05 * length)
-        feats = tuple(rng.normal(size=v) for _ in range(m + 1))
-        sched = MutationSchedule.from_stream(stream, t_start, t_end, feats)
-        a = -np.exp(rng.uniform(-1.5, 1.0, size=n))
-        b = rng.normal(size=n)
-        kind = _KINDS[i % 2]
-        alpha = float(alphas[i % len(alphas)])
-        u0 = rng.normal(size=(v, n))
-        u_zoh = zoh_oracle_step(u0, sched, a, b, alpha, kind)
-
-        bounds = np.asarray(sched.boundaries)
-
-        def path(t, bounds=bounds, feats=np.stack(feats)):
-            j = np.searchsorted(bounds, t, side="right") - 1
-            return feats[np.clip(j, 0, len(feats) - 1)]
-
-        cfg = HippoConfig(order=n, alpha=alpha, laplacian=kind,
-                          ode_steps_per_unit=ode_steps)
-        u_ode = integrate_hippo(stream, path, cfg, t_end, u_start=u0,
-                                t_start=t_start, system=(np.diag(a), b)).u
-        rel = np.linalg.norm(u_zoh - u_ode) / max(np.linalg.norm(u_ode), 1e-12)
-        worst = max(worst, rel)
-    return worst
-
-
-def suite_weights(seed: int, schedules: int):
-    """Convexity of the segment weights: entries in [0,1], columns sum to 1.
-
-    The schedules are drawn one at a time, then weighed in one stack per
-    (mutation count, diagonal size)."""
-    rng = named_rng(seed, "verify-weights")
-    stacks = {}
-    for _ in range(schedules):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 7))
-        t0 = float(rng.uniform(-5.0, 5.0))
-        length = float(rng.uniform(1e-3, 50.0))
-        fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
-        while len(set(fracs.tolist())) != m:
-            fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
-        bounds = (t0, *(t0 + length * fracs), t0 + length)
-        a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
-        stacks.setdefault((m, n), []).append((bounds, a))
-    worst = 0.0
-    for rows in stacks.values():
-        bounds, a = zip(*rows)
-        w = _segment_weights_stack(bounds, a)
-        worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()),
-                    float(-w.min()), float(w.max() - 1.0))
-    return worst
-
-
-def suite_reduction(seed: int, instances: int, ode_steps: int):
-    """Graph smoothing off (alpha=0, or an edgeless graph) must reduce the
-    joint integration to independent per-node memory flows.
-
-    The per-node side is integrated piece by piece over the joint run's
-    `segments` so both sides take identical RK4 steps.
-    """
-    rng = named_rng(seed, "verify-reduction")
-    worst = 0.0
-    for i in range(instances):
-        v = int(rng.integers(2, 7))
-        n = int(rng.integers(2, 7))
-        edgeless = i % 2 == 1
-        if edgeless:
-            stream = EventStream(v, 4.0, frozenset(), ())
-            alpha = 2.0
-        else:
-            stream = _random_stream(rng, v, 4.0, int(rng.integers(1, 4)), 0.25, 3.75)
-            alpha = 0.0
-        coef = rng.normal(size=v)
-        freq = rng.uniform(0.5, 2.0, size=v)
-
-        def path(t, coef=coef, freq=freq):
-            return coef * np.sin(freq * t[:, None]) + 1.0
-
-        cfg = HippoConfig(order=n, alpha=alpha, laplacian=_KINDS[i % 2],
-                          ode_steps_per_unit=ode_steps)
-        joint = integrate_hippo(stream, path, cfg, 4.0).u
-        solo_stream = EventStream(1, 4.0, frozenset(), ())
-        pieces = [(lo, hi) for lo, hi, _ in segments(stream, TIME_ORIGIN, 4.0)]
-        for node in range(v):
-            def solo_path(t, node=node, path=path):
-                return path(t)[:, [node]]
-
-            u = None
-            for lo, hi in pieces:
-                u = integrate_hippo(solo_stream, solo_path, cfg, hi,
-                                    u_start=u, t_start=lo).u
-            worst = max(worst, float(np.abs(joint[node] - u[0]).max()))
-    return worst
-
-
-_HIPPO = {f.name: f.default for f in dataclasses.fields(HippoConfig)}
 _VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000, "alpha": None,
-                    "ode_steps": _HIPPO["ode_steps_per_unit"],
-                    "quad_points": _HIPPO["quadrature_points"]}
+                    "ode_steps": HippoConfig.ode_steps_per_unit,
+                    "quad_points": HippoConfig.quadrature_points}
 
 
 def cmd_verify(args) -> int:
@@ -289,10 +133,6 @@ def cmd_verify(args) -> int:
               f"tol={tol:.0e} time={took:.3f}s")
     return 1 if failed else 0
 
-
-# ---------------------------------------------------------------------------
-# gen / metrics / run / bench
-# ---------------------------------------------------------------------------
 
 # Task flag -> TaskConfig field; the four size fields have one-letter flags.
 _SHORT = {"num_nodes": "v", "seq_len": "l", "num_features": "d", "num_classes": "c"}
@@ -357,8 +197,8 @@ def cmd_run(args) -> int:
 
 
 _BENCH_DEFAULTS = {"l_values": "1024,2048,4096,8192,16384,32768,65536",
-                   "lanes": 128, "repeats": 3, "chunk": 0,
-                   "backends": "sequential,parallel", "seed": 0}
+                   "lanes": 128, "repeats": 3, "backends": "sequential,parallel",
+                   "seed": 0}
 
 
 def cmd_bench(args) -> int:
@@ -366,8 +206,7 @@ def cmd_bench(args) -> int:
     l_values = [int(x) for x in str(cfg["l_values"]).split(",") if x.strip()]
     backends = tuple(b.strip() for b in cfg["backends"].split(",") if b.strip())
     rows = bench_recurrence(l_values, lanes=cfg["lanes"], backends=backends,
-                            repeats=cfg["repeats"], chunk=cfg["chunk"] or None,
-                            seed=cfg["seed"])
+                            repeats=cfg["repeats"], seed=cfg["seed"])
     lines = ["L,lanes,backend,ns_per_element"]
     lines += [f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}"
               for r in rows]
@@ -467,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(p, d, "l_values", "comma list of sequence lengths")
     _option(p, d, "lanes", "independent lanes")
     _option(p, d, "repeats", "best-of repeats")
-    _option(p, d, "chunk", "parallel chunk length, 0 = ceil(sqrt(L))")
     _option(p, d, "backends", "comma list from sequential,parallel")
     _option(p, d, "seed", "workload seed")
     p.set_defaults(func=cmd_bench)

@@ -153,12 +153,12 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     state = None
     for l in range(length):
         pin_l = cfg.p_out + (cfg.p_in - cfg.p_out) * (1.0 - cfg.p_decay) ** l
-        pair_p = np.where(same_u, pin_l, cfg.p_out)
-        if state is None:
-            state = rng.random(pair_p.size) < pair_p
-        else:
-            redraw = rng.random(pair_p.size) < cfg.drift_rate
-            state = np.where(redraw, rng.random(pair_p.size) < pair_p, state)
+        redraw = None if state is None else rng.random(same_u.size) < cfg.drift_rate
+        # The uniforms, then each pair's draw at its rate (boolean algebra in
+        # place of np.where, which is slower on boolean operands).
+        drawn = rng.random(same_u.size)
+        drawn = (same_u & (drawn < pin_l)) | (~same_u & (drawn < cfg.p_out))
+        state = drawn if redraw is None else (redraw & drawn) | (~redraw & state)
         idx = np.flatnonzero(state)
         indptr, indices = _csr_from_pairs(iu[0][idx], iu[1][idx], v)
 

@@ -20,7 +20,8 @@ the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
 edgeless graph) everything collapses to independent per-node HiPPO, which is
 what several tests pin down.
 
-Both read the node features X(t) through a feature path on a time grid:
+Both return the coefficients U as a [V x N] array, and both read the node
+features X(t) through a feature path on a time grid:
 `feature_path(times)` takes a 1-D float array of K times and returns the
 [K x V] features at those times, one row per time.  The integrator calls it
 once per block of RK4 steps on the block's stage times, the oracle once on
@@ -29,7 +30,6 @@ its quadrature nodes; each result is checked once for shape and finiteness.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh, lu_factor, lu_solve
@@ -48,14 +48,8 @@ TIME_ORIGIN = 1e-3
 _BLOCK_STEPS = 256
 
 
-class HippoLegS(NamedTuple):
-    order: int
-    A: np.ndarray  # [N x N], lower triangular
-    B: np.ndarray  # [N]
-
-
-def hippo_legs_matrices(order: int) -> HippoLegS:
-    """HiPPO-LegS transition matrices, 0-based indexing.
+def hippo_legs_matrices(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """HiPPO-LegS transition matrices (A [N x N], B [N]), 0-based indexing.
 
     A[n, k] = -sqrt((2n+1)(2k+1))  for n > k
               -(n+1)               for n == k
@@ -66,7 +60,7 @@ def hippo_legs_matrices(order: int) -> HippoLegS:
     root = np.sqrt(2.0 * n + 1.0)
     a = -np.outer(root, root)
     a = np.tril(a, -1) + np.diag(-(n + 1.0))
-    return HippoLegS(order, a, root.copy())
+    return a, root
 
 
 @dataclass(frozen=True)
@@ -83,14 +77,6 @@ class HippoConfig:
         for name, least in (("order", 1), ("ode_steps_per_unit", 1), ("quadrature_points", 2)):
             integer(getattr(self, name), name, least)
         nonnegative(self.alpha, "alpha")
-
-
-@dataclass
-class CoefficientState:
-    """Per-node expansion coefficients U [V x N] at a point in time."""
-
-    u: np.ndarray
-    time: float
 
 
 def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
@@ -129,8 +115,9 @@ def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray
 def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: float,
                     u_start: np.ndarray | None = None,
                     t_start: float | None = None,
-                    system=None) -> CoefficientState:
-    """Integrate the smoothed-projection flow up to t_end with classical RK4.
+                    system=None) -> np.ndarray:
+    """The per-node coefficients U [V x N] at t_end: the smoothed-projection
+    flow integrated with classical RK4.
 
     feature_path maps a 1-D array of K times to the [K x V] scalar node
     features at those times (multi-channel callers loop over channels; the
@@ -173,7 +160,7 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     if not (0.0 < t_start < t_end <= stream.horizon):
         raise ValueError("need 0 < t_start < t_end <= horizon")
     n = cfg.order
-    a_mat, b_vec = hippo_legs_matrices(n)[1:] if system is None else system
+    a_mat, b_vec = hippo_legs_matrices(n) if system is None else system
     a_t = finite(a_mat, "system override").T
     b_vec = finite(b_vec, "system override").reshape(-1)
     if a_t.shape != (n, n) or b_vec.size != n:
@@ -221,7 +208,7 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
             stages = np.lib.stride_tricks.sliding_window_view(s, 3, axis=0)[::2]
             u = u @ powers[steps] + np.einsum("kvs,ksn->vn", stages, gains[kmax - steps:])
             t, carried = ends[-1], s[-1:]
-    return CoefficientState(u, t_end)
+    return u
 
 
 def _normalized_legendre(x: np.ndarray, order: int) -> np.ndarray:
@@ -241,8 +228,8 @@ def _normalized_legendre(x: np.ndarray, order: int) -> np.ndarray:
 
 
 def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
-                      t: float) -> CoefficientState:
-    """Brute-force reference for the projection coefficients at time t.
+                      t: float) -> np.ndarray:
+    """Brute-force reference for the projection coefficients U [V x N] at time t.
 
     Computes Q[v, n] = (1/t) * integral_0^t x_v(s) P~_n(2s/t - 1) ds by
     composite-trapezoid quadrature on cfg.quadrature_points nodes, then
@@ -263,7 +250,7 @@ def projection_oracle(stream: EventStream, feature_path, cfg: HippoConfig,
     w[-1] *= 0.5
     q = (x * w[:, None]).T @ basis.T / t
     adj = adjacency_from_edges(edges_at(stream, t), stream.num_nodes)
-    return CoefficientState(smoothing_matrix(adj, cfg.alpha, cfg.laplacian) @ q, t)
+    return smoothing_matrix(adj, cfg.alpha, cfg.laplacian) @ q
 
 
 def consensus_profile(snap, kind: LaplacianKind):

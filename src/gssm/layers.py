@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from ._checks import finite, negative, numbers, read_records
+from ._checks import finite, integer, integers, negative, numbers, read_records
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
@@ -462,9 +462,7 @@ def init_a(strategy: InitStrategy, shape, rng: np.random.Generator | None = None
 
 def delta_bias_init(length: int) -> float:
     """Bias making the zero-weight step size softplus(bias) equal 1/length."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    return float(np.log(np.expm1(1.0 / length)))
+    return float(np.log(np.expm1(1.0 / integer(length, "length", 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +486,9 @@ def align_memory(u_prev: np.ndarray, v_prev, v_new, rule: StateInitRule = StateI
     all-new-neighbor nodes fall back to zero.
     """
     rule = StateInitRule(rule)
-    prev_ids = sorted(set(int(v) for v in v_prev))
-    new_ids = sorted(set(int(v) for v in v_new))
-    u_prev = np.asarray(u_prev, dtype=float)
+    prev_ids = sorted(set(integers(list(v_prev), "v_prev").tolist()))
+    new_ids = sorted(set(integers(list(v_new), "v_new").tolist()))
+    u_prev = finite(u_prev, "u_prev")
     if u_prev.shape[0] != len(prev_ids):
         raise ValueError("u_prev must have one row per previous node")
     if rule is StateInitRule.NEIGHBOR_MEAN:

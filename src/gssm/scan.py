@@ -35,7 +35,10 @@ class RecurrenceInputs:
 
     In the state-space use the decay entries are e^{delta*a} with a < 0 and
     delta >= 0, hence in (0, 1]; that range is not enforced here (the
-    recurrence itself is well-defined for any real entries).
+    recurrence itself is well-defined for any real entries).  Nor is
+    finiteness: a NaN or inf entry passes through to the states.  The layers
+    check every input at their own boundary (`ssm_forward`), and a check here
+    would be one more full pass over each time tile's decay and drive.
     """
 
     decay: np.ndarray
@@ -119,19 +122,17 @@ def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray
     return flat_prod[:length]
 
 
-def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
-             chunk: int | None = None) -> np.ndarray:
-    """The recurrence's states under the named backend; `chunk` is passed to
-    the parallel one."""
+def run_scan(inp: RecurrenceInputs, backend: str = "sequential") -> np.ndarray:
+    """The recurrence's states under the named backend."""
     if backend == "sequential":
         return scan_sequential(inp)
     if backend == "parallel":
-        return scan_parallel(inp, chunk=chunk)
+        return scan_parallel(inp)
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
-                     repeats: int = 3, chunk: int | None = None, seed: int = 0):
+                     repeats: int = 3, seed: int = 0):
     """Time both backends; one row dict per (L, backend).
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
@@ -150,7 +151,7 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
             best = np.inf
             for _ in range(repeats):
                 start = time.perf_counter()
-                run_scan(inp, backend, chunk)
+                run_scan(inp, backend)
                 best = min(best, time.perf_counter() - start)
             rows.append({"L": int(length), "lanes": int(lanes), "backend": backend,
                          "ns_per_element": best / (length * lanes) * 1e9})

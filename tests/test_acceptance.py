@@ -51,12 +51,9 @@ from gssm.cli import (
     _RUN_DEFAULTS,
     _TASK_DEFAULTS,
     _VERIFY_DEFAULTS,
-    suite_projection,
-    suite_reduction,
-    suite_weights,
-    suite_zoh,
 )
 from gssm.layers import _drive_estimates
+from gssm.verify import suite_projection, suite_reduction, suite_weights, suite_zoh
 
 from test_layers import _s4_params, _s5_params, _s6_params, _sequence
 
@@ -88,7 +85,7 @@ def test_criterion_01_memory_matrices_match_the_closed_form():
                 expected_a[n, k] = -np.sqrt((2 * n + 1) * (2 * k + 1))
             elif n == k:
                 expected_a[n, k] = -(n + 1)
-    _, a, b = hippo_legs_matrices(order)
+    a, b = hippo_legs_matrices(order)
     err = max(float(np.abs(a - expected_a).max()), float(np.abs(b - expected_b).max()))
     _verdict(1, err <= 1e-14, f"order-8 matrices, elementwise err={err:.1e} (tol 1e-14)")
 

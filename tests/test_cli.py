@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pathlib
 import re
 
 import numpy as np
@@ -19,6 +20,8 @@ from gssm.cli import (_RUN_DEFAULTS, _TASK_DEFAULTS, _VERIFY_DEFAULTS,
                       _task_config, main)
 
 _TINY_TASK = ["--v", "24", "--l", "4", "--d", "4", "--c", "3"]
+
+_ACCEPTANCE_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 _VERIFY_LINE = re.compile(r"^(PASS|FAIL) (\S+) max_err=\S+ tol=\S+ time=\S+s$")
 
@@ -185,6 +188,14 @@ def test_verify_passes_at_reduced_sizes_and_lists_every_suite(capsys):
     # alpha=0 is in play, so the independent-flows reduction check runs too
     assert names == ["projection-vs-ode", "zoh-vs-ode", "weights-convexity",
                      "hippo-reduction"]
+
+
+def test_verify_prints_the_same_errors_to_every_digit(capsys):
+    code, out, _ = _run(capsys, ["verify", "--config", str(_ACCEPTANCE_CFG), "--seed", "0",
+                                 "--instances", "3", "--ode-steps", "50"])
+    assert code == 0
+    errors = [re.search(r"max_err=(\S+)", line).group(1) for line in out.splitlines()]
+    assert errors == ["9.570e-06", "1.146e-08", "2.220e-16", "5.551e-17"]
 
 
 def test_verify_without_a_zero_alpha_skips_the_reduction_suite(capsys):

@@ -18,9 +18,9 @@ from gssm import (
     segment_weights,
     zoh_oracle_step,
 )
-from gssm.cli import suite_weights
 from gssm.discretize import _segment_weights_stack
 from gssm.harness import named_rng
+from gssm.verify import suite_weights
 
 
 def _blank_schedule(t_start, t_end, mutation_times, num_nodes=2):
@@ -265,7 +265,7 @@ def test_oracle_step_matches_ode_integration_with_mutations():
             t_start=sched.t_start,
             system=(np.diag(a), b),
         )
-        rel = np.linalg.norm(stepped - ode.u) / np.linalg.norm(ode.u)
+        rel = np.linalg.norm(stepped - ode) / np.linalg.norm(ode)
         assert rel <= 1e-4
 
 

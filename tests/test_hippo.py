@@ -63,7 +63,7 @@ def _exact_piecewise_state(stream, cfg, t_end, seg_values):
 
     On each segment the flow is linear with a constant drive, so the state
     moves toward the fixed point u_p = -outer(y, A^{-1} B) along exp(dt*A)."""
-    _, a, b = hippo_legs_matrices(cfg.order)
+    a, b = hippo_legs_matrices(cfg.order)
     ainv_b = np.linalg.solve(a, b)
     cuts = [TIME_ORIGIN]
     cuts += [t for t in stream.mutation_times if TIME_ORIGIN < t < t_end]
@@ -84,7 +84,7 @@ def _stagewise_rk4(stream, feature_path, cfg, t_end, u_start=None, t_start=None,
     if t_start is None:
         t_start = TIME_ORIGIN
     n = cfg.order
-    a_mat, b_vec = hippo_legs_matrices(n)[1:] if system is None else system
+    a_mat, b_vec = hippo_legs_matrices(n) if system is None else system
     a_t = np.asarray(a_mat, dtype=float).T
     b_vec = np.asarray(b_vec, dtype=float).reshape(-1)
     u = np.zeros((stream.num_nodes, n)) if u_start is None else np.array(u_start, dtype=float)
@@ -142,21 +142,21 @@ class _RecordingPath:
 
 
 def test_matrices_order_two_closed_form():
-    _, a, b = hippo_legs_matrices(2)
+    a, b = hippo_legs_matrices(2)
     root3 = math.sqrt(3.0)
     assert a == pytest.approx(np.array([[-1.0, 0.0], [-root3, -2.0]]), abs=0.0)
     assert b == pytest.approx(np.array([1.0, root3]), abs=0.0)
 
 
 def test_matrices_order_one():
-    _, a, b = hippo_legs_matrices(1)
+    a, b = hippo_legs_matrices(1)
     assert a == pytest.approx(np.array([[-1.0]]))
     assert b == pytest.approx(np.array([1.0]))
 
 
 def test_matrices_match_entrywise_reconstruction():
     order = 5
-    _, a, b = hippo_legs_matrices(order)
+    a, b = hippo_legs_matrices(order)
     for n in range(order):
         assert abs(b[n] - math.sqrt(2 * n + 1)) <= 1e-14
         for k in range(order):
@@ -191,16 +191,15 @@ def test_oracle_constant_input_concentrates_on_degree_zero():
     # trapezoid error is O(h^2); 40001 nodes push the degree>=2 residue under 1e-8
     cfg = HippoConfig(order=4, alpha=0.0, quadrature_points=40001)
     state = projection_oracle(stream, _constant_path([2.5, -1.0, 0.5]), cfg, t=3.0)
-    assert state.u[:, 0] == pytest.approx(np.array([2.5, -1.0, 0.5]), abs=1e-10)
-    assert np.abs(state.u[:, 1:]).max() <= 1e-8
-    assert state.time == 3.0
+    assert state[:, 0] == pytest.approx(np.array([2.5, -1.0, 0.5]), abs=1e-10)
+    assert np.abs(state[:, 1:]).max() <= 1e-8
 
 
 def test_oracle_zero_input_gives_zero_coefficients():
     stream = _quiet_stream(2)
     cfg = HippoConfig(order=3, alpha=1.0)
     state = projection_oracle(stream, _constant_path(np.zeros(2)), cfg, t=2.0)
-    assert state.u == pytest.approx(np.zeros((2, 3)), abs=0.0)
+    assert state == pytest.approx(np.zeros((2, 3)), abs=0.0)
 
 
 def test_oracle_linear_input_supported_on_first_two_degrees():
@@ -210,9 +209,9 @@ def test_oracle_linear_input_supported_on_first_two_degrees():
     cfg = HippoConfig(order=3, alpha=0.0, quadrature_points=40001)
     t = 3.0
     state = projection_oracle(stream, lambda s: s[:, None], cfg, t=t)
-    assert state.u[0, 0] == pytest.approx(t / 2.0, abs=1e-8)
-    assert state.u[0, 1] == pytest.approx(math.sqrt(3.0) * t / 6.0, abs=1e-8)
-    assert abs(state.u[0, 2]) <= 1e-8
+    assert state[0, 0] == pytest.approx(t / 2.0, abs=1e-8)
+    assert state[0, 1] == pytest.approx(math.sqrt(3.0) * t / 6.0, abs=1e-8)
+    assert abs(state[0, 2]) <= 1e-8
 
 
 def test_oracle_rejects_nonpositive_time():
@@ -247,7 +246,7 @@ def test_integrator_matches_oracle_on_random_instances():
         cfg = HippoConfig(order=4, alpha=alpha)
         ode = integrate_hippo(stream, _constant_path(feats), cfg, t_end=horizon)
         ref = projection_oracle(stream, _constant_path(feats), cfg, t=horizon)
-        rel = np.linalg.norm(ode.u - ref.u) / np.linalg.norm(ref.u)
+        rel = np.linalg.norm(ode - ref) / np.linalg.norm(ref)
         assert rel <= 1e-3
 
 
@@ -268,8 +267,8 @@ def test_integrator_alpha_zero_equals_independent_single_node_runs():
         for seg_a, seg_b in zip(cuts, cuts[1:]):
             u = integrate_hippo(
                 solo_stream, solo_path, cfg, t_end=seg_b, u_start=u, t_start=seg_a
-            ).u
-        assert np.abs(joint.u[v] - u[0]).max() <= 1e-10
+            )
+        assert np.abs(joint[v] - u[0]).max() <= 1e-10
 
 
 def test_integrator_edgeless_graph_ignores_alpha():
@@ -279,7 +278,7 @@ def test_integrator_edgeless_graph_ignores_alpha():
     path = lambda t: scales * np.cos(t[:, None])
     smoothed = integrate_hippo(stream, path, HippoConfig(order=4, alpha=2.0), t_end=3.0)
     plain = integrate_hippo(stream, path, HippoConfig(order=4, alpha=0.0), t_end=3.0)
-    assert np.abs(smoothed.u - plain.u).max() <= 1e-10
+    assert np.abs(smoothed - plain).max() <= 1e-10
     for v in range(3):
         solo = integrate_hippo(
             _quiet_stream(1, horizon=3.0),
@@ -287,7 +286,7 @@ def test_integrator_edgeless_graph_ignores_alpha():
             HippoConfig(order=4, alpha=2.0),
             t_end=3.0,
         )
-        assert np.abs(smoothed.u[v] - solo.u[0]).max() <= 1e-10
+        assert np.abs(smoothed[v] - solo[0]).max() <= 1e-10
 
 
 def test_integrator_is_linear_in_the_feature_path():
@@ -297,7 +296,7 @@ def test_integrator_is_linear_in_the_feature_path():
     base_path, _, _ = _segment_features(rng, stream, 2.0)
     one = integrate_hippo(stream, base_path, cfg, t_end=2.0)
     three = integrate_hippo(stream, lambda t: 3.0 * base_path(t), cfg, t_end=2.0)
-    assert np.abs(three.u - 3.0 * one.u).max() <= 1e-10
+    assert np.abs(three - 3.0 * one).max() <= 1e-10
 
 
 def test_integrator_fourth_order_convergence_against_closed_form():
@@ -309,7 +308,7 @@ def test_integrator_fourth_order_convergence_against_closed_form():
         cfg = HippoConfig(order=3, alpha=1.0, ode_steps_per_unit=steps)
         exact = _exact_piecewise_state(stream, cfg, 2.0, values)
         got = integrate_hippo(stream, path, cfg, t_end=2.0)
-        errors.append(np.abs(got.u - exact).max())
+        errors.append(np.abs(got - exact).max())
     assert 10.0 <= errors[0] / errors[1] <= 24.0
     assert 10.0 <= errors[1] / errors[2] <= 24.0
 
@@ -375,7 +374,7 @@ def test_integrator_matches_stagewise_rk4(monkeypatch, block, seed, kind, alpha,
     elif path_kind == "resumed":
         kwargs["u_start"] = rng.normal(size=(num_nodes, order))
         kwargs["t_start"] = float(rng.uniform(0.1, 0.5))
-    got = integrate_hippo(stream, path, cfg, horizon, **kwargs).u
+    got = integrate_hippo(stream, path, cfg, horizon, **kwargs)
     ref = _stagewise_rk4(stream, path, cfg, horizon, **kwargs)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -395,7 +394,7 @@ def test_integrator_matches_stagewise_rk4_on_long_and_unstable_segments(
                          events=((1, 2, 0.2, Action.INSERT), (0, 2, 0.55 * horizon, Action.INSERT)))
     cfg = HippoConfig(order=order, alpha=0.5, ode_steps_per_unit=steps_per_unit)
     path = lambda t: np.cos(np.array([0.7, 1.3, 2.1]) * t[:, None] + np.arange(3))
-    got = integrate_hippo(stream, path, cfg, horizon).u
+    got = integrate_hippo(stream, path, cfg, horizon)
     ref = _stagewise_rk4(stream, path, cfg, horizon)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -491,7 +490,7 @@ def test_integrator_copies_each_feature_evaluation(monkeypatch):
         out[:] = np.sin(t[:, None] + np.arange(stream.num_nodes))
         return out
 
-    got = integrate_hippo(stream, path, cfg, 2.0).u
+    got = integrate_hippo(stream, path, cfg, 2.0)
     ref = _stagewise_rk4(stream, path, cfg, 2.0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -517,7 +516,7 @@ def test_integrator_rejects_nonfinite_state_or_system(bad):
     stream = _quiet_stream(2, horizon=1.0)
     cfg = HippoConfig(order=2, alpha=0.0)
     u0 = np.zeros((2, 2))
-    a, b = hippo_legs_matrices(2)[1:]
+    a, b = hippo_legs_matrices(2)
     a, b = a.copy(), b.copy()
     value = np.nan if bad.endswith("nan") else np.inf
     {"u": u0, "a": a, "b": b}[bad[0]].flat[1] = value
@@ -615,7 +614,7 @@ def test_smoother_solve_has_tiny_residual_for_both_laplacians(kind):
     x = np.array([1.0, -2.0, 0.5, 3.0])
     cfg = HippoConfig(order=3, alpha=2.0, laplacian=kind, quadrature_points=11)
     # Constant features project onto degree 0 only, so column 0 is M^{-1} x.
-    y = projection_oracle(stream, _constant_path(x), cfg, 1.0).u[:, 0]
+    y = projection_oracle(stream, _constant_path(x), cfg, 1.0)[:, 0]
     smoother = np.eye(4) + 2.0 * laplacian(adjacency_from_edges(stream.initial_edges, 4), kind)
     assert np.linalg.norm(smoother @ y - x) <= 1e-12
 

@@ -1039,6 +1039,11 @@ def test_delta_bias_init_calibrates_softplus_to_reciprocal_length():
         delta_bias_init(0)
 
 
+def test_delta_bias_init_rejects_a_fractional_length():
+    with pytest.raises(ValueError, match="length must be an integer"):
+        delta_bias_init(2.5)
+
+
 # ---------------------------------------------------------------------------
 # memory alignment
 
@@ -1091,6 +1096,20 @@ def test_align_neighbor_mean_without_surviving_neighbors_falls_back_to_zero():
 def test_align_neighbor_mean_requires_adjacency():
     with pytest.raises(ValueError):
         align_memory(np.ones((1, 2)), [0], [0, 1], rule=StateInitRule.NEIGHBOR_MEAN)
+
+
+def test_align_rejects_a_non_finite_state_row():
+    u = np.ones((2, 3))
+    u[1, 2] = np.nan
+    with pytest.raises(ValueError, match="u_prev must be finite"):
+        align_memory(u, [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("v_prev,v_new,name", [([0.5, 1.7], [0, 1], "v_prev"),
+                                               ([0, 1], [0, 1.5], "v_new")])
+def test_align_rejects_fractional_node_ids(v_prev, v_new, name):
+    with pytest.raises(ValueError, match=f"{name} must be integers"):
+        align_memory(np.ones((2, 3)), v_prev, v_new)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ def test_identity_dynamics_keep_initial_state():
         assert np.array_equal(states, np.tile(u0, (5, 1)))
 
 
+def test_non_finite_inputs_pass_through_to_the_states():
+    # The scan does not check finiteness (the layers check their inputs): a NaN
+    # decay or drive at step l reaches every later state, and nothing raises.
+    decay = np.full((4, 2), 0.5)
+    drive = np.ones((4, 2))
+    decay[1, 0] = np.nan
+    drive[2, 1] = np.inf
+    inp = RecurrenceInputs(decay=decay, drive=drive, u0=np.zeros(2))
+    for states in (scan_sequential(inp), scan_parallel(inp)):
+        assert np.isfinite(states[0]).all()
+        assert np.isnan(states[1:, 0]).all()
+        assert np.isfinite(states[1, 1]) and np.isposinf(states[2:, 1]).all()
+
+
 def test_memoryless_dynamics_echo_the_drive():
     rng = np.random.default_rng(2)
     drive = rng.standard_normal((6, 3))
