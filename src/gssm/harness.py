@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import class_ids, finite, integers, nonnegative, numbers, read_records
+from ._checks import class_ids, finite, integer, integers, nonnegative, numbers, read_records
 from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
@@ -57,11 +57,11 @@ class TaskConfig:
     omega: float = np.pi / 16   # centroid rotation per step (radians)
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.num_nodes < 4 * self.num_classes:
-            raise ValueError("infeasible config: need num_nodes >= 4 * num_classes "
-                             "with at least two classes")
-        if self.seq_len < 1 or self.num_features < 2:
-            raise ValueError("infeasible config: need seq_len >= 1 and >= 2 features")
+        for name, least in (("num_nodes", 1), ("seq_len", 1), ("num_features", 2),
+                            ("num_classes", 2)):
+            integer(getattr(self, name), f"infeasible config: {name}", least)
+        if self.num_nodes < 4 * self.num_classes:
+            raise ValueError("infeasible config: need num_nodes >= 4 * num_classes")
         for name in ("p_in", "p_out", "p_decay", "drift_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"infeasible config: {name} must lie in [0, 1]")
@@ -200,8 +200,8 @@ class ModelConfig:
         object.__setattr__(self, "variant", SsmVariant(self.variant))
         object.__setattr__(self, "init", InitStrategy(self.init))
         object.__setattr__(self, "mix_mechanism", MixMechanism(self.mix_mechanism))
-        if self.num_blocks < 1 or self.state_size < 1:
-            raise ValueError("need at least one block and one state entry")
+        integer(self.num_blocks, "num_blocks", 1)
+        integer(self.state_size, "state_size", 1)
 
 
 def sample_model(rng: np.random.Generator, cfg: ModelConfig,

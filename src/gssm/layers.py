@@ -11,20 +11,24 @@ Building blocks, bottom up:
 * `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
-  drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`,
-  computed over the whole sequence at once: the graph half runs as a few
-  products with the sequence's block-diagonal adjacency
-  (`SnapshotSequence.adjacency_csr`), once per layer input and distinct
-  (flavor, self_mix), and each mix is one call on the shifted sequence.
-  The per-state arrays (decay, drive, states) exist one time tile at a
-  time: consecutive snapshots holding about `_TILE_ELEMENTS` state entries.
+  drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`.
+  Its graph half runs once over the whole sequence, as a few products with
+  the sequence's block-diagonal adjacency (`SnapshotSequence.adjacency_csr`),
+  once per layer input and distinct (flavor, self_mix).  After it, every
+  node's recurrence is independent: the nodes are cut into contiguous
+  ranges, one per CPU the process may use, and each range builds its
+  drive, delta, B, C, decay and states one time tile at a time
+  (consecutive snapshots holding about `_TILE_ELEMENTS` state entries over
+  all ranges).  The first range runs on the calling thread, the others on
+  `_pool`'s threads; with one CPU, or a layer under `_SPLIT_ELEMENTS`
+  state entries, there is one range and no thread starts.
 * `block_forward` -- residual block composition around a layer; the mixing
   mechanism is by default confined to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
 
 All recurrences run through the scan module, one `run_scan` call per time
-tile with the previous tile's last state as its initial state: the
-sequential fold by default, the chunked parallel scan on request.
+tile and node range with the previous tile's last state as its initial
+state: the sequential fold by default, the chunked parallel scan on request.
 """
 
 import math
@@ -34,6 +38,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
+from . import _pool
 from ._checks import finite, integer, integers, negative, numbers, read_records
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
@@ -272,43 +277,63 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
     return hidden_in
 
 
-def _aggregations(seq, x):
-    """`_aggregate(x, seq, g)` of one [L x V x D] layer input, computed once
-    per distinct (g.flavor, g.self_mix) -- the only parameters it reads."""
+def _graph_pass(seq, x, p, mechanism):
+    """The layer's one whole-sequence graph pass: `_aggregate` over the
+    [L x V x D] layer input x for p.gnn, then for S6's gnn_delta, gnn_b and
+    gnn_c, computed once per distinct (flavor, self_mix) -- the only
+    parameters it reads.  Under FEATURE_MIX p.gnn diffuses the mix of
+    consecutive inputs instead."""
     done = {}
 
     def aggregate(g):
         if (g.flavor, g.self_mix) not in done:
             done[g.flavor, g.self_mix] = _aggregate(x, seq, g)
         return done[g.flavor, g.self_mix]
-    return aggregate
-
-
-def _drive(seq, x, p, mechanism, aggregate):
-    """`mixed_estimate(x, seq, mechanism, gnn_diffuse, apply_mix)` over the
-    whole sequence, stacked into [L x V x D]; `aggregate` diffuses the
-    unmixed layer input x."""
-    mechanism = MixMechanism(mechanism)
     if mechanism is MixMechanism.FEATURE_MIX:
-        agg = _aggregate(np.concatenate([x[:1], apply_mix(x[:-1], x[1:], p.mix)]), seq, p.gnn)
+        main = _aggregate(np.concatenate([x[:1], apply_mix(x[:-1], x[1:], p.mix)]), seq, p.gnn)
     else:
-        agg = aggregate(p.gnn)
-    h = agg @ p.gnn.weight + p.gnn.bias
-    if mechanism is MixMechanism.REPR_MIX:
-        h = np.concatenate([h[:1], apply_mix(h[:-1], h[1:], p.mix)])
-    return h
+        main = aggregate(p.gnn)
+    selective = (p.gnn_delta, p.gnn_b, p.gnn_c) if p.variant is SsmVariant.S6 else ()
+    return (main,) + tuple(aggregate(g) for g in selective)
+
+
+def _drive(agg, t, rows, p, mechanism):
+    """`mixed_estimate(x, seq, mechanism, gnn_diffuse, apply_mix)` for the
+    snapshots of slice t and the nodes of slice rows, [T x R x D], from
+    p.gnn's graph pass `agg`.  REPR_MIX mixes each snapshot's estimate with
+    the one before, so a tile past the first also maps that snapshot."""
+    if mechanism is not MixMechanism.REPR_MIX:
+        return agg[t, rows] @ p.gnn.weight + p.gnn.bias
+    h = agg[max(t.start - 1, 0):t.stop, rows] @ p.gnn.weight + p.gnn.bias
+    mixed = apply_mix(h[:-1], h[1:], p.mix)
+    return mixed if t.start > 0 else np.concatenate([h[:1], mixed])
 
 
 def _drive_estimates(seq, hidden_in, p, mechanism):
-    """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]."""
-    x = np.moveaxis(hidden_in, 1, 0)
-    return _drive(seq, x, p, mechanism, _aggregations(seq, x))
+    """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]: the
+    forward's drive with the whole sequence as one tile."""
+    mechanism = MixMechanism(mechanism)
+    agg = _graph_pass(seq, np.moveaxis(hidden_in, 1, 0), p, mechanism)[0]
+    return _drive(agg, slice(0, len(seq)), slice(None), p, mechanism)
 
 
-# Element count of one time tile's decay, drive and states each: the layer
-# builds and scans the per-state arrays a tile of snapshots at a time, so no
-# [L x V x D x N] array exists and a tile stays in cache through its scan.
+# Element count of one time tile's decay, drive and states each, summed over
+# the node ranges: a layer builds and scans the per-state arrays a tile of
+# snapshots at a time, so no [L x V x D x N] array exists and a tile stays in
+# cache through its scan.
 _TILE_ELEMENTS = 1 << 16
+
+# State entries (L*V*D*N, or L*V*N for S5) below which a layer runs on the
+# calling thread alone: over a few tiles, starting and joining the ranges
+# costs more than the second CPU gains.
+_SPLIT_ELEMENTS = 1 << 18
+
+# Node ranges start at multiples of this many rows and hold at least as many.
+# A BLAS matrix-vector kernel sums a row's products in an order set by the
+# row's place in its block of rows (OpenBLAS's Haswell dgemv takes 4 rows at
+# a time), and numpy hands a one-row matrix product to it as well; with
+# aligned ranges of many rows, every row is summed as in the whole-V product.
+_ROW_ALIGN = 16
 
 
 def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
@@ -324,51 +349,61 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     shared across channels, delta as in S4.  S6 (selective SISO): delta, B
     and C produced from the layer input by the three selective GNNs.
 
-    delta, B, C and h are built for the whole sequence; the decay, drive
-    and states are built, scanned and read out one tile of consecutive
+    After the graph pass over the whole sequence, every node's recurrence is
+    independent of the others'.  The nodes are cut into contiguous ranges,
+    one per CPU (see `_pool`), each running its own rows through h, delta,
+    B, C, the decay, drive, scan and readout, one tile of consecutive
     snapshots at a time, each tile starting from the last state of the one
-    before, so no [L x V x D x N] array is ever held.  The tiles change no
-    bit of the output.
+    before; no [L x V x D] drive or [L x V x D x N] state is ever held.  A
+    layer with fewer than `_SPLIT_ELEMENTS` state entries runs as one range
+    on the calling thread.  Neither ranges nor tiles change a bit of the
+    output.
     """
     x = np.moveaxis(_check_hidden(seq, hidden_in, p), 1, 0)                   # [L,V,D]
-    aggregate = _aggregations(seq, x)
-    h = _drive(seq, x, p, p.mix_mechanism if mechanism is None else mechanism, aggregate)
+    mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
+    agg, *selective = _graph_pass(seq, x, p, mechanism)
     if p.variant is SsmVariant.S6:
-        pre_delta, b_sel, c_sel = (aggregate(g) @ g.weight + g.bias
-                                   for g in (p.gnn_delta, p.gnn_b, p.gnn_c))
-        delta = softplus(pre_delta + p.delta_bias)[..., None]                 # [L,V,D,1]
         readout = "lvdn,lvn->vld"
 
-        def tile(t):                                                           # [T,V,D,N]
-            return (delta[t] * b_sel[t, :, None, :]) * h[t, ..., None], c_sel[t]
+        def tile(t, rows, h):                                                  # [T,R,D,N]
+            pre_delta, b_sel, c_sel = (s[t, rows] @ g.weight + g.bias for s, g in
+                                       zip(selective, (p.gnn_delta, p.gnn_b, p.gnn_c)))
+            delta = softplus(pre_delta + p.delta_bias)[..., None]             # [T,R,D,1]
+            return delta, (delta * b_sel[:, :, None, :]) * h[..., None], c_sel
+    elif p.variant is SsmVariant.S5:
+        readout = "lvn,nd->vld"
+
+        def tile(t, rows, h):                                                  # [T,R,N]
+            delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]    # [T,R,1]
+            return delta, delta * (h @ p.b), p.c
     else:
-        delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]        # [L,V,1]
-        if p.variant is SsmVariant.S5:
-            readout = "lvn,nd->vld"
+        readout = "lvdn,dn->vld"
 
-            def tile(t):                                                       # [T,V,N]
-                return delta[t] * (h[t] @ p.b), p.c
-        else:
-            delta = delta[..., None]                                           # [L,V,1,1]
-            readout = "lvdn,dn->vld"
+        def tile(t, rows, h):                                                  # [T,R,D,N]
+            delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]  # [T,R,1,1]
+            return delta, (delta * p.b) * h[..., None], p.c
+    v, length = seq.num_nodes, len(seq)
+    step = max(1, _TILE_ELEMENTS // (v * p.a.size))
+    out = np.empty((v, length, p.gnn.weight.shape[1]))
 
-            def tile(t):                                                       # [T,V,D,N]
-                return (delta[t] * p.b) * h[t, ..., None], p.c
-    lanes = (seq.num_nodes,) + p.a.shape
-    step = max(1, _TILE_ELEMENTS // math.prod(lanes))
-    out = np.empty((seq.num_nodes, len(seq), p.gnn.weight.shape[1]))
-    carry = np.zeros(lanes)
-    for start in range(0, len(seq), step):
-        t = slice(start, start + step)
-        drives, c = tile(t)
-        states = run_scan(RecurrenceInputs(np.exp(delta[t] * p.a), drives, carry), backend)
-        np.einsum(readout, states, c, out=out[:, t])
-        carry = states[-1]
+    def run(rows):
+        carry = np.zeros((rows.stop - rows.start,) + p.a.shape)
+        for start in range(0, length, step):
+            t = slice(start, start + step)
+            delta, drives, c = tile(t, rows, _drive(agg, t, rows, p, mechanism))
+            states = run_scan(RecurrenceInputs(np.exp(delta * p.a), drives, carry), backend)
+            np.einsum(readout, states, c, out=out[rows, t])
+            carry = states[-1]
+    parts = _pool.cpus() if length * v * p.a.size >= _SPLIT_ELEMENTS else 1
+    _pool.run(run, _pool.ranges(v, parts, _ROW_ALIGN))
     return out
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Non-learnable normalization over the last axis."""
+    """Non-learnable normalization over the last axis; eps must be finite
+    and > 0 (at eps <= 0 a constant row divides zero by zero)."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps)
@@ -433,9 +468,15 @@ class InitStrategy(Enum):
     RANDOM = "random"
 
 
+def _shape(shape) -> tuple:
+    """An int or a sequence of ints as a shape tuple; ValueError for a size
+    that is not a positive integer."""
+    return tuple(integer(s, "shape", 1) for s in np.atleast_1d(shape).tolist())
+
+
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform Glorot sample; vectors are treated as a single fan-in row."""
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
+    shape = _shape(shape)
     fan_in = shape[0] if len(shape) > 1 else 1
     fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -450,7 +491,7 @@ def init_a(strategy: InitStrategy, shape, rng: np.random.Generator | None = None
     Glorot-uniform from `rng`.
     """
     strategy = InitStrategy(strategy)
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
+    shape = _shape(shape)
     if strategy is InitStrategy.S4D_REAL:
         return np.broadcast_to(-(np.arange(shape[-1]) + 1.0), shape).copy()
     if strategy is InitStrategy.S4D_CONST:

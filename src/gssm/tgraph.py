@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _pool
 from ._checks import finite, integers, numbers, read_records
 
 
@@ -414,12 +415,17 @@ class BlockDiagonalCsr:
         return n, n
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with a dense [n x D] array, [n x D]."""
+        """The product with a dense [n x D] array, [n x D].  The blocks are
+        independent: contiguous groups of them, one per CPU, run at once on
+        `_pool`'s threads, each writing its own rows."""
         out = np.empty((self.shape[0], x.shape[1]))
-        start = 0
-        for b in self.blocks:
-            out[start:start + b.shape[0]] = b @ x[start:start + b.shape[0]]
-            start += b.shape[0]
+        ends = np.cumsum([b.shape[0] for b in self.blocks]).tolist()
+        starts = [0] + ends[:-1]
+
+        def product(group):
+            for b, start, end in zip(self.blocks[group], starts[group], ends[group]):
+                out[start:end] = b @ x[start:end]
+        _pool.run(product, _pool.ranges(len(self.blocks), _pool.cpus()))
         return out
 
     def toarray(self) -> np.ndarray:

@@ -226,6 +226,20 @@ def test_gen_rejects_infeasible_configs():
         TaskConfig(num_nodes=24, num_classes=3, noise=-1.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda bad: TaskConfig(num_nodes=bad), "num_nodes"),
+    (lambda bad: TaskConfig(seq_len=bad), "seq_len"),
+    (lambda bad: TaskConfig(num_features=bad), "num_features"),
+    (lambda bad: TaskConfig(num_nodes=24, num_classes=bad), "num_classes"),
+    (lambda bad: ModelConfig(num_blocks=bad), "num_blocks"),
+    (lambda bad: ModelConfig(state_size=bad), "state_size"),
+])
+@pytest.mark.parametrize("bad", [2.5, 200.5, np.nan, "3"])
+def test_configs_reject_sizes_that_are_not_integers(make, field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make(bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["noise", "radius", "omega"])
 def test_task_config_rejects_non_finite_scales(field, bad):

@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -44,7 +49,7 @@ from gssm import (
     softplus,
     ssm_forward,
 )
-from gssm import layers, tgraph
+from gssm import _pool, layers, tgraph
 from gssm.layers import _drive_estimates
 from gssm.scan import RecurrenceInputs, run_scan, scan_sequential
 
@@ -713,9 +718,19 @@ def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mech
     assert np.array_equal(block_forward(hidden, seq, blocks), ref)
 
 
+def _ranges(monkeypatch, parts):
+    """Cut every layer into `parts` node ranges (as many as V holds runs of
+    `layers._ROW_ALIGN` nodes) and every multi-block product into as many
+    block groups, whatever the host's CPU count and the layer's size."""
+    monkeypatch.setattr(_pool, "cpus", lambda: parts)
+    monkeypatch.setattr(layers, "_SPLIT_ELEMENTS", 0)
+
+
 def _tiled(monkeypatch, tile, v, p):
-    """Set the tile size to `tile` snapshots of p's per-node state on V nodes;
-    returns the list each `run_scan` call appends its tile length to."""
+    """Set the tile size to `tile` snapshots of p's per-node state on V nodes,
+    in one node range; returns the list each `run_scan` call appends its
+    tile length to."""
+    _ranges(monkeypatch, 1)
     monkeypatch.setattr(layers, "_TILE_ELEMENTS", tile * v * p.a.size)
     lengths = []
 
@@ -776,6 +791,133 @@ def test_forward_peak_memory_stays_below_a_quarter_of_one_state_array():
     finally:
         tracemalloc.stop()
     assert peak < l * v * d * n * 8 / 4
+
+
+@pytest.mark.parametrize("v, parts", [(1, 2), (37, 2), (50, 3)])
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+@pytest.mark.parametrize("build", [_s4_params, _s5_params, _s6_params,
+                                   _s6_mixed_selective_params])
+def test_partitioned_forward_equals_the_one_range_forward(monkeypatch, build, mechanism,
+                                                          v, parts):
+    """Node ranges that do not divide V (one range at V=1), each in ragged
+    tiles of two snapshots over an operator of several blocks, give the
+    one-range bytes.  S4's and S5's delta map gets unit weights and no bias,
+    so that a last-bit change in its matrix-vector product is not rounded
+    away by the bias: ranges cut at any row (not at multiples of
+    `_ROW_ALIGN`) fail here."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    rng = np.random.default_rng(97)
+    l, d, n = 7, 8, 4
+    seq = _sparse_sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = build(rng, d, n, mechanism=mechanism)
+    if p.variant is not SsmVariant.S6:
+        p = dataclasses.replace(p, delta_weight=rng.normal(size=d), delta_bias=0.0)
+    monkeypatch.setattr(layers, "_TILE_ELEMENTS", 2 * v * p.a.size)
+    _ranges(monkeypatch, 1)
+    one = ssm_forward(seq, hidden, p)
+    _ranges(monkeypatch, parts)
+    assert ssm_forward(seq, hidden, p).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("n, parts, align", [(1, 2, 16), (20, 2, 16), (37, 2, 16), (50, 3, 16),
+                                             (2000, 2, 16), (83, 7, 16), (3, 5, 1), (5, 2, 1)])
+def test_ranges_are_aligned_runs_that_cover_every_row(n, parts, align):
+    got = _pool.ranges(n, parts, align)
+    assert [r.start for r in got] == [0] + [r.stop for r in got[:-1]] and got[-1].stop == n
+    assert len(got) == min(parts, max(1, n // align))
+    assert all(r.start % align == 0 and (r.stop - r.start >= align or len(got) == 1) for r in got)
+    sizes = [(r.stop - r.start) // align for r in got]
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_many_ranges_under_fast_thread_switching_equal_one_range(monkeypatch):
+    """Five ranges, queued on a pool of fewer threads on hosts of up to five
+    CPUs, with the interpreter switching threads every microsecond: every
+    range still writes exactly its own rows."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    rng = np.random.default_rng(101)
+    v, l, d, n = 83, 9, 8, 4
+    seq = _sparse_sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s6_mixed_selective_params(rng, d, n, MixMechanism.REPR_MIX)
+    monkeypatch.setattr(layers, "_TILE_ELEMENTS", 2 * v * p.a.size)
+    _ranges(monkeypatch, 1)
+    one = ssm_forward(seq, hidden, p)
+    _ranges(monkeypatch, 5)
+    assert len(_pool.ranges(v, 5, layers._ROW_ALIGN)) == 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = [ssm_forward(seq, hidden, p) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out.tobytes() == one.tobytes() for out in outs)
+
+
+def test_one_cpu_starts_no_pool_thread(monkeypatch):
+    _ranges(monkeypatch, 1)
+    monkeypatch.setattr(_pool, "_executor", None)
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    rng = np.random.default_rng(103)
+    v, l, d, n = 40, 7, 3, 4
+    seq = _sparse_sequence(rng, v, l, d)
+    before = threading.enumerate()
+    ssm_forward(seq, rng.normal(size=(v, l, d)), _s6_params(rng, d, n))
+    assert len(seq.adjacency_csr.blocks) > 1
+    assert _pool._executor is None
+    assert threading.enumerate() == before
+
+
+def test_an_unknown_backend_raises_once_every_range_has_finished(monkeypatch):
+    _ranges(monkeypatch, 2)
+    rng = np.random.default_rng(107)
+    v, l, d, n = 40, 5, 3, 4
+    seq = _sequence(rng, v, l, d)
+    caller, finished = threading.get_ident(), []
+
+    def slow_scan(inp, backend):
+        if threading.get_ident() != caller:
+            time.sleep(0.2)  # the calling thread's range raises first
+        try:
+            return run_scan(inp, backend)
+        finally:
+            finished.append(threading.get_ident())
+    monkeypatch.setattr(layers, "run_scan", slow_scan)
+    with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        ssm_forward(seq, rng.normal(size=(v, l, d)), _s4_params(rng, d, n), backend="nope")
+    assert len(finished) == 2 and caller in finished
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_a_threaded_forward(monkeypatch):
+    """The child of a process whose pool has a thread builds a pool of its
+    own: its two-range forward finishes, with the parent's bytes."""
+    _ranges(monkeypatch, 2)
+    rng = np.random.default_rng(109)
+    v, l, d, n = 40, 5, 3, 4
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s5_params(rng, d, n, mechanism=MixMechanism.REPR_MIX)
+    parent = ssm_forward(seq, hidden, p).tobytes()
+    assert _pool._executor is not None
+    with warnings.catch_warnings():  # forking a process with threads is the point here
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: exit status 0 only for a forward with the parent's bytes
+        code = 1
+        try:
+            code = 0 if ssm_forward(seq, hidden, p).tobytes() == parent else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's forward did not finish within 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
@@ -1021,6 +1163,20 @@ def test_init_a_random_strategy_is_strictly_negative_and_seeded():
     assert np.array_equal(values, again)
     with pytest.raises(ValueError):
         init_a(InitStrategy.RANDOM, (3, 4))
+
+
+@pytest.mark.parametrize("make", [partial(glorot, np.random.default_rng(0)),
+                                  partial(init_a, InitStrategy.S4D_REAL)])
+@pytest.mark.parametrize("shape", [(2.5, 3), (2.5,), 2.5, (3, 0), (-1,)])
+def test_init_shapes_must_be_positive_integers(make, shape):
+    with pytest.raises(ValueError, match="shape must be an integer"):
+        make(shape)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_layer_norm_rejects_an_eps_that_is_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        layer_norm(np.ones((2, 3)), eps=eps)
 
 
 def test_glorot_respects_fan_limits():
