@@ -1,9 +1,11 @@
 """The process's worker threads, for work split into independent parts.
 
 numpy's and scipy's array kernels release the interpreter lock, so threads
-that each run one independent part -- a contiguous node range of a layer,
-a group of a sparse product's diagonal blocks -- use every CPU the process
-may run on (`os.sched_getaffinity(0)`).  `run` runs the first part on the
+that each run one independent part -- a contiguous snapshot range of a
+layer's graph pass, a contiguous node range of its recurrence and block
+epilogue -- use every CPU the process may run on (`os.sched_getaffinity(0)`).
+`gssm.layers` is the only module that runs parts here; `tgraph` reads `cpus`
+to cut a sequence's operator at the graph pass's snapshot ranges.  `run` runs the first part on the
 calling thread and the others on one module pool, created on first use
 with one thread fewer than the CPUs; work in a single part never creates
 it.  A forked child has none of its parent's pool threads, so it drops the

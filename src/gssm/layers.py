@@ -12,18 +12,24 @@ Building blocks, bottom up:
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
   drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`.
-  Its graph half runs once over the whole sequence, as a few products with
-  the sequence's block-diagonal adjacency (`SnapshotSequence.adjacency_csr`),
-  once per layer input and distinct (flavor, self_mix).  After it, every
+  Its graph half runs once over the whole sequence, one product per block
+  of the sequence's block-diagonal adjacency (`SnapshotSequence.adjacency_csr`),
+  once per layer input and distinct (flavor, self_mix).  A layer joins its
+  threads at two points only.  The graph pass cuts the snapshots into
+  contiguous ranges, one per CPU the process may use, each holding whole
+  blocks and running its own rows through the whole pass.  After it, every
   node's recurrence is independent: the nodes are cut into contiguous
-  ranges, one per CPU the process may use, and each range builds its
-  drive, delta, B, C, decay and states one time tile at a time
-  (consecutive snapshots holding about `_TILE_ELEMENTS` state entries over
-  all ranges).  The first range runs on the calling thread, the others on
-  `_pool`'s threads; with one CPU, or a layer under `_SPLIT_ELEMENTS`
-  state entries, there is one range and no thread starts.
-* `block_forward` -- residual block composition around a layer; the mixing
-  mechanism is by default confined to the first block.
+  ranges, one per CPU, and each range builds its drive, delta, B, C, decay
+  and states one time tile at a time (consecutive snapshots holding about
+  `_TILE_ELEMENTS` state entries over all ranges), then, inside
+  `block_forward`, finishes its rows of the block.  The first range of each
+  pass runs on the calling thread, the others on `_pool`'s threads; with
+  one CPU, or a layer under `_SPLIT_ELEMENTS` state entries, each pass is
+  one range and no thread starts.
+* `block_forward` -- residual block composition around a layer: each node
+  range applies the activation, the residual and S6's layer normalization
+  to its own rows in place.  The mixing mechanism is by default confined
+  to the first block.
 * `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
 
 All recurrences run through the scan module, one `run_scan` call per time
@@ -34,6 +40,7 @@ state: the sequential fold by default, the chunked parallel scan on request.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -93,16 +100,25 @@ class GnnParams:
         object.__setattr__(self, "flavor", GnnFlavor(self.flavor))
 
 
-def _aggregate(x: np.ndarray, graph: Snapshot | SnapshotSequence, p: GnnParams) -> np.ndarray:
-    """Graph half of `gnn_diffuse`, read off p.flavor and p.self_mix only:
-    (1 - self_mix) x + self_mix (r A c) x, isolated nodes keeping x.  x is
-    [V x D] over a Snapshot or [L x V x D] over a SnapshotSequence, whose
-    cached operator and degree cover the stacked node axis."""
-    flat = x.reshape(-1, x.shape[-1])
-    rows, cols = degree_scales(graph.degree, _FLAVOR_KIND[p.flavor])
-    agg = rows[:, None] * (graph.adjacency_csr @ (cols[:, None] * flat))
-    mixed = np.where(graph.degree[:, None] > 0, (1.0 - p.self_mix) * flat + p.self_mix * agg, flat)
-    return mixed.reshape(x.shape)
+def _aggregate(flat: np.ndarray, degree: np.ndarray, blocks, p: GnnParams,
+               out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Graph half of `gnn_diffuse`, read off p.flavor and p.self_mix only,
+    written into out [R x D] and returned: (1 - self_mix) x + self_mix (r A c) x
+    for x = flat [R x D], isolated nodes keeping x.  The rows are stacked
+    nodes with their neighbor counts `degree` [R]; `blocks` are the CSR
+    diagonal blocks of A that cover them, in order.  scratch, if given, is
+    an [R x D] array it may overwrite."""
+    rows, cols = degree_scales(degree, _FLAVOR_KIND[p.flavor])
+    scaled = np.multiply(cols[:, None], flat, out=scratch)
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        np.multiply(rows[start:stop, None], block @ scaled[start:stop], out=out[start:stop])
+        start = stop
+    out *= p.self_mix
+    out += np.multiply(flat, 1.0 - p.self_mix, out=scaled)
+    np.copyto(out, flat, where=(degree == 0)[:, None])
+    return out
 
 
 def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
@@ -118,7 +134,8 @@ def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (snap.num_nodes, p.weight.shape[0]):
         raise ValueError(f"x must be [{snap.num_nodes} x {p.weight.shape[0]}]")
-    return _aggregate(x, snap, p) @ p.weight + p.bias
+    agg = _aggregate(x, snap.degree, (snap.adjacency_csr,), p, np.empty(x.shape))
+    return agg @ p.weight + p.bias
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +294,67 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
     return hidden_in
 
 
-def _graph_pass(seq, x, p, mechanism):
+def _graph_pass(seq, x, p, mechanism, parts=1):
     """The layer's one whole-sequence graph pass: `_aggregate` over the
     [L x V x D] layer input x for p.gnn, then for S6's gnn_delta, gnn_b and
     gnn_c, computed once per distinct (flavor, self_mix) -- the only
     parameters it reads.  Under FEATURE_MIX p.gnn diffuses the mix of
-    consecutive inputs instead."""
-    done = {}
+    consecutive inputs instead.
 
-    def aggregate(g):
-        if (g.flavor, g.self_mix) not in done:
-            done[g.flavor, g.self_mix] = _aggregate(x, seq, g)
-        return done[g.flavor, g.self_mix]
-    if mechanism is MixMechanism.FEATURE_MIX:
-        main = _aggregate(np.concatenate([x[:1], apply_mix(x[:-1], x[1:], p.mix)]), seq, p.gnn)
-    else:
-        main = aggregate(p.gnn)
+    With parts > 1 the snapshots are cut into at most that many contiguous
+    ranges, each holding whole blocks of the sequence's operator, and each
+    range runs its own rows through the whole pass on `_pool`."""
+    length, v, d = x.shape
+    feature_mix = mechanism is MixMechanism.FEATURE_MIX
     selective = (p.gnn_delta, p.gnn_b, p.gnn_c) if p.variant is SsmVariant.S6 else ()
-    return (main,) + tuple(aggregate(g) for g in selective)
+    plain = {}                                     # (flavor, self_mix) -> GnnParams
+    for g in ((() if feature_mix else (p.gnn,)) + selective):
+        plain.setdefault((g.flavor, g.self_mix), g)
+    # Every [L*V x D] array is made here, on the calling thread; a range
+    # writes its own rows of each.
+    out = {key: np.empty((length * v, d)) for key in plain}
+    if feature_mix:
+        out["mix"] = np.empty((length * v, d))
+    flat = np.empty((length * v, d)) if plain else None
+    scratch = np.empty((length * v, d))
+    blocks, degree = seq.adjacency_csr.blocks, seq.degree
+
+    def run(t, own):                               # snapshots t, their blocks own
+        rows = slice(t.start * v, t.stop * v)
+        if plain:
+            flat[rows].reshape(-1, v, d)[...] = x[t]
+            for key, g in plain.items():
+                _aggregate(flat[rows], degree[rows], own, g, out[key][rows], scratch[rows])
+        if feature_mix:
+            lo = max(t.start - 1, 0)
+            mixed = apply_mix(x[lo:t.stop - 1], x[lo + 1:t.stop], p.mix)
+            if t.start == 0:
+                mixed = np.concatenate([x[:1], mixed])
+            _aggregate(mixed.reshape(-1, d), degree[rows], own, p.gnn, out["mix"][rows],
+                       scratch[rows])
+    if parts == 1:
+        run(slice(0, length), blocks)
+    else:
+        _pool.run(lambda part: run(*part), _snapshot_ranges(blocks, v, length, parts))
+    main = out["mix"] if feature_mix else out[p.gnn.flavor, p.gnn.self_mix]
+    return tuple(a.reshape(length, v, d) for a in
+                 [main] + [out[g.flavor, g.self_mix] for g in selective])
+
+
+def _snapshot_ranges(blocks, v, length, parts):
+    """(snapshot slice, its blocks) pairs: the operator's blocks grouped by
+    the range of ceil(length / parts) snapshots each starts in.  A sequence
+    cuts its operator's blocks at those boundaries for as many parts as
+    CPUs, so the groups are then exactly those ranges."""
+    chunk = -(-length // parts)
+    groups, start = {}, 0
+    for block in blocks:
+        stop = start + block.shape[0] // v
+        group = groups.setdefault(start // chunk, [start, stop, []])
+        group[1] = stop
+        group[2].append(block)
+        start = stop
+    return [(slice(a, b), tuple(bs)) for a, b, bs in groups.values()]
 
 
 def _drive(agg, t, rows, p, mechanism):
@@ -354,14 +414,28 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     one per CPU (see `_pool`), each running its own rows through h, delta,
     B, C, the decay, drive, scan and readout, one tile of consecutive
     snapshots at a time, each tile starting from the last state of the one
-    before; no [L x V x D] drive or [L x V x D x N] state is ever held.  A
-    layer with fewer than `_SPLIT_ELEMENTS` state entries runs as one range
+    before; no [L x V x D] drive or [L x V x D x N] state is ever held.  The
+    graph pass itself is cut the same way, into contiguous snapshot ranges
+    that each hold whole blocks of the sequence's operator.  A layer with
+    fewer than `_SPLIT_ELEMENTS` state entries runs both passes as one range
     on the calling thread.  Neither ranges nor tiles change a bit of the
     output.
     """
-    x = np.moveaxis(_check_hidden(seq, hidden_in, p), 1, 0)                   # [L,V,D]
+    return _layer(seq, hidden_in, p, mechanism, backend)
+
+
+def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None):
+    """`ssm_forward`, with a hook: finish(y, h), if given, runs in each node
+    range once its rows y [R x L x D] of the output are written, with the
+    same rows h of the checked layer input, and may rewrite y in place.
+    The layer joins its threads twice: after the graph pass and after the
+    node ranges with their `finish`."""
+    hidden_in = _check_hidden(seq, hidden_in, p)
+    x = np.moveaxis(hidden_in, 1, 0)                                          # [L,V,D]
     mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
-    agg, *selective = _graph_pass(seq, x, p, mechanism)
+    v, length = seq.num_nodes, len(seq)
+    parts = _pool.cpus() if length * v * p.a.size >= _SPLIT_ELEMENTS else 1
+    agg, *selective = _graph_pass(seq, x, p, mechanism, parts)
     if p.variant is SsmVariant.S6:
         readout = "lvdn,lvn->vld"
 
@@ -382,7 +456,6 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
         def tile(t, rows, h):                                                  # [T,R,D,N]
             delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]  # [T,R,1,1]
             return delta, (delta * p.b) * h[..., None], p.c
-    v, length = seq.num_nodes, len(seq)
     step = max(1, _TILE_ELEMENTS // (v * p.a.size))
     out = np.empty((v, length, p.gnn.weight.shape[1]))
 
@@ -394,7 +467,8 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
             states = run_scan(RecurrenceInputs(np.exp(delta * p.a), drives, carry), backend)
             np.einsum(readout, states, c, out=out[rows, t])
             carry = states[-1]
-    parts = _pool.cpus() if length * v * p.a.size >= _SPLIT_ELEMENTS else 1
+        if finish is not None:
+            finish(out[rows], hidden_in[rows])
     _pool.run(run, _pool.ranges(v, parts, _ROW_ALIGN))
     return out
 
@@ -404,9 +478,15 @@ def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     and > 0 (at eps <= 0 a constant row divides zero by zero)."""
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return _normalize(x - x.mean(axis=-1, keepdims=True), eps)
+
+
+def _normalize(xc: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Divide the rows of xc, already centered over the last axis, by
+    sqrt(variance + eps) in place, and return xc."""
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / xc.shape[-1]
+    xc /= np.sqrt(var + eps)
+    return xc
 
 
 @dataclass(frozen=True)
@@ -448,14 +528,21 @@ def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
         mech = p.mix_mechanism
         if first_block_mixing_only and k > 0:
             mech = MixMechanism.ORDINARY
-        y = ssm_forward(seq, hidden, p, mechanism=mech, backend=backend)
-        res = hidden if blk.res_weight is None else hidden @ blk.res_weight
-        if blk.res_bias is not None:
-            res = res + blk.res_bias
-        hidden = (y if activation is None else activation(y)) + res
-        if p.variant is SsmVariant.S6:
-            hidden = layer_norm(hidden)
+        hidden = _layer(seq, hidden, p, mech, backend, partial(_epilogue, blk, activation))
     return hidden
+
+
+def _epilogue(blk, activation, y, h):
+    """The rest of block `blk` on one node range, in place: y, the layer's
+    output rows, becomes activation(y) + residual(h), h being the same rows
+    of the block input, then S6's layer normalization."""
+    res = h if blk.res_weight is None else h @ blk.res_weight
+    if blk.res_bias is not None:
+        res = np.add(res, blk.res_bias, out=None if blk.res_weight is None else res)
+    np.add(y if activation is None else activation(y), res, out=y)
+    if blk.layer.variant is SsmVariant.S6:
+        y -= y.mean(axis=-1, keepdims=True)
+        _normalize(y)
 
 
 # ---------------------------------------------------------------------------

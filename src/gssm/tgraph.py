@@ -342,14 +342,17 @@ class SnapshotSequence:
         [L*V] node axis (snapshot l owns rows l*V .. (l+1)*V - 1), built once.
 
         Consecutive snapshots share one CSR block until the next would take
-        the block past `_RUN_ENTRIES` stored entries; a snapshot over the cap
-        is a block of its own, its `Snapshot.adjacency_csr`.  Each block is
-        built as soon as it closes.
+        the block past `_RUN_ENTRIES` stored entries, or would start the next
+        range of ceil(L / CPUs) snapshots (`_pool.cpus`); a snapshot over the
+        cap is a block of its own, its `Snapshot.adjacency_csr`.  So a layer
+        whose graph pass runs one such snapshot range per CPU finds whole
+        blocks in every range.  Each block is built as soon as it closes.
         """
+        chunk = -(-len(self.snapshots) // _pool.cpus())
         blocks, run, entries = [], [], 0
-        for snap in self.snapshots:
+        for l, snap in enumerate(self.snapshots):
             count = snap.indices.size
-            if run and entries + count > _RUN_ENTRIES:
+            if run and (entries + count > _RUN_ENTRIES or l % chunk == 0):
                 blocks.append(_run_csr(run))
                 run, entries = [], 0
             run.append(snap)
@@ -405,7 +408,8 @@ def _run_csr(snaps):
 
 @dataclass(frozen=True, eq=False)
 class BlockDiagonalCsr:
-    """Square CSR blocks along the diagonal, applied block by block."""
+    """Square CSR blocks along the diagonal; a product with the whole
+    operator is one product per block (see `layers._aggregate`)."""
 
     blocks: tuple
 
@@ -413,24 +417,6 @@ class BlockDiagonalCsr:
     def shape(self):
         n = sum(b.shape[0] for b in self.blocks)
         return n, n
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with a dense [n x D] array, [n x D].  The blocks are
-        independent: contiguous groups of them, one per CPU, run at once on
-        `_pool`'s threads, each writing its own rows."""
-        out = np.empty((self.shape[0], x.shape[1]))
-        ends = np.cumsum([b.shape[0] for b in self.blocks]).tolist()
-        starts = [0] + ends[:-1]
-
-        def product(group):
-            for b, start, end in zip(self.blocks[group], starts[group], ends[group]):
-                out[start:end] = b @ x[start:end]
-        _pool.run(product, _pool.ranges(len(self.blocks), _pool.cpus()))
-        return out
-
-    def toarray(self) -> np.ndarray:
-        from scipy.sparse import block_diag
-        return block_diag(self.blocks, format="csr").toarray()
 
 
 def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> SnapshotSequence:

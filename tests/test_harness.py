@@ -35,6 +35,7 @@ from gssm import (
     static_features,
     train_readout,
 )
+from gssm import _pool
 from gssm.cli import main
 from gssm.harness import _upper_pairs, readout_loss, results_to_csv
 
@@ -631,6 +632,17 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c55dfaf09be1c645f548a14d95acc30ab542a01c5877012df6d015be2fec1b19")
+
+
+def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tmp_path):
+    """Its layers are all under `layers._SPLIT_ELEMENTS`: on two CPUs, one
+    seed runs every pass on the calling thread and never builds the pool."""
+    monkeypatch.setattr(_pool, "cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "_executor", None)
+    argv = ["run", "--config", str(_ACCEPTANCE_CFG), "--seeds", "0", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _pool._executor is None
 
 
 @pytest.mark.parametrize("variant, digest", [

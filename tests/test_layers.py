@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -299,6 +300,11 @@ def test_snapshot_equality_ignores_the_cached_operator():
     assert first == second and first != other
 
 
+def _dense(op):
+    """A sequence operator's dense [L*V x L*V] matrix."""
+    return scipy.sparse.block_diag(op.blocks).toarray()
+
+
 @pytest.mark.parametrize("cap", [None, 0, _SMALL_CAP])
 def test_sequence_builds_its_block_diagonal_operator_once(monkeypatch, cap):
     if cap is not None:
@@ -314,7 +320,7 @@ def test_sequence_builds_its_block_diagonal_operator_once(monkeypatch, cap):
     assert seq.adjacency_csr is op
     assert seq.degree is deg
     assert op.shape == (42, 42)
-    assert np.array_equal(op.toarray(), scipy.linalg.block_diag(*(s.adjacency for s in seq)))
+    assert np.array_equal(_dense(op), scipy.linalg.block_diag(*(s.adjacency for s in seq)))
     assert np.array_equal(deg, np.concatenate([s.adjacency.sum(axis=1) for s in seq]))
     assert not deg.flags.writeable
     for block in op.blocks:
@@ -326,24 +332,30 @@ def test_sequence_builds_its_block_diagonal_operator_once(monkeypatch, cap):
         op.blocks = ()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("cap", [0, _SMALL_CAP, 30, tgraph._RUN_ENTRIES])
-def test_sequence_operator_closes_a_block_before_it_passes_the_cap(monkeypatch, cap):
+def test_sequence_operator_closes_a_block_before_it_passes_the_cap(monkeypatch, cap, cpus):
+    """A block closes when the next snapshot would pass the cap or would
+    start the next range of ceil(L / CPUs) snapshots."""
     monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
     seq = _sparse_sequence(np.random.default_rng(17), 6, 9, 2)
     counts = [np.count_nonzero(s.adjacency) for s in seq]
+    chunk = -(-len(seq) // cpus)
     start = 0
     for block in seq.adjacency_csr.blocks:
         size = block.shape[0] // 6
         assert size >= 1 and block.shape[0] == 6 * size
         assert size == 1 or sum(counts[start:start + size]) <= cap
-        if start + size < len(seq):  # the next snapshot would pass the cap
-            assert sum(counts[start:start + size + 1]) > cap
+        assert start // chunk == (start + size - 1) // chunk  # within one range
+        if start + size < len(seq):  # the next snapshot would pass the cap or start a range
+            assert sum(counts[start:start + size + 1]) > cap or (start + size) % chunk == 0
         if size == 1:  # a lone snapshot's block is its own cached CSR
             assert block is seq[start].adjacency_csr
         start += size
     assert start == len(seq)
     if cap >= sum(counts):
-        assert len(seq.adjacency_csr.blocks) == 1
+        assert len(seq.adjacency_csr.blocks) == cpus
 
 
 def test_sequence_equality_ignores_the_cached_operator():
@@ -820,6 +832,59 @@ def test_partitioned_forward_equals_the_one_range_forward(monkeypatch, build, me
     assert ssm_forward(seq, hidden, p).tobytes() == one.tobytes()
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+@pytest.mark.parametrize("flavor", list(GnnFlavor))
+def test_partitioned_graph_pass_equals_the_one_range_pass(monkeypatch, flavor, mechanism, parts):
+    """A sequence built for `parts` CPUs cuts its operator at the snapshot
+    ranges, and the graph pass run one range per part gives the bytes of
+    the one-range pass over the one-block operator, isolated nodes and
+    S6's three selective keys (one shared with p.gnn) included."""
+    v, l, d, n = 6, 11, 3, 4
+
+    def graph_pass(cpus):
+        _ranges(monkeypatch, cpus)
+        rng = np.random.default_rng(113)
+        seq = _sparse_sequence(rng, v, l, d)
+        hidden = rng.normal(size=(v, l, d))
+        p = dataclasses.replace(_s6_mixed_selective_params(rng, d, n, mechanism),
+                                gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.3))
+        assert len(seq.adjacency_csr.blocks) == cpus
+        ranges = layers._snapshot_ranges(seq.adjacency_csr.blocks, v, l, cpus)
+        assert [len(blocks) for _, blocks in ranges] == [1] * cpus
+        return layers._graph_pass(seq, np.moveaxis(hidden, 1, 0), p, mechanism, cpus)
+    one = graph_pass(1)
+    split = graph_pass(parts)
+    assert len(split) == len(one) == 4
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(split, one))
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("activation", [relu, None], ids=["relu", "none"])
+@pytest.mark.parametrize("residual", ["identity", "weight", "bias", "affine"])
+@pytest.mark.parametrize("variant", list(SsmVariant))
+def test_partitioned_block_forward_equals_the_one_range_forward(monkeypatch, variant, residual,
+                                                                activation, parts):
+    """Each node range finishes its own rows of a block (activation,
+    residual, S6's layer norm) and gives the one-range bytes."""
+    v, l, d = 50, 7, 8
+
+    def forward(cpus):
+        _ranges(monkeypatch, cpus)
+        rng = np.random.default_rng(127)
+        seq = _sparse_sequence(rng, v, l, d)
+        hidden = rng.normal(size=(v, l, d))
+        cfg = ModelConfig(variant=variant, mix_mechanism=MixMechanism.REPR_MIX)
+        blocks = [dataclasses.replace(
+            blk, res_weight=blk.res_weight if residual in ("weight", "affine") else None,
+            res_bias=rng.normal(size=d) if residual in ("bias", "affine") else None)
+            for blk in sample_model(rng, cfg, d, l)]
+        return block_forward(hidden, seq, blocks, activation=activation)
+    one = forward(1)
+    assert len(_pool.ranges(v, parts, layers._ROW_ALIGN)) == parts
+    assert forward(parts).tobytes() == one.tobytes()
+
+
 @pytest.mark.parametrize("n, parts, align", [(1, 2, 16), (20, 2, 16), (37, 2, 16), (50, 3, 16),
                                              (2000, 2, 16), (83, 7, 16), (3, 5, 1), (5, 2, 1)])
 def test_ranges_are_aligned_runs_that_cover_every_row(n, parts, align):
@@ -1130,6 +1195,15 @@ def test_block_forward_requires_at_least_one_block():
     seq = _sequence(rng, 2, 2, 2)
     with pytest.raises(ValueError):
         block_forward(np.zeros((2, 2, 2)), seq, [])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("shape", [(200, 16, 8), (7, 5, 3), (13, 1)])
+def test_layer_norm_equals_the_two_pass_variance_form(shape, scale):
+    x = scale * np.random.default_rng(131).normal(size=shape)
+    mu = x.mean(axis=-1, keepdims=True)
+    ref = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    assert layer_norm(x).tobytes() == ref.tobytes()
 
 
 def test_layer_norm_handles_constant_rows():
