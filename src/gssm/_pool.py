@@ -5,11 +5,12 @@ that each run one independent part -- a contiguous snapshot range of a
 layer's graph pass, a contiguous node range of its recurrence and block
 epilogue -- use every CPU the process may run on (`os.sched_getaffinity(0)`).
 `gssm.layers` is the only module that runs parts here; `tgraph` reads `cpus`
-to cut a sequence's operator at the graph pass's snapshot ranges.  `run` runs the first part on the
-calling thread and the others on one module pool, created on first use
-with one thread fewer than the CPUs; work in a single part never creates
-it.  A forked child has none of its parent's pool threads, so it drops the
-inherited pool and builds its own when it first needs one.
+to cut a sequence's operator at the graph pass's snapshot ranges.  `run`
+runs the first part on the calling thread and the others on one module
+pool, created on first use with one thread fewer than the CPUs; work in a
+single part never creates it.  A forked child has none of its parent's
+pool threads, so it drops the inherited pool and builds its own when it
+first needs one.
 """
 
 import os

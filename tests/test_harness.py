@@ -639,7 +639,8 @@ def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tm
     seed runs every pass on the calling thread and never builds the pool."""
     monkeypatch.setattr(_pool, "cpus", lambda: 2)
     monkeypatch.setattr(_pool, "_executor", None)
-    argv = ["run", "--config", str(_ACCEPTANCE_CFG), "--seeds", "0", "--out", str(tmp_path / "r.csv")]
+    argv = ["run", "--config", str(_ACCEPTANCE_CFG), "--seeds", "0",
+            "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 0
     capsys.readouterr()
     assert _pool._executor is None
