@@ -13,11 +13,10 @@ the command-line entry point.
 from .discretize import (MixMechanism, MutationSchedule, mixed_estimate,
                          segment_weights, zoh_oracle_step)
 from .harness import (ModelConfig, ReadoutParams, Split, SyntheticTask,
-                      TaskConfig, extract_features, f1_scores,
-                      finite_diff_check, gen_synthetic, load_labels,
-                      named_rng, readout_loss, results_to_csv, run_experiment,
-                      sample_model, save_labels, split_nodes, standardize,
-                      static_features, train_readout)
+                      TaskConfig, extract_features, f1_scores, gen_synthetic,
+                      load_labels, named_rng, readout_loss, results_to_csv,
+                      run_experiment, sample_model, save_labels, split_nodes,
+                      standardize, static_features, train_readout)
 from .hippo import (TIME_ORIGIN, HippoConfig, consensus_profile,
                     hippo_legs_matrices, integrate_hippo, projection_oracle,
                     smoothing_matrix)

@@ -4,21 +4,16 @@ numpy's and scipy's array kernels release the interpreter lock, so threads
 that each run one independent part -- a contiguous snapshot range of a
 layer's graph pass, a contiguous node range of its recurrence and block
 epilogue -- use every CPU the process may run on (`os.sched_getaffinity(0)`).
-`gssm.layers` is the only module that runs parts here; `tgraph` reads `cpus`
-to cut a sequence's operator at the graph pass's snapshot ranges.  `run`
-runs the first part on the calling thread and the others on one module
-pool, created on first use with one thread fewer than the CPUs; work in a
-single part never creates it.  A forked child has none of its parent's
-pool threads, so it drops the inherited pool and builds its own when it
-first needs one.
+`gssm.layers` is the only module that runs parts here, cut by `ranges`.
+`run` runs the first part on the calling thread and the others on one
+module pool with one thread fewer than the CPUs.  The pool is built when
+the module loads but starts no thread until its first task, so work in a
+single part never starts one.  A forked child has none of its parent's
+pool threads, so it builds a pool of its own.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-
-_lock = threading.Lock()
-_executor = None
 
 
 def cpus() -> int:
@@ -45,7 +40,7 @@ def run(fn, parts) -> None:
     if len(parts) == 1:
         fn(parts[0])
         return
-    futures = [_pool().submit(fn, part) for part in parts[1:]]
+    futures = [_executor.submit(fn, part) for part in parts[1:]]
     try:
         fn(parts[0])
     finally:
@@ -54,20 +49,13 @@ def run(fn, parts) -> None:
         future.result()
 
 
-def _pool() -> ThreadPoolExecutor:
+def _new_pool() -> None:
+    """Build the module pool; in a forked child, replace the inherited one,
+    whose threads do not exist there and whose count of idle threads would
+    let `submit` queue work that no thread ever runs."""
     global _executor
-    with _lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max(1, cpus() - 1), thread_name_prefix="gssm")
-        return _executor
+    _executor = ThreadPoolExecutor(max(1, cpus() - 1), thread_name_prefix="gssm")
 
 
-def _forget_pool() -> None:
-    """After a fork, in the child: the inherited pool's threads do not exist
-    there, and its count of idle threads would let `submit` queue work that
-    no thread ever runs."""
-    global _executor, _lock
-    _executor, _lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)

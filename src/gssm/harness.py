@@ -404,26 +404,6 @@ def f1_scores(preds, labels, num_classes: int | None = None):
     return float(micro), float(f1.mean())
 
 
-def finite_diff_check(scalar_fn, params: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative deviation between the analytic gradient returned by
-    scalar_fn(params) -> (value, grad) and central finite differences."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    params = np.asarray(params, dtype=float)
-    value, grad = scalar_fn(params)
-    finite(value, "scalar_fn's value")
-    finite(grad, "scalar_fn's gradient")
-    numeric = np.empty_like(params)
-    for i in range(params.size):
-        bump = np.zeros_like(params)
-        bump[i] = eps
-        hi, _ = scalar_fn(params + bump)
-        lo, _ = scalar_fn(params - bump)
-        numeric[i] = (hi - lo) / (2.0 * eps)
-    denom = np.maximum(np.abs(numeric), 1e-6)
-    return float(np.max(np.abs(np.asarray(grad) - numeric) / denom))
-
-
 # ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------

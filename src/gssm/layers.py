@@ -12,20 +12,20 @@ Building blocks, bottom up:
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
   drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`.
-  Its graph half runs once over the whole sequence, one product per block
-  of the sequence's block-diagonal adjacency (`SnapshotSequence.adjacency_csr`),
-  once per layer input and distinct (flavor, self_mix).  A layer joins its
-  threads at two points only.  The graph pass cuts the snapshots into
-  contiguous ranges, one per CPU the process may use, each holding whole
-  blocks and running its own rows through the whole pass.  After it, every
-  node's recurrence is independent: the nodes are cut into contiguous
-  ranges, one per CPU, and each range builds its drive, delta, B, C, decay
-  and states one time tile at a time (consecutive snapshots holding about
-  `_TILE_ELEMENTS` state entries over all ranges), then, inside
-  `block_forward`, finishes its rows of the block.  The first range of each
-  pass runs on the calling thread, the others on `_pool`'s threads; with
-  one CPU, or a layer under `_SPLIT_ELEMENTS` state entries, each pass is
-  one range and no thread starts.
+  Its graph half runs once over the whole sequence, once per layer input
+  and distinct (flavor, self_mix).  A layer joins its threads at two points
+  only.  The graph pass cuts the snapshots into contiguous ranges, one per
+  CPU the process may use, and each range runs its own rows through the
+  whole pass, one product per CSR block the sequence builds for that range
+  (`SnapshotSequence.csr_blocks`).  After it, every node's recurrence is
+  independent: the nodes are cut into contiguous ranges, one per CPU, and
+  each range builds its drive, delta, B, C, decay and states one time tile
+  at a time (consecutive snapshots holding about `_TILE_ELEMENTS` state
+  entries over all ranges), then, inside `block_forward`, finishes its rows
+  of the block.  The first range of each pass runs on the calling thread,
+  the others on `_pool`'s threads; with one CPU, or a layer under
+  `_SPLIT_ELEMENTS` state entries, each pass is one range and no thread
+  starts.
 * `block_forward` -- residual block composition around a layer: each node
   range applies the activation, the residual and S6's layer normalization
   to its own rows in place.  The mixing mechanism is by default confined
@@ -294,16 +294,15 @@ def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParam
     return hidden_in
 
 
-def _graph_pass(seq, x, p, mechanism, parts=1):
+def _graph_pass(seq, x, p, mechanism, parts):
     """The layer's one whole-sequence graph pass: `_aggregate` over the
     [L x V x D] layer input x for p.gnn, then for S6's gnn_delta, gnn_b and
     gnn_c, computed once per distinct (flavor, self_mix) -- the only
     parameters it reads.  Under FEATURE_MIX p.gnn diffuses the mix of
-    consecutive inputs instead.
-
-    With parts > 1 the snapshots are cut into at most that many contiguous
-    ranges, each holding whole blocks of the sequence's operator, and each
-    range runs its own rows through the whole pass on `_pool`."""
+    consecutive inputs instead.  The snapshots are cut into at most `parts`
+    contiguous ranges, and each range runs its own rows, with its own CSR
+    blocks of the sequence (`SnapshotSequence.csr_blocks`), through the
+    whole pass on `_pool`."""
     length, v, d = x.shape
     feature_mix = mechanism is MixMechanism.FEATURE_MIX
     selective = (p.gnn_delta, p.gnn_b, p.gnn_c) if p.variant is SsmVariant.S6 else ()
@@ -317,7 +316,7 @@ def _graph_pass(seq, x, p, mechanism, parts=1):
         out["mix"] = np.empty((length * v, d))
     flat = np.empty((length * v, d)) if plain else None
     scratch = np.empty((length * v, d))
-    blocks, degree = seq.adjacency_csr.blocks, seq.degree
+    degree, ranges = seq.degree, _pool.ranges(length, parts)
 
     def run(t, own):                               # snapshots t, their blocks own
         rows = slice(t.start * v, t.stop * v)
@@ -332,29 +331,10 @@ def _graph_pass(seq, x, p, mechanism, parts=1):
                 mixed = np.concatenate([x[:1], mixed])
             _aggregate(mixed.reshape(-1, d), degree[rows], own, p.gnn, out["mix"][rows],
                        scratch[rows])
-    if parts == 1:
-        run(slice(0, length), blocks)
-    else:
-        _pool.run(lambda part: run(*part), _snapshot_ranges(blocks, v, length, parts))
+    _pool.run(lambda part: run(*part), list(zip(ranges, seq.csr_blocks(ranges))))
     main = out["mix"] if feature_mix else out[p.gnn.flavor, p.gnn.self_mix]
     return tuple(a.reshape(length, v, d) for a in
                  [main] + [out[g.flavor, g.self_mix] for g in selective])
-
-
-def _snapshot_ranges(blocks, v, length, parts):
-    """(snapshot slice, its blocks) pairs: the operator's blocks grouped by
-    the range of ceil(length / parts) snapshots each starts in.  A sequence
-    cuts its operator's blocks at those boundaries for as many parts as
-    CPUs, so the groups are then exactly those ranges."""
-    chunk = -(-length // parts)
-    groups, start = {}, 0
-    for block in blocks:
-        stop = start + block.shape[0] // v
-        group = groups.setdefault(start // chunk, [start, stop, []])
-        group[1] = stop
-        group[2].append(block)
-        start = stop
-    return [(slice(a, b), tuple(bs)) for a, b, bs in groups.values()]
 
 
 def _drive(agg, t, rows, p, mechanism):
@@ -367,14 +347,6 @@ def _drive(agg, t, rows, p, mechanism):
     h = agg[max(t.start - 1, 0):t.stop, rows] @ p.gnn.weight + p.gnn.bias
     mixed = apply_mix(h[:-1], h[1:], p.mix)
     return mixed if t.start > 0 else np.concatenate([h[:1], mixed])
-
-
-def _drive_estimates(seq, hidden_in, p, mechanism):
-    """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]: the
-    forward's drive with the whole sequence as one tile."""
-    mechanism = MixMechanism(mechanism)
-    agg = _graph_pass(seq, np.moveaxis(hidden_in, 1, 0), p, mechanism)[0]
-    return _drive(agg, slice(0, len(seq)), slice(None), p, mechanism)
 
 
 # Element count of one time tile's decay, drive and states each, summed over
@@ -415,8 +387,8 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     B, C, the decay, drive, scan and readout, one tile of consecutive
     snapshots at a time, each tile starting from the last state of the one
     before; no [L x V x D] drive or [L x V x D x N] state is ever held.  The
-    graph pass itself is cut the same way, into contiguous snapshot ranges
-    that each hold whole blocks of the sequence's operator.  A layer with
+    graph pass itself is cut the same way, into contiguous snapshot ranges,
+    each with its own CSR blocks of the sequence's adjacency.  A layer with
     fewer than `_SPLIT_ELEMENTS` state entries runs both passes as one range
     on the calling thread.  Neither ranges nor tiles change a bit of the
     output.

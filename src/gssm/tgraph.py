@@ -17,10 +17,11 @@ A :class:`Snapshot` stores its adjacency as a CSR pattern (`indptr`,
 small-graph callers and never kept.  A snapshot caches a boolean CSR array
 over its pattern and the degree vector, built on first access, and a
 :class:`SnapshotSequence` caches the same over its stacked [L*V] node axis:
-the block-diagonal operator of all L adjacencies (`BlockDiagonalCsr`) and the
-stacked degree vector, so graph diffusion over a whole sequence is a few
-sparse products.  The caches are not dataclass fields: equality,
-immutability and the stored arrays are unchanged by them.
+the stacked degree vector, and the CSR diagonal blocks of its adjacencies
+for one cut of the snapshots into contiguous ranges (`csr_blocks`), so
+graph diffusion over a whole sequence is a few sparse products.  The caches
+are not dataclass fields: equality, immutability and the stored arrays are
+unchanged by them.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _pool
 from ._checks import finite, integers, numbers, read_records
 
 
@@ -276,7 +276,7 @@ class Snapshot:
     @cached_property
     def adjacency_csr(self):
         """Boolean CSR array over the stored pattern, built once."""
-        return _block_csr((self,))
+        return _csr(self.indptr, self.indices)
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -291,9 +291,6 @@ class Snapshot:
         rows = _csr_rows(self.indptr)
         upper = self.indices > rows
         return rows[upper], self.indices[upper]
-
-    def edge_set(self) -> frozenset:
-        return frozenset(zip(*(a.tolist() for a in self._upper())))
 
 
 @dataclass(frozen=True)
@@ -336,29 +333,37 @@ class SnapshotSequence:
     def timestamps(self):
         return np.array([s.timestamp for s in self.snapshots])
 
-    @cached_property
-    def adjacency_csr(self) -> "BlockDiagonalCsr":
-        """Block-diagonal adjacency of the whole sequence over the stacked
-        [L*V] node axis (snapshot l owns rows l*V .. (l+1)*V - 1), built once.
-
-        Consecutive snapshots share one CSR block until the next would take
-        the block past `_RUN_ENTRIES` stored entries, or would start the next
-        range of ceil(L / CPUs) snapshots (`_pool.cpus`); a snapshot over the
-        cap is a block of its own, its `Snapshot.adjacency_csr`.  So a layer
-        whose graph pass runs one such snapshot range per CPU finds whole
-        blocks in every range.  Each block is built as soon as it closes.
+    def csr_blocks(self, ranges) -> tuple:
+        """CSR diagonal blocks of the stacked [L*V] adjacency (snapshot l owns
+        rows l*V .. (l+1)*V - 1), one tuple per range of `ranges`: contiguous
+        slices of the snapshots covering them in order.  Within a range,
+        consecutive snapshots share a block until the next would take it past
+        `_RUN_ENTRIES` stored entries; a lone snapshot's block is its
+        `Snapshot.adjacency_csr`.  Each block is built as soon as it closes.
+        The blocks of the last cut asked for are kept, and a new cut drops
+        them before it builds its own.
         """
-        chunk = -(-len(self.snapshots) // _pool.cpus())
-        blocks, run, entries = [], [], 0
-        for l, snap in enumerate(self.snapshots):
-            count = snap.indices.size
-            if run and (entries + count > _RUN_ENTRIES or l % chunk == 0):
-                blocks.append(_run_csr(run))
-                run, entries = [], 0
-            run.append(snap)
-            entries += count
-        blocks.append(_run_csr(run))
-        return BlockDiagonalCsr(tuple(blocks))
+        cut = tuple((r.start, r.stop) for r in ranges)
+        stops = [0] + [b for _, b in cut]
+        if [a for a, _ in cut] != stops[:-1] or stops[-1] != len(self) or any(
+                b <= a for a, b in cut):
+            raise ValueError(f"ranges must cut range({len(self)}) into contiguous "
+                             f"nonempty slices in order, got {cut}")
+        held, blocks = self.__dict__.pop("_csr_blocks", (None, None))
+        if held != cut:
+            blocks = []
+            for a, b in cut:
+                own, run, entries = [], [], 0
+                for snap in self.snapshots[a:b]:
+                    if run and entries + snap.indices.size > _RUN_ENTRIES:
+                        own.append(_block_csr(run))
+                        run, entries = [], 0
+                    run.append(snap)
+                    entries += snap.indices.size
+                blocks.append((*own, _block_csr(run)))
+            blocks = tuple(blocks)
+        self.__dict__["_csr_blocks"] = cut, blocks
+        return blocks
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -368,30 +373,17 @@ class SnapshotSequence:
         return deg
 
 
-# Stored entries at which a sequence's block-diagonal operator starts a new
-# CSR block.  A product with a boolean CSR first copies its entries to
-# float64 (8 bytes each), so the cap bounds that per-product temporary at
-# 1 MB on large graphs, while a sequence of small graphs still diffuses in
-# one product.
+# Stored entries at which a sequence's CSR blocks close.  A product with a
+# boolean CSR first copies its entries to float64 (8 bytes each), so the cap
+# bounds that per-product temporary at 1 MB on large graphs, while a
+# sequence of small graphs still diffuses in one product.
 _RUN_ENTRIES = 1 << 17
 
 
-def _block_csr(snaps):
-    """Read-only boolean CSR array of the block-diagonal matrix of the
-    snapshots' adjacencies, with sorted indices; every CSR here is built by
-    it.  One snapshot's array shares its pattern arrays; several are joined
-    with each snapshot's indices offset by its first row."""
+def _csr(indptr, indices):
+    """Read-only boolean CSR array of a square pattern; every CSR here is
+    built by it."""
     from scipy.sparse import csr_array
-    if len(snaps) == 1:
-        indptr, indices = snaps[0].indptr, snaps[0].indices
-    else:
-        v = snaps[0].num_nodes
-        sizes = [s.indices.size for s in snaps]
-        idx = _index_dtype(max(len(snaps) * v, sum(sizes)))
-        starts = np.cumsum([0] + sizes[:-1]).tolist()
-        indptr = np.concatenate([np.zeros(1, dtype=idx)]
-                                + [s.indptr[1:].astype(idx) + start for s, start in zip(snaps, starts)])
-        indices = np.concatenate([s.indices.astype(idx) + k * v for k, s in enumerate(snaps)])
     n = indptr.size - 1
     csr = csr_array((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
     for arr in (csr.data, csr.indices, csr.indptr):
@@ -399,24 +391,19 @@ def _block_csr(snaps):
     return csr
 
 
-def _run_csr(snaps):
-    """One block of a sequence's operator; a lone snapshot reuses its own CSR."""
+def _block_csr(snaps):
+    """The CSR block of consecutive snapshots: a lone snapshot's own
+    `Snapshot.adjacency_csr`, or their adjacencies joined along the diagonal,
+    each snapshot's indices offset by its first row."""
     if len(snaps) == 1:
         return snaps[0].adjacency_csr
-    return _block_csr(snaps)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockDiagonalCsr:
-    """Square CSR blocks along the diagonal; a product with the whole
-    operator is one product per block (see `layers._aggregate`)."""
-
-    blocks: tuple
-
-    @property
-    def shape(self):
-        n = sum(b.shape[0] for b in self.blocks)
-        return n, n
+    v, sizes = snaps[0].num_nodes, [s.indices.size for s in snaps]
+    idx = _index_dtype(max(len(snaps) * v, sum(sizes)))
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    indptr = np.concatenate([np.zeros(1, dtype=idx)]
+                            + [s.indptr[1:].astype(idx) + start for s, start in zip(snaps, starts)])
+    indices = np.concatenate([s.indices.astype(idx) + k * v for k, s in enumerate(snaps)])
+    return _csr(indptr, indices)
 
 
 def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> SnapshotSequence:

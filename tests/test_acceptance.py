@@ -32,7 +32,6 @@ from gssm import (
     align_memory,
     bench_recurrence,
     block_forward,
-    finite_diff_check,
     gnn_diffuse,
     hippo_legs_matrices,
     named_rng,
@@ -52,10 +51,10 @@ from gssm.cli import (
     _TASK_DEFAULTS,
     _VERIFY_DEFAULTS,
 )
-from gssm.layers import _drive_estimates
 from gssm.verify import suite_projection, suite_reduction, suite_weights, suite_zoh
 
-from test_layers import _s4_params, _s5_params, _s6_params, _sequence
+from test_harness import finite_diff_check
+from test_layers import _drive_estimates, _s4_params, _s5_params, _s6_params, _sequence
 
 _CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from gssm import (
     block_forward,
     extract_features,
     f1_scores,
-    finite_diff_check,
     gen_synthetic,
     load_labels,
     named_rng,
@@ -36,6 +36,7 @@ from gssm import (
     train_readout,
 )
 from gssm import _pool
+from gssm._checks import finite
 from gssm.cli import main
 from gssm.harness import _upper_pairs, readout_loss, results_to_csv
 
@@ -178,13 +179,13 @@ def test_gen_stores_no_dense_adjacency():
     seq = task.sequence
     tracemalloc.start()
     try:
-        op = seq.adjacency_csr
+        (blocks,) = seq.csr_blocks([slice(0, len(seq))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < v * v
     entries = sum(s.indices.size for s in seq)
-    assert sum(b.indices.size for b in op.blocks) == entries > 0
+    assert sum(b.indices.size for b in blocks) == entries > 0
     for snap in seq:
         snap.adjacency_csr, snap.degree
         held = [a for a in vars(snap).values() if isinstance(a, np.ndarray)]
@@ -419,6 +420,26 @@ def test_readout_rejects_an_empty_validation_split():
 # finite differences
 
 
+def finite_diff_check(scalar_fn, params: np.ndarray, eps: float = 1e-5) -> float:
+    """Max relative deviation between the analytic gradient returned by
+    scalar_fn(params) -> (value, grad) and central finite differences."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    params = np.asarray(params, dtype=float)
+    value, grad = scalar_fn(params)
+    finite(value, "scalar_fn's value")
+    finite(grad, "scalar_fn's gradient")
+    numeric = np.empty_like(params)
+    for i in range(params.size):
+        bump = np.zeros_like(params)
+        bump[i] = eps
+        hi, _ = scalar_fn(params + bump)
+        lo, _ = scalar_fn(params - bump)
+        numeric[i] = (hi - lo) / (2.0 * eps)
+    denom = np.maximum(np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(np.asarray(grad) - numeric) / denom))
+
+
 def test_finite_diff_is_tight_on_a_quadratic():
     h = np.diag([2.0, 0.5, 1.5])
 
@@ -636,14 +657,15 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
 
 def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tmp_path):
     """Its layers are all under `layers._SPLIT_ELEMENTS`: on two CPUs, one
-    seed runs every pass on the calling thread and never builds the pool."""
+    seed runs every pass on the calling thread and gives the pool no work."""
     monkeypatch.setattr(_pool, "cpus", lambda: 2)
-    monkeypatch.setattr(_pool, "_executor", None)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(_pool, "_executor", pool)
     argv = ["run", "--config", str(_ACCEPTANCE_CFG), "--seeds", "0",
             "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert _pool._executor is None
+    assert not pool._threads  # a pool starts a thread on its first task
 
 
 @pytest.mark.parametrize("variant, digest", [
@@ -651,9 +673,13 @@ def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tm
     (SsmVariant.S5, "adf0646888670ec5fa90a5be6ecbb6b3265ec88132a23aa0f55f0b6786acf861"),
     (SsmVariant.S6, "507e511ed74d2e25ff8299d1ae2a895e2844176b6312fd2bc2cfe290025a1f5f"),
 ])
-def test_block_forward_output_keeps_its_digest(variant, digest):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_block_forward_output_keeps_its_digest(monkeypatch, variant, digest, cpus):
     """The forward's bits on a generated task (V=64, L=128), as the
-    whole-sequence layer produced them before it was run in time tiles."""
+    whole-sequence layer produced them before it was run in time tiles, on
+    hosts of one to three CPUs: S4's and S6's layers are over
+    `layers._SPLIT_ELEMENTS`, so each of their passes runs one range per CPU."""
+    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
     task = gen_synthetic(0, TaskConfig(num_nodes=64, seq_len=128))
     seq = task.sequence
     hidden = np.stack([s.features for s in seq], axis=1)

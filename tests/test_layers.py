@@ -7,6 +7,8 @@ import sys
 import threading
 import time
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -51,7 +53,6 @@ from gssm import (
     ssm_forward,
 )
 from gssm import _pool, layers, tgraph
-from gssm.layers import _drive_estimates
 from gssm.scan import RecurrenceInputs, run_scan, scan_sequential
 
 
@@ -92,6 +93,14 @@ def _sparse_sequence(rng, v, l, d):
 # A run cap that splits a `_sparse_sequence` of 6 nodes into blocks of one to
 # a few snapshots.
 _SMALL_CAP = 12
+
+
+def _drive_estimates(seq, hidden_in, p, mechanism):
+    """Mixed-and-diffused layer inputs H_l, stacked into [L x V x D]: the
+    forward's drive with the whole sequence as one range and one tile."""
+    mechanism = MixMechanism(mechanism)
+    agg = layers._graph_pass(seq, np.moveaxis(hidden_in, 1, 0), p, mechanism, 1)[0]
+    return layers._drive(agg, slice(0, len(seq)), slice(None), p, mechanism)
 
 
 def _gnn(rng, d_in, d_out, flavor=GnnFlavor.GCN_LIKE, self_mix=0.5):
@@ -300,62 +309,103 @@ def test_snapshot_equality_ignores_the_cached_operator():
     assert first == second and first != other
 
 
-def _dense(op):
-    """A sequence operator's dense [L*V x L*V] matrix."""
-    return scipy.sparse.block_diag(op.blocks).toarray()
+def _whole(seq):
+    """The CSR blocks of a sequence cut as one range."""
+    (blocks,) = seq.csr_blocks([slice(0, len(seq))])
+    return blocks
 
 
 @pytest.mark.parametrize("cap", [None, 0, _SMALL_CAP])
-def test_sequence_builds_its_block_diagonal_operator_once(monkeypatch, cap):
+def test_sequence_builds_its_blocks_once_per_cut(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
     rng = np.random.default_rng(13)
     seq = _sparse_sequence(rng, 6, 7, 2)
     hidden = rng.normal(size=(6, 7, 2))
-    op, deg = seq.adjacency_csr, seq.degree
+    blocks, deg = _whole(seq), seq.degree
     p = _s4_params(rng, 2, 3, mechanism=MixMechanism.REPR_MIX)
     for flavor in GnnFlavor:
         _drive_estimates(seq, hidden, dataclasses.replace(p, gnn=_gnn(rng, 2, 2, flavor=flavor)),
                          p.mix_mechanism)
-    assert seq.adjacency_csr is op
+    assert all(a is b for a, b in zip(_whole(seq), blocks, strict=True))
     assert seq.degree is deg
-    assert op.shape == (42, 42)
-    assert np.array_equal(_dense(op), scipy.linalg.block_diag(*(s.adjacency for s in seq)))
+    assert np.array_equal(scipy.sparse.block_diag(blocks).toarray(),
+                          scipy.linalg.block_diag(*(s.adjacency for s in seq)))
     assert np.array_equal(deg, np.concatenate([s.adjacency.sum(axis=1) for s in seq]))
     assert not deg.flags.writeable
-    for block in op.blocks:
+    for block in blocks:
         assert block.indices.dtype == np.int32 and block.indptr.dtype == np.int32
         assert not any(a.flags.writeable for a in (block.data, block.indices, block.indptr))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        seq.adjacency_csr = op
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        op.blocks = ()
+
+
+@pytest.mark.parametrize("cut", [[7], [3, 7], [1, 4, 7], [2, 3, 5, 7]])
+@pytest.mark.parametrize("cap", [0, _SMALL_CAP, 30, tgraph._RUN_ENTRIES])
+def test_sequence_blocks_cover_each_range_and_close_only_before_the_cap(monkeypatch, cap, cut):
+    """Each range's blocks are exactly its snapshots' adjacencies along the
+    diagonal; a block closes only where the next snapshot would take it past
+    the cap, or at the end of its range; a lone snapshot's block is that
+    snapshot's own cached CSR."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+    seq = _sparse_sequence(np.random.default_rng(17), 6, 7, 2)
+    counts = [np.count_nonzero(s.adjacency) for s in seq]
+    ranges = [slice(a, b) for a, b in zip([0] + cut, cut)]
+    per_range = seq.csr_blocks(ranges)
+    assert len(per_range) == len(ranges)
+    for t, blocks in zip(ranges, per_range):
+        assert np.array_equal(scipy.sparse.block_diag(blocks).toarray(),
+                              scipy.linalg.block_diag(*(s.adjacency for s in seq[t])))
+        start = t.start
+        for block in blocks:
+            size = block.shape[0] // 6
+            assert size >= 1 and block.shape[0] == 6 * size
+            assert size == 1 or sum(counts[start:start + size]) <= cap
+            if start + size < t.stop:  # closed early: the next snapshot would pass the cap
+                assert sum(counts[start:start + size + 1]) > cap
+            if size == 1:
+                assert block is seq[start].adjacency_csr
+            start += size
+        assert start == t.stop
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("cap", [0, _SMALL_CAP, 30, tgraph._RUN_ENTRIES])
-def test_sequence_operator_closes_a_block_before_it_passes_the_cap(monkeypatch, cap, cpus):
-    """A block closes when the next snapshot would pass the cap or would
-    start the next range of ceil(L / CPUs) snapshots."""
-    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
+def test_sequence_blocks_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    ranges = [slice(0, 4), slice(4, 7)]
+
+    def blocks():
+        seq = _sparse_sequence(np.random.default_rng(19), 6, 7, 2)
+        return [(b.shape, b.indptr.tobytes(), b.indices.tobytes())
+                for own in seq.csr_blocks(ranges) for b in own]
+    one = blocks()
     monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-    seq = _sparse_sequence(np.random.default_rng(17), 6, 9, 2)
-    counts = [np.count_nonzero(s.adjacency) for s in seq]
-    chunk = -(-len(seq) // cpus)
-    start = 0
-    for block in seq.adjacency_csr.blocks:
-        size = block.shape[0] // 6
-        assert size >= 1 and block.shape[0] == 6 * size
-        assert size == 1 or sum(counts[start:start + size]) <= cap
-        assert start // chunk == (start + size - 1) // chunk  # within one range
-        if start + size < len(seq):  # the next snapshot would pass the cap or start a range
-            assert sum(counts[start:start + size + 1]) > cap or (start + size) % chunk == 0
-        if size == 1:  # a lone snapshot's block is its own cached CSR
-            assert block is seq[start].adjacency_csr
-        start += size
-    assert start == len(seq)
-    if cap >= sum(counts):
-        assert len(seq.adjacency_csr.blocks) == cpus
+    assert blocks() == one
+
+
+def test_a_new_cut_replaces_the_cached_blocks(monkeypatch):
+    """The same cut returns the same blocks; another cut releases them, so
+    a sequence holds one cut's blocks at a time."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", 30)
+    seq = _sparse_sequence(np.random.default_rng(23), 6, 7, 2)
+    halves = [slice(0, 3), slice(3, 7)]
+    first, again = seq.csr_blocks(halves), seq.csr_blocks(halves)
+    assert [list(map(id, own)) for own in again] == [list(map(id, own)) for own in first]
+    joined = [weakref.ref(b) for own in first for b in own if b.shape[0] > 6]
+    assert joined  # blocks of several snapshots, held by the sequence alone
+    del first, again
+    (whole,) = seq.csr_blocks([slice(0, 7)])
+    assert all(ref() is None for ref in joined)
+    assert np.array_equal(scipy.sparse.block_diag(whole).toarray(),
+                          scipy.linalg.block_diag(*(s.adjacency for s in seq)))
+
+
+@pytest.mark.parametrize("ranges", [[], [slice(0, 3)], [slice(0, 3), slice(4, 7)],
+                                    [slice(0, 4), slice(3, 7)], [slice(0, 0), slice(0, 7)],
+                                    [slice(None)], [slice(0, 8)]],
+                         ids=["none", "short", "gap", "overlap", "empty", "open", "long"])
+def test_sequence_blocks_reject_a_cut_that_is_not_a_partition(ranges):
+    seq = _sparse_sequence(np.random.default_rng(29), 6, 7, 2)
+    with pytest.raises(ValueError, match="ranges must cut range"):
+        seq.csr_blocks(ranges)
 
 
 def test_sequence_equality_ignores_the_cached_operator():
@@ -368,7 +418,7 @@ def test_sequence_equality_ignores_the_cached_operator():
 
     first, second, other = single_node(2.0), single_node(2.0), single_node(3.0)
     assert first == second and first != other
-    first.adjacency_csr, first.degree
+    first.csr_blocks([slice(0, 1), slice(1, 2)]), first.degree
     assert first == second and first != other
 
 
@@ -699,7 +749,7 @@ def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism
     v, l, d = 6, 7, 3
     seq = _sparse_sequence(rng, v, l, d)
     if cap is not None:
-        assert 1 < len(seq.adjacency_csr.blocks) < l
+        assert 1 < len(_whole(seq)) < l
     hidden = rng.normal(size=(v, l, d))
     p = dataclasses.replace(
         _s4_params(rng, d, 2, mechanism=mechanism),
@@ -836,10 +886,10 @@ def test_partitioned_forward_equals_the_one_range_forward(monkeypatch, build, me
 @pytest.mark.parametrize("mechanism", list(MixMechanism))
 @pytest.mark.parametrize("flavor", list(GnnFlavor))
 def test_partitioned_graph_pass_equals_the_one_range_pass(monkeypatch, flavor, mechanism, parts):
-    """A sequence built for `parts` CPUs cuts its operator at the snapshot
-    ranges, and the graph pass run one range per part gives the bytes of
-    the one-range pass over the one-block operator, isolated nodes and
-    S6's three selective keys (one shared with p.gnn) included."""
+    """The graph pass run one snapshot range per part, each with its own
+    blocks, gives the bytes of the one-range pass over one block, isolated
+    nodes, an edgeless snapshot and S6's three selective keys (one shared
+    with p.gnn) included."""
     v, l, d, n = 6, 11, 3, 4
 
     def graph_pass(cpus):
@@ -849,9 +899,6 @@ def test_partitioned_graph_pass_equals_the_one_range_pass(monkeypatch, flavor, m
         hidden = rng.normal(size=(v, l, d))
         p = dataclasses.replace(_s6_mixed_selective_params(rng, d, n, mechanism),
                                 gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.3))
-        assert len(seq.adjacency_csr.blocks) == cpus
-        ranges = layers._snapshot_ranges(seq.adjacency_csr.blocks, v, l, cpus)
-        assert [len(blocks) for _, blocks in ranges] == [1] * cpus
         return layers._graph_pass(seq, np.moveaxis(hidden, 1, 0), p, mechanism, cpus)
     one = graph_pass(1)
     split = graph_pass(parts)
@@ -922,15 +969,16 @@ def test_many_ranges_under_fast_thread_switching_equal_one_range(monkeypatch):
 
 def test_one_cpu_starts_no_pool_thread(monkeypatch):
     _ranges(monkeypatch, 1)
-    monkeypatch.setattr(_pool, "_executor", None)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(_pool, "_executor", pool)
     monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
     rng = np.random.default_rng(103)
     v, l, d, n = 40, 7, 3, 4
     seq = _sparse_sequence(rng, v, l, d)
     before = threading.enumerate()
     ssm_forward(seq, rng.normal(size=(v, l, d)), _s6_params(rng, d, n))
-    assert len(seq.adjacency_csr.blocks) > 1
-    assert _pool._executor is None
+    assert len(_whole(seq)) > 1
+    assert not pool._threads  # a pool starts a thread on its first task
     assert threading.enumerate() == before
 
 
@@ -965,7 +1013,7 @@ def test_a_forked_child_runs_a_threaded_forward(monkeypatch):
     hidden = rng.normal(size=(v, l, d))
     p = _s5_params(rng, d, n, mechanism=MixMechanism.REPR_MIX)
     parent = ssm_forward(seq, hidden, p).tobytes()
-    assert _pool._executor is not None
+    assert _pool._executor._threads
     with warnings.catch_warnings():  # forking a process with threads is the point here
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
