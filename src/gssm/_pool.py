@@ -3,13 +3,16 @@
 numpy's and scipy's array kernels release the interpreter lock, so threads
 that each run one independent part -- a contiguous snapshot range of a
 layer's graph pass, a contiguous node range of its recurrence and block
-epilogue -- use every CPU the process may run on (`os.sched_getaffinity(0)`).
-`gssm.layers` is the only module that runs parts here, cut by `ranges`.
-`run` runs the first part on the calling thread and the others on one
-module pool with one thread fewer than the CPUs.  The pool is built when
-the module loads but starts no thread until its first task, so work in a
-single part never starts one.  A forked child has none of its parent's
-pool threads, so it builds a pool of its own.
+epilogue, a contiguous node-pair range of a generated snapshot's draws --
+use every CPU the process may run on (`os.sched_getaffinity(0)`, or
+`os.cpu_count()` where the platform has no affinity call).  `gssm.layers`
+and `gssm.harness.gen_synthetic` are the only callers that run parts here,
+cut by `ranges`.  `run` runs the first part on the calling thread and the
+others on one module pool with one thread fewer than the CPUs.  The pool
+is built when the module loads but starts no thread until its first task,
+so work in a single part never starts one.  A forked child has none of its
+parent's pool threads, so it builds a pool of its own (where the platform
+has `os.register_at_fork`).
 """
 
 import os
@@ -18,7 +21,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 def cpus() -> int:
     """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ranges(n: int, parts: int, align: int = 1) -> list:
@@ -58,4 +63,5 @@ def _new_pool() -> None:
 
 
 _new_pool()
-os.register_at_fork(after_in_child=_new_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)

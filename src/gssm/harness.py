@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _pool
 from ._checks import class_ids, finite, integer, integers, nonnegative, numbers, read_records
 from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
@@ -127,6 +128,68 @@ def _upper_pairs(v: int):
     return np.repeat(ids, ids[::-1]), np.concatenate([ids[i + 1:] for i in range(v)])
 
 
+# A task with fewer node pairs than this draws them on the calling thread,
+# straight from the task generator: the generator copies and the join would
+# cost more than the split saves.
+_SPLIT_PAIRS = 1 << 18
+# Pairs a range draws at once, so that no worker thread allocates a large
+# buffer (memory a worker frees stays in its malloc arena).
+_CHUNK_PAIRS = 1 << 15
+
+
+def _draw_pairs(state, same_u, rows, redraw_gen, pair_gen, rates, chunk):
+    """One step's draws for the pairs `rows` (a slice), `chunk` pairs at a
+    time.  Given a `redraw_gen`, a pair is redrawn where its uniform from it
+    falls under the drift rate and keeps its state elsewhere; a drawn pair is
+    present where its uniform from `pair_gen` falls under its rate (pin_l
+    within a community, p_out across).  Updates `state[rows]` in place and
+    returns the flat indices of its present pairs, one array a chunk."""
+    drift, pin_l, p_out = rates
+    found = []
+    for a in range(rows.start, rows.stop, chunk):
+        b = min(a + chunk, rows.stop)
+        redraw = None if redraw_gen is None else redraw_gen.random(b - a) < drift
+        # Each pair's draw at its rate (boolean algebra in place of np.where,
+        # which is slower on boolean operands).
+        u, same = pair_gen.random(b - a), same_u[a:b]
+        drawn = (same & (u < pin_l)) | (~same & (u < p_out))
+        rows_ab = state[a:b]
+        if redraw is None:
+            rows_ab[:] = drawn
+        else:  # not np.copyto(..., where=redraw): its masked copy is slower
+            rows_ab &= ~redraw
+            rows_ab |= drawn & redraw
+        idx = np.flatnonzero(rows_ab)
+        idx += a
+        found.append(idx)
+    return found
+
+
+def _step_pairs(rng, streams, state, same_u, parts, first, rates):
+    """Flat indices of the pairs present after one step, drawn as the serial
+    loop draws them from `rng`: the redraw uniforms of every pair (not at the
+    first step), then the pair uniforms.  With one part the draws come
+    straight from `rng`.  Otherwise part k draws on the pool from its two
+    copies `streams[k]`, jumped ahead to its first pair's offset in each
+    draw, and `rng` is then advanced past both draws."""
+    n = state.size
+    if len(parts) == 1:
+        return _draw_pairs(state, same_u, parts[0], None if first else rng, rng, rates, n)[0]
+    start, found = rng.bit_generator.state, [None] * len(parts)
+
+    def draw(k):
+        redraw_gen, pair_gen = streams[k]
+        a = parts[k].start
+        for gen, offset in ((redraw_gen, a), (pair_gen, a if first else n + a)):
+            gen.bit_generator.state = start
+            gen.bit_generator.advance(offset)
+        found[k] = _draw_pairs(state, same_u, parts[k], None if first else redraw_gen,
+                               pair_gen, rates, _CHUNK_PAIRS)
+    _pool.run(draw, range(len(parts)))
+    rng.bit_generator.advance(n if first else 2 * n)
+    return np.concatenate([idx for part in found for idx in part])
+
+
 def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     """Deterministic planted-partition temporal task.
 
@@ -136,6 +199,12 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     Features: class centroids sit on a circle in the first two feature
     dimensions and rotate by omega per step; each node observes its centroid
     plus isotropic noise.  Snapshots are stamped 1..L.
+
+    A task of at least `_SPLIT_PAIRS` node pairs cuts them into one
+    contiguous range per CPU and draws each range's uniforms on `_pool` from
+    PCG64 copies of the task generator jumped ahead to the range's offset
+    (one double takes one output), so the task is the same bit for bit on
+    any number of CPUs.
     """
     v, length = cfg.num_nodes, cfg.seq_len
     c, d = cfg.num_classes, cfg.num_features
@@ -149,17 +218,16 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     iu = _upper_pairs(v)
     same_u = same[iu]
 
+    n = same_u.size
+    parts = _pool.ranges(n, _pool.cpus()) if n >= _SPLIT_PAIRS else [slice(0, n)]
+    streams = [(np.random.Generator(np.random.PCG64()), np.random.Generator(np.random.PCG64()))
+               for _ in parts] if len(parts) > 1 else None
+    state = np.empty(n, dtype=bool)
     snaps = []
-    state = None
     for l in range(length):
         pin_l = cfg.p_out + (cfg.p_in - cfg.p_out) * (1.0 - cfg.p_decay) ** l
-        redraw = None if state is None else rng.random(same_u.size) < cfg.drift_rate
-        # The uniforms, then each pair's draw at its rate (boolean algebra in
-        # place of np.where, which is slower on boolean operands).
-        drawn = rng.random(same_u.size)
-        drawn = (same_u & (drawn < pin_l)) | (~same_u & (drawn < cfg.p_out))
-        state = drawn if redraw is None else (redraw & drawn) | (~redraw & state)
-        idx = np.flatnonzero(state)
+        idx = _step_pairs(rng, streams, state, same_u, parts, l == 0,
+                          (cfg.drift_rate, pin_l, cfg.p_out))
         indptr, indices = _csr_from_pairs(iu[0][idx], iu[1][idx], v)
 
         ang = 2.0 * np.pi * labels / c + cfg.omega * l

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,12 +38,13 @@ from gssm import (
     static_features,
     train_readout,
 )
-from gssm import _pool
+from gssm import _pool, harness
 from gssm._checks import finite
 from gssm.cli import main
 from gssm.harness import _upper_pairs, readout_loss, results_to_csv
 
-_ACCEPTANCE_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_ACCEPTANCE_CFG = _ROOT / "configs" / "acceptance.cfg"
 
 
 def _zero_block(d, n=2):
@@ -118,7 +122,14 @@ def _dense_gen_synthetic(seed, cfg):
     (0, {}), (3, dict(num_nodes=64, seq_len=3)), (8, dict(num_nodes=97, seq_len=2, p_in=0.6)),
     (5, dict(num_nodes=40, seq_len=3, p_in=0.0, p_out=0.0)),
 ])
-def test_gen_csr_build_equals_the_dense_build(seed, overrides):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gen_csr_build_equals_the_dense_build(monkeypatch, seed, overrides, cpus):
+    """On one to three CPUs, with every task split and each range drawn 7
+    pairs at a time: ranges that do not divide the pairs, and chunk edges
+    inside a range."""
+    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    monkeypatch.setattr(harness, "_CHUNK_PAIRS", 7)
     cfg = _tiny_task_cfg(**overrides)
     task = gen_synthetic(seed, cfg)
     seq, labels, split = _dense_gen_synthetic(seed, cfg)
@@ -131,6 +142,22 @@ def test_gen_csr_build_equals_the_dense_build(seed, overrides):
     assert np.array_equal(task.labels, labels)
     for got, want in zip(task.split, split):
         assert np.array_equal(got, want)
+
+
+def _task_bytes(task):
+    parts = [task.labels, *task.split]
+    for snap in task.sequence:
+        parts += [snap.indptr, snap.indices, snap.features, np.float64(snap.timestamp)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in parts]
+
+
+def test_gen_over_the_split_size_is_byte_identical_on_any_cpu_count(monkeypatch):
+    cfg = TaskConfig(num_nodes=800, seq_len=3)
+    assert cfg.num_nodes * (cfg.num_nodes - 1) // 2 >= harness._SPLIT_PAIRS
+    default = _task_bytes(gen_synthetic(4, cfg))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_pool, "cpus", lambda: cpus)
+        assert _task_bytes(gen_synthetic(4, cfg)) == default
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
@@ -167,6 +194,71 @@ def test_gen_peak_memory_per_node_pair_is_bounded():
     # About 34.5 bytes per pair with int32 pair indices; int64 ones (16 bytes
     # a pair on their own) put the peak at 42.5.
     assert peak < 38 * v * (v - 1) // 2
+
+
+def test_gen_split_peak_memory_per_node_pair_is_bounded(monkeypatch):
+    """Split in two, each range draws its pairs in chunks into the one state
+    array: the peak stays under the serial loop's bound."""
+    import tracemalloc
+    monkeypatch.setattr(_pool, "cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    v = 600
+    cfg = _tiny_task_cfg(num_nodes=v)
+    gen_synthetic(1, _tiny_task_cfg())  # first-call allocations are not part of the build
+    tracemalloc.start()
+    try:
+        gen_synthetic(1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * v * (v - 1) // 2
+
+
+def test_gen_under_the_split_size_starts_no_pool_thread(monkeypatch):
+    monkeypatch.setattr(_pool, "cpus", lambda: 2)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(_pool, "_executor", pool)
+    gen_synthetic(0, TaskConfig(num_nodes=720, seq_len=2))  # 258 840 pairs
+    assert not pool._threads  # a pool starts a thread on its first task
+    gen_synthetic(0, TaskConfig(num_nodes=725, seq_len=2))  # 262 450 pairs
+    assert pool._threads
+    pool.shutdown()
+
+
+def test_pool_counts_the_cpus_where_the_platform_has_no_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _pool.cpus() == (os.cpu_count() or 1)
+
+
+def test_gssm_imports_and_generates_without_affinity_or_fork_hooks(capsys, tmp_path):
+    """Where `os.sched_getaffinity` and `os.register_at_fork` are missing (not
+    Linux), `gssm` still imports, and `gssm gen` split in two writes the
+    bytes of the serial loop."""
+    task = ["--seed", "6", "--v", "40", "--l", "3", "--d", "4", "--c", "3"]
+    script = """
+import os, sys
+for name in ("sched_getaffinity", "register_at_fork"):
+    if hasattr(os, name):
+        delattr(os, name)
+os.cpu_count = lambda: 2
+from gssm import _pool, harness
+from gssm.cli import main
+assert _pool.cpus() == 2
+harness._SPLIT_PAIRS = 0
+assert main(sys.argv[1:]) == 0
+assert _pool._executor._threads
+"""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    split = tmp_path / "split.seq"
+    done = subprocess.run([sys.executable, "-c", script, "gen", "--out", str(split), *task],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial = tmp_path / "serial.seq"
+    assert main(["gen", "--out", str(serial), *task]) == 0
+    capsys.readouterr()
+    for suffix in ("", ".labels"):
+        assert pathlib.Path(f"{split}{suffix}").read_bytes() == \
+            pathlib.Path(f"{serial}{suffix}").read_bytes()
 
 
 def test_gen_stores_no_dense_adjacency():
