@@ -1,14 +1,16 @@
 """The process's worker threads, for work split into independent parts.
 
 numpy's and scipy's array kernels release the interpreter lock, so threads
-that each run one independent part -- a contiguous snapshot range of a
-layer's graph pass, a contiguous node range of its recurrence and block
-epilogue, a contiguous node-pair range of a generated snapshot's draws --
-use every CPU the process may run on (`os.sched_getaffinity(0)`, or
-`os.cpu_count()` where the platform has no affinity call).  `gssm.layers`
-and `gssm.harness.gen_synthetic` are the only callers that run parts here,
-cut by `ranges`.  `run` runs the first part on the calling thread and the
-others on one module pool with one thread fewer than the CPUs.  The pool
+that each run one independent part use every CPU the process may run on
+(`os.sched_getaffinity(0)`, or `os.cpu_count()` where the platform has no
+affinity call).  The only callers are `gssm.layers`, whose parts are
+contiguous snapshot ranges of a layer's graph pass and contiguous node
+ranges of its recurrence and block epilogue, and
+`gssm.harness.gen_synthetic`, whose parts are contiguous node-pair ranges
+of a snapshot's draws and then, one step a part, as many drawn snapshots'
+CSR builds and checks as there are ranges.  The ranges are cut by
+`ranges`.  `run` runs the first part on the calling thread and the others
+on one module pool with one thread fewer than the CPUs.  The pool
 is built when the module loads but starts no thread until its first task,
 so work in a single part never starts one.  A forked child has none of its
 parent's pool threads, so it builds a pool of its own (where the platform

@@ -34,9 +34,10 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
 
     All harness randomness flows through this so that e.g. the model sampler
     and the split sampler can't perturb each other when one changes.
+    ValueError unless seed is an integer of at least 0.
     """
     tag = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+    return np.random.default_rng(np.random.SeedSequence([integer(seed, "seed", 0), tag]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,7 @@ def split_nodes(labels: np.ndarray, rng: np.random.Generator,
                 fractions=(0.6, 0.2, 0.2)) -> Split:
     """Stratified train/val/test split: per-class proportions within one node
     of exact stratification."""
+    finite(fractions, "fractions")
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
         raise ValueError("fractions must be three positive values summing to 1")
     labels = integers(labels, "labels")
@@ -204,7 +206,11 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     contiguous range per CPU and draws each range's uniforms on `_pool` from
     PCG64 copies of the task generator jumped ahead to the range's offset
     (one double takes one output), so the task is the same bit for bit on
-    any number of CPUs.
+    any number of CPUs.  It then finishes the snapshots in groups of as many
+    steps as ranges: each pending step's CSR build (`_csr_from_pairs`) and
+    `Snapshot` check run as one part of a `_pool.run`, so at most one step
+    per range is held at once.  With one range every step is finished on
+    the calling thread as it is drawn.
     """
     v, length = cfg.num_nodes, cfg.seq_len
     c, d = cfg.num_classes, cfg.num_features
@@ -223,19 +229,27 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     streams = [(np.random.Generator(np.random.PCG64()), np.random.Generator(np.random.PCG64()))
                for _ in parts] if len(parts) > 1 else None
     state = np.empty(n, dtype=bool)
-    snaps = []
+    snaps, pending = [None] * length, []
+
+    def finish(step):
+        l, idx, feats = step
+        indptr, indices = _csr_from_pairs(iu[0][idx], iu[1][idx], v)
+        snaps[l] = Snapshot.from_csr(indptr, indices, feats, float(l + 1))
+
     for l in range(length):
         pin_l = cfg.p_out + (cfg.p_in - cfg.p_out) * (1.0 - cfg.p_decay) ** l
         idx = _step_pairs(rng, streams, state, same_u, parts, l == 0,
                           (cfg.drift_rate, pin_l, cfg.p_out))
-        indptr, indices = _csr_from_pairs(iu[0][idx], iu[1][idx], v)
 
         ang = 2.0 * np.pi * labels / c + cfg.omega * l
         cent = np.zeros((v, d))
         cent[:, 0] = cfg.radius * np.cos(ang)
         cent[:, 1] = cfg.radius * np.sin(ang)
         feats = cent + cfg.noise * rng.normal(size=(v, d))
-        snaps.append(Snapshot.from_csr(indptr, indices, feats, float(l + 1)))
+        pending.append((l, idx, feats))
+        if len(pending) == len(parts) or l == length - 1:
+            _pool.run(finish, pending)
+            pending = []
 
     seq = SnapshotSequence(tuple(snaps))
     split = split_nodes(labels, named_rng(seed, "split"))
@@ -402,15 +416,17 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
     tuple of K.  The K fits train in one loop of batched products; each
     keeps its own best, and fit k equals the [V x D] fit on features[k].
 
-    Raises ValueError on entry for epochs < 1, an lr that is not finite and
-    positive, an l2 that is not finite and >= 0, features that are not 2-D
-    or 3-D or not finite, labels that are not one per node, are not integers
-    or lie outside [0, num_classes), split indices outside [0, V), and an empty train or
-    validation split; and, at a validation check, for parameters that
-    training drove to non-finite values.
+    Raises ValueError on entry for epochs that is not an integer of at
+    least 1, an lr that is not finite and positive, an l2 that is not finite
+    and >= 0, features that are not 2-D or 3-D or not finite, labels that
+    are not one per node, are not integers or lie outside [0, num_classes),
+    split indices outside [0, V), and an empty train or validation split;
+    and, at a validation check, for parameters that training drove to
+    non-finite values.
     """
     if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
         raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
+    integer(epochs, "epochs", 1)
     features = np.asarray(features, dtype=float)
     if features.ndim not in (2, 3):
         raise ValueError("features must be [V x D] or [K x V x D]")

@@ -136,10 +136,11 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
     """Time both backends; one row dict per (L, backend).
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
-    `repeats` runs, so transient noise doesn't inflate a row).
+    `repeats` runs, so transient noise doesn't inflate a row).  ValueError
+    unless every L, lanes and repeats is an integer of at least 1.
     """
-    l_values = [int(length) for length in l_values]
-    for name, value in (("lanes", lanes), ("repeats", repeats), *(("L", x) for x in l_values)):
+    l_values = [integer(length, "L", 1) for length in l_values]
+    for name, value in (("lanes", lanes), ("repeats", repeats)):
         integer(value, name, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA2]))
     rows = []

@@ -159,18 +159,25 @@ def _index_dtype(largest: int):
 def _csr_from_pairs(u, w, num_nodes: int):
     """(indptr, indices) of the symmetric pattern holding (u, w) and (w, u)
     for each pair of node ids in [0, num_nodes), rows in order; the one
-    pair-to-CSR builder.  It sorts the keys row*V + column of all entries;
-    a row starts at its first key.  A self-loop or a repeated pair is left
-    in, for the `Snapshot` check to reject."""
-    u, w = np.asarray(u, dtype=np.int64), np.asarray(w, dtype=np.int64)
-    keys = np.concatenate([u * num_nodes + w, w * num_nodes + u])
+    pair-to-CSR builder.  It sorts the keys row*V + column of all entries,
+    int32 while V*V fits it (V <= 46 340) and int64 past that; a row starts
+    at its first key.  A self-loop or a repeated pair is left in, for the
+    `Snapshot` check to reject."""
+    kind = _index_dtype(num_nodes * num_nodes)
+    u, w = np.asarray(u, dtype=kind), np.asarray(w, dtype=kind)
+    keys = np.empty(2 * u.size, dtype=kind)
+    for out, a, b in ((keys[:u.size], u, w), (keys[u.size:], w, u)):
+        np.multiply(a, num_nodes, out=out)
+        out += b
     keys.sort()
-    return np.searchsorted(keys, np.arange(0, (num_nodes + 1) * num_nodes, num_nodes)), keys % num_nodes
+    starts = np.arange(0, (num_nodes + 1) * num_nodes, num_nodes, dtype=kind)
+    return np.searchsorted(keys, starts), keys % num_nodes
 
 
-def _csr_rows(indptr: np.ndarray) -> np.ndarray:
-    """Row id of each stored entry of a CSR pattern."""
-    return np.arange(indptr.size - 1, dtype=indptr.dtype).repeat(indptr[1:] - indptr[:-1])
+def _csr_rows(indptr: np.ndarray, dtype=None) -> np.ndarray:
+    """Row id of each stored entry of a CSR pattern, of `dtype` (by default
+    indptr's)."""
+    return np.arange(indptr.size - 1, dtype=dtype or indptr.dtype).repeat(indptr[1:] - indptr[:-1])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -210,7 +217,9 @@ class Snapshot:
         """Check and set the fields, in O(E log E): the CSR pattern must be
         well-formed, in range, sorted and unique within each row, free of
         diagonal entries and symmetric (its transposed keys indices*V + row,
-        sorted, equal its keys row*V + indices)."""
+        sorted, equal its keys row*V + indices).  The keys are int32 while
+        V*V fits it (V <= 46 340) and int64 past that; `indptr` and the range
+        of `indices` are checked on the values given, before any cast."""
         indptr, indices = np.asarray(indptr), np.asarray(indices)
         if indices.size == 0:
             indices = indices.astype(np.int64)
@@ -218,20 +227,24 @@ class Snapshot:
                 or indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu"):
             raise ValueError("CSR indptr and indices must be 1-D integer arrays")
         v = indptr.size - 1
-        indptr = indptr.astype(np.int64, copy=False)
-        indices = indices.astype(np.int64, copy=False)
         if indptr[0] != 0 or indptr[-1] != indices.size or (indptr[1:] < indptr[:-1]).any():
             raise ValueError("CSR indptr must rise from 0 to the number of indices")
         if indices.size and (indices.min() < 0 or indices.max() >= v):
             raise ValueError(f"CSR indices must lie in [0, {v})")
-        rows = _csr_rows(indptr)
+        kind = _index_dtype(v * v)
+        indptr = indptr.astype(np.int64, copy=False)
+        indices = indices.astype(kind, copy=False)
+        rows = _csr_rows(indptr, kind)
         if (rows == indices).any():
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
-        keys = rows * v + indices
+        transposed = indices * v
+        transposed += rows
+        keys = rows  # in place: the rows are not read again
+        keys *= v
+        keys += indices
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("CSR indices must be strictly increasing within each row "
                              "(no duplicate edges)")
-        transposed = indices * v + rows
         transposed.sort()
         if not (transposed == keys).all():
             raise ValueError("adjacency must be symmetric")

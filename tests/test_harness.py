@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -214,15 +215,81 @@ def test_gen_split_peak_memory_per_node_pair_is_bounded(monkeypatch):
     assert peak < 38 * v * (v - 1) // 2
 
 
+def _record_finishes(monkeypatch, log):
+    """Have `Snapshot.from_csr` append (timestamp, thread) to `log`."""
+    real = Snapshot.from_csr
+
+    def from_csr(indptr, indices, features, timestamp):
+        log.append((timestamp, threading.current_thread()))
+        return real(indptr, indices, features, timestamp)
+    monkeypatch.setattr(Snapshot, "from_csr", staticmethod(from_csr))
+
+
 def test_gen_under_the_split_size_starts_no_pool_thread(monkeypatch):
+    """Under the split size every snapshot is also finished on the calling
+    thread; over it, steps are finished in pairs, the second on the pool,
+    and a last step without a partner on the calling thread."""
     monkeypatch.setattr(_pool, "cpus", lambda: 2)
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(_pool, "_executor", pool)
+    finished = []
+    _record_finishes(monkeypatch, finished)
     gen_synthetic(0, TaskConfig(num_nodes=720, seq_len=2))  # 258 840 pairs
     assert not pool._threads  # a pool starts a thread on its first task
-    gen_synthetic(0, TaskConfig(num_nodes=725, seq_len=2))  # 262 450 pairs
+    assert finished == [(1.0, threading.current_thread()), (2.0, threading.current_thread())]
+    finished.clear()
+    gen_synthetic(0, TaskConfig(num_nodes=725, seq_len=3))  # 262 450 pairs
     assert pool._threads
+    by_step = dict(finished)
+    assert len(finished) == len(by_step) == 3
+    assert by_step[1.0] is by_step[3.0] is threading.current_thread()
+    assert by_step[2.0] in pool._threads
     pool.shutdown()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gen_holds_at_most_one_unfinished_step_per_range(monkeypatch, cpus):
+    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    log = []
+    real_step = harness._step_pairs
+
+    def step_pairs(*args):
+        log.append("drawn")
+        return real_step(*args)
+    monkeypatch.setattr(harness, "_step_pairs", step_pairs)
+    _record_finishes(monkeypatch, log)
+    gen_synthetic(2, _tiny_task_cfg(seq_len=7))
+    held, most = 0, 0
+    for event in log:
+        held += 1 if event == "drawn" else -1
+        most = max(most, held)
+    assert log.count("drawn") == 7 and held == 0 and most == cpus
+
+
+def test_gen_error_finishing_a_snapshot_on_the_pool_surfaces_unchanged(monkeypatch):
+    monkeypatch.setattr(_pool, "cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    cfg = _tiny_task_cfg()
+    want = _task_bytes(gen_synthetic(3, cfg))
+    error, where = ValueError("snapshot 2 is malformed"), {}
+    real = Snapshot.from_csr
+
+    def from_csr(indptr, indices, features, timestamp):
+        if timestamp == 2.0:
+            where["thread"] = threading.current_thread()
+            raise error
+        return real(indptr, indices, features, timestamp)
+    with monkeypatch.context() as patch:
+        patch.setattr(Snapshot, "from_csr", staticmethod(from_csr))
+        with pytest.raises(ValueError) as caught:
+            gen_synthetic(3, cfg)
+    assert caught.value is error
+    assert where["thread"] is not threading.current_thread()
+    assert _task_bytes(gen_synthetic(3, cfg)) == want
+    ran = []
+    _pool.run(lambda k: ran.append(threading.current_thread()), [0, 1])
+    assert len(set(ran)) == 2
 
 
 def test_pool_counts_the_cpus_where_the_platform_has_no_affinity_call(monkeypatch):
@@ -367,6 +434,14 @@ def test_readout_on_zero_features_predicts_one_class_at_its_frequency():
     freq = np.mean(labels[split.test] == winner)
     micro, _ = f1_scores(preds, labels[split.test], 3)
     assert micro == pytest.approx(freq)
+
+
+@pytest.mark.parametrize("epochs", [1.5, 2.0, True, np.float64(3.0)])
+def test_readout_rejects_epochs_that_are_not_an_integer(epochs):
+    labels = np.array([0, 1, 0, 1])
+    split = Split(np.array([0, 1]), np.array([2]), np.array([3]))
+    with pytest.raises(ValueError, match="epochs must be an integer of at least 1"):
+        train_readout(np.zeros((4, 2)), labels, split, epochs=epochs)
 
 
 def test_readout_rejects_bad_learning_rate_and_empty_train():
@@ -822,6 +897,15 @@ def test_named_rng_streams_are_independent_and_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    assert np.array_equal(named_rng(np.int64(1), "task").random(4), d)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, np.nan])
+def test_named_rng_and_gen_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        named_rng(seed, "task")
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        gen_synthetic(seed, _tiny_task_cfg())
 
 
 def test_labels_round_trip(tmp_path):
@@ -918,3 +1002,9 @@ def test_split_nodes_rejects_bad_fractions():
     with pytest.raises(ValueError):
         split_nodes(np.array([0, 1]), np.random.default_rng(0),
                     fractions=(0.8, 0.3, -0.1))
+
+
+@pytest.mark.parametrize("fractions", [(0.6, np.nan, 0.2), (np.nan, 0.5, 0.5), (np.inf, 0.2, 0.2)])
+def test_split_nodes_rejects_non_finite_fractions_by_name(fractions):
+    with pytest.raises(ValueError, match="fractions must be finite"):
+        split_nodes(np.array([0, 1, 0, 1]), np.random.default_rng(0), fractions=fractions)

@@ -118,6 +118,12 @@ def test_bench_emits_one_row_per_length_and_backend():
         assert row["ns_per_element"] > 0.0
 
 
+@pytest.mark.parametrize("length", [16.7, 16.0, np.nan, True, 0])
+def test_bench_rejects_a_length_that_is_not_a_positive_integer(length):
+    with pytest.raises(ValueError, match="L must be an integer of at least 1"):
+        bench_recurrence([8, length], lanes=2, repeats=1)
+
+
 def test_bench_rejects_unknown_backend():
     with pytest.raises(ValueError):
         bench_recurrence([8], lanes=2, backends=("fancy",), repeats=1)

@@ -21,6 +21,7 @@ from gssm import (
     segments,
     temporal_continuity,
 )
+from gssm.tgraph import _csr_from_pairs
 
 
 def _snap(adj, feats, t=0.0):
@@ -606,6 +607,37 @@ def test_from_csr_copies_its_inputs():
 def test_from_csr_rejects_a_malformed_pattern(indptr, indices, match):
     with pytest.raises(ValueError, match=match):
         Snapshot.from_csr(np.array(indptr), np.array(indices), np.zeros((3, 1)), 0.0)
+
+
+@pytest.mark.parametrize("first", [1 + 2**32, -2**32 + 1])
+def test_from_csr_checks_the_index_range_before_it_narrows_the_keys(first):
+    """Cast to int32 first, either index would read as node 1 and pass as
+    the edge 0-1."""
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        Snapshot.from_csr(np.array([0, 1, 2]), np.array([first, 0], dtype=np.int64),
+                          np.zeros((2, 1)), 0.0)
+
+
+@pytest.mark.parametrize("v", [46_340, 46_341])  # the last int32-key size, the first int64 one
+def test_csr_from_pairs_keys_the_largest_node_ids_without_overflow(v):
+    pairs = [(v - 1, v - 2), (0, v - 1), (1, 5), (v - 2, 0), (5, v - 1)]
+    u, w = np.array(pairs).T
+    indptr, indices = _csr_from_pairs(u, w, v)
+    want = {}
+    for a, b in pairs:
+        want.setdefault(a, []).append(b)
+        want.setdefault(b, []).append(a)
+    assert indptr.size == v + 1 and indptr[-1] == indices.size == 2 * len(pairs)
+    for row in range(v):
+        got = indices[indptr[row]:indptr[row + 1]].tolist()
+        assert got == sorted(set(want.get(row, [])))
+    snap = Snapshot.from_csr(indptr, indices, np.zeros((v, 1)), 0.0)
+    assert _edge_set(snap) == frozenset((min(p), max(p)) for p in pairs)
+    # Row v - 1 lists node 0, but row 0 does not list v - 1.
+    bad = np.zeros(v + 1, dtype=np.int64)
+    bad[v] = 1
+    with pytest.raises(ValueError, match="must be symmetric"):
+        Snapshot.from_csr(bad, np.array([0]), np.zeros((v, 1)), 0.0)
 
 
 def test_snapshots_compare_by_value_at_any_size():
