@@ -3,18 +3,18 @@
 numpy's and scipy's array kernels release the interpreter lock, so threads
 that each run one independent part use every CPU the process may run on
 (`os.sched_getaffinity(0)`, or `os.cpu_count()` where the platform has no
-affinity call).  The only callers are `gssm.layers`, whose parts are
-contiguous snapshot ranges of a layer's graph pass and contiguous node
-ranges of its recurrence and block epilogue, and
-`gssm.harness.gen_synthetic`, whose parts are contiguous node-pair ranges
-of a snapshot's draws and then, one step a part, as many drawn snapshots'
-CSR builds and checks as there are ranges.  The ranges are cut by
-`ranges`.  `run` runs the first part on the calling thread and the others
-on one module pool with one thread fewer than the CPUs.  The pool
-is built when the module loads but starts no thread until its first task,
-so work in a single part never starts one.  A forked child has none of its
-parent's pool threads, so it builds a pool of its own (where the platform
-has `os.register_at_fork`).
+affinity call).  `parts(work)` is the one split rule: work under
+`_SPLIT_WORK` runs as one part, since starting and joining parts would cost
+more than the other CPUs gain, and larger work as one part per CPU.
+`gssm.layers` counts a layer's drive and readout products, L*V*D*N, and
+cuts its graph pass into snapshot ranges and its recurrence into node
+ranges; `gssm.harness.gen_synthetic` counts node pairs, cuts each step's
+draws into pair ranges and then finishes as many snapshots at once as there
+are ranges.  `ranges` cuts them.  `run` runs the first part on the calling
+thread and the others on one module pool with one thread fewer than the
+CPUs; the pool starts no thread until its first task, so one part never
+starts one.  A forked child builds a pool of its own (where the platform
+has `os.register_at_fork`), as it has none of its parent's threads.
 """
 
 import os
@@ -26,6 +26,14 @@ def cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_SPLIT_WORK = 1 << 18
+
+
+def parts(work: int) -> int:
+    """How many parts to cut `work` into: 1 under `_SPLIT_WORK`, else `cpus()`."""
+    return cpus() if work >= _SPLIT_WORK else 1
 
 
 def ranges(n: int, parts: int, align: int = 1) -> list:

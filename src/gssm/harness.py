@@ -130,10 +130,6 @@ def _upper_pairs(v: int):
     return np.repeat(ids, ids[::-1]), np.concatenate([ids[i + 1:] for i in range(v)])
 
 
-# A task with fewer node pairs than this draws them on the calling thread,
-# straight from the task generator: the generator copies and the join would
-# cost more than the split saves.
-_SPLIT_PAIRS = 1 << 18
 # Pairs a range draws at once, so that no worker thread allocates a large
 # buffer (memory a worker frees stays in its malloc arena).
 _CHUNK_PAIRS = 1 << 15
@@ -170,13 +166,10 @@ def _draw_pairs(state, same_u, rows, redraw_gen, pair_gen, rates, chunk):
 def _step_pairs(rng, streams, state, same_u, parts, first, rates):
     """Flat indices of the pairs present after one step, drawn as the serial
     loop draws them from `rng`: the redraw uniforms of every pair (not at the
-    first step), then the pair uniforms.  With one part the draws come
-    straight from `rng`.  Otherwise part k draws on the pool from its two
-    copies `streams[k]`, jumped ahead to its first pair's offset in each
+    first step), then the pair uniforms.  Part k draws on `_pool` from its
+    two copies `streams[k]`, jumped ahead to its first pair's offset in each
     draw, and `rng` is then advanced past both draws."""
     n = state.size
-    if len(parts) == 1:
-        return _draw_pairs(state, same_u, parts[0], None if first else rng, rng, rates, n)[0]
     start, found = rng.bit_generator.state, [None] * len(parts)
 
     def draw(k):
@@ -202,15 +195,16 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     dimensions and rotate by omega per step; each node observes its centroid
     plus isotropic noise.  Snapshots are stamped 1..L.
 
-    A task of at least `_SPLIT_PAIRS` node pairs cuts them into one
-    contiguous range per CPU and draws each range's uniforms on `_pool` from
-    PCG64 copies of the task generator jumped ahead to the range's offset
-    (one double takes one output), so the task is the same bit for bit on
-    any number of CPUs.  It then finishes the snapshots in groups of as many
-    steps as ranges: each pending step's CSR build (`_csr_from_pairs`) and
+    The node pairs are cut into as many contiguous ranges as
+    `_pool.parts(pairs)` gives (one per CPU for a large task, else one), and
+    each range draws its uniforms, `_CHUNK_PAIRS` at a time, from PCG64
+    copies of the task generator jumped ahead to the range's offset (one
+    double takes one output), so the task is the same bit for bit on any
+    number of CPUs.  The snapshots are finished in groups of as many steps
+    as ranges: each pending step's CSR build (`_csr_from_pairs`) and
     `Snapshot` check run as one part of a `_pool.run`, so at most one step
-    per range is held at once.  With one range every step is finished on
-    the calling thread as it is drawn.
+    per range is held at once.  One range draws and finishes every step on
+    the calling thread.
     """
     v, length = cfg.num_nodes, cfg.seq_len
     c, d = cfg.num_classes, cfg.num_features
@@ -225,9 +219,9 @@ def gen_synthetic(seed: int, cfg: TaskConfig = TaskConfig()) -> SyntheticTask:
     same_u = same[iu]
 
     n = same_u.size
-    parts = _pool.ranges(n, _pool.cpus()) if n >= _SPLIT_PAIRS else [slice(0, n)]
+    parts = _pool.ranges(n, _pool.parts(n))
     streams = [(np.random.Generator(np.random.PCG64()), np.random.Generator(np.random.PCG64()))
-               for _ in parts] if len(parts) > 1 else None
+               for _ in parts]
     state = np.empty(n, dtype=bool)
     snaps, pending = [None] * length, []
 

@@ -23,9 +23,9 @@ Building blocks, bottom up:
   at a time (consecutive snapshots holding about `_TILE_ELEMENTS` state
   entries over all ranges), then, inside `block_forward`, finishes its rows
   of the block.  The first range of each pass runs on the calling thread,
-  the others on `_pool`'s threads; with one CPU, or a layer under
-  `_SPLIT_ELEMENTS` state entries, each pass is one range and no thread
-  starts.
+  the others on `_pool`'s threads; `_pool.parts` of the layer's L*V*D*N
+  drive and readout products sets the range count, so with one CPU, or a
+  small layer, each pass is one range and no thread starts.
 * `block_forward` -- residual block composition around a layer: each node
   range applies the activation, the residual and S6's layer normalization
   to its own rows in place.  The mixing mechanism is by default confined
@@ -355,11 +355,6 @@ def _drive(agg, t, rows, p, mechanism):
 # cache through its scan.
 _TILE_ELEMENTS = 1 << 16
 
-# State entries (L*V*D*N, or L*V*N for S5) below which a layer runs on the
-# calling thread alone: over a few tiles, starting and joining the ranges
-# costs more than the second CPU gains.
-_SPLIT_ELEMENTS = 1 << 18
-
 # Node ranges start at multiples of this many rows and hold at least as many.
 # A BLAS matrix-vector kernel sums a row's products in an order set by the
 # row's place in its block of rows (OpenBLAS's Haswell dgemv takes 4 rows at
@@ -388,10 +383,11 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     snapshots at a time, each tile starting from the last state of the one
     before; no [L x V x D] drive or [L x V x D x N] state is ever held.  The
     graph pass itself is cut the same way, into contiguous snapshot ranges,
-    each with its own CSR blocks of the sequence's adjacency.  A layer with
-    fewer than `_SPLIT_ELEMENTS` state entries runs both passes as one range
-    on the calling thread.  Neither ranges nor tiles change a bit of the
-    output.
+    each with its own CSR blocks of the sequence's adjacency.  The range
+    count is `_pool.parts(L*V*D*N)`, the products of the drive and readout
+    for every variant, so S4, S5 and S6 layers of one width and state size
+    cut a sequence alike; a small layer runs both passes as one range on the
+    calling thread.  Neither ranges nor tiles change a bit of the output.
     """
     return _layer(seq, hidden_in, p, mechanism, backend)
 
@@ -405,8 +401,8 @@ def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None)
     hidden_in = _check_hidden(seq, hidden_in, p)
     x = np.moveaxis(hidden_in, 1, 0)                                          # [L,V,D]
     mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
-    v, length = seq.num_nodes, len(seq)
-    parts = _pool.cpus() if length * v * p.a.size >= _SPLIT_ELEMENTS else 1
+    v, length, d = seq.num_nodes, len(seq), p.gnn.weight.shape[1]
+    parts = _pool.parts(length * v * d * p.state_size)
     agg, *selective = _graph_pass(seq, x, p, mechanism, parts)
     if p.variant is SsmVariant.S6:
         readout = "lvdn,lvn->vld"
@@ -429,7 +425,7 @@ def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None)
             delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]  # [T,R,1,1]
             return delta, (delta * p.b) * h[..., None], p.c
     step = max(1, _TILE_ELEMENTS // (v * p.a.size))
-    out = np.empty((v, length, p.gnn.weight.shape[1]))
+    out = np.empty((v, length, d))
 
     def run(rows):
         carry = np.zeros((rows.stop - rows.start,) + p.a.shape)

@@ -137,11 +137,12 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
     `repeats` runs, so transient noise doesn't inflate a row).  ValueError
-    unless every L, lanes and repeats is an integer of at least 1.
+    unless every L, lanes and repeats is an integer >= 1 and seed one >= 0.
     """
     l_values = [integer(length, "L", 1) for length in l_values]
     for name, value in (("lanes", lanes), ("repeats", repeats)):
         integer(value, name, 1)
+    seed = integer(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA2]))
     rows = []
     for length in l_values:

@@ -16,7 +16,6 @@ from gssm import (
     load_sequence,
     save_sequence,
 )
-from gssm import _pool, harness
 from gssm.cli import (_RUN_DEFAULTS, _TASK_DEFAULTS, _VERIFY_DEFAULTS,
                       _task_config, main)
 
@@ -120,20 +119,6 @@ def test_gen_is_byte_identical_across_runs(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.seq.labels").read_bytes() == \
         (tmp_path / "b.seq.labels").read_bytes()
-
-
-def test_gen_over_the_split_size_is_byte_identical_on_one_and_two_cpus(monkeypatch, capsys,
-                                                                      tmp_path):
-    outs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}.seq"
-        code, _, _ = _run(capsys, ["gen", "--seed", "3", "--out", str(out), "--v", "800",
-                                   "--l", "2", "--d", "4", "--c", "3"])
-        assert code == 0
-        outs.append((out.read_bytes(), (tmp_path / f"cpus{cpus}.seq.labels").read_bytes()))
-    assert 800 * 799 // 2 >= harness._SPLIT_PAIRS
-    assert outs[0] == outs[1]
 
 
 def test_gen_output_reloads_and_matches_the_library_generator(capsys, tmp_path):

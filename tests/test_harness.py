@@ -43,6 +43,7 @@ from gssm import _pool, harness
 from gssm._checks import finite
 from gssm.cli import main
 from gssm.harness import _upper_pairs, readout_loss, results_to_csv
+from test_layers import _split
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _ACCEPTANCE_CFG = _ROOT / "configs" / "acceptance.cfg"
@@ -119,46 +120,11 @@ def _dense_gen_synthetic(seed, cfg):
     return SnapshotSequence(tuple(snaps)), labels, split_nodes(labels, named_rng(seed, "split"))
 
 
-@pytest.mark.parametrize("seed, overrides", [
-    (0, {}), (3, dict(num_nodes=64, seq_len=3)), (8, dict(num_nodes=97, seq_len=2, p_in=0.6)),
-    (5, dict(num_nodes=40, seq_len=3, p_in=0.0, p_out=0.0)),
-])
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_gen_csr_build_equals_the_dense_build(monkeypatch, seed, overrides, cpus):
-    """On one to three CPUs, with every task split and each range drawn 7
-    pairs at a time: ranges that do not divide the pairs, and chunk edges
-    inside a range."""
-    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
-    monkeypatch.setattr(harness, "_CHUNK_PAIRS", 7)
-    cfg = _tiny_task_cfg(**overrides)
-    task = gen_synthetic(seed, cfg)
-    seq, labels, split = _dense_gen_synthetic(seed, cfg)
-    assert task.sequence == seq
-    for got, want in zip(task.sequence, seq):
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.features, want.features)
-        assert got.timestamp == want.timestamp
-    assert np.array_equal(task.labels, labels)
-    for got, want in zip(task.split, split):
-        assert np.array_equal(got, want)
-
-
 def _task_bytes(task):
     parts = [task.labels, *task.split]
     for snap in task.sequence:
         parts += [snap.indptr, snap.indices, snap.features, np.float64(snap.timestamp)]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in parts]
-
-
-def test_gen_over_the_split_size_is_byte_identical_on_any_cpu_count(monkeypatch):
-    cfg = TaskConfig(num_nodes=800, seq_len=3)
-    assert cfg.num_nodes * (cfg.num_nodes - 1) // 2 >= harness._SPLIT_PAIRS
-    default = _task_bytes(gen_synthetic(4, cfg))
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-        assert _task_bytes(gen_synthetic(4, cfg)) == default
 
 
 @pytest.mark.parametrize("variant", list(SsmVariant))
@@ -181,38 +147,38 @@ def test_gen_pair_indices_are_int32_and_list_the_upper_triangle():
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
 
 
-def test_gen_peak_memory_per_node_pair_is_bounded():
+def _gen_peak_per_pair(v=600):
+    """tracemalloc's peak over one generation at V=v, L=4, per node pair."""
     import tracemalloc
-    v = 600
-    cfg = _tiny_task_cfg(num_nodes=v)
     gen_synthetic(1, _tiny_task_cfg())  # first-call allocations are not part of the build
     tracemalloc.start()
     try:
-        gen_synthetic(1, cfg)
+        gen_synthetic(1, _tiny_task_cfg(num_nodes=v))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 34.5 bytes per pair with int32 pair indices; int64 ones (16 bytes
-    # a pair on their own) put the peak at 42.5.
-    assert peak < 38 * v * (v - 1) // 2
+    return peak / (v * (v - 1) // 2)
+
+
+def test_gen_peak_memory_per_node_pair_is_bounded():
+    # About 19.4 bytes per pair with int32 pair indices; int64 ones (16 bytes
+    # a pair on their own) put the peak at 27.4.
+    assert _gen_peak_per_pair() < 38
 
 
 def test_gen_split_peak_memory_per_node_pair_is_bounded(monkeypatch):
     """Split in two, each range draws its pairs in chunks into the one state
     array: the peak stays under the serial loop's bound."""
-    import tracemalloc
-    monkeypatch.setattr(_pool, "cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
-    v = 600
-    cfg = _tiny_task_cfg(num_nodes=v)
-    gen_synthetic(1, _tiny_task_cfg())  # first-call allocations are not part of the build
-    tracemalloc.start()
-    try:
-        gen_synthetic(1, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 38 * v * (v - 1) // 2
+    _split(monkeypatch, 2)
+    assert _gen_peak_per_pair() < 38
+
+
+def test_gen_one_cpu_peak_memory_per_node_pair_is_bounded(monkeypatch):
+    """On one CPU the one range also draws its pairs `_CHUNK_PAIRS` at a
+    time: about 19.4 bytes a pair, against 28.4 when a step's uniforms and
+    masks were drawn whole and 21.6 with two ranges."""
+    monkeypatch.setattr(_pool, "cpus", lambda: 1)
+    assert _gen_peak_per_pair() < 25
 
 
 def _record_finishes(monkeypatch, log):
@@ -249,8 +215,7 @@ def test_gen_under_the_split_size_starts_no_pool_thread(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_gen_holds_at_most_one_unfinished_step_per_range(monkeypatch, cpus):
-    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    _split(monkeypatch, cpus)
     log = []
     real_step = harness._step_pairs
 
@@ -268,8 +233,7 @@ def test_gen_holds_at_most_one_unfinished_step_per_range(monkeypatch, cpus):
 
 
 def test_gen_error_finishing_a_snapshot_on_the_pool_surfaces_unchanged(monkeypatch):
-    monkeypatch.setattr(_pool, "cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_SPLIT_PAIRS", 0)
+    _split(monkeypatch, 2)
     cfg = _tiny_task_cfg()
     want = _task_bytes(gen_synthetic(3, cfg))
     error, where = ValueError("snapshot 2 is malformed"), {}
@@ -308,10 +272,10 @@ for name in ("sched_getaffinity", "register_at_fork"):
     if hasattr(os, name):
         delattr(os, name)
 os.cpu_count = lambda: 2
-from gssm import _pool, harness
+from gssm import _pool
 from gssm.cli import main
 assert _pool.cpus() == 2
-harness._SPLIT_PAIRS = 0
+_pool._SPLIT_WORK = 0
 assert main(sys.argv[1:]) == 0
 assert _pool._executor._threads
 """
@@ -823,8 +787,9 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
 
 
 def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tmp_path):
-    """Its layers are all under `layers._SPLIT_ELEMENTS`: on two CPUs, one
-    seed runs every pass on the calling thread and gives the pool no work."""
+    """Its task and layers are all under `_pool._SPLIT_WORK`: on two CPUs,
+    one seed runs every pass on the calling thread and gives the pool no
+    work."""
     monkeypatch.setattr(_pool, "cpus", lambda: 2)
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(_pool, "_executor", pool)
@@ -844,8 +809,8 @@ def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tm
 def test_block_forward_output_keeps_its_digest(monkeypatch, variant, digest, cpus):
     """The forward's bits on a generated task (V=64, L=128), as the
     whole-sequence layer produced them before it was run in time tiles, on
-    hosts of one to three CPUs: S4's and S6's layers are over
-    `layers._SPLIT_ELEMENTS`, so each of their passes runs one range per CPU."""
+    hosts of one to three CPUs: every S4, S5 and S6 layer's L*V*D*N is over
+    `_pool._SPLIT_WORK`, so each of its passes runs one range per CPU."""
     monkeypatch.setattr(_pool, "cpus", lambda: cpus)
     task = gen_synthetic(0, TaskConfig(num_nodes=64, seq_len=128))
     seq = task.sequence

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import sys
 import threading
 import time
 import warnings
@@ -365,20 +364,6 @@ def test_sequence_blocks_cover_each_range_and_close_only_before_the_cap(monkeypa
                 assert block is seq[start].adjacency_csr
             start += size
         assert start == t.stop
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_sequence_blocks_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
-    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
-    ranges = [slice(0, 4), slice(4, 7)]
-
-    def blocks():
-        seq = _sparse_sequence(np.random.default_rng(19), 6, 7, 2)
-        return [(b.shape, b.indptr.tobytes(), b.indices.tobytes())
-                for own in seq.csr_blocks(ranges) for b in own]
-    one = blocks()
-    monkeypatch.setattr(_pool, "cpus", lambda: cpus)
-    assert blocks() == one
 
 
 def test_a_new_cut_replaces_the_cached_blocks(monkeypatch):
@@ -780,19 +765,19 @@ def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mech
     assert np.array_equal(block_forward(hidden, seq, blocks), ref)
 
 
-def _ranges(monkeypatch, parts):
-    """Cut every layer into `parts` node ranges (as many as V holds runs of
-    `layers._ROW_ALIGN` nodes) and every multi-block product into as many
-    block groups, whatever the host's CPU count and the layer's size."""
+def _split(monkeypatch, parts):
+    """Cut every call that `_pool.parts` sizes into `parts` parts (as many as
+    its ranges hold: a layer's node ranges are runs of `layers._ROW_ALIGN`
+    nodes), whatever the host's CPU count and the call's size."""
     monkeypatch.setattr(_pool, "cpus", lambda: parts)
-    monkeypatch.setattr(layers, "_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(_pool, "_SPLIT_WORK", 0)
 
 
 def _tiled(monkeypatch, tile, v, p):
     """Set the tile size to `tile` snapshots of p's per-node state on V nodes,
     in one node range; returns the list each `run_scan` call appends its
     tile length to."""
-    _ranges(monkeypatch, 1)
+    _split(monkeypatch, 1)
     monkeypatch.setattr(layers, "_TILE_ELEMENTS", tile * v * p.a.size)
     lengths = []
 
@@ -855,83 +840,6 @@ def test_forward_peak_memory_stays_below_a_quarter_of_one_state_array():
     assert peak < l * v * d * n * 8 / 4
 
 
-@pytest.mark.parametrize("v, parts", [(1, 2), (37, 2), (50, 3)])
-@pytest.mark.parametrize("mechanism", list(MixMechanism))
-@pytest.mark.parametrize("build", [_s4_params, _s5_params, _s6_params,
-                                   _s6_mixed_selective_params])
-def test_partitioned_forward_equals_the_one_range_forward(monkeypatch, build, mechanism,
-                                                          v, parts):
-    """Node ranges that do not divide V (one range at V=1), each in ragged
-    tiles of two snapshots over an operator of several blocks, give the
-    one-range bytes.  S4's and S5's delta map gets unit weights and no bias,
-    so that a last-bit change in its matrix-vector product is not rounded
-    away by the bias: ranges cut at any row (not at multiples of
-    `_ROW_ALIGN`) fail here."""
-    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
-    rng = np.random.default_rng(97)
-    l, d, n = 7, 8, 4
-    seq = _sparse_sequence(rng, v, l, d)
-    hidden = rng.normal(size=(v, l, d))
-    p = build(rng, d, n, mechanism=mechanism)
-    if p.variant is not SsmVariant.S6:
-        p = dataclasses.replace(p, delta_weight=rng.normal(size=d), delta_bias=0.0)
-    monkeypatch.setattr(layers, "_TILE_ELEMENTS", 2 * v * p.a.size)
-    _ranges(monkeypatch, 1)
-    one = ssm_forward(seq, hidden, p)
-    _ranges(monkeypatch, parts)
-    assert ssm_forward(seq, hidden, p).tobytes() == one.tobytes()
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("mechanism", list(MixMechanism))
-@pytest.mark.parametrize("flavor", list(GnnFlavor))
-def test_partitioned_graph_pass_equals_the_one_range_pass(monkeypatch, flavor, mechanism, parts):
-    """The graph pass run one snapshot range per part, each with its own
-    blocks, gives the bytes of the one-range pass over one block, isolated
-    nodes, an edgeless snapshot and S6's three selective keys (one shared
-    with p.gnn) included."""
-    v, l, d, n = 6, 11, 3, 4
-
-    def graph_pass(cpus):
-        _ranges(monkeypatch, cpus)
-        rng = np.random.default_rng(113)
-        seq = _sparse_sequence(rng, v, l, d)
-        hidden = rng.normal(size=(v, l, d))
-        p = dataclasses.replace(_s6_mixed_selective_params(rng, d, n, mechanism),
-                                gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.3))
-        return layers._graph_pass(seq, np.moveaxis(hidden, 1, 0), p, mechanism, cpus)
-    one = graph_pass(1)
-    split = graph_pass(parts)
-    assert len(split) == len(one) == 4
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(split, one))
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("activation", [relu, None], ids=["relu", "none"])
-@pytest.mark.parametrize("residual", ["identity", "weight", "bias", "affine"])
-@pytest.mark.parametrize("variant", list(SsmVariant))
-def test_partitioned_block_forward_equals_the_one_range_forward(monkeypatch, variant, residual,
-                                                                activation, parts):
-    """Each node range finishes its own rows of a block (activation,
-    residual, S6's layer norm) and gives the one-range bytes."""
-    v, l, d = 50, 7, 8
-
-    def forward(cpus):
-        _ranges(monkeypatch, cpus)
-        rng = np.random.default_rng(127)
-        seq = _sparse_sequence(rng, v, l, d)
-        hidden = rng.normal(size=(v, l, d))
-        cfg = ModelConfig(variant=variant, mix_mechanism=MixMechanism.REPR_MIX)
-        blocks = [dataclasses.replace(
-            blk, res_weight=blk.res_weight if residual in ("weight", "affine") else None,
-            res_bias=rng.normal(size=d) if residual in ("bias", "affine") else None)
-            for blk in sample_model(rng, cfg, d, l)]
-        return block_forward(hidden, seq, blocks, activation=activation)
-    one = forward(1)
-    assert len(_pool.ranges(v, parts, layers._ROW_ALIGN)) == parts
-    assert forward(parts).tobytes() == one.tobytes()
-
-
 @pytest.mark.parametrize("n, parts, align", [(1, 2, 16), (20, 2, 16), (37, 2, 16), (50, 3, 16),
                                              (2000, 2, 16), (83, 7, 16), (3, 5, 1), (5, 2, 1)])
 def test_ranges_are_aligned_runs_that_cover_every_row(n, parts, align):
@@ -943,32 +851,8 @@ def test_ranges_are_aligned_runs_that_cover_every_row(n, parts, align):
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_many_ranges_under_fast_thread_switching_equal_one_range(monkeypatch):
-    """Five ranges, queued on a pool of fewer threads on hosts of up to five
-    CPUs, with the interpreter switching threads every microsecond: every
-    range still writes exactly its own rows."""
-    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
-    rng = np.random.default_rng(101)
-    v, l, d, n = 83, 9, 8, 4
-    seq = _sparse_sequence(rng, v, l, d)
-    hidden = rng.normal(size=(v, l, d))
-    p = _s6_mixed_selective_params(rng, d, n, MixMechanism.REPR_MIX)
-    monkeypatch.setattr(layers, "_TILE_ELEMENTS", 2 * v * p.a.size)
-    _ranges(monkeypatch, 1)
-    one = ssm_forward(seq, hidden, p)
-    _ranges(monkeypatch, 5)
-    assert len(_pool.ranges(v, 5, layers._ROW_ALIGN)) == 5
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        outs = [ssm_forward(seq, hidden, p) for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(out.tobytes() == one.tobytes() for out in outs)
-
-
 def test_one_cpu_starts_no_pool_thread(monkeypatch):
-    _ranges(monkeypatch, 1)
+    _split(monkeypatch, 1)
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(_pool, "_executor", pool)
     monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
@@ -983,7 +867,7 @@ def test_one_cpu_starts_no_pool_thread(monkeypatch):
 
 
 def test_an_unknown_backend_raises_once_every_range_has_finished(monkeypatch):
-    _ranges(monkeypatch, 2)
+    _split(monkeypatch, 2)
     rng = np.random.default_rng(107)
     v, l, d, n = 40, 5, 3, 4
     seq = _sequence(rng, v, l, d)
@@ -1006,7 +890,7 @@ def test_an_unknown_backend_raises_once_every_range_has_finished(monkeypatch):
 def test_a_forked_child_runs_a_threaded_forward(monkeypatch):
     """The child of a process whose pool has a thread builds a pool of its
     own: its two-range forward finishes, with the parent's bytes."""
-    _ranges(monkeypatch, 2)
+    _split(monkeypatch, 2)
     rng = np.random.default_rng(109)
     v, l, d, n = 40, 5, 3, 4
     seq = _sequence(rng, v, l, d)

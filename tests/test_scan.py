@@ -124,6 +124,12 @@ def test_bench_rejects_a_length_that_is_not_a_positive_integer(length):
         bench_recurrence([8, length], lanes=2, repeats=1)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1, float("nan")])
+def test_bench_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        bench_recurrence([8], lanes=2, repeats=1, seed=seed)
+
+
 def test_bench_rejects_unknown_backend():
     with pytest.raises(ValueError):
         bench_recurrence([8], lanes=2, backends=("fancy",), repeats=1)
