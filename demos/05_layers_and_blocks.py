@@ -1,17 +1,13 @@
 """One sequence through all three layer variants, then the residual block
-stack, state carry-over across a node-set change, and a checkpoint round trip.
+stack and state carry-over across a node-set change.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
 from gssm import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                   InterpMixParams, MixMechanism, Snapshot, SnapshotSequence,
                   SsmLayerParams, SsmVariant, StateInitRule, align_memory,
-                  block_forward, delta_bias_init, glorot, init_a,
-                  load_checkpoint, save_checkpoint, ssm_forward)
+                  block_forward, delta_bias_init, glorot, init_a, ssm_forward)
 
 rng = np.random.default_rng(7)
 v, l, d, n = 6, 5, 3, 4
@@ -76,12 +72,3 @@ print("survivor rows preserved:",
       np.array_equal(u_new[:5], u[[0, 1, 3, 4, 5]]))
 print("newcomer row == mean of rows 0 and 3:",
       np.allclose(u_new[5], 0.5 * (u[0] + u[3])))
-
-# --- checkpoints ---------------------------------------------------------------------
-state = {"u": u_new, "step": np.array(41.0)}
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "demo_state.ckpt")
-    save_checkpoint(state, path)
-    back = load_checkpoint(path)
-print("checkpoint round trip bit-exact:",
-      all(np.array_equal(state[k], back[k]) for k in state))

@@ -20,13 +20,11 @@ from .harness import (ModelConfig, ReadoutParams, Split, SyntheticTask,
 from .hippo import (TIME_ORIGIN, HippoConfig, consensus_profile,
                     hippo_legs_matrices, integrate_hippo, projection_oracle,
                     smoothing_matrix)
-from .layers import (BlockParams, ConvMixParams, GnnFlavor, GnnParams,
-                     InitStrategy, InterpMixParams, SsmLayerParams,
-                     SsmVariant, StateInitRule, align_memory, apply_mix,
-                     block_forward, delta_bias_init, glorot, gnn_diffuse,
-                     init_a, layer_norm, load_checkpoint, mix_conv1d,
-                     mix_interp, relu, save_checkpoint, softplus,
-                     ssm_forward)
+from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
+                     InterpMixParams, SsmLayerParams, SsmVariant,
+                     StateInitRule, align_memory, apply_mix, block_forward,
+                     delta_bias_init, glorot, gnn_diffuse, init_a, layer_norm,
+                     relu, softplus, ssm_forward)
 from .scan import (RecurrenceInputs, bench_recurrence, combine,
                    scan_parallel, scan_sequential)
 from .tgraph import (Action, EventStream, LaplacianKind, Snapshot,

@@ -1,5 +1,5 @@
 """Checks shared by every input boundary of the package: the reader of the
-three text formats (`read_records`, `LineReader`, `numbers`), config values
+two text formats (`read_records`, `LineReader`, `numbers`), config values
 (`parse_like`), and the arrays and scalars of constructors and entry points.
 Every check raises ValueError naming what it checked.
 """
@@ -23,7 +23,7 @@ class LineReader:
         self.pos += 1
         return self.lines[self.pos - 1]
 
-    def header(self, magic: str, sizes: str, what: str = "header sizes") -> list:
+    def header(self, magic: str, sizes: str) -> list:
         """The integers after `magic` on the first line, one per field of
         `sizes` (e.g. '<V> <C>'); ValueError for any other first line."""
         tokens = (self.lines[0] if self.lines else "").split()
@@ -31,7 +31,7 @@ class LineReader:
         cut = len(magic.split())
         if tokens[:cut] != magic.split() or len(tokens) != cut + len(sizes.split()):
             raise ValueError(f"malformed header (expected '{magic} {sizes}')")
-        return numbers(tokens[cut:], int, what)
+        return numbers(tokens[cut:], int, "header sizes")
 
 
 def numbers(tokens, kind, what: str) -> list:

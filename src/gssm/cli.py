@@ -202,11 +202,10 @@ _BENCH_DEFAULTS = {"l_values": "1024,2048,4096,8192,16384,32768,65536",
 
 
 def cmd_bench(args) -> int:
-    cfg = _settings(args, dict(_BENCH_DEFAULTS))
-    l_values = [int(x) for x in str(cfg["l_values"]).split(",") if x.strip()]
-    backends = tuple(b.strip() for b in cfg["backends"].split(",") if b.strip())
-    rows = bench_recurrence(l_values, lanes=cfg["lanes"], backends=backends,
-                            repeats=cfg["repeats"], seed=cfg["seed"])
+    cfg = _settings(args, dict(_BENCH_DEFAULTS), {
+        "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
+        "backends": lambda text: [x.strip() for x in text.split(",") if x.strip()]})
+    rows = bench_recurrence(**cfg)
     lines = ["L,lanes,backend,ns_per_element"]
     lines += [f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}"
               for r in rows]
@@ -266,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the oracle-agreement suites (exit 1 on breach)")
     d = _VERIFY_DEFAULTS
     _option(p, d, "seed", "instance seed")
-    _option(p, d, "instances", "instances per agreement suite, at least 1")
+    _option(p, d, "instances", "instances per projection and zoh suite, at least 1; "
+                               "hippo-reduction always runs 6")
     _option(p, d, "schedules", "schedules for the weight check, at least 1")
     p.add_argument("--alpha", type=float,
                    help="restrict smoothing strength to one value (unset: 0, 0.5 and 2)")

@@ -5,9 +5,8 @@ Building blocks, bottom up:
 * `gnn_diffuse` -- one aggregate-then-combine round over a snapshot's
   cached sparse adjacency: the first-order approximation of the Laplacian
   smoother.
-* `mix_conv1d` / `mix_interp` -- combine two consecutive representations
-  (width-2 convolution, or a learned gated interpolation), elementwise over
-  any leading axes.
+* `apply_mix` -- combine two consecutive representations by a learned gated
+  interpolation, elementwise over any leading axes.
 * `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
@@ -30,14 +29,13 @@ Building blocks, bottom up:
   range applies the activation, the residual and S6's layer normalization
   to its own rows in place.  The mixing mechanism is by default confined
   to the first block.
-* `init_a`, `delta_bias_init`, `align_memory`, checkpoint save/load.
+* `init_a`, `delta_bias_init`, `align_memory`.
 
 All recurrences run through the scan module, one `run_scan` call per time
 tile and node range with the previous tile's last state as its initial
 state: the sequential fold by default, the chunked parallel scan on request.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -46,7 +44,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import _pool
-from ._checks import finite, integer, integers, negative, numbers, read_records
+from ._checks import finite, integer, integers, negative
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
@@ -143,19 +141,6 @@ def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConvMixParams:
-    """Width-2 temporal convolution kernel [2 x D], shared across nodes."""
-
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        k = finite(self.kernel, "kernel")
-        if k.ndim != 2 or k.shape[0] != 2:
-            raise ValueError("kernel must be [2 x D]")
-        object.__setattr__(self, "kernel", k)
-
-
-@dataclass(frozen=True)
 class InterpMixParams:
     """Gated interpolation: a blend gate picks between the two inputs and a
     nonnegative scale modulates the result; both are affine in [z1 || z2]."""
@@ -179,15 +164,7 @@ class InterpMixParams:
         object.__setattr__(self, "b_blend", bb)
 
 
-def mix_conv1d(z_prev: np.ndarray, z_cur: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Width-2 convolution over the last (feature) axis."""
-    kernel = np.asarray(kernel, dtype=float)
-    if z_prev.shape != z_cur.shape or kernel.shape != (2, z_prev.shape[-1]):
-        raise ValueError("kernel/operand shape mismatch")
-    return kernel[0] * z_prev + kernel[1] * z_cur
-
-
-def mix_interp(z1: np.ndarray, z2: np.ndarray, p: InterpMixParams) -> np.ndarray:
+def apply_mix(z1: np.ndarray, z2: np.ndarray, p: InterpMixParams) -> np.ndarray:
     """Gated interpolation over the last (feature) axis."""
     if z1.shape != z2.shape or z1.shape[-1] != p.b_scale.size:
         raise ValueError("operand shape mismatch")
@@ -195,14 +172,6 @@ def mix_interp(z1: np.ndarray, z2: np.ndarray, p: InterpMixParams) -> np.ndarray
     scale = softplus(cc @ p.w_scale + p.b_scale)
     blend = expit(cc @ p.w_blend + p.b_blend)
     return scale * (blend * z1 + (1.0 - blend) * z2)
-
-
-def apply_mix(z1: np.ndarray, z2: np.ndarray, p) -> np.ndarray:
-    if isinstance(p, ConvMixParams):
-        return mix_conv1d(z1, z2, p.kernel)
-    if isinstance(p, InterpMixParams):
-        return mix_interp(z1, z2, p)
-    raise TypeError(f"unknown mix parameter type {type(p).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +204,7 @@ class SsmLayerParams:
     c: np.ndarray = None
     delta_weight: np.ndarray = None
     delta_bias: object = None
-    mix: object = None
+    mix: InterpMixParams = None
     mix_mechanism: MixMechanism = MixMechanism.ORDINARY
     gnn_delta: GnnParams = None
     gnn_b: GnnParams = None
@@ -244,6 +213,8 @@ class SsmLayerParams:
     def __post_init__(self):
         object.__setattr__(self, "variant", SsmVariant(self.variant))
         object.__setattr__(self, "mix_mechanism", MixMechanism(self.mix_mechanism))
+        if self.mix is not None and not isinstance(self.mix, InterpMixParams):
+            raise ValueError(f"mix must be None or InterpMixParams, got {type(self.mix).__name__}")
         a = negative(self.a, "state matrix a")
         object.__setattr__(self, "a", a)
         d = self.gnn.weight.shape[1]
@@ -401,6 +372,8 @@ def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None)
     hidden_in = _check_hidden(seq, hidden_in, p)
     x = np.moveaxis(hidden_in, 1, 0)                                          # [L,V,D]
     mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
+    if mechanism is not MixMechanism.ORDINARY and p.mix is None:
+        raise ValueError(f"mix is None, but the layer is asked to {mechanism.value}")
     v, length, d = seq.num_nodes, len(seq), p.gnn.weight.shape[1]
     parts = _pool.parts(length * v * d * p.state_size)
     agg, *selective = _graph_pass(seq, x, p, mechanism, parts)
@@ -604,59 +577,3 @@ def align_memory(u_prev: np.ndarray, v_prev, v_new, rule: StateInitRule = StateI
             if nbrs.size:
                 out[i] = np.mean(out[nbrs], axis=0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: named tensors in a line-oriented text format.
-#
-#   GSSMP v1 <count>
-#   then, per tensor:
-#     <name> <ndim> <dim...>
-#     <row-major values on one line>
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = "GSSMP v1"
-
-
-def save_checkpoint(named: dict, path) -> None:
-    lines = [f"{_CKPT_MAGIC} {len(named)}"]
-    for name, tensor in named.items():
-        if not name or not name.isascii() or any(ch.isspace() for ch in name):
-            raise ValueError(f"tensor name {name!r} must be non-empty ASCII without whitespace")
-        arr = finite(tensor, f"tensor {name!r}")
-        lines.append(" ".join([name, str(arr.ndim)] + [str(s) for s in arr.shape]))
-        lines.append(" ".join(repr(x) for x in arr.reshape(-1).tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path) -> dict:
-    """Read a file written by `save_checkpoint`.  Every malformed record
-    raises ValueError naming the path."""
-    return read_records(path, _parse_checkpoint)
-
-
-def _parse_checkpoint(rd) -> dict:
-    (count,) = rd.header(_CKPT_MAGIC, "<count>", "tensor count")
-    if count < 0:
-        raise ValueError(f"negative tensor count {count}")
-    named = {}
-    for _ in range(count):
-        meta = rd.next("tensor record").split()
-        if len(meta) < 2:
-            raise ValueError(f"malformed tensor record at line {rd.pos}")
-        name, (ndim,) = meta[0], numbers(meta[1:2], int, "tensor rank")
-        if name in named:
-            raise ValueError(f"duplicate tensor {name!r}")
-        if len(meta) != 2 + ndim:
-            raise ValueError(f"tensor {name!r} declares {ndim} dims, lists {len(meta) - 2}")
-        shape = tuple(numbers(meta[2:], int, f"tensor {name!r} shape"))
-        if any(s < 0 for s in shape):
-            raise ValueError(f"tensor {name!r} has a negative dimension")
-        tokens = rd.next(f"tensor {name!r} values").split()
-        values = finite(numbers(tokens, float, f"tensor {name!r} values"), f"tensor {name!r}")
-        if values.size != math.prod(shape):
-            raise ValueError(f"tensor {name!r} has {values.size} values, "
-                             f"expected {math.prod(shape)}")
-        named[name] = values.reshape(shape)
-    return named

@@ -137,9 +137,17 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
     `repeats` runs, so transient noise doesn't inflate a row).  ValueError
-    unless every L, lanes and repeats is an integer >= 1 and seed one >= 0.
+    before any timing unless both lists are non-empty, every backend is
+    sequential or parallel, every L, lanes and repeats is an integer >= 1
+    and seed one >= 0.
     """
     l_values = [integer(length, "L", 1) for length in l_values]
+    for name, values in (("l_values", l_values), ("backends", backends)):
+        if not values:
+            raise ValueError(f"{name} must hold at least one entry")
+    for backend in backends:
+        if backend not in ("sequential", "parallel"):
+            raise ValueError(f"backends: unknown backend {backend!r}")
     for name, value in (("lanes", lanes), ("repeats", repeats)):
         integer(value, name, 1)
     seed = integer(seed, "seed", 0)

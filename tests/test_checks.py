@@ -1,4 +1,4 @@
-"""The input boundaries: the three file formats read through one reader, and
+"""The input boundaries: the two file formats read through one reader, and
 the label-range check every entry point shares."""
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gssm import (Snapshot, SnapshotSequence, SyntheticTask, TaskConfig,
-                  f1_scores, gen_synthetic, load_checkpoint, load_labels,
-                  load_sequence, readout_loss, save_checkpoint, save_labels,
-                  save_sequence, train_readout)
+                  f1_scores, gen_synthetic, load_labels, load_sequence,
+                  readout_loss, save_labels, save_sequence, train_readout)
 
 
 def _sequence():
@@ -24,20 +23,12 @@ def _sequence():
         Snapshot(np.zeros((3, 3), dtype=bool), [[1.0, 2.0], [-3.0, 0.25], [6.0, 7.0]], 1.5)))
 
 
-def _same_checkpoint(a, b):
-    return (list(a) == list(b)
-            and all(a[k].shape == b[k].shape and np.array_equal(a[k], b[k]) for k in a))
-
-
 # format -> (object, save(obj, path), load(path), equality, a trailing record)
 _FORMATS = {
     "sequence": (_sequence(), save_sequence, load_sequence,
                  lambda a, b: a == b, "T 9.0\nE 0\ngarbage\n"),
     "labels": ((np.array([0, 2, 1, 1]), 3), lambda obj, path: save_labels(*obj, path),
                load_labels, lambda a, b: a[1] == b[1] and np.array_equal(a[0], b[0]), "1\n"),
-    "checkpoint": ({"w": np.array([[0.5, -1.25], [3.0, 4.0]]), "none": np.zeros((0, 2)),
-                    "b": np.array([1.0, 2.0, -0.125])},
-                   save_checkpoint, load_checkpoint, _same_checkpoint, "v 1 1\n2.0\n"),
 }
 
 
@@ -65,6 +56,8 @@ def _fault(data: bytes, fault: str, trailing: str) -> bytes:
         return data + trailing.encode("ascii")
     if fault == "non_ascii_byte":
         return data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]
+    if fault == "malformed_header":
+        return b"GSSMX" + data[data.index(b" "):]
     if fault == "truncated":
         return "\n".join(lines[:len(lines) // 2]).encode("ascii") + b"\n"
     lines[-1] = " ".join(lines[-1].split()[:-1] + ["abc"])  # non_numeric_token
@@ -76,6 +69,7 @@ def _fault(data: bytes, fault: str, trailing: str) -> bytes:
     ("non_ascii_byte", "non-ASCII byte 0xff at offset "),
     ("truncated", "unexpected end of file while reading "),
     ("non_numeric_token", "malformed "),
+    ("malformed_header", "malformed header (expected '"),
 ])
 @pytest.mark.parametrize("fmt", list(_FORMATS))
 def test_a_faulty_file_raises_a_value_error_starting_with_its_path(tmp_path, fmt, fault,
@@ -86,13 +80,6 @@ def test_a_faulty_file_raises_a_value_error_starting_with_its_path(tmp_path, fmt
         _FORMATS[fmt][2](path)
     assert str(excinfo.value).startswith(f"{path}: ")
     assert message in str(excinfo.value)
-
-
-def test_a_non_ascii_checkpoint_name_is_rejected_before_writing(tmp_path):
-    path = tmp_path / "x.gssmp"
-    with pytest.raises(ValueError, match="must be non-empty ASCII without whitespace"):
-        save_checkpoint({"ok": np.ones(1), "w\u00e9": np.ones(2)}, path)
-    assert not path.exists()
 
 
 def _mutate(data, text: str) -> str:

@@ -372,11 +372,18 @@ def test_bench_flag_beats_config_file_which_beats_the_default(capsys, tmp_path):
     assert all(r[1] == "2" for r in rows)  # lanes from the flag
 
 
-def test_bench_with_an_unknown_backend_is_an_input_error(capsys):
-    code, _, err = _run(capsys, ["bench", "--l-values", "16", "--lanes", "2",
-                                 "--repeats", "1", "--backends", "turbo"])
+@pytest.mark.parametrize("flag, value", [("--l-values", "1.5"), ("--l-values", ","),
+                                         ("--l-values", "16,x"), ("--backends", ","),
+                                         ("--backends", "turbo"),
+                                         ("--backends", "sequential,turbo")])
+def test_bench_with_a_bad_or_empty_list_is_an_input_error_naming_it(capsys, tmp_path, flag,
+                                                                     value):
+    out = tmp_path / "bench.csv"
+    code, stdout, err = _run(capsys, ["bench", "--l-values", "16", "--lanes", "2",
+                                      "--repeats", "1", "--out", str(out), flag, value])
     assert code == 2
-    assert err.startswith("error: ")
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')}")
 
 
 @pytest.mark.parametrize("argv", [["--lanes", "0"], ["--repeats", "0"],

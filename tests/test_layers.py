@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from gssm import (
     BlockParams,
-    ConvMixParams,
     GnnFlavor,
     GnnParams,
     InitStrategy,
@@ -41,13 +40,9 @@ from gssm import (
     init_a,
     laplacian,
     layer_norm,
-    load_checkpoint,
-    mix_conv1d,
-    mix_interp,
     mixed_estimate,
     relu,
     sample_model,
-    save_checkpoint,
     softplus,
     ssm_forward,
 )
@@ -416,30 +411,12 @@ def test_gnn_params_reject_out_of_range_self_mix():
 # mixing
 
 
-def test_conv_mix_selector_kernels():
-    rng = np.random.default_rng(3)
-    z_prev, z_cur = rng.normal(size=(2, 4, 3))
-    take_cur = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    take_prev = take_cur[::-1]
-    assert np.array_equal(mix_conv1d(z_prev, z_cur, take_cur), z_cur)
-    assert np.array_equal(mix_conv1d(z_prev, z_cur, take_prev), z_prev)
-    halves = np.full((2, 3), 0.5)
-    assert mix_conv1d(z_prev, z_cur, halves) == pytest.approx(0.5 * (z_prev + z_cur))
-
-
-def test_conv_mix_kernel_is_per_feature_dimension():
-    z_prev = np.array([[1.0, 10.0]])
-    z_cur = np.array([[2.0, 20.0]])
-    kernel = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert mix_conv1d(z_prev, z_cur, kernel) == pytest.approx(np.array([[1.0, 20.0]]))
-
-
 def test_interp_mix_zero_parameters_scale_the_average_by_log_two():
     rng = np.random.default_rng(5)
     z1, z2 = rng.normal(size=(2, 6, 4))
     p = InterpMixParams(w_scale=np.zeros((8, 4)), b_scale=np.zeros(4),
                         w_blend=np.zeros((8, 4)), b_blend=np.zeros(4))
-    assert mix_interp(z1, z2, p) == pytest.approx(math.log(2.0) * 0.5 * (z1 + z2))
+    assert apply_mix(z1, z2, p) == pytest.approx(math.log(2.0) * 0.5 * (z1 + z2))
 
 
 def test_interp_mix_saturated_blend_selects_first_argument():
@@ -447,7 +424,7 @@ def test_interp_mix_saturated_blend_selects_first_argument():
     z1, z2 = rng.normal(size=(2, 5, 3))
     p = InterpMixParams(w_scale=np.zeros((6, 3)), b_scale=np.zeros(3),
                         w_blend=np.zeros((6, 3)), b_blend=np.full(3, 50.0))
-    assert mix_interp(z1, z2, p) == pytest.approx(math.log(2.0) * z1, abs=1e-12)
+    assert apply_mix(z1, z2, p) == pytest.approx(math.log(2.0) * z1, abs=1e-12)
 
 
 def test_interp_mix_equal_inputs_ignore_the_blend():
@@ -455,37 +432,42 @@ def test_interp_mix_equal_inputs_ignore_the_blend():
     z = rng.normal(size=(4, 3))
     shared = dict(w_scale=glorot(rng, (6, 3)), b_scale=rng.normal(size=3),
                   w_blend=glorot(rng, (6, 3)))
-    lo = mix_interp(z, z, InterpMixParams(b_blend=np.full(3, -4.0), **shared))
-    hi = mix_interp(z, z, InterpMixParams(b_blend=np.full(3, 4.0), **shared))
+    lo = apply_mix(z, z, InterpMixParams(b_blend=np.full(3, -4.0), **shared))
+    hi = apply_mix(z, z, InterpMixParams(b_blend=np.full(3, 4.0), **shared))
     assert lo == pytest.approx(hi, abs=1e-12)
 
 
 def test_stacked_mixes_equal_their_per_snapshot_calls():
     rng = np.random.default_rng(13)
     z1, z2 = rng.normal(size=(2, 5, 4, 3))  # [L x V x D] each
-    kernel, p = rng.normal(size=(2, 3)), _interp(rng, 3)
-    assert np.array_equal(mix_conv1d(z1, z2, kernel),
-                          np.stack([mix_conv1d(a, b, kernel) for a, b in zip(z1, z2)]))
-    assert np.array_equal(mix_interp(z1, z2, p),
-                          np.stack([mix_interp(a, b, p) for a, b in zip(z1, z2)]))
+    p = _interp(rng, 3)
+    assert np.array_equal(apply_mix(z1, z2, p),
+                          np.stack([apply_mix(a, b, p) for a, b in zip(z1, z2)]))
     for bad_z2 in (z2[1:], z2[:, :3]):
         with pytest.raises(ValueError):
-            mix_conv1d(z1, bad_z2, kernel)
-        with pytest.raises(ValueError):
-            mix_interp(z1, bad_z2, p)
+            apply_mix(z1, bad_z2, p)
     with pytest.raises(ValueError):
-        mix_conv1d(z1, z2, rng.normal(size=(2, 4)))
-    with pytest.raises(ValueError):
-        mix_interp(z1[..., :2], z2[..., :2], p)
+        apply_mix(z1[..., :2], z2[..., :2], p)
 
 
-def test_apply_mix_dispatches_and_rejects_unknown_params():
-    rng = np.random.default_rng(11)
-    z1, z2 = rng.normal(size=(2, 3, 2))
-    conv = ConvMixParams(kernel=np.array([[0.25, 0.25], [0.75, 0.75]]))
-    assert np.array_equal(apply_mix(z1, z2, conv), mix_conv1d(z1, z2, conv.kernel))
-    with pytest.raises(TypeError):
-        apply_mix(z1, z2, object())
+@pytest.mark.parametrize("own, asked", [(MixMechanism.REPR_MIX, None),
+                                        (MixMechanism.FEATURE_MIX, None),
+                                        (MixMechanism.ORDINARY, MixMechanism.REPR_MIX),
+                                        (MixMechanism.ORDINARY, MixMechanism.FEATURE_MIX)])
+def test_a_layer_asked_to_mix_without_mix_params_fails_before_its_graph_pass(
+        monkeypatch, own, asked):
+    def graph_pass(*args):
+        raise AssertionError("the graph pass ran")
+    monkeypatch.setattr(layers, "_graph_pass", graph_pass)
+    rng = np.random.default_rng(17)
+    seq = _sequence(rng, 4, 3, 2)
+    hidden = rng.normal(size=(4, 3, 2))
+    p = dataclasses.replace(_s4_params(rng, 2, 2, mechanism=own), mix=None)
+    with pytest.raises(ValueError, match="^mix is None, but the layer is asked to "):
+        ssm_forward(seq, hidden, p, asked)
+    if asked is None:
+        with pytest.raises(ValueError, match="^mix is None"):
+            block_forward(hidden, seq, (BlockParams(layer=p),))
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +703,9 @@ def test_forward_equals_the_stepwise_reference(build, mechanism):
 
 
 @pytest.mark.parametrize("cap", [None, _SMALL_CAP])
-@pytest.mark.parametrize("mix", ["conv", "interp"])
 @pytest.mark.parametrize("flavor", list(GnnFlavor))
 @pytest.mark.parametrize("mechanism", list(MixMechanism))
-def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism, flavor,
-                                                          mix, cap):
+def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism, flavor, cap):
     """The whole-sequence drive is `mixed_estimate` over `gnn_diffuse` and
     `apply_mix` bit for bit, also when the operator splits into blocks."""
     if cap is not None:
@@ -738,8 +718,7 @@ def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism
     hidden = rng.normal(size=(v, l, d))
     p = dataclasses.replace(
         _s4_params(rng, d, 2, mechanism=mechanism),
-        gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.7),
-        mix=_interp(rng, d) if mix == "interp" else ConvMixParams(kernel=rng.normal(size=(2, d))))
+        gnn=_gnn(rng, d, d, flavor=flavor, self_mix=0.7), mix=_interp(rng, d))
     ref = np.stack(mixed_estimate(np.moveaxis(hidden, 1, 0), seq, mechanism,
                                   partial(gnn_diffuse, p=p.gnn), partial(apply_mix, p=p.mix)))
     assert np.array_equal(_drive_estimates(seq, hidden, p, mechanism), ref)
@@ -995,6 +974,11 @@ def test_layer_params_validation():
     with pytest.raises(ValueError):
         SsmLayerParams(variant=SsmVariant.S6, a=np.full((2, 3), -1.0), gnn=gnn,
                        delta_bias=np.zeros(2))
+    for bad in ("garbage", object(), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="^mix must be None or InterpMixParams"):
+            SsmLayerParams(variant=SsmVariant.S4, a=np.full((2, 3), -1.0), gnn=gnn,
+                           b=np.ones((2, 3)), c=np.ones((2, 3)), delta_weight=np.ones(2),
+                           delta_bias=0.0, mix=bad)
 
 
 def _with(obj, **changes):
@@ -1012,7 +996,6 @@ def _non_finite_cases():
     rng = np.random.default_rng(67)
     d, n = 2, 3
     s4, s6 = _s4_params(rng, d, n), _s6_params(rng, d, n)
-    conv = ConvMixParams(kernel=np.ones((2, d)))
     block = BlockParams(layer=s4, res_weight=np.eye(d), res_bias=np.zeros(d))
     seq = _sequence(rng, 4, 3, d)
     hidden = rng.normal(size=(4, 3, d))
@@ -1029,7 +1012,6 @@ def _non_finite_cases():
         "s6_delta_bias": _with(s6, delta_bias=nan_at(s6.delta_bias)),
         "gnn_weight": _with(s4.gnn, weight=nan_at(s4.gnn.weight)),
         "gnn_bias": _with(s4.gnn, bias=inf_at(s4.gnn.bias)),
-        "conv_kernel": _with(conv, kernel=nan_at(conv.kernel)),
         "w_scale": _with(s4.mix, w_scale=nan_at(s4.mix.w_scale)),
         "b_scale": _with(s4.mix, b_scale=inf_at(s4.mix.b_scale)),
         "w_blend": _with(s4.mix, w_blend=inf_at(s4.mix.w_blend)),
@@ -1272,114 +1254,3 @@ def test_align_rejects_a_non_finite_state_row():
 def test_align_rejects_fractional_node_ids(v_prev, v_new, name):
     with pytest.raises(ValueError, match=f"{name} must be integers"):
         align_memory(np.ones((2, 3)), v_prev, v_new)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(109)
-    named = {
-        "blocks.0.a": rng.normal(size=(3, 4)),
-        "blocks.0.delta_bias": np.array(rng.normal()),
-        "readout.weight": rng.normal(size=(4, 2)) * 1e-12,
-        "readout.bias": rng.normal(size=2) * 1e12,
-    }
-    path = tmp_path / "params.gssmp"
-    save_checkpoint(named, path)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(named)
-    for name, tensor in named.items():
-        assert loaded[name].shape == np.asarray(tensor).shape
-        assert np.array_equal(loaded[name], np.asarray(tensor, dtype=float))
-
-
-def test_checkpoint_rejects_whitespace_names(tmp_path):
-    with pytest.raises(ValueError):
-        save_checkpoint({"bad name": np.zeros(2)}, tmp_path / "x.gssmp")
-
-
-def test_checkpoint_rejects_malformed_header(tmp_path):
-    path = tmp_path / "bad.gssmp"
-    path.write_text("GSSMX v1 1\nfoo 1 2\n0.0 1.0\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("GSSMP v1 1\nfoo 1 2\n0.0 abc\n", "malformed tensor 'foo' values '0.0 abc'"),
-    ("GSSMP v1 1\nfoo 1 10\n0 0 0 0 0 0 0 0 0 abc\n",
-     "malformed tensor 'foo' values '0 0 0 0 0 0 0 0 ...'"),
-    ("GSSMP v1 1\nfoo x 2\n0.0 1.0\n", "malformed tensor rank 'x'"),
-    ("GSSMP v1 1\nfoo 2 -2 -1\n0.0 1.0\n", "tensor 'foo' has a negative dimension"),
-    ("GSSMP v1 1\nfoo 1 2.5\n0.0 1.0\n", "malformed tensor 'foo' shape '2.5'"),
-    ("GSSMP v1 one\n", "malformed tensor count 'one'"),
-    ("", "malformed header"),
-], ids=["bad_value", "long_bad_values", "bad_rank", "negative_dims", "float_dim", "bad_count", "empty"])
-def test_checkpoint_parse_errors_name_the_path(tmp_path, text, message):
-    path = tmp_path / "bad.gssmp"
-    path.write_text(text)
-    with pytest.raises(ValueError) as excinfo:
-        load_checkpoint(path)
-    assert str(excinfo.value).startswith(f"{path}: {message}")
-
-
-def test_checkpoint_rejects_wrong_value_count(tmp_path):
-    path = tmp_path / "short.gssmp"
-    path.write_text("GSSMP v1 1\nfoo 1 3\n0.0 1.0\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_truncated_file(tmp_path):
-    path = tmp_path / "trunc.gssmp"
-    for text in ("GSSMP v1 2\nfoo 1 2\n0.0 1.0\n", "GSSMP v1 1\n"):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="unexpected end of file while reading tensor record"):
-            load_checkpoint(path)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checkpoint_save_rejects_non_finite_values(tmp_path, bad):
-    path = tmp_path / "x.gssmp"
-    with pytest.raises(ValueError, match="tensor 'w' must be finite"):
-        save_checkpoint({"w": np.array([1.0, bad])}, path)
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_checkpoint_load_rejects_non_finite_values(tmp_path, bad):
-    path = tmp_path / "x.gssmp"
-    path.write_text(f"GSSMP v1 1\nw 1 2\n1.0 {bad}\n")
-    with pytest.raises(ValueError, match="tensor 'w' must be finite"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_negative_count(tmp_path):
-    path = tmp_path / "neg.gssmp"
-    path.write_text("GSSMP v1 -3\n")
-    with pytest.raises(ValueError, match="negative"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_duplicate_names(tmp_path):
-    path = tmp_path / "dup.gssmp"
-    path.write_text("GSSMP v1 2\nw 1 1\n1.0\nw 1 1\n2.0\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_records_past_the_declared_count(tmp_path):
-    path = tmp_path / "extra.gssmp"
-    path.write_text("GSSMP v1 1\nw 1 1\n1.0\nv 1 1\n2.0\n")
-    with pytest.raises(ValueError, match="past the declared count"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_round_trips_an_empty_tensor_as_the_last_record(tmp_path):
-    path = tmp_path / "empty.gssmp"
-    save_checkpoint({"w": np.ones(2), "none": np.zeros((0, 3))}, path)
-    loaded = load_checkpoint(path)
-    assert loaded["none"].shape == (0, 3)
-    assert np.array_equal(loaded["w"], np.ones(2))

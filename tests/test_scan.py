@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gssm import RecurrenceInputs, bench_recurrence, combine, scan_parallel, scan_sequential
+from gssm import scan
 
 
 def _random_inputs(rng, length, lane_shape=()):
@@ -130,9 +131,14 @@ def test_bench_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
         bench_recurrence([8], lanes=2, repeats=1, seed=seed)
 
 
-def test_bench_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        bench_recurrence([8], lanes=2, backends=("fancy",), repeats=1)
+@pytest.mark.parametrize("l_values, backends, name", [
+    ([], ("sequential",), "l_values"), ([8], (), "backends"),
+    ([8], ("fancy",), "backends"), ([8, 16], ("sequential", "fancy"), "backends")])
+def test_bench_rejects_an_empty_list_or_an_unknown_backend_before_timing(
+        monkeypatch, l_values, backends, name):
+    monkeypatch.setattr(scan, "run_scan", lambda *args: pytest.fail("a backend was timed"))
+    with pytest.raises(ValueError, match=f"^{name}"):
+        bench_recurrence(l_values, lanes=2, backends=backends, repeats=1)
 
 
 @pytest.mark.parametrize("length,chunk,lane_shape",
