@@ -882,6 +882,14 @@ def test_labels_round_trip(tmp_path):
     assert np.array_equal(back, labels)
 
 
+def test_labels_of_no_nodes_round_trip(tmp_path):
+    path = tmp_path / "empty.labels"
+    save_labels(np.array([], dtype=int), 3, path)
+    assert path.read_text() == "GSSML v1 0 3\n"
+    back, c = load_labels(path)
+    assert c == 3 and back.shape == (0,)
+
+
 def test_labels_reject_malformed_files(tmp_path):
     path = tmp_path / "bad.labels"
     path.write_text("GSSML v2 2 2\n0\n1\n")
@@ -924,7 +932,20 @@ def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):
     ("GSSML v1 2 y\n0\n1\n", "malformed header sizes '2 y'"),
     ("", "malformed header"),
     ("GSSML v1 1 3\n0 1\n", "malformed label '0 1'"),
-], ids=["float_label", "bad_count", "bad_classes", "empty", "two_tokens"])
+    ("GSSML v1 2.5 3\n", "malformed header sizes '2.5 3'"),
+    ("GSSML v1 2\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
+    ("GSSML v1 2 3 4\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
+    ("GSSM v1 1 3\n0\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
+    ("GSSML v1 1 3\nnan\n", "malformed label 'nan'"),
+    ("GSSML v1 1 3\ninf\n", "malformed label 'inf'"),
+    ("GSSML v1 1 3\n1e0\n", "malformed label '1e0'"),
+    ("GSSML v1 1 3\n\n", "malformed label ''"),
+    ("GSSML v1 2 3\n0\n", "unexpected end of file while reading label"),
+    ("GSSML v1 1 3\n-1\n", "labels must lie in [0, 3), got -1"),
+    ("GSSML v1 1 3\n3\n", "labels must lie in [0, 3), got 3"),
+], ids=["float_label", "bad_count", "bad_classes", "empty", "two_tokens", "float_count",
+        "short_header", "long_header", "wrong_magic", "nan_label", "inf_label",
+        "exponent_label", "blank_label", "truncated", "negative_label", "label_past_classes"])
 def test_labels_parse_errors_name_the_path(tmp_path, text, message):
     path = tmp_path / "bad.labels"
     path.write_text(text)

@@ -482,6 +482,73 @@ def test_load_reads_an_edge_in_either_order_and_rejects_a_truncated_file(tmp_pat
         load_sequence(path)
 
 
+_ONE_SNAPSHOT = "GSSM v1 3 1 1\nT 0.0\nE 0\nX\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("GSSM v1 0 1 1\n", "nonsensical sizes in header"),
+    ("GSSM v1 3 -1 1\n", "nonsensical sizes in header"),
+    ("GSSM v1 3 1 0\n", "nonsensical sizes in header"),
+    ("GSSM v1 3 1.5 1\n", "malformed header sizes '3 1.5 1'"),
+    ("GSSM v1 3 1\n", "malformed header (expected 'GSSM v1 <V> <d> <L>')"),
+    ("GSSM v1 3 1 1 1\n", "malformed header (expected 'GSSM v1 <V> <d> <L>')"),
+    ("GSSM v2 3 1 1\n", "malformed header (expected 'GSSM v1 <V> <d> <L>')"),
+    ("", "malformed header (expected 'GSSM v1 <V> <d> <L>')"),
+    ("GSSM v1 3 1 1\n", "snapshot 0: unexpected end of file while reading timestamp"),
+    ("GSSM v1 3 1 1\nS 0.0\n", "snapshot 0: expected 'T <timestamp>'"),
+    ("GSSM v1 3 1 1\nT\n", "snapshot 0: expected 'T <timestamp>'"),
+    ("GSSM v1 3 1 1\nT inf\nE 0\nX\n1\n2\n3\n", "snapshot 0: timestamp must be finite"),
+    ("GSSM v1 3 1 1\nT -inf\nE 0\nX\n1\n2\n3\n", "snapshot 0: timestamp must be finite"),
+    ("GSSM v1 3 1 1\nT 0.0\nE\n", "snapshot 0: expected 'E <num_edges>'"),
+    ("GSSM v1 3 1 1\nT 0.0\nE 1.5\n", "snapshot 0: malformed edge count '1.5'"),
+    ("GSSM v1 3 1 1\nT 0.0\nE 1\n0\n", "snapshot 0: malformed edge line"),
+    ("GSSM v1 3 1 1\nT 0.0\nE 1\n0 1 2\n", "snapshot 0: malformed edge line"),
+    ("GSSM v1 3 1 1\nT 0.0\nE 0\nY\n", "snapshot 0: expected 'X' marker"),
+    (_ONE_SNAPSHOT + "1\nnan\n3\n", "snapshot 0: features must be finite"),
+    (_ONE_SNAPSHOT + "1\ninf\n3\n", "snapshot 0: features must be finite"),
+    (_ONE_SNAPSHOT + "1\n-inf\n3\n", "snapshot 0: features must be finite"),
+    (_ONE_SNAPSHOT + "1\n1 2\n3\n", "snapshot 0: feature row has 2 values, expected 1"),
+    (_ONE_SNAPSHOT + "1\n\n3\n", "snapshot 0: feature row has 0 values, expected 1"),
+    (_ONE_SNAPSHOT + "1\n2\n", "snapshot 0: unexpected end of file while reading feature row"),
+    ("GSSM v1 1 10 1\nT 0.0\nE 0\nX\n0 0 0 0 0 0 0 0 0 abc\n",
+     "snapshot 0: malformed feature row '0 0 0 0 0 0 0 0 ...'"),
+], ids=["zero_nodes", "negative_width", "zero_length", "float_size", "short_header",
+        "long_header", "wrong_version", "empty", "header_only", "wrong_record_tag", "bare_t",
+        "inf_timestamp", "minus_inf_timestamp", "bare_e", "float_edge_count", "one_token_edge",
+        "three_token_edge", "missing_x_marker", "nan_feature", "inf_feature",
+        "minus_inf_feature", "wide_row", "blank_row", "missing_rows", "long_bad_row"])
+def test_sequence_parse_errors_name_the_path(tmp_path, text, message):
+    path = tmp_path / "bad.gssm"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_sequence(path)
+    assert str(excinfo.value).startswith(f"{path}: {message}")
+
+
+def test_sequence_round_trip_keeps_extreme_values_bit_exact(tmp_path):
+    feats = np.array([[5e-324, -0.0], [1e300, -1e-300], [0.1, 2.0 / 3.0]])
+    seq = SnapshotSequence((_snap(_path_graph(3), feats, 5e-324),
+                            _snap(np.zeros((3, 3)), -feats[::-1], 1e300)))
+    path = tmp_path / "seq.gssm"
+    save_sequence(seq, path)
+    loaded = load_sequence(path)
+    for orig, back in zip(seq, loaded):
+        assert back.timestamp == orig.timestamp
+        assert back.features.tobytes() == orig.features.tobytes()
+        assert _edge_set(back) == _edge_set(orig)
+
+
+def test_sequence_without_features_round_trips_its_blank_last_rows(tmp_path):
+    seq = SnapshotSequence((_snap(_path_graph(3), np.zeros((3, 0)), 0.0),
+                            _snap(np.zeros((3, 3)), np.zeros((3, 0)), 1.0)))
+    path = tmp_path / "seq.gssm"
+    save_sequence(seq, path)
+    assert path.read_text().endswith("X\n\n\n\n")
+    loaded = load_sequence(path)
+    assert loaded == seq
+    assert loaded.num_features == 0 and loaded[1].features.shape == (3, 0)
+
+
 @pytest.mark.parametrize("edge", [(0, -1), (3, 1), (-3, 0)])
 def test_adjacency_from_edges_rejects_node_ids_outside_the_graph(edge):
     with pytest.raises(ValueError, match=r"references a node outside \[0, 3\)"):
