@@ -13,7 +13,8 @@ piecewise between edge mutations, where (A, B) are the HiPPO-LegS matrices.
 in U, so `integrate_hippo` takes each classical RK4 step as one precomputed
 affine map, smooths all of a block's stage features in one product, and
 composes the block's steps in one product more: the step matrix's powers
-(built by doubling) and the stage gains are built once per segment.
+(built by doubling) and the stage gains are built once per segment (for
+the default HiPPO-LegS pair, once per order, step size and block length).
 `projection_oracle` provides the independent brute-force check: project each
 node's history onto normalized Legendre polynomials by quadrature, then apply
 the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
@@ -28,11 +29,13 @@ once per block of RK4 steps on the block's stage times, the oracle once on
 its quadrature nodes; each result is checked once for shape and finiteness.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, lu_factor, lu_solve
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._checks import finite, integer, nonnegative
 from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
@@ -87,10 +90,19 @@ def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
     the eigenvalues of I + alpha*L lie in [1, 1 + 2*alpha] for both kinds, so
     the symmetric kind's condition number is at most 1 + 2*alpha; the
     random-walk matrix is similar to it through D^{1/2}, which adds at most
-    a factor max(degree)/min(degree) over the non-isolated nodes.
+    a factor max(degree)/min(degree) over the non-isolated nodes.  alpha
+    must be finite and >= 0: below 0 the matrix can be singular.
     """
+    alpha = nonnegative(alpha, "alpha")
     eye = np.eye(np.shape(adj)[0])
-    return lu_solve(lu_factor(eye + alpha * laplacian(adj, kind)), eye)
+    if not eye.size:
+        return eye
+    lu, piv, info = dgetrf(finite(eye + alpha * laplacian(adj, kind), "I + alpha*L"),
+                           overwrite_a=True)
+    inv, solved = dgetrs(lu, piv, eye, overwrite_b=True)
+    if info or solved:
+        raise ValueError(f"I + alpha*L: LAPACK getrf/getrs info {info}/{solved}")
+    return inv
 
 
 def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -110,6 +122,35 @@ def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray
         bad = float(times[np.argmin(ok)])
         raise ValueError(f"feature_path({bad!r}) returned non-finite values")
     return x
+
+
+def _rk4_operators(a_t: np.ndarray, b_vec: np.ndarray, h: float, kmax: int):
+    """(P^0..P^kmax [kmax+1 x N x N], gains G [kmax x 3 x N]) of the RK4 step
+    of size h for dU/dt = U A^T + y b (see `integrate_hippo`), with
+    G[k, s] = bQs P^(kmax - 1 - k); the powers are built by doubling."""
+    eye = np.eye(b_vec.size)
+    z = h * a_t
+    z2 = z @ z
+    z3 = z2 @ z
+    p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    bq = (h / 6.0) * np.stack([b_vec @ (eye + z + z2 / 2.0 + z3 / 4.0),
+                               b_vec @ (4.0 * eye + 2.0 * z + z2 / 2.0),
+                               b_vec])
+    powers = np.stack([eye, p])
+    while len(powers) <= kmax:
+        powers = np.concatenate((powers, powers[1:kmax + 2 - len(powers)] @ powers[-1]))
+    return powers, bq @ powers[kmax - 1::-1]
+
+
+@functools.lru_cache(maxsize=4)
+def _legs_operators(order: int, h: float, kmax: int):
+    """`_rk4_operators` of the HiPPO-LegS pair, read-only.  4 entries: a verify
+    reduction instance has at most 4 pieces, which its per-node reruns revisit
+    in order.  An entry holds (kmax+1)*N^2 + 3*kmax*N doubles (N = order)."""
+    a, b = hippo_legs_matrices(order)
+    powers, gains = _rk4_operators(a.T, b, h, kmax)
+    powers.flags.writeable = gains.flags.writeable = False
+    return powers, gains
 
 
 def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: float,
@@ -144,10 +185,11 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
 
     one product and one einsum.  Once per segment P^0..P^kmax are built by
     doubling (log2 kmax stacked products) and the gains G from them, so the
-    extra memory does not grow with nst.  The feature path is called once
-    per block on the block's stage times not yet evaluated: over a segment of
-    nst steps the calls cover its 2*nst + 1 distinct stage times once each,
-    in increasing order.
+    extra memory does not grow with nst; without `system` the last 4 builds
+    stay memoized, up to 4*((kmax+1)*N^2 + 3*kmax*N) doubles (~138 MB at
+    N = 128).  The feature path is called once per block on the block's stage
+    times not yet evaluated: over a segment of nst steps the calls cover its
+    2*nst + 1 distinct stage times once each, in increasing order.
 
     u_start/t_start default to a zero state at TIME_ORIGIN; passing both lets
     discretization tests resume the flow mid-interval.  `system` optionally
@@ -160,37 +202,26 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     if not (0.0 < t_start < t_end <= stream.horizon):
         raise ValueError("need 0 < t_start < t_end <= horizon")
     n = cfg.order
-    a_mat, b_vec = hippo_legs_matrices(n) if system is None else system
-    a_t = finite(a_mat, "system override").T
-    b_vec = finite(b_vec, "system override").reshape(-1)
-    if a_t.shape != (n, n) or b_vec.size != n:
-        raise ValueError("system override must match cfg.order")
+    if system is not None:
+        a_mat, b_vec = system
+        a_t = finite(a_mat, "system override").T
+        b_vec = finite(b_vec, "system override").reshape(-1)
+        if a_t.shape != (n, n) or b_vec.size != n:
+            raise ValueError("system override must match cfg.order")
     u = np.zeros((stream.num_nodes, n)) if u_start is None else np.array(u_start, dtype=float)
     if u.shape != (stream.num_nodes, n):
         raise ValueError(f"u_start must have shape ({stream.num_nodes}, {n})")
     finite(u, "u_start")
 
-    eye = np.eye(n)
     for seg_a, seg_b, edges in segments(stream, t_start, t_end):
         smooth_t = smoothing_matrix(adjacency_from_edges(edges, stream.num_nodes),
                                     cfg.alpha, cfg.laplacian).T
         right_lim = np.nextafter(seg_b, seg_a)
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
         h = (seg_b - seg_a) / nst
-        z = h * a_t
-        z2 = z @ z
-        z3 = z2 @ z
-        p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
-        bq = (h / 6.0) * np.stack([b_vec @ (eye + z + z2 / 2.0 + z3 / 4.0),
-                                   b_vec @ (4.0 * eye + 2.0 * z + z2 / 2.0),
-                                   b_vec])
-        # P^0 .. P^kmax by doubling; gains[k, s] = bq[s] P^(kmax-1-k).
         kmax = min(_BLOCK_STEPS, nst)
-        powers = np.stack([eye, p])
-        while len(powers) <= kmax:
-            powers = np.concatenate((powers, powers[1:kmax + 2 - len(powers)] @ powers[-1]))
-        gains = bq @ powers[kmax - 1::-1]
-
+        powers, gains = (_legs_operators(n, h, kmax) if system is None
+                         else _rk4_operators(a_t, b_vec, h, kmax))
         t = seg_a
         carried = np.empty((0, stream.num_nodes))  # smoothed features at t, once known
         for first in range(0, nst, _BLOCK_STEPS):

@@ -372,8 +372,14 @@ def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None)
     hidden_in = _check_hidden(seq, hidden_in, p)
     x = np.moveaxis(hidden_in, 1, 0)                                          # [L,V,D]
     mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
-    if mechanism is not MixMechanism.ORDINARY and p.mix is None:
-        raise ValueError(f"mix is None, but the layer is asked to {mechanism.value}")
+    if mechanism is not MixMechanism.ORDINARY:
+        if p.mix is None:
+            raise ValueError(f"mix is None, but the layer is asked to {mechanism.value}")
+        side = "output" if mechanism is MixMechanism.REPR_MIX else "input"
+        width = p.gnn.weight.shape[side == "output"]
+        if p.mix.b_scale.size != width:
+            raise ValueError(f"mix has width {p.mix.b_scale.size}, but {mechanism.value} "
+                             f"mixes the layer's {side} width {width}")
     v, length, d = seq.num_nodes, len(seq), p.gnn.weight.shape[1]
     parts = _pool.parts(length * v * d * p.state_size)
     agg, *selective = _graph_pass(seq, x, p, mechanism, parts)

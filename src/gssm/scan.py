@@ -141,7 +141,7 @@ def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
     sequential or parallel, every L, lanes and repeats is an integer >= 1
     and seed one >= 0.
     """
-    l_values = [integer(length, "L", 1) for length in l_values]
+    l_values = [integer(length, "l_values: L", 1) for length in l_values]
     for name, values in (("l_values", l_values), ("backends", backends)):
         if not values:
             raise ValueError(f"{name} must hold at least one entry")

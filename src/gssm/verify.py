@@ -16,12 +16,12 @@ from .tgraph import Action, EventStream, LaplacianKind, segments
 _KINDS = (LaplacianKind.SYMMETRIC, LaplacianKind.RANDOM_WALK)
 
 
-def _sorted_distinct(rng, lo: float, hi: float, count: int) -> np.ndarray:
+def _sorted_distinct(rng, lo: float, hi: float, count: int) -> list:
     """`count` sorted uniform draws from [lo, hi), all distinct; a draw with
     a repeat is drawn again whole."""
     while True:
-        draws = np.sort(rng.uniform(lo, hi, size=count))
-        if len(set(draws.tolist())) == count:
+        draws = sorted(rng.uniform(lo, hi, size=count).tolist())
+        if len(set(draws)) == count:
             return draws
 
 
@@ -108,23 +108,22 @@ def suite_zoh(seed: int, instances: int, alphas, ode_steps: int):
 def suite_weights(seed: int, schedules: int):
     """Convexity of the segment weights: entries in [0,1], columns sum to 1.
 
-    The schedules are drawn one at a time, then weighed in one stack per
-    (mutation count, diagonal size)."""
+    The schedules are drawn one at a time, then their bounds and diagonals
+    built and weighed as one stack per (mutation count, diagonal size)."""
     rng = named_rng(seed, "verify-weights")
     stacks = {}
     for _ in range(schedules):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(0, 7))
-        t0 = float(rng.uniform(-5.0, 5.0))
-        length = float(rng.uniform(1e-3, 50.0))
+        t0 = rng.uniform(-5.0, 5.0)
+        length = rng.uniform(1e-3, 50.0)
         fracs = _sorted_distinct(rng, 0.02, 0.98, m)
-        bounds = (t0, *(t0 + length * fracs), t0 + length)
-        a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
-        stacks.setdefault((m, n), []).append((bounds, a))
+        stacks.setdefault((m, n), []).append((t0, length, fracs, rng.uniform(-7.0, 3.5, size=n)))
     worst = 0.0
     for rows in stacks.values():
-        bounds, a = zip(*rows)
-        w = _segment_weights_stack(bounds, a)
+        t0, length, fracs, log_rate = map(np.array, zip(*rows))
+        bounds = np.column_stack((t0, t0[:, None] + length[:, None] * fracs, t0 + length))
+        w = _segment_weights_stack(bounds, -np.exp(log_rate))
         worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()),
                     float(-w.min()), float(w.max() - 1.0))
     return worst
@@ -135,7 +134,9 @@ def suite_reduction(seed: int, instances: int, ode_steps: int):
     joint integration to independent per-node memory flows.
 
     The per-node side is integrated piece by piece over the joint run's
-    `segments` so both sides take identical RK4 steps.
+    `segments`, each node as its own one-node stream, so both sides take
+    identical RK4 steps (1 + v * pieces `integrate_hippo` calls an instance;
+    the per-node calls reuse the joint run's memoized RK4 operators).
     """
     rng = named_rng(seed, "verify-reduction")
     worst = 0.0

@@ -396,6 +396,14 @@ def test_bench_with_a_size_below_one_is_an_input_error(capsys, argv):
     assert err.startswith("error: ") and "at least 1" in err
 
 
+def test_bench_with_a_length_below_one_names_l_values(capsys):
+    code, out, err = _run(capsys, ["bench", "--l-values", "16,0", "--lanes", "2",
+                                   "--repeats", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: l_values: L must be an integer of at least 1, got 0\n"
+
+
 def test_run_with_a_non_finite_noise_is_an_input_error(capsys, tmp_path):
     code, _, err = _run(capsys, ["run", "--out", str(tmp_path / "r.csv"),
                                  "--seeds", "0", "--noise", "nan"] + _TINY_TASK)

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
-from gssm import hippo
+from gssm import hippo, verify
 from gssm import (
     TIME_ORIGIN,
     Action,
@@ -172,6 +172,12 @@ def test_matrices_match_entrywise_reconstruction():
 def test_matrices_reject_zero_order():
     with pytest.raises(ValueError):
         hippo_legs_matrices(0)
+
+
+def test_memoized_operators_reject_writes():
+    for x in hippo._legs_operators(3, 0.01, 5):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +501,56 @@ def test_integrator_copies_each_feature_evaluation(monkeypatch):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_integrator_gives_the_same_bytes_with_the_memo_cleared_and_warm():
+    stream = _stream_with_mutations()
+    cfg = HippoConfig(order=4, alpha=0.5, ode_steps_per_unit=60)
+    path = lambda t: np.cos(t[:, None] + np.arange(stream.num_nodes))
+    hippo._legs_operators.cache_clear()
+    cold = integrate_hippo(stream, path, cfg, 2.0)
+    assert hippo._legs_operators.cache_info().misses == 3  # one per segment
+    warm = integrate_hippo(stream, path, cfg, 2.0)
+    assert hippo._legs_operators.cache_info()[:2] == (3, 3)  # (hits, misses)
+    assert warm.tobytes() == cold.tobytes()
+    # The memo holds what the unmemoized build gives for the same pair.
+    legs = integrate_hippo(stream, path, cfg, 2.0, system=hippo_legs_matrices(4))
+    assert legs.tobytes() == cold.tobytes()
+
+
+def test_a_system_override_builds_its_own_operators_for_a_memoized_step():
+    stream = _quiet_stream(2, horizon=1.0)
+    cfg = HippoConfig(order=3, alpha=0.0, ode_steps_per_unit=40)
+    path = _constant_path([1.0, -2.0])
+    legs = integrate_hippo(stream, path, cfg, 1.0)       # memoizes this (order, h, kmax)
+    system = (-np.diag([1.0, 2.0, 3.0]), np.ones(3))
+    got = integrate_hippo(stream, path, cfg, 1.0, system=system)
+    ref = _stagewise_rk4(stream, path, cfg, 1.0, system=system)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(got - legs).max() > 0.1
+    assert integrate_hippo(stream, path, cfg, 1.0).tobytes() == legs.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reduction_suite_reruns_each_node_alone_on_every_piece_from_the_memo(
+        monkeypatch, seed):
+    calls = []                                  # (stream, memo misses before, after)
+
+    def counting(stream, *args, **kwargs):
+        before = hippo._legs_operators.cache_info().misses
+        out = integrate_hippo(stream, *args, **kwargs)
+        calls.append((stream, before, hippo._legs_operators.cache_info().misses))
+        return out
+    monkeypatch.setattr(verify, "integrate_hippo", counting)
+    verify.suite_reduction(seed, 6, 50)
+    joint = [k for k, (stream, _, _) in enumerate(calls) if stream.num_nodes > 1]
+    assert len(joint) == 6
+    for start, stop in zip(joint, joint[1:] + [len(calls)]):
+        stream = calls[start][0]
+        pieces = len(list(segments(stream, TIME_ORIGIN, 4.0)))
+        assert stop - start == 1 + stream.num_nodes * pieces
+        for solo, before, after in calls[start + 1:stop]:
+            assert solo.num_nodes == 1 and after == before
+
+
 def test_integrator_memory_does_not_grow_with_step_count():
     stream = _quiet_stream(4, horizon=2.0)
     x = np.array([1.0, -0.5, 0.25, 2.0])
@@ -628,3 +684,34 @@ def test_smoothing_matrix_inverts_the_smoother_for_both_laplacians(kind):
     assert np.abs(inv @ smoother - np.eye(5)).max() <= 1e-14
     assert np.array_equal(inv[4], np.eye(5)[4])
     assert np.array_equal(smoothing_matrix(adj, 0.0, kind), np.eye(5))
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_smoothing_matrix_equals_scipys_lu_solve_bit_for_bit(kind, alpha):
+    rng = np.random.default_rng(23)
+    for v in range(1, 41):
+        adj = np.triu(rng.random((v, v)) < 0.3, 1)
+        adj = adj | adj.T
+        ref = lu_solve(lu_factor(np.eye(v) + alpha * laplacian(adj, kind)), np.eye(v))
+        assert smoothing_matrix(adj, alpha, kind).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, np.nan, np.inf, -np.inf])
+def test_smoothing_matrix_rejects_an_alpha_that_is_not_finite_and_nonnegative(alpha):
+    # A path graph: alpha = -1 or -0.5 makes I + alpha*L singular or nearly so.
+    adj = adjacency_from_edges({(0, 1), (1, 2)}, 3)
+    for kind in LaplacianKind:
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
+            smoothing_matrix(adj, alpha, kind)
+
+
+def test_smoothing_matrix_raises_on_a_non_finite_matrix_or_a_lapack_failure(monkeypatch):
+    adj = adjacency_from_edges({(0, 1), (1, 2)}, 3).astype(float)
+    adj[0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^I \+ alpha\*L must be finite"):
+        smoothing_matrix(adj, 0.5, LaplacianKind.SYMMETRIC)
+    getrf = hippo.dgetrf
+    monkeypatch.setattr(hippo, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 2))
+    with pytest.raises(ValueError, match="getrf/getrs info 2/0"):
+        smoothing_matrix(np.zeros((2, 2), dtype=bool), 0.5, LaplacianKind.SYMMETRIC)

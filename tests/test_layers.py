@@ -470,6 +470,26 @@ def test_a_layer_asked_to_mix_without_mix_params_fails_before_its_graph_pass(
             block_forward(hidden, seq, (BlockParams(layer=p),))
 
 
+@pytest.mark.parametrize("mechanism, side, width, wrong", [
+    (MixMechanism.FEATURE_MIX, "input", 3, 2), (MixMechanism.REPR_MIX, "output", 2, 3)])
+def test_a_mix_of_the_wrong_width_fails_before_the_graph_pass_naming_both_widths(
+        monkeypatch, mechanism, side, width, wrong):
+    def graph_pass(*args):
+        raise AssertionError("the graph pass ran")
+    monkeypatch.setattr(layers, "_graph_pass", graph_pass)
+    rng = np.random.default_rng(19)
+    seq = _sequence(rng, 4, 3, 3)
+    hidden = rng.normal(size=(4, 3, 3))
+    p = dataclasses.replace(_s4_params(rng, 2, 2), gnn=_gnn(rng, 3, 2), mix=_interp(rng, wrong),
+                            mix_mechanism=mechanism)
+    message = (f"^mix has width {wrong}, but {mechanism.value} mixes the layer's "
+               f"{side} width {width}$")
+    with pytest.raises(ValueError, match=message):
+        ssm_forward(seq, hidden, p)
+    with pytest.raises(ValueError, match=message):
+        block_forward(hidden, seq, (BlockParams(layer=p),))
+
+
 # ---------------------------------------------------------------------------
 # layer forwards
 
