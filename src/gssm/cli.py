@@ -10,30 +10,31 @@ Failures print one `error: ...` line to stderr.
 Flags may also come from a flat key=value config file (`--config`); an
 explicit flag always wins over the file, which wins over built-in defaults.
 Keys in the file use the flag name with underscores; unknown keys are
-ignored so one file can serve several subcommands.
+ignored so one file can serve several subcommands.  `settings` reads the
+effective settings of any subcommand the same way.
 """
 
 import argparse
 import dataclasses
 import inspect
+import pathlib
 import sys
 import time
 
 import numpy as np
 
-from ._checks import integer, parse_like, read_text
+from . import verify
+from ._checks import parse_like, read_text
 from .discretize import MixMechanism
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, results_to_csv,
                       run_experiment, save_labels)
-from .hippo import HippoConfig
 from .layers import InitStrategy, SsmVariant
 from .scan import bench_recurrence
 from .tgraph import load_sequence, save_sequence, temporal_continuity
-from .verify import suite_projection, suite_reduction, suite_weights, suite_zoh
 
 
 # ---------------------------------------------------------------------------
-# Config-file handling
+# Settings: one table of defaults and parsers, one reader
 # ---------------------------------------------------------------------------
 
 def _load_config(path) -> dict:
@@ -50,37 +51,10 @@ def _load_config(path) -> dict:
     return out
 
 
-def _settings(args, defaults: dict, parsers=None) -> dict:
-    """Effective settings: explicit flag > config file > default.  A file value
-    is parsed as its default's type, then any string value of a key in
-    `parsers` by that key's parser.  A value that does not parse raises
-    ValueError naming the key, and the file when the value came from it."""
-    path = getattr(args, "config", None)
-    file_cfg = _load_config(path) if path else {}
-    parsers = parsers or {}
-    out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        from_file = flag is None and key in file_cfg
-        value = file_cfg[key] if from_file else (default if flag is None else flag)
-        try:
-            if from_file:
-                value = parse_like(value, default)
-            if key in parsers and isinstance(value, str):
-                value = parsers[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {key}: {exc}" if from_file else f"{key}: {exc}") from None
-        out[key] = value
-    return out
-
-
 def _parse_seeds(text: str):
     """Seeds of a comma list of integers and inclusive ranges 'a-b'."""
     seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in text.split(","))):
         cut = part.find("-", 1)  # inclusive range; a leading '-' is a sign
         try:
             lo, hi = (int(part[:cut]), int(part[cut + 1:])) if cut > 0 else (int(part),) * 2
@@ -94,38 +68,68 @@ def _parse_seeds(text: str):
     return seeds
 
 
+# Task flag -> TaskConfig field; the four size fields have one-letter flags.
+_SHORT = {"num_nodes": "v", "seq_len": "l", "num_features": "d", "num_classes": "c"}
+_TASK_FLAGS = {_SHORT.get(f.name, f.name): f.name for f in dataclasses.fields(TaskConfig)}
+_TASK = {flag: getattr(TaskConfig(), field) for flag, field in _TASK_FLAGS.items()}
+_MODEL = ModelConfig()
+_EXPERIMENT = inspect.signature(run_experiment).parameters
+
+# The settings of each subcommand with their defaults, and the parser of each
+# setting whose value is a string to be parsed further.
+_DEFAULTS = {
+    "gen": dict(_TASK, seed=0),
+    "verify": {k: p.default for k, p in inspect.signature(verify.suites).parameters.items()},
+    "run": {**_TASK, "seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
+            "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
+            "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
+            **{k: _EXPERIMENT[k].default for k in ("lr", "epochs", "l2")}},
+    "bench": {"l_values": "1024,2048,4096,8192,16384,32768,65536", "lanes": 128,
+              "repeats": 3, "backends": "sequential,parallel", "seed": 0},
+}
+_PARSERS = {"seeds": _parse_seeds,
+            "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
+            "backends": lambda text: [x.strip() for x in text.split(",") if x.strip()]}
+
+
+def settings(command: str, config=None, flags=None) -> dict:
+    """Effective settings of a subcommand (gen, verify, run or bench), keyed
+    by flag name with underscores: a value in `flags` other than None wins
+    over the key=value file at path `config`, which wins over the default.
+    A file value is parsed as its default's type (a number where that is
+    None), and a string of seeds, l_values or backends by its parser; one
+    that does not parse raises ValueError naming the key (and the file)."""
+    file_cfg = _load_config(config) if config else {}
+    flags = flags or {}
+    out = {}
+    for key, default in _DEFAULTS[command].items():
+        flag = flags.get(key)
+        from_file = flag is None and key in file_cfg
+        value = file_cfg[key] if from_file else (default if flag is None else flag)
+        try:
+            if from_file:
+                value = parse_like(value, 0.0 if default is None else default)
+            if key in _PARSERS and isinstance(value, str):
+                value = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{config}: {key}: {exc}" if from_file else f"{key}: {exc}") from None
+        out[key] = value
+    return out
+
+
+def _task_config(cfg: dict) -> TaskConfig:
+    return TaskConfig(**{field: cfg[flag] for flag, field in _TASK_FLAGS.items()})
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_VERIFY_DEFAULTS = {"seed": 0, "instances": 20, "schedules": 1000, "alpha": None,
-                    "ode_steps": HippoConfig.ode_steps_per_unit,
-                    "quad_points": HippoConfig.quadrature_points}
-
-
 def cmd_verify(args) -> int:
-    cfg = _settings(args, _VERIFY_DEFAULTS, {"alpha": lambda text: parse_like(text, 0.0)})
-    for key in ("instances", "schedules"):
-        integer(cfg[key], key, 1)
-    # alpha default None means the criterion set {0, 0.5, 2}
-    alphas = (0.0, 0.5, 2.0) if cfg["alpha"] is None else (cfg["alpha"],)
-    checks = [
-        ("projection-vs-ode", 1e-3,
-         lambda: suite_projection(cfg["seed"], cfg["instances"], alphas,
-                                  cfg["ode_steps"], cfg["quad_points"])),
-        ("zoh-vs-ode", 1e-4,
-         lambda: suite_zoh(cfg["seed"], cfg["instances"], alphas,
-                           cfg["ode_steps"])),
-        ("weights-convexity", 1e-12,
-         lambda: suite_weights(cfg["seed"], cfg["schedules"])),
-    ]
-    if 0.0 in alphas:
-        checks.append(("hippo-reduction", 1e-10,
-                       lambda: suite_reduction(cfg["seed"], 6, cfg["ode_steps"])))
     failed = False
-    for name, tol, fn in checks:
+    for name, tol, call in verify.suites(**settings(args.command, args.config, vars(args))):
         t0 = time.perf_counter()
-        err = fn()
+        err = call()
         took = time.perf_counter() - t0
         ok = err <= tol
         failed = failed or not ok
@@ -134,18 +138,8 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-# Task flag -> TaskConfig field; the four size fields have one-letter flags.
-_SHORT = {"num_nodes": "v", "seq_len": "l", "num_features": "d", "num_classes": "c"}
-_TASK_FLAGS = {_SHORT.get(f.name, f.name): f.name for f in dataclasses.fields(TaskConfig)}
-_TASK_DEFAULTS = {flag: getattr(TaskConfig(), field) for flag, field in _TASK_FLAGS.items()}
-
-
-def _task_config(cfg: dict) -> TaskConfig:
-    return TaskConfig(**{field: cfg[flag] for flag, field in _TASK_FLAGS.items()})
-
-
 def cmd_gen(args) -> int:
-    cfg = _settings(args, dict(_TASK_DEFAULTS, seed=0))
+    cfg = settings(args.command, args.config, vars(args))
     task = gen_synthetic(cfg["seed"], _task_config(cfg))
     save_sequence(task.sequence, args.out)
     save_labels(task.labels, task.num_classes, args.out + ".labels")
@@ -155,66 +149,40 @@ def cmd_gen(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    seq = load_sequence(args.path)
-    tc_structure, tc_feature = temporal_continuity(seq)
-    print(f"TC_structure={tc_structure!r}")
-    print(f"TC_feature={tc_feature!r}")
+    tc_structure, tc_feature = temporal_continuity(load_sequence(args.path))
+    print(f"TC_structure={tc_structure!r}\nTC_feature={tc_feature!r}")
     return 0
 
 
-_MODEL = ModelConfig()
-_EXPERIMENT = {k: v.default for k, v in inspect.signature(run_experiment).parameters.items()}
-_RUN_DEFAULTS = {"seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
-                 "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
-                 "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
-                 **{k: _EXPERIMENT[k] for k in ("lr", "epochs", "l2")}}
-
-
 def cmd_run(args) -> int:
-    cfg = _settings(args, dict(_TASK_DEFAULTS, **_RUN_DEFAULTS), {"seeds": _parse_seeds})
-    inits = ([InitStrategy(cfg["init"])] if cfg["init"] != "all"
-             else [InitStrategy.S4D_REAL, InitStrategy.S4D_CONST, InitStrategy.RANDOM])
+    cfg = settings(args.command, args.config, vars(args))
+    inits = _EXPERIMENT["inits"].default if cfg["init"] == "all" else [InitStrategy(cfg["init"])]
     model_cfg = ModelConfig(num_blocks=cfg["blocks"], state_size=cfg["state_size"],
-                            variant=SsmVariant(cfg["variant"]),
-                            mix_mechanism=MixMechanism(cfg["mechanism"]))
+                            variant=cfg["variant"], mix_mechanism=cfg["mechanism"])
     rows = run_experiment(cfg["seeds"], _task_config(cfg), model_cfg, inits=inits,
                           include_static=not cfg["skip_static"], lr=cfg["lr"],
                           epochs=cfg["epochs"], l2=cfg["l2"])
-    csv_text = results_to_csv(rows)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(csv_text)
+    pathlib.Path(args.out).write_text(results_to_csv(rows), encoding="ascii")
 
     groups = {}
     for row in rows:
         groups.setdefault((row["variant"], row["init"]), []).append(row)
     print(f"{'variant':10s} {'init':10s} {'mean_micro':>10s} {'mean_macro':>10s} {'n':>3s}")
     for (variant, init), grp in sorted(groups.items()):
-        micro = np.mean([r["micro_f1"] for r in grp])
-        macro = np.mean([r["macro_f1"] for r in grp])
+        micro, macro = (np.mean([r[key] for r in grp]) for key in ("micro_f1", "macro_f1"))
         print(f"{variant:10s} {init:10s} {micro:10.4f} {macro:10.4f} {len(grp):3d}")
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-_BENCH_DEFAULTS = {"l_values": "1024,2048,4096,8192,16384,32768,65536",
-                   "lanes": 128, "repeats": 3, "backends": "sequential,parallel",
-                   "seed": 0}
-
-
 def cmd_bench(args) -> int:
-    cfg = _settings(args, dict(_BENCH_DEFAULTS), {
-        "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
-        "backends": lambda text: [x.strip() for x in text.split(",") if x.strip()]})
-    rows = bench_recurrence(**cfg)
-    lines = ["L,lanes,backend,ns_per_element"]
-    lines += [f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}"
-              for r in rows]
-    text = "\n".join(lines) + "\n"
+    rows = bench_recurrence(**settings(args.command, args.config, vars(args)))
+    text = "L,lanes,backend,ns_per_element\n" + "".join(
+        f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}\n" for r in rows)
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        pathlib.Path(args.out).write_text(text, encoding="ascii")
         print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -224,14 +192,14 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _option(sub, defaults: dict, key: str, text: str, **kwargs):
-    """--<key>, typed like its default and with the default ending its help."""
-    sub.add_argument("--" + key.replace("_", "-"), type=type(defaults[key]),
-                     help=f"{text} (default {defaults[key]})", **kwargs)
+    """--<key>, typed like its default (a number if None), which ends its help."""
+    default = defaults[key]
+    sub.add_argument("--" + key.replace("_", "-"), type=float if default is None else type(default),
+                     help=text if default is None else f"{text} (default {default})", **kwargs)
 
 
-_TASK_HELP = {"v": "number of nodes", "l": "number of snapshots",
-              "d": "feature dimensions", "c": "number of classes",
-              "p_in": "initial intra-community edge probability",
+_TASK_HELP = {"v": "number of nodes", "l": "number of snapshots", "d": "feature dimensions",
+              "c": "number of classes", "p_in": "initial intra-community edge probability",
               "p_out": "inter-community edge probability",
               "p_decay": "per-step decay of p_in toward p_out",
               "drift_rate": "per-step pair resample probability",
@@ -239,9 +207,9 @@ _TASK_HELP = {"v": "number of nodes", "l": "number of snapshots",
               "omega": "centroid rotation per step (radians)"}
 
 
-def _add_task_flags(sub):
-    for key, text in _TASK_HELP.items():
-        _option(sub, _TASK_DEFAULTS, key, text)
+def _options(sub, defaults: dict, helps: dict):
+    for key, text in helps.items():
+        _option(sub, defaults, key, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,20 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="generator seed")
     p.add_argument("--out", required=True, help="output sequence path "
                                                 "(labels go to <out>.labels)")
-    _add_task_flags(p)
+    _options(p, _TASK, _TASK_HELP)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the oracle-agreement suites (exit 1 on breach)")
-    d = _VERIFY_DEFAULTS
-    _option(p, d, "seed", "instance seed")
-    _option(p, d, "instances", "instances per projection and zoh suite, at least 1; "
-                               "hippo-reduction always runs 6")
-    _option(p, d, "schedules", "schedules for the weight check, at least 1")
-    p.add_argument("--alpha", type=float,
-                   help="restrict smoothing strength to one value (unset: 0, 0.5 and 2)")
-    _option(p, d, "ode_steps", "RK4 steps per time unit")
-    _option(p, d, "quad_points", "quadrature nodes")
+    _options(p, _DEFAULTS["verify"], verify.HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("metrics", parents=[common],
@@ -281,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common],
                        help="frozen-backbone experiment; writes the results CSV")
-    d = _RUN_DEFAULTS
+    d = _DEFAULTS["run"]
     p.add_argument("--out", required=True, help="results CSV path")
     _option(p, d, "seeds", "comma list and/or inclusive ranges")
     _option(p, d, "variant", "layer variant", choices=[v.value for v in SsmVariant])
@@ -296,12 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(p, d, "lr", "readout learning rate")
     _option(p, d, "epochs", "readout epochs")
     _option(p, d, "l2", "readout weight penalty")
-    _add_task_flags(p)
+    _options(p, _TASK, _TASK_HELP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", parents=[common],
                        help="scan throughput benchmark; writes CSV")
-    d = _BENCH_DEFAULTS
+    d = _DEFAULTS["bench"]
     p.add_argument("--out", default="-", help="CSV path, - for stdout (default -)")
     _option(p, d, "l_values", "comma list of sequence lengths")
     _option(p, d, "lanes", "independent lanes")

@@ -398,6 +398,12 @@ def readout_loss(params_flat: np.ndarray, features: np.ndarray,
     return loss, np.concatenate([grad_w[0].reshape(-1), grad_b[0]])
 
 
+def _check_readout(lr, epochs, l2) -> None:
+    if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
+        raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
+    integer(epochs, "epochs", 1)
+
+
 def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
                   lr: float = 0.5, epochs: int = 400, l2: float = 1e-3,
                   num_classes: int | None = None):
@@ -418,9 +424,7 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
     and, at a validation check, for parameters that training drove to
     non-finite values.
     """
-    if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
-        raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
-    integer(epochs, "epochs", 1)
+    _check_readout(lr, epochs, l2)
     features = np.asarray(features, dtype=float)
     if features.ndim not in (2, 3):
         raise ValueError("features must be [V x D] or [K x V x D]")
@@ -496,8 +500,10 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
 
     Rows are dicts with keys seed, variant, init, micro_f1, macro_f1 --
     the results CSV schema.  A seed's standardised feature sets share its
-    labels and split, so all of its readouts train as one batch.
+    labels and split, so all of its readouts train as one batch.  lr, epochs
+    and l2 are checked as `train_readout` checks them, before any seed runs.
     """
+    _check_readout(lr, epochs, l2)
     rows = []
     for seed in seeds:
         task = gen_synthetic(seed, task_cfg)

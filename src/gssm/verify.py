@@ -1,13 +1,14 @@
 """Oracle-agreement suites.  Each draws random instances from its own named
-seed stream and returns the worst error it finds, which `gssm verify` and the
-acceptance gate hold against their tolerances.  The references are the
-quadrature projection oracle (HiPPO, Gu et al., arXiv 2008.07669), the exact
-one-interval ZOH step, the convexity of the segment weights, and independent
-per-node flows when smoothing is off.
+seed stream and returns the worst error it finds; `suites` is the one table
+of their names, tolerances and calls.  The references are the quadrature
+projection oracle (HiPPO, Gu et al., arXiv 2008.07669), the exact one-interval
+ZOH step, the convexity of the segment weights, and independent per-node
+flows when smoothing is off.
 """
 
 import numpy as np
 
+from ._checks import integer, nonnegative
 from .discretize import MutationSchedule, _segment_weights_stack, zoh_oracle_step
 from .harness import named_rng
 from .hippo import TIME_ORIGIN, HippoConfig, integrate_hippo, projection_oracle
@@ -171,3 +172,36 @@ def suite_reduction(seed: int, instances: int, ode_steps: int):
                                     u_start=u, t_start=lo)
             worst = max(worst, float(np.abs(joint[node] - u[0]).max()))
     return worst
+
+
+ALPHAS = (0.0, 0.5, 2.0)  # the smoothing strengths cycled through when no alpha is given
+
+# `gssm verify --help` text of each setting of `suites`, in flag order.
+HELP = {"seed": "instance seed",
+        "instances": "instances per projection and zoh suite, at least 1; "
+                     "hippo-reduction always runs 6",
+        "schedules": "schedules for the weight check, at least 1",
+        "alpha": "restrict smoothing strength to one value (unset: 0, 0.5 and 2)",
+        "ode_steps": "RK4 steps per time unit", "quad_points": "quadrature nodes"}
+
+
+def suites(seed: int = 0, instances: int = 20, schedules: int = 1000, alpha=None,
+           ode_steps: int = HippoConfig.ode_steps_per_unit,
+           quad_points: int = HippoConfig.quadrature_points) -> list:
+    """(name, tolerance, call) of each suite in print order; call() returns its
+    worst error.  The projection and zoh suites cycle through ALPHAS, or take
+    `alpha` alone; the reduction suite (6 instances) runs when 0 is among them.
+    Before any suite runs, ValueError naming a setting that is not an integer
+    of its least value (seed 0, quad_points 2, the rest 1), or an alpha outside [0, inf)."""
+    for value, key, least in ((seed, "seed", 0), (instances, "instances", 1),
+                              (schedules, "schedules", 1), (ode_steps, "ode_steps", 1),
+                              (quad_points, "quad_points", 2)):
+        integer(value, key, least)
+    alphas = ALPHAS if alpha is None else (nonnegative(alpha, "alpha"),)
+    table = [("projection-vs-ode", 1e-3,
+              lambda: suite_projection(seed, instances, alphas, ode_steps, quad_points)),
+             ("zoh-vs-ode", 1e-4, lambda: suite_zoh(seed, instances, alphas, ode_steps)),
+             ("weights-convexity", 1e-12, lambda: suite_weights(seed, schedules))]
+    if 0.0 in alphas:
+        table.append(("hippo-reduction", 1e-10, lambda: suite_reduction(seed, 6, ode_steps)))
+    return table

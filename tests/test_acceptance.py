@@ -5,15 +5,19 @@ line with the measured quantity, then asserts it, so
 
     pytest tests/test_acceptance.py -v -s
 
-both reports and enforces every check.  Sizes, seeds and tolerances that the
-checks depend on are frozen in configs/acceptance.cfg so the slow ones can be
-reproduced from the command line (`gssm verify --config configs/acceptance.cfg`,
-`gssm run --config configs/acceptance.cfg --out ...`).
+both reports and enforces every check.  Sizes and seeds that the checks
+depend on are frozen in configs/acceptance.cfg and read through
+`gssm.cli.settings`, so the slow ones can be reproduced from the command line
+(`gssm verify --config configs/acceptance.cfg`, `gssm run --config
+configs/acceptance.cfg --out ...`).  Tolerances are the gate's own; criteria
+2-4 fail unless `gssm verify` holds its suites to the same ones.
 """
 from __future__ import annotations
 
-import argparse
+import contextlib
+import csv
 import dataclasses
+import io
 import pathlib
 import time
 
@@ -21,9 +25,7 @@ import numpy as np
 
 from gssm import (
     BlockParams,
-    InitStrategy,
     MixMechanism,
-    ModelConfig,
     RecurrenceInputs,
     Snapshot,
     SnapshotSequence,
@@ -36,22 +38,14 @@ from gssm import (
     hippo_legs_matrices,
     named_rng,
     readout_loss,
-    run_experiment,
     scan_parallel,
     scan_sequential,
     softplus,
     ssm_forward,
     temporal_continuity,
 )
-from gssm.cli import (
-    _parse_seeds,
-    _settings,
-    _task_config,
-    _RUN_DEFAULTS,
-    _TASK_DEFAULTS,
-    _VERIFY_DEFAULTS,
-)
-from gssm.verify import suite_projection, suite_reduction, suite_weights, suite_zoh
+from gssm.cli import main, settings
+from gssm.verify import ALPHAS, suite_reduction, suites
 
 from test_harness import finite_diff_check
 from test_layers import _drive_estimates, _s4_params, _s5_params, _s6_params, _sequence
@@ -59,9 +53,17 @@ from test_layers import _drive_estimates, _s4_params, _s5_params, _s6_params, _s
 _CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 
-def _frozen(defaults: dict) -> dict:
-    """Effective settings from the committed acceptance config file."""
-    return _settings(argparse.Namespace(config=str(_CONFIG)), defaults)
+def _verify_suites(tolerances: dict):
+    """`gssm verify`'s settings from the acceptance config, and its suite
+    calls by name.  Fails unless it cycles through the gate's alpha set and
+    holds each suite named in `tolerances` to the gate's tolerance."""
+    cfg = settings("verify", _CONFIG)
+    table = {name: (tol, call) for name, tol, call in suites(**cfg)}
+    assert cfg["alpha"] is None and ALPHAS == (0.0, 0.5, 2.0), \
+        f"gssm verify cycles alpha through {ALPHAS} (config alpha {cfg['alpha']})"
+    for name, tol in tolerances.items():
+        assert table[name][0] == tol, f"gssm verify holds {name} to {table[name][0]}, not {tol}"
+    return cfg, {name: call for name, (_, call) in table.items()}
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -94,10 +96,9 @@ def test_criterion_01_memory_matrices_match_the_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_integrator_agrees_with_projection_oracle():
-    cfg = _frozen(_VERIFY_DEFAULTS)
+    cfg, calls = _verify_suites({"projection-vs-ode": 1e-3})
     t0 = time.perf_counter()
-    worst = suite_projection(cfg["seed"], cfg["instances"], (0.0, 0.5, 2.0),
-                             cfg["ode_steps"], cfg["quad_points"])
+    worst = calls["projection-vs-ode"]()
     took = time.perf_counter() - t0
     ok = worst <= 1e-3 and took < 60.0
     _verdict(2, ok, f"{cfg['instances']} instances, rel Frobenius err={worst:.2e} "
@@ -109,11 +110,10 @@ def test_criterion_02_integrator_agrees_with_projection_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_zoh_agreement_and_weight_convexity():
-    cfg = _frozen(_VERIFY_DEFAULTS)
+    cfg, calls = _verify_suites({"zoh-vs-ode": 1e-4, "weights-convexity": 1e-12})
     t0 = time.perf_counter()
-    worst_zoh = suite_zoh(cfg["seed"], cfg["instances"], (0.0, 0.5, 2.0),
-                          cfg["ode_steps"])
-    worst_w = suite_weights(cfg["seed"], cfg["schedules"])
+    worst_zoh = calls["zoh-vs-ode"]()
+    worst_w = calls["weights-convexity"]()
     took = time.perf_counter() - t0
     ok = worst_zoh <= 1e-4 and worst_w <= 1e-12 and took < 30.0
     _verdict(3, ok, f"zoh rel err={worst_zoh:.2e} (tol 1e-4); weight sum/range "
@@ -126,7 +126,7 @@ def test_criterion_03_zoh_agreement_and_weight_convexity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_graph_term_off_reduces_to_independent_flows():
-    cfg = _frozen(_VERIFY_DEFAULTS)
+    cfg, _ = _verify_suites({"hippo-reduction": 1e-10})
     worst = suite_reduction(cfg["seed"], 10, cfg["ode_steps"])
     _verdict(4, worst <= 1e-10,
              f"alpha=0 and edgeless instances, max abs dev={worst:.2e} (tol 1e-10)")
@@ -148,10 +148,7 @@ def test_criterion_05_scan_parity_and_linear_work():
         diff = np.abs(scan_parallel(inp) - scan_sequential(inp)).max()
         worst = max(worst, float(diff))
 
-    cfg = _frozen({"l_values": "", "lanes": 128, "repeats": 3, "seed": 0})
-    l_values = [int(x) for x in cfg["l_values"].split(",")]
-    rows = bench_recurrence(l_values, lanes=cfg["lanes"], repeats=cfg["repeats"],
-                            seed=cfg["seed"])
+    rows = bench_recurrence(**settings("bench", _CONFIG))
     per_backend = {}
     for row in rows:
         per_backend.setdefault(row["backend"], []).append(row["ns_per_element"])
@@ -251,18 +248,15 @@ def test_criterion_07_readout_gradient_matches_finite_differences():
 # 8. end-to-end lift of the temporal model over the static baseline
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_temporal_model_beats_static_baseline_by_5_points():
-    cfg = _frozen(dict(_TASK_DEFAULTS, **_RUN_DEFAULTS))
+def test_criterion_08_temporal_model_beats_static_baseline_by_5_points(tmp_path):
+    out = tmp_path / "results.csv"
     t0 = time.perf_counter()
-    rows = run_experiment(_parse_seeds(cfg["seeds"]), _task_config(cfg),
-                          ModelConfig(num_blocks=cfg["blocks"],
-                                      state_size=cfg["state_size"],
-                                      variant=SsmVariant(cfg["variant"]),
-                                      mix_mechanism=MixMechanism(cfg["mechanism"])),
-                          inits=[InitStrategy.S4D_REAL], include_static=True,
-                          lr=cfg["lr"], epochs=cfg["epochs"], l2=cfg["l2"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", str(_CONFIG), "--init", "s4d_real", "--out", str(out)])
     took = time.perf_counter() - t0
-    micro = {variant: np.mean([r["micro_f1"] for r in rows if r["variant"] == variant])
+    assert code == 0, "gssm run failed"
+    rows = list(csv.DictReader(out.read_text(encoding="ascii").splitlines()))
+    micro = {variant: np.mean([float(r["micro_f1"]) for r in rows if r["variant"] == variant])
              for variant in ("s4", "static")}
     lift = 100.0 * (micro["s4"] - micro["static"])
     ok = lift >= 5.0 and took < 600.0

@@ -16,8 +16,8 @@ from gssm import (
     load_sequence,
     save_sequence,
 )
-from gssm.cli import (_RUN_DEFAULTS, _TASK_DEFAULTS, _VERIFY_DEFAULTS,
-                      _task_config, main)
+from gssm import verify
+from gssm.cli import main, settings
 
 _TINY_TASK = ["--v", "24", "--l", "4", "--d", "4", "--c", "3"]
 
@@ -53,11 +53,9 @@ def test_run_help_states_the_model_defaults(capsys):
     assert f"number of blocks (default {defaults.num_blocks})" in text
 
 
-@pytest.mark.parametrize("subcommand,defaults",
-                         [("run", {**_TASK_DEFAULTS, **_RUN_DEFAULTS}),
-                          ("verify", _VERIFY_DEFAULTS)])
-def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
-                                                            subcommand, defaults):
+@pytest.mark.parametrize("subcommand", ["run", "verify"])
+def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch, tmp_path,
+                                                            subcommand):
     monkeypatch.setenv("COLUMNS", "200")
     code, out, _ = _run(capsys, [subcommand, "--help"])
     assert code == 0
@@ -67,15 +65,31 @@ def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
         match = re.search(r"\(default ([^)]*)\)", entry)
         if match:
             printed[entry.split()[0][2:].replace("-", "_")] = match.group(1)
+    defaults = settings(subcommand)
     # a flag without a single default value (a switch, or a set of alphas)
     # states no default
-    switches = {key for key, value in defaults.items() if value is None or value is False}
-    assert printed == {key: str(value) for key, value in defaults.items()
-                       if key not in switches}
+    assert printed.keys() == {key for key, value in defaults.items()
+                              if value is not None and value is not False}
+    # read back from a config file, each printed default is the setting's default
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in printed.items()),
+                   encoding="ascii")
+    assert settings(subcommand, cfg) == defaults
 
 
 def test_task_defaults_build_the_default_task_config():
-    assert _task_config(_TASK_DEFAULTS) == TaskConfig()
+    short = {"v": "num_nodes", "l": "seq_len", "d": "num_features", "c": "num_classes"}
+    task = {short.get(key, key): value for key, value in settings("gen").items()
+            if key != "seed"}
+    assert TaskConfig(**task) == TaskConfig()
+
+
+def test_settings_take_a_flag_over_the_file_over_the_default(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("lanes = 4\nl_values = 16,32\nrepeats = 5\n", encoding="ascii")
+    assert settings("bench", cfg, {"lanes": 2, "repeats": None}) == {
+        "l_values": [16, 32], "lanes": 2, "repeats": 5,
+        "backends": ["sequential", "parallel"], "seed": 0}
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
@@ -224,6 +238,28 @@ def test_verify_with_fewer_than_one_instance_or_schedule_is_an_input_error(capsy
     assert code == 2
     assert out == ""  # no suite reports PASS after checking nothing
     assert err.startswith("error: ") and "at least 1" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [
+    ("seed", "-1"), ("instances", "0"), ("schedules", "0"), ("alpha", "nan"),
+    ("alpha", "-1"), ("ode_steps", "0"), ("quad_points", "1"),
+], ids=["seed", "instances", "schedules", "alpha_nan", "alpha_negative", "ode_steps",
+        "quad_points"])
+def test_verify_rejects_a_bad_setting_by_its_key_before_any_suite_runs(
+        capsys, monkeypatch, tmp_path, source, key, value):
+    ran = []
+    for suite in ("suite_projection", "suite_zoh", "suite_weights", "suite_reduction"):
+        monkeypatch.setattr(verify, suite, lambda *args, suite=suite: ran.append(suite) or 0.0)
+    if source == "flag":
+        argv = ["verify", "--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="ascii")
+        argv = ["verify", "--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith(f"error: {key} must be ") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -778,6 +778,17 @@ def test_run_experiment_one_init_gives_its_rows_of_the_full_run():
     assert static == [r for r in full if r["variant"] == "static"]
 
 
+@pytest.mark.parametrize("setting", [{"lr": np.nan}, {"lr": 0.0}, {"epochs": 0},
+                                     {"epochs": 2.5}, {"l2": -1.0}, {"l2": np.inf}])
+def test_run_experiment_checks_the_readout_settings_before_any_task_is_built(monkeypatch,
+                                                                             setting):
+    built = []
+    monkeypatch.setattr(harness, "gen_synthetic", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="readout needs epochs >= 1|epochs must be an integer"):
+        run_experiment([0, 1], task_cfg=_tiny_task_cfg(), **setting)
+    assert built == []
+
+
 def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
     out = tmp_path / "results.csv"
     assert main(["run", "--config", str(_ACCEPTANCE_CFG), "--out", str(out)]) == 0
