@@ -7,10 +7,12 @@ experiment -> results CSV), bench (scan throughput -> CSV).
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Failures print one `error: ...` line to stderr.
 
-Flags may also come from a flat key=value config file (`--config`); an
-explicit flag always wins over the file, which wins over built-in defaults.
-Keys in the file use the flag name with underscores; unknown keys are
-ignored so one file can serve several subcommands.  `settings` reads the
+Each flag is one setting of `_DEFAULTS`, and may also come from a flat
+key=value config file (`--config`); an explicit flag always wins over the
+file, which wins over built-in defaults.  Only `--out` and metrics' `path`
+are flag-only.  Keys in the file use the flag name with underscores; unknown
+keys are ignored so one file can serve several subcommands, and a value
+outside a flag's choices is rejected by its key.  `settings` reads the
 effective settings of any subcommand the same way.
 """
 
@@ -75,21 +77,30 @@ _TASK = {flag: getattr(TaskConfig(), field) for flag, field in _TASK_FLAGS.items
 _MODEL = ModelConfig()
 _EXPERIMENT = inspect.signature(run_experiment).parameters
 
-# The settings of each subcommand with their defaults, and the parser of each
-# setting whose value is a string to be parsed further.
+# The settings of each subcommand with their defaults, the parser of each
+# setting whose value is a string to be parsed further, and the values a
+# setting may take where they are few.
 _DEFAULTS = {
-    "gen": dict(_TASK, seed=0),
+    "gen": {"seed": 0, **_TASK},
     "verify": {k: p.default for k, p in inspect.signature(verify.suites).parameters.items()},
-    "run": {**_TASK, "seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
+    "run": {"seeds": "0-9", "variant": _MODEL.variant.value, "init": "all",
             "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
             "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
-            **{k: _EXPERIMENT[k].default for k in ("lr", "epochs", "l2")}},
+            **{k: _EXPERIMENT[k].default for k in ("lr", "epochs", "l2")}, **_TASK},
     "bench": {"l_values": "1024,2048,4096,8192,16384,32768,65536", "lanes": 128,
               "repeats": 3, "backends": "sequential,parallel", "seed": 0},
 }
 _PARSERS = {"seeds": _parse_seeds,
             "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
             "backends": lambda text: [x.strip() for x in text.split(",") if x.strip()]}
+_CHOICES = {"variant": [v.value for v in SsmVariant],
+            "init": [s.value for s in InitStrategy] + ["all"],
+            "mechanism": [m.value for m in MixMechanism]}
+
+
+def _like(default):
+    """A value of the type a setting parses as: its default, a number where that is None."""
+    return 0.0 if default is None else default
 
 
 def settings(command: str, config=None, flags=None) -> dict:
@@ -98,7 +109,11 @@ def settings(command: str, config=None, flags=None) -> dict:
     over the key=value file at path `config`, which wins over the default.
     A file value is parsed as its default's type (a number where that is
     None), and a string of seeds, l_values or backends by its parser; one
-    that does not parse raises ValueError naming the key (and the file)."""
+    that does not parse, or a variant, init or mechanism outside its
+    choices, raises ValueError naming the key (and the file)."""
+    if command not in _DEFAULTS:
+        raise ValueError(f"{command!r} has no settings; the commands with settings are "
+                         f"{', '.join(_DEFAULTS)}")
     file_cfg = _load_config(config) if config else {}
     flags = flags or {}
     out = {}
@@ -108,9 +123,11 @@ def settings(command: str, config=None, flags=None) -> dict:
         value = file_cfg[key] if from_file else (default if flag is None else flag)
         try:
             if from_file:
-                value = parse_like(value, 0.0 if default is None else default)
+                value = parse_like(value, _like(default))
             if key in _PARSERS and isinstance(value, str):
                 value = _PARSERS[key](value)
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"expected one of {', '.join(_CHOICES[key])}, got {value!r}")
         except ValueError as exc:
             raise ValueError(f"{config}: {key}: {exc}" if from_file else f"{key}: {exc}") from None
         out[key] = value
@@ -122,12 +139,12 @@ def _task_config(cfg: dict) -> TaskConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the effective settings
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg) -> int:
     failed = False
-    for name, tol, call in verify.suites(**settings(args.command, args.config, vars(args))):
+    for name, tol, call in verify.suites(**cfg):
         t0 = time.perf_counter()
         err = call()
         took = time.perf_counter() - t0
@@ -138,8 +155,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_gen(args) -> int:
-    cfg = settings(args.command, args.config, vars(args))
+def cmd_gen(args, cfg) -> int:
     task = gen_synthetic(cfg["seed"], _task_config(cfg))
     save_sequence(task.sequence, args.out)
     save_labels(task.labels, task.num_classes, args.out + ".labels")
@@ -148,14 +164,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, cfg) -> int:
     tc_structure, tc_feature = temporal_continuity(load_sequence(args.path))
     print(f"TC_structure={tc_structure!r}\nTC_feature={tc_feature!r}")
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = settings(args.command, args.config, vars(args))
+def cmd_run(args, cfg) -> int:
     inits = _EXPERIMENT["inits"].default if cfg["init"] == "all" else [InitStrategy(cfg["init"])]
     model_cfg = ModelConfig(num_blocks=cfg["blocks"], state_size=cfg["state_size"],
                             variant=cfg["variant"], mix_mechanism=cfg["mechanism"])
@@ -175,8 +190,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = bench_recurrence(**settings(args.command, args.config, vars(args)))
+def cmd_bench(args, cfg) -> int:
+    rows = bench_recurrence(**cfg)
     text = "L,lanes,backend,ns_per_element\n" + "".join(
         f"{r['L']},{r['lanes']},{r['backend']},{r['ns_per_element']!r}\n" for r in rows)
     if args.out == "-":
@@ -188,15 +203,14 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one flag per setting, plus the flag-only --out and metrics' path
 # ---------------------------------------------------------------------------
 
-def _option(sub, defaults: dict, key: str, text: str, **kwargs):
-    """--<key>, typed like its default (a number if None), which ends its help."""
-    default = defaults[key]
-    sub.add_argument("--" + key.replace("_", "-"), type=float if default is None else type(default),
-                     help=text if default is None else f"{text} (default {default})", **kwargs)
-
+_COMMANDS = {"gen": (cmd_gen, "generate a synthetic task (sequence + labels sidecar)"),
+             "verify": (cmd_verify, "run the oracle-agreement suites (exit 1 on breach)"),
+             "metrics": (cmd_metrics, "print temporal-continuity metrics for a sequence file"),
+             "run": (cmd_run, "frozen-backbone experiment; writes the results CSV"),
+             "bench": (cmd_bench, "scan throughput benchmark; writes CSV")}
 
 _TASK_HELP = {"v": "number of nodes", "l": "number of snapshots", "d": "feature dimensions",
               "c": "number of classes", "p_in": "initial intra-community edge probability",
@@ -206,10 +220,19 @@ _TASK_HELP = {"v": "number of nodes", "l": "number of snapshots", "d": "feature 
               "noise": "feature noise scale", "radius": "centroid circle radius",
               "omega": "centroid rotation per step (radians)"}
 
-
-def _options(sub, defaults: dict, helps: dict):
-    for key, text in helps.items():
-        _option(sub, defaults, key, text)
+# The help of each setting, by subcommand; the parser appends its default.
+_HELP = {"gen": dict(_TASK_HELP, seed="generator seed"),
+         "verify": verify.HELP,
+         "run": dict(_TASK_HELP, seeds="comma list and/or inclusive ranges",
+                     variant="layer variant", init="state initialization, or all three",
+                     blocks="number of blocks", state_size="state entries per channel",
+                     mechanism="mixing mechanism of the first block",
+                     skip_static="skip the static last-snapshot baseline",
+                     lr="readout learning rate", epochs="readout epochs",
+                     l2="readout weight penalty"),
+         "bench": {"l_values": "comma list of sequence lengths", "lanes": "independent lanes",
+                   "repeats": "best-of repeats",
+                   "backends": "comma list from sequential,parallel", "seed": "workload seed"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,56 +242,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "oracle verification, metrics, experiments, benchmarks.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file; flags override it")
-    sub = parser.add_subparsers(dest="command", metavar="{gen,verify,metrics,run,bench}")
-
-    p = sub.add_parser("gen", parents=[common],
-                       help="generate a synthetic task (sequence + labels sidecar)")
-    p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--out", required=True, help="output sequence path "
-                                                "(labels go to <out>.labels)")
-    _options(p, _TASK, _TASK_HELP)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the oracle-agreement suites (exit 1 on breach)")
-    _options(p, _DEFAULTS["verify"], verify.HELP)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("metrics", parents=[common],
-                       help="print temporal-continuity metrics for a sequence file")
-    p.add_argument("path", help="sequence file")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("run", parents=[common],
-                       help="frozen-backbone experiment; writes the results CSV")
-    d = _DEFAULTS["run"]
-    p.add_argument("--out", required=True, help="results CSV path")
-    _option(p, d, "seeds", "comma list and/or inclusive ranges")
-    _option(p, d, "variant", "layer variant", choices=[v.value for v in SsmVariant])
-    _option(p, d, "init", "state initialization, or all three",
-            choices=[s.value for s in InitStrategy] + ["all"])
-    _option(p, d, "blocks", "number of blocks")
-    _option(p, d, "state_size", "state entries per channel")
-    _option(p, d, "mechanism", "mixing mechanism of the first block",
-            choices=[m.value for m in MixMechanism])
-    p.add_argument("--skip-static", action="store_const", const=True, default=None,
-                   help="skip the static last-snapshot baseline")
-    _option(p, d, "lr", "readout learning rate")
-    _option(p, d, "epochs", "readout epochs")
-    _option(p, d, "l2", "readout weight penalty")
-    _options(p, _TASK, _TASK_HELP)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="scan throughput benchmark; writes CSV")
-    d = _DEFAULTS["bench"]
-    p.add_argument("--out", default="-", help="CSV path, - for stdout (default -)")
-    _option(p, d, "l_values", "comma list of sequence lengths")
-    _option(p, d, "lanes", "independent lanes")
-    _option(p, d, "repeats", "best-of repeats")
-    _option(p, d, "backends", "comma list from sequential,parallel")
-    _option(p, d, "seed", "workload seed")
-    p.set_defaults(func=cmd_bench)
+    sub = parser.add_subparsers(dest="command")
+    for command, (func, about) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=about)
+        p.set_defaults(func=func)
+        for key, default in _DEFAULTS.get(command, {}).items():
+            flag, text = "--" + key.replace("_", "-"), _HELP[command][key]
+            if default is False:  # a switch; None until given, so the file can set it
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, type=type(_like(default)), choices=_CHOICES.get(key),
+                               help=text if default is None else f"{text} (default {default})")
+    sub.choices["gen"].add_argument("--out", required=True, help="output sequence path "
+                                                                 "(labels go to <out>.labels)")
+    sub.choices["metrics"].add_argument("path", help="sequence file")
+    sub.choices["run"].add_argument("--out", required=True, help="results CSV path")
+    sub.choices["bench"].add_argument("--out", default="-",
+                                      help="CSV path, - for stdout (default -)")
     return parser
 
 
@@ -282,7 +272,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        cfg = settings(args.command, args.config, vars(args)) if args.command in _DEFAULTS else {}
+        return args.func(args, cfg)
     except Exception as exc:  # one-line machine-parsable failure
         print(f"error: {exc}", file=sys.stderr)
         return 2

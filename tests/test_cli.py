@@ -17,7 +17,7 @@ from gssm import (
     save_sequence,
 )
 from gssm import verify
-from gssm.cli import main, settings
+from gssm.cli import _DEFAULTS, _build_parser, main, settings
 
 _TINY_TASK = ["--v", "24", "--l", "4", "--d", "4", "--c", "3"]
 
@@ -53,7 +53,7 @@ def test_run_help_states_the_model_defaults(capsys):
     assert f"number of blocks (default {defaults.num_blocks})" in text
 
 
-@pytest.mark.parametrize("subcommand", ["run", "verify"])
+@pytest.mark.parametrize("subcommand", ["gen", "verify", "run", "bench"])
 def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch, tmp_path,
                                                             subcommand):
     monkeypatch.setenv("COLUMNS", "200")
@@ -63,8 +63,9 @@ def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
     printed = {}
     for entry in re.split(r" (?=--[a-z][a-z0-9-]* )", options):
         match = re.search(r"\(default ([^)]*)\)", entry)
-        if match:
-            printed[entry.split()[0][2:].replace("-", "_")] = match.group(1)
+        key = entry.split()[0][2:].replace("-", "_")
+        if match and key != "out":  # --out is flag-only: no setting, no config key
+            printed[key] = match.group(1)
     defaults = settings(subcommand)
     # a flag without a single default value (a switch, or a set of alphas)
     # states no default
@@ -75,6 +76,31 @@ def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
     cfg.write_text("".join(f"{key} = {text}\n" for key, text in printed.items()),
                    encoding="ascii")
     assert settings(subcommand, cfg) == defaults
+
+
+# Arguments that are not settings: where output goes, and the file metrics reads.
+_FLAG_ONLY = {"gen": {"--out"}, "verify": set(), "metrics": {"path"}, "run": {"--out"},
+              "bench": {"--out"}}
+
+
+def test_every_flag_of_a_subcommand_is_one_of_its_settings_or_flag_only():
+    parser = _build_parser()
+    subparsers = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    assert subparsers.keys() == _FLAG_ONLY.keys()
+    for command, subparser in subparsers.items():
+        names = {name for action in subparser._actions
+                 for name in action.option_strings or [action.dest]}
+        flags = {"--" + key.replace("_", "-") for key in _DEFAULTS.get(command, {})}
+        assert names == {"-h", "--help", "--config"} | _FLAG_ONLY[command] | flags, command
+
+
+@pytest.mark.parametrize("command", ["nope", "metrics"])
+def test_settings_of_a_command_without_settings_name_the_commands_that_have_them(command):
+    with pytest.raises(ValueError) as info:
+        settings(command)
+    message = str(info.value)
+    assert repr(command) in message
+    assert all(name in message for name in ("gen", "verify", "run", "bench"))
 
 
 def test_task_defaults_build_the_default_task_config():
@@ -133,6 +159,27 @@ def test_gen_is_byte_identical_across_runs(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.seq.labels").read_bytes() == \
         (tmp_path / "b.seq.labels").read_bytes()
+
+
+def test_gen_reads_its_seed_from_the_config_file_below_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("seed = 3\n", encoding="ascii")
+
+    def gen(name, *argv):
+        out = tmp_path / name
+        code, _, err = _run(capsys, ["gen", "--out", str(out), *argv] + _TINY_TASK)
+        assert (code, err) == (0, "")
+        return out.read_bytes(), (tmp_path / (name + ".labels")).read_bytes()
+
+    from_file = gen("file.seq", "--config", str(cfg))
+    assert from_file == gen("three.seq", "--seed", "3")
+    # the flag beats the file
+    four = gen("four.seq", "--seed", "4")
+    assert four != from_file
+    assert gen("both.seq", "--config", str(cfg), "--seed", "4") == four
+    # without either, the seed is the settings' default of 0
+    assert settings("gen")["seed"] == 0
+    assert gen("none.seq") == gen("zero.seq", "--seed", "0")
 
 
 def test_gen_output_reloads_and_matches_the_library_generator(capsys, tmp_path):
@@ -330,7 +377,11 @@ def test_config_file_with_a_malformed_line_is_an_input_error(capsys, tmp_path):
      "skip_static: expected a boolean, got 'maybe'"),
     ("alpha = abc", ["verify"], "alpha: expected a number, got 'abc'"),
     ("seeds = 0-x", ["run"], "seeds: expected integers or ranges a-b, got '0-x'"),
-], ids=["int", "float", "bool", "alpha", "seeds"])
+    ("variant = S4", ["run"], "variant: expected one of s4, s5, s6, got 'S4'"),
+    ("init = zero", ["run"], "init: expected one of s4d_real, s4d_const, random, all, got 'zero'"),
+    ("mechanism = mix", ["run"],
+     "mechanism: expected one of ordinary, feature_mix, repr_mix, got 'mix'"),
+], ids=["int", "float", "bool", "alpha", "seeds", "variant", "init", "mechanism"])
 def test_config_value_of_the_wrong_type_names_the_file_and_key(capsys, tmp_path,
                                                                 line, argv, message):
     cfg = tmp_path / "bad.cfg"
@@ -343,6 +394,11 @@ def test_config_value_of_the_wrong_type_names_the_file_and_key(capsys, tmp_path,
     assert stdout == ""
     assert err == f"error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+def test_a_value_outside_a_flags_choices_passed_to_settings_names_the_key():
+    with pytest.raises(ValueError, match=r"^variant: expected one of s4, s5, s6, got 'S4'$"):
+        settings("run", flags={"variant": "S4"})
 
 
 def test_a_config_file_that_is_not_utf8_names_the_file_and_offset(capsys, tmp_path):
