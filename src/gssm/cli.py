@@ -7,12 +7,12 @@ experiment -> results CSV), bench (scan throughput -> CSV).
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Failures print one `error: ...` line to stderr.
 
-Each flag is one setting of `_DEFAULTS`, and may also come from a flat
-key=value config file (`--config`); an explicit flag always wins over the
-file, which wins over built-in defaults.  Only `--out` and metrics' `path`
-are flag-only.  Keys in the file use the flag name with underscores; unknown
-keys are ignored so one file can serve several subcommands, and a value
-outside a flag's choices is rejected by its key.  `settings` reads the
+Every flag but the output path `--out` and metrics' `path` is one setting
+of `_DEFAULTS`, and may also come from a flat key=value config file
+(`--config`); an explicit flag always wins over the file, which wins over
+built-in defaults.  Keys in the file use the flag name with underscores;
+unknown keys are ignored so one file can serve several subcommands, and a
+value outside a flag's choices is rejected by its key.  `settings` reads the
 effective settings of any subcommand the same way.
 """
 
