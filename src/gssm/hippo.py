@@ -15,6 +15,8 @@ affine map, smooths all of a block's stage features in one product, and
 composes the block's steps in one product more: the step matrix's powers
 (built by doubling) and the stage gains are built once per segment (for
 the default HiPPO-LegS pair, once per order, step size and block length).
+Where the smoother is exactly I (alpha = 0, or a piece with no edges) the
+stage features are taken as they are.
 `projection_oracle` provides the independent brute-force check: project each
 node's history onto normalized Legendre polynomials by quadrature, then apply
 the same smoothing operator at the evaluation time.  At alpha = 0 (or on an
@@ -27,6 +29,10 @@ features X(t) through a feature path on a time grid:
 [K x V] features at those times, one row per time.  The integrator calls it
 once per block of RK4 steps on the block's stage times, the oracle once on
 its quadrature nodes; each result is checked once for shape and finiteness.
+
+scipy.linalg is imported inside the functions that use it (LAPACK in
+`smoothing_matrix`, `eigvalsh` in `consensus_profile`), so `import gssm`
+does not load it: only a command that smooths a graph pays for it.
 """
 
 import functools
@@ -34,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._checks import finite, integer, nonnegative
 from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
@@ -97,6 +101,7 @@ def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
     eye = np.eye(np.shape(adj)[0])
     if not eye.size:
         return eye
+    from scipy.linalg.lapack import dgetrf, dgetrs  # scipy.linalg loads on first use
     lu, piv, info = dgetrf(finite(eye + alpha * laplacian(adj, kind), "I + alpha*L"),
                            overwrite_a=True)
     inv, solved = dgetrs(lu, piv, eye, overwrite_b=True)
@@ -151,6 +156,15 @@ def _legs_operators(order: int, h: float, kmax: int):
     powers, gains = _rk4_operators(a.T, b, h, kmax)
     powers.flags.writeable = gains.flags.writeable = False
     return powers, gains
+
+
+def _smoother_t(edges, num_nodes: int, cfg: HippoConfig):
+    """`smoothing_matrix` of a segment's edge set, transposed, or None where it
+    is exactly I: at alpha = 0, or with no edges (isolated rows of `laplacian`
+    are zero)."""
+    if cfg.alpha == 0 or not edges:
+        return None
+    return smoothing_matrix(adjacency_from_edges(edges, num_nodes), cfg.alpha, cfg.laplacian).T
 
 
 def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: float,
@@ -214,8 +228,7 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
     finite(u, "u_start")
 
     for seg_a, seg_b, edges in segments(stream, t_start, t_end):
-        smooth_t = smoothing_matrix(adjacency_from_edges(edges, stream.num_nodes),
-                                    cfg.alpha, cfg.laplacian).T
+        smooth_t = _smoother_t(edges, stream.num_nodes, cfg)
         right_lim = np.nextafter(seg_b, seg_a)
         nst = max(1, math.ceil((seg_b - seg_a) * cfg.ode_steps_per_unit))
         h = (seg_b - seg_a) / nst
@@ -234,9 +247,12 @@ def integrate_hippo(stream: EventStream, feature_path, cfg: HippoConfig, t_end: 
             grid[1::2] = ends[:-1] + 0.5 * h
             times = np.minimum(grid[len(carried):], right_lim)
             x = _feature_grid(feature_path, times, stream.num_nodes)
-            s = np.concatenate((carried, x @ smooth_t))
-            # Step k reads the smoothed features at stages 2k, 2k+1, 2k+2.
-            stages = np.lib.stride_tricks.sliding_window_view(s, 3, axis=0)[::2]
+            s = np.concatenate((carried, x if smooth_t is None else x @ smooth_t))
+            # Step k reads the smoothed features at stages 2k, 2k+1, 2k+2: the
+            # view sliding_window_view(s, 3, axis=0)[::2] builds, without its checks.
+            row, col = s.strides
+            stages = np.lib.stride_tricks.as_strided(
+                s, (steps, s.shape[1], 3), (2 * row, col, row), writeable=False)
             u = u @ powers[steps] + np.einsum("kvs,ksn->vn", stages, gains[kmax - steps:])
             t, carried = ends[-1], s[-1:]
     return u
@@ -324,6 +340,7 @@ def consensus_profile(snap, kind: LaplacianKind):
     # Null dimension of the symmetric Laplacian equals the component count for
     # both kinds (the random-walk matrix is similar to the symmetric one on
     # the support of the degree vector).
+    from scipy.linalg import eigvalsh
     sym_eigs = eigvalsh(laplacian(adj, LaplacianKind.SYMMETRIC))
     if int(np.sum(np.abs(sym_eigs) < 1e-8)) != len(components):
         raise RuntimeError("null-space dimension does not match component count")

@@ -6,7 +6,9 @@ Building blocks, bottom up:
   cached sparse adjacency: the first-order approximation of the Laplacian
   smoother.
 * `apply_mix` -- combine two consecutive representations by a learned gated
-  interpolation, elementwise over any leading axes.
+  interpolation, elementwise over any leading axes.  It imports
+  scipy.special's `expit` on its first call, so `import gssm` does not load
+  scipy.special.
 * `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
@@ -41,7 +43,6 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from . import _pool
 from ._checks import finite, integer, integers, negative
@@ -168,6 +169,7 @@ def apply_mix(z1: np.ndarray, z2: np.ndarray, p: InterpMixParams) -> np.ndarray:
     """Gated interpolation over the last (feature) axis."""
     if z1.shape != z2.shape or z1.shape[-1] != p.b_scale.size:
         raise ValueError("operand shape mismatch")
+    from scipy.special import expit  # scipy.special loads on first use
     cc = np.concatenate([z1, z2], axis=-1)
     scale = softplus(cc @ p.w_scale + p.b_scale)
     blend = expit(cc @ p.w_blend + p.b_blend)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from gssm import hippo, verify
@@ -293,6 +294,37 @@ def test_integrator_edgeless_graph_ignores_alpha():
             t_end=3.0,
         )
         assert np.abs(smoothed[v] - solo[0]).max() <= 1e-10
+
+
+def test_integrator_builds_no_smoother_where_it_is_the_identity(monkeypatch):
+    """One `smoothing_matrix` per segment, none at alpha = 0 or on an edgeless
+    stream; there U keeps the bits of the stage features' product with I."""
+    built = []
+
+    def counting(adj, alpha, kind):
+        built.append(alpha)
+        return smoothing_matrix(adj, alpha, kind)
+
+    monkeypatch.setattr(hippo, "smoothing_matrix", counting)
+    phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=4)
+
+    def path(t):
+        x = np.sin(3.0 * t[:, None] + phases)
+        x[x < -0.5] = -0.0            # the product with I gives 0.0; U must not show it
+        return x
+
+    mutating = _stream_with_mutations()            # 3 segments, each with an edge
+    for stream, alpha, calls in ((mutating, 0.0, 0), (_quiet_stream(4, 2.0), 2.0, 0),
+                                 (mutating, 0.5, 3)):
+        built.clear()
+        # Over 256 steps a segment: each takes two blocks.
+        cfg = HippoConfig(order=3, alpha=alpha, ode_steps_per_unit=500)
+        u = integrate_hippo(stream, path, cfg, t_end=2.0)
+        assert len(built) == calls
+        if not calls:
+            with monkeypatch.context() as m:
+                m.setattr(hippo, "_smoother_t", lambda edges, n, cfg: np.eye(n))
+                assert integrate_hippo(stream, path, cfg, t_end=2.0).tobytes() == u.tobytes()
 
 
 def test_integrator_is_linear_in_the_feature_path():
@@ -711,7 +743,7 @@ def test_smoothing_matrix_raises_on_a_non_finite_matrix_or_a_lapack_failure(monk
     adj[0, 1] = np.nan
     with pytest.raises(ValueError, match=r"^I \+ alpha\*L must be finite"):
         smoothing_matrix(adj, 0.5, LaplacianKind.SYMMETRIC)
-    getrf = hippo.dgetrf
-    monkeypatch.setattr(hippo, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 2))
+    getrf = scipy.linalg.lapack.dgetrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 2))
     with pytest.raises(ValueError, match="getrf/getrs info 2/0"):
         smoothing_matrix(np.zeros((2, 2), dtype=bool), 0.5, LaplacianKind.SYMMETRIC)
