@@ -93,17 +93,31 @@ def read_records(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+_NOT_REAL = {"c": "complex numbers", "S": "bytes", "U": "strings"}
+
+
+def _real(value, name: str) -> np.ndarray:
+    """value as a float array; ValueError for complex, bytes or string
+    entries, which a float conversion would truncate or parse."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in _NOT_REAL:
+        raise ValueError(f"{name} must hold real numbers, not {_NOT_REAL[arr.dtype.kind]}")
+    return arr.astype(float, copy=False)
+
+
 def finite(value, name: str) -> np.ndarray:
-    """value as a float array; ValueError unless every entry is finite."""
-    arr = np.asarray(value, dtype=float)
+    """value as a float array; ValueError unless every entry is a finite
+    real number."""
+    arr = _real(value, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
 
 def negative(value, name: str) -> np.ndarray:
-    """value as a float array; ValueError unless every entry is finite and < 0."""
-    arr = np.asarray(value, dtype=float)
+    """value as a float array; ValueError unless every entry is a finite real
+    number < 0."""
+    arr = _real(value, name)
     if not (np.isfinite(arr).all() and (arr < 0).all()):
         raise ValueError(f"{name} must be finite and strictly negative")
     return arr

@@ -23,10 +23,15 @@ Building blocks, bottom up:
   each range builds its drive, delta, B, C, decay and states one time tile
   at a time (consecutive snapshots holding about `_TILE_ELEMENTS` state
   entries over all ranges), then, inside `block_forward`, finishes its rows
-  of the block.  The first range of each pass runs on the calling thread,
-  the others on `_pool`'s threads; `_pool.parts` of the layer's L*V*D*N
-  drive and readout products sets the range count, so with one CPU, or a
-  small layer, each pass is one range and no thread starts.
+  of the block.  A range writes a tile's decay, drive and states in place
+  into its thread's kept buffers (`_tile_buffers`): each thread keeps one
+  set of three, `_TILE_ELEMENTS` floats each (1.5 MB), from call to call,
+  so repeated calls do not fault fresh pages in; a larger tile gets a set
+  for its call only.  No array a call returns shares memory with them.
+  The first range of each pass runs on the calling thread, the others on
+  `_pool`'s threads; `_pool.parts` of the layer's L*V*D*N drive and
+  readout products sets the range count, so with one CPU, or a small
+  layer, each pass is one range and no thread starts.
 * `block_forward` -- residual block composition around a layer: each node
   range applies the activation, the residual and S6's layer normalization
   to its own rows in place.  The mixing mechanism is by default confined
@@ -34,10 +39,13 @@ Building blocks, bottom up:
 * `init_a`, `delta_bias_init`, `align_memory`.
 
 All recurrences run through the scan module, one `run_scan` call per time
-tile and node range with the previous tile's last state as its initial
-state: the sequential fold by default, the chunked parallel scan on request.
+tile and node range with a copy of the previous tile's last state as its
+initial state and the kept state buffer as `out`: the sequential fold by
+default, the chunked parallel scan on request.
 """
 
+import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -325,8 +333,29 @@ def _drive(agg, t, rows, p, mechanism):
 # Element count of one time tile's decay, drive and states each, summed over
 # the node ranges: a layer builds and scans the per-state arrays a tile of
 # snapshots at a time, so no [L x V x D x N] array exists and a tile stays in
-# cache through its scan.
+# cache through its scan.  It also bounds what a thread keeps between calls
+# (`_tile_buffers`): three buffers of at most this many floats, 1.5 MB.
 _TILE_ELEMENTS = 1 << 16
+
+# The calling thread's kept tile buffers (`_tile_buffers`).
+_workspace = threading.local()
+
+
+def _tile_buffers(size: int) -> tuple:
+    """Three flat float64 buffers of at least `size` entries, for one node
+    range's decay, drive and states.  Up to `_TILE_ELEMENTS` entries they
+    are the calling thread's kept set, `_TILE_ELEMENTS` floats each, made on
+    its first such call; a larger tile gets a set of its own, released with
+    its call.  A range views each buffer in its tile's shape and reuses it
+    for every tile of its call, so the kernel hands out no fresh pages on
+    every tile and call."""
+    if size > _TILE_ELEMENTS:
+        return tuple(np.empty(size) for _ in range(3))
+    kept = getattr(_workspace, "buffers", None)
+    if kept is None or kept[0].size < size:
+        kept = _workspace.buffers = tuple(np.empty(_TILE_ELEMENTS) for _ in range(3))
+    return kept
+
 
 # Node ranges start at multiples of this many rows and hold at least as many.
 # A BLAS matrix-vector kernel sums a row's products in an order set by the
@@ -385,37 +414,49 @@ def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None)
     v, length, d = seq.num_nodes, len(seq), p.gnn.weight.shape[1]
     parts = _pool.parts(length * v * d * p.state_size)
     agg, *selective = _graph_pass(seq, x, p, mechanism, parts)
+    # tile(t, rows, h, drive) writes the tile's drive in place and returns
+    # its step size delta and readout C.
     if p.variant is SsmVariant.S6:
         readout = "lvdn,lvn->vld"
 
-        def tile(t, rows, h):                                                  # [T,R,D,N]
+        def tile(t, rows, h, drive):                                           # [T,R,D,N]
             pre_delta, b_sel, c_sel = (s[t, rows] @ g.weight + g.bias for s, g in
                                        zip(selective, (p.gnn_delta, p.gnn_b, p.gnn_c)))
             delta = softplus(pre_delta + p.delta_bias)[..., None]             # [T,R,D,1]
-            return delta, (delta * b_sel[:, :, None, :]) * h[..., None], c_sel
+            np.multiply(delta, b_sel[:, :, None, :], out=drive)
+            np.multiply(drive, h[..., None], out=drive)
+            return delta, c_sel
     elif p.variant is SsmVariant.S5:
         readout = "lvn,nd->vld"
 
-        def tile(t, rows, h):                                                  # [T,R,N]
+        def tile(t, rows, h, drive):                                           # [T,R,N]
             delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None]    # [T,R,1]
-            return delta, delta * (h @ p.b), p.c
+            np.multiply(delta, h @ p.b, out=drive)
+            return delta, p.c
     else:
         readout = "lvdn,dn->vld"
 
-        def tile(t, rows, h):                                                  # [T,R,D,N]
+        def tile(t, rows, h, drive):                                           # [T,R,D,N]
             delta = softplus(h @ p.delta_weight + p.delta_bias)[:, :, None, None]  # [T,R,1,1]
-            return delta, (delta * p.b) * h[..., None], p.c
+            np.multiply(delta, p.b, out=drive)
+            np.multiply(drive, h[..., None], out=drive)
+            return delta, p.c
     step = max(1, _TILE_ELEMENTS // (v * p.a.size))
     out = np.empty((v, length, d))
 
     def run(rows):
-        carry = np.zeros((rows.stop - rows.start,) + p.a.shape)
+        lanes = (rows.stop - rows.start,) + p.a.shape
+        buffers = _tile_buffers(min(step, length) * math.prod(lanes))
+        carry = np.zeros(lanes)
         for start in range(0, length, step):
-            t = slice(start, start + step)
-            delta, drives, c = tile(t, rows, _drive(agg, t, rows, p, mechanism))
-            states = run_scan(RecurrenceInputs(np.exp(delta * p.a), drives, carry), backend)
+            t = slice(start, min(start + step, length))
+            shape = (t.stop - t.start,) + lanes
+            decay, drive, states = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+            delta, c = tile(t, rows, _drive(agg, t, rows, p, mechanism), drive)
+            np.exp(np.multiply(delta, p.a, out=decay), out=decay)
+            run_scan(RecurrenceInputs(decay, drive, carry), backend, out=states)
             np.einsum(readout, states, c, out=out[rows, t])
-            carry = states[-1]
+            np.copyto(carry, states[-1])                 # the next tile overwrites states
         if finish is not None:
             finish(out[rows], hidden_in[rows])
     _pool.run(run, _pool.ranges(v, parts, _ROW_ALIGN))
@@ -467,11 +508,17 @@ def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
 
     By default any FeatureMix/ReprMix mechanism is honored only in the first
     block; later blocks run the plain estimate.  The selective variant's
-    block appends a layer normalization as its final operation.
+    block appends a layer normalization as its final operation.  `blocks`
+    is any iterable of at least one BlockParams; ValueError for none,
+    TypeError naming blocks[k] for an entry of another type.
     """
+    blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one block")
-    hidden = np.asarray(hidden_in, dtype=float)
+    for k, blk in enumerate(blocks):
+        if not isinstance(blk, BlockParams):
+            raise TypeError(f"blocks[{k}] must be a BlockParams, got {type(blk).__name__}")
+    hidden = hidden_in
     for k, blk in enumerate(blocks):
         p = blk.layer
         mech = p.mix_mechanism

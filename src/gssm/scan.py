@@ -17,8 +17,9 @@ bench below measures.  At the layer shapes in use it is no faster than the
 fold; it stays as the cross-check of the layers and of criterion 5.
 
 The layers call `run_scan` once per time tile of their snapshot sequence,
-passing the previous tile's last state as `u0`; both backends continue a
-recurrence that way.
+passing a copy of the previous tile's last state as `u0`; both backends
+continue a recurrence that way.  They pass their thread's kept state buffer
+as `out`, so a tile's states need no new array.
 """
 
 import time
@@ -69,10 +70,27 @@ def combine(first, second):
     return a1 * a2, a2 * b1 + b2
 
 
-def scan_sequential(inp: RecurrenceInputs) -> np.ndarray:
+def _checked_out(inp: RecurrenceInputs, out) -> np.ndarray:
+    """out, if the states of inp may be written into it; ValueError naming
+    `out` unless it is a writeable float64 array of the drive's shape that
+    shares no memory with the decay, drive or u0."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 \
+            or out.shape != inp.drive.shape:
+        raise ValueError(f"out must be a float64 array of the drive's shape {inp.drive.shape}")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    for name in ("decay", "drive", "u0"):
+        if np.may_share_memory(out, getattr(inp, name)):
+            raise ValueError(f"out must not overlap {name}")
+    return out
+
+
+def scan_sequential(inp: RecurrenceInputs, out: np.ndarray | None = None) -> np.ndarray:
     """Left-to-right fold; the reference semantics.  Each step is written in
-    place into its output row, with no temporaries."""
-    out = np.empty_like(inp.drive)
+    place into its output row, with no temporaries.  The states go into
+    `out` when it is given (see `_checked_out`), else into a new array;
+    either is returned."""
+    out = np.empty_like(inp.drive) if out is None else _checked_out(inp, out)
     state = inp.u0
     for l in range(inp.length):
         state = np.multiply(inp.decay[l], state, out=out[l, ...])
@@ -122,12 +140,20 @@ def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray
     return flat_prod[:length]
 
 
-def run_scan(inp: RecurrenceInputs, backend: str = "sequential") -> np.ndarray:
-    """The recurrence's states under the named backend."""
+def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The recurrence's states under the named backend, written into `out`
+    when it is given (a writeable float64 array of the drive's shape that
+    overlaps no input), else into a new array; either is returned.  The
+    sequential fold writes `out` directly; the parallel scan, kept as it is
+    for the cross-check, computes its own array and copies it in."""
     if backend == "sequential":
-        return scan_sequential(inp)
+        return scan_sequential(inp, out)
     if backend == "parallel":
-        return scan_parallel(inp)
+        if out is None:
+            return scan_parallel(inp)
+        np.copyto(_checked_out(inp, out), scan_parallel(inp))
+        return out
     raise ValueError(f"unknown backend {backend!r}")
 
 

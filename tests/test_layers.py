@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -780,9 +781,9 @@ def _tiled(monkeypatch, tile, v, p):
     monkeypatch.setattr(layers, "_TILE_ELEMENTS", tile * v * p.a.size)
     lengths = []
 
-    def spy(inp, backend):
+    def spy(inp, backend, out=None):
         lengths.append(inp.length)
-        return run_scan(inp, backend)
+        return run_scan(inp, backend, out)
     monkeypatch.setattr(layers, "run_scan", spy)
     return lengths
 
@@ -819,24 +820,154 @@ def test_forward_backends_agree(monkeypatch, variant, tile, lengths):
     assert np.abs(y_seq - y_par).max() <= 1e-10
 
 
+def _on_new_thread(fn):
+    """fn() on a thread of its own, which starts with no kept tile buffers;
+    returns its result or raises its exception."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # re-raised on the calling thread
+            result["error"] = exc
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive(), "the call did not finish within 60 s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def _traced_peak(fn):
+    """The traced peak, in bytes, of fn() under tracemalloc."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_forward_peak_memory_stays_below_a_quarter_of_one_state_array():
     """With N*D >> D a whole-sequence S4 state [L x V x D x N] would dwarf
     the [L x V x D] inputs; one layer's traced peak stays under a quarter of
-    one such float64 array."""
-    import tracemalloc
+    one such float64 array.  The traced call runs on a new thread, so the
+    tile buffers that thread keeps are made, and counted, while tracing."""
     rng = np.random.default_rng(71)
     v, l, d, n = 16, 1024, 2, 64
     seq = _sequence(rng, v, l, d)
     hidden = rng.normal(size=(v, l, d))
     p = _s4_params(rng, d, n)
     ssm_forward(seq, hidden, p)  # builds the sequence's cached operator
-    tracemalloc.start()
-    try:
-        ssm_forward(seq, hidden, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _on_new_thread(lambda: _traced_peak(lambda: ssm_forward(seq, hidden, p)))
     assert peak < l * v * d * n * 8 / 4
+
+
+def test_a_second_forward_on_one_thread_allocates_no_tile_buffer():
+    """One tile of [L x V x D x N] states, 64 times the size of the layer's
+    [L x V x D] arrays: the first call on a thread makes its kept decay,
+    drive and state buffers, the second reuses them, so its traced peak
+    stays under one tile's state array."""
+    rng = np.random.default_rng(113)
+    v, l, d, n = 16, 32, 2, 64
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s4_params(rng, d, n)
+    tile_bytes = l * v * d * n * 8
+    assert l * v * p.a.size <= layers._TILE_ELEMENTS
+    first, second = _on_new_thread(lambda: [_traced_peak(lambda: ssm_forward(seq, hidden, p))
+                                            for _ in range(2)])
+    assert first >= 3 * tile_bytes and second < tile_bytes
+
+
+def test_successive_forwards_return_arrays_of_their_own():
+    rng = np.random.default_rng(127)
+    v, l, d, n = 6, 5, 3, 4
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    blocks = [BlockParams(layer=_s6_params(rng, d, n)), BlockParams(layer=_s4_params(rng, d, n))]
+    for call in (lambda: ssm_forward(seq, hidden, blocks[0].layer),
+                 lambda: block_forward(hidden, seq, blocks)):
+        first = call()
+        kept = first.copy()
+        second = call()
+        assert not np.may_share_memory(first, second)
+        assert not any(np.may_share_memory(y, buf) for y in (first, second)
+                       for buf in layers._workspace.buffers)
+        assert np.array_equal(first, kept) and np.array_equal(second, kept)
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "over-the-bound"])
+def test_a_thread_keeps_only_tile_buffers_up_to_the_bound(monkeypatch, over):
+    """A one-snapshot tile of V*D*N entries: at `_TILE_ELEMENTS` its thread
+    keeps the buffers it scans into, one over it the call scans every tile
+    into one state buffer of its own and the thread keeps none."""
+    rng = np.random.default_rng(131)
+    v, l, d, n = 6, 4, 3, 4
+    seq = _sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s4_params(rng, d, n)
+    _split(monkeypatch, 1)
+    monkeypatch.setattr(layers, "_TILE_ELEMENTS", v * p.a.size - over)
+    outs = []
+
+    def spy(inp, backend, out=None):
+        outs.append(out)
+        return run_scan(inp, backend, out)
+    monkeypatch.setattr(layers, "run_scan", spy)
+
+    def forward():
+        y = ssm_forward(seq, hidden, p)
+        return y, getattr(layers._workspace, "buffers", None)
+    y, kept = _on_new_thread(forward)
+    assert np.array_equal(y, _stepwise_forward(seq, hidden, p, p.mix_mechanism))
+    assert len(outs) == l
+    assert all(out.base is outs[0].base for out in outs)
+    if over:
+        assert kept is None
+    else:
+        assert [buf.size for buf in kept] == [v * p.a.size] * 3 and outs[0].base is kept[2]
+
+
+def test_concurrent_block_forwards_match_their_serial_runs(monkeypatch):
+    """Three threads, more than the CPUs of a small host, run different
+    shapes and variants at once, 20 rounds each, with a short switch
+    interval; every call also cuts its node ranges onto the shared pool, and
+    its tiles are eight snapshots long and large enough for numpy to release
+    the interpreter lock, so a thread that wrote into another thread's tile
+    buffers would change some round's bytes."""
+    _split(monkeypatch, 2)
+    rng = np.random.default_rng(137)
+    cases = []
+    for variant, v, l, d, n in ((SsmVariant.S4, 32, 64, 8, 32), (SsmVariant.S5, 32, 48, 8, 32),
+                                (SsmVariant.S6, 32, 40, 8, 32)):
+        seq = _sequence(rng, v, l, d)
+        hidden = rng.normal(size=(v, l, d))
+        blocks = sample_model(rng, ModelConfig(variant=variant, state_size=n), d, l)
+        cases.append((hidden, seq, blocks, block_forward(hidden, seq, blocks).tobytes()))
+    start = threading.Barrier(len(cases))
+    done, mismatches = [], []
+
+    def rounds(hidden, seq, blocks, want):
+        start.wait()
+        for k in range(20):
+            if block_forward(hidden, seq, blocks).tobytes() != want:
+                mismatches.append(k)
+        done.append(True)
+    workers = [threading.Thread(target=rounds, args=case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(done) == len(cases) and mismatches == []
 
 
 @pytest.mark.parametrize("n, parts, align", [(1, 2, 16), (20, 2, 16), (37, 2, 16), (50, 3, 16),
@@ -872,11 +1003,11 @@ def test_an_unknown_backend_raises_once_every_range_has_finished(monkeypatch):
     seq = _sequence(rng, v, l, d)
     caller, finished = threading.get_ident(), []
 
-    def slow_scan(inp, backend):
+    def slow_scan(inp, backend, out=None):
         if threading.get_ident() != caller:
             time.sleep(0.2)  # the calling thread's range raises first
         try:
-            return run_scan(inp, backend)
+            return run_scan(inp, backend, out)
         finally:
             finished.append(threading.get_ident())
     monkeypatch.setattr(layers, "run_scan", slow_scan)
@@ -1047,6 +1178,43 @@ def test_non_finite_layer_inputs_and_parameters_are_rejected(name):
         _non_finite_cases()[name]()
 
 
+def _not_real_cases():
+    """(call, the name and kind it must report) per complex, bytes or string
+    input: a float conversion would drop the imaginary part or parse the
+    text."""
+    rng = np.random.default_rng(71)
+    d, n = 2, 3
+    s4, s6 = _s4_params(rng, d, n), _s6_params(rng, d, n)
+    seq = _sequence(rng, 4, 3, d)
+    hidden = rng.normal(size=(4, 3, d))
+    block = BlockParams(layer=s4)
+    return {
+        "hidden_in-complex": (lambda: ssm_forward(seq, hidden.astype(complex), s4),
+                              "hidden_in", "complex numbers"),
+        "hidden_in-str": (lambda: ssm_forward(seq, hidden.astype(str), s4),
+                          "hidden_in", "strings"),
+        "block-hidden_in-complex": (lambda: block_forward(hidden + 0j, seq, [block]),
+                                    "hidden_in", "complex numbers"),
+        "a-complex": (_with(s4, a=s4.a + 0j), "state matrix a", "complex numbers"),
+        "a-str": (_with(s6, a=s6.a.astype(str)), "state matrix a", "strings"),
+        "b-bytes": (_with(s4, b=s4.b.astype(bytes)), "b", "bytes"),
+        "delta_bias-str": (_with(s4, delta_bias="0.5"), "delta_bias", "strings"),
+        "gnn_weight-complex": (_with(s4.gnn, weight=s4.gnn.weight * 1j), "weight",
+                               "complex numbers"),
+        "res_weight-str": (_with(block, res_weight=np.eye(d).astype(str)), "res_weight",
+                           "strings"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_not_real_cases()))
+def test_complex_and_string_layer_inputs_and_parameters_are_rejected_by_name(case):
+    call, name, kind = _not_real_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before the check
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers, not {kind}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -1124,11 +1292,25 @@ def test_s6_block_output_rows_are_normalized():
     assert out.var(axis=-1) == pytest.approx(np.ones((v, l)), rel=1e-3)
 
 
-def test_block_forward_requires_at_least_one_block():
+@pytest.mark.parametrize("empty", [lambda: [], lambda: (), lambda: (b for b in [])],
+                         ids=["list", "tuple", "generator"])
+def test_block_forward_requires_at_least_one_block(empty):
     rng = np.random.default_rng(79)
     seq = _sequence(rng, 2, 2, 2)
-    with pytest.raises(ValueError):
-        block_forward(np.zeros((2, 2, 2)), seq, [])
+    with pytest.raises(ValueError, match="^need at least one block$"):
+        block_forward(np.zeros((2, 2, 2)), seq, empty())
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_block_forward_names_an_entry_that_is_not_a_block(k):
+    rng = np.random.default_rng(83)
+    v, l, d = 3, 2, 2
+    seq = _sequence(rng, v, l, d)
+    blocks = [BlockParams(layer=_s4_params(rng, d, 2)) for _ in range(2)]
+    blocks[k] = blocks[k].layer
+    with pytest.raises(TypeError,
+                       match=fr"^blocks\[{k}\] must be a BlockParams, got SsmLayerParams$"):
+        block_forward(rng.normal(size=(v, l, d)), seq, iter(blocks))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
