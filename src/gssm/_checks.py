@@ -130,6 +130,14 @@ def nonnegative(value, name: str) -> float:
     return float(value)
 
 
+def square(value, name: str) -> np.ndarray:
+    """value as an array; ValueError unless it is a square matrix."""
+    arr = np.asarray(value)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
 def integer(value, name: str, least: int) -> int:
     """value as an int; ValueError unless it is an integer (of an integer
     type, not a bool) of at least `least`."""

@@ -31,7 +31,7 @@ from .discretize import MixMechanism
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, results_to_csv,
                       run_experiment, save_labels)
 from .layers import InitStrategy, SsmVariant
-from .scan import bench_recurrence
+from .scan import BACKENDS, bench_recurrence
 from .tgraph import load_sequence, save_sequence, temporal_continuity
 
 
@@ -87,8 +87,8 @@ _DEFAULTS = {
             "blocks": _MODEL.num_blocks, "state_size": _MODEL.state_size,
             "mechanism": _MODEL.mix_mechanism.value, "skip_static": False,
             **{k: _EXPERIMENT[k].default for k in ("lr", "epochs", "l2")}, **_TASK},
-    "bench": {"l_values": "1024,2048,4096,8192,16384,32768,65536", "lanes": 128,
-              "repeats": 3, "backends": "sequential,parallel", "seed": 0},
+    "bench": {k: ",".join(map(str, p.default)) if isinstance(p.default, tuple) else p.default
+              for k, p in inspect.signature(bench_recurrence).parameters.items()},
 }
 _PARSERS = {"seeds": _parse_seeds,
             "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
@@ -232,7 +232,7 @@ _HELP = {"gen": dict(_TASK_HELP, seed="generator seed"),
                      l2="readout weight penalty"),
          "bench": {"l_values": "comma list of sequence lengths", "lanes": "independent lanes",
                    "repeats": "best-of repeats",
-                   "backends": "comma list from sequential,parallel", "seed": "workload seed"}}
+                   "backends": f"comma list from {','.join(BACKENDS)}", "seed": "workload seed"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer, nonnegative
+from ._checks import finite, integer, nonnegative, square
 from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
                      laplacian, segments)
 
@@ -98,12 +98,12 @@ def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
     must be finite and >= 0: below 0 the matrix can be singular.
     """
     alpha = nonnegative(alpha, "alpha")
-    eye = np.eye(np.shape(adj)[0])
+    lap = laplacian(adj, kind)
+    eye = np.eye(lap.shape[0])
     if not eye.size:
         return eye
     from scipy.linalg.lapack import dgetrf, dgetrs  # scipy.linalg loads on first use
-    lu, piv, info = dgetrf(finite(eye + alpha * laplacian(adj, kind), "I + alpha*L"),
-                           overwrite_a=True)
+    lu, piv, info = dgetrf(finite(eye + alpha * lap, "I + alpha*L"), overwrite_a=True)
     inv, solved = dgetrs(lu, piv, eye, overwrite_b=True)
     if info or solved:
         raise ValueError(f"I + alpha*L: LAPACK getrf/getrs info {info}/{solved}")
@@ -311,7 +311,7 @@ def consensus_profile(snap, kind: LaplacianKind):
     against the matrix -- each must be annihilated by L, and the null-space
     dimension must equal the component count -- before being returned.
     """
-    adj = snap.adjacency if isinstance(snap, Snapshot) else np.asarray(snap)
+    adj = snap.adjacency if isinstance(snap, Snapshot) else square(snap, "adjacency")
     adj = adj.astype(bool)
     num_nodes = adj.shape[0]
     deg = adj.sum(axis=1).astype(float)

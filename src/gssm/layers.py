@@ -3,8 +3,8 @@
 Building blocks, bottom up:
 
 * `gnn_diffuse` -- one aggregate-then-combine round over a snapshot's
-  cached sparse adjacency: the first-order approximation of the Laplacian
-  smoother.
+  sparse adjacency, built by the one-snapshot sequence: the first-order
+  approximation of the Laplacian smoother.
 * `apply_mix` -- combine two consecutive representations by a learned gated
   interpolation, elementwise over any leading axes.  It imports
   scipy.special's `expit` on its first call, so `import gssm` does not load
@@ -12,7 +12,9 @@ Building blocks, bottom up:
 * `ssm_forward` -- one layer over a snapshot sequence: the S4 (per-channel
   SISO states), S5 (one shared MIMO state per node) and S6 (input-selective
   step size, drive and readout) variants share one discretized update.  The
-  drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`.
+  drive is `discretize.mixed_estimate` with `gnn_diffuse` and `apply_mix`,
+  under the layer's own `mix_mechanism`, which `SsmLayerParams` checks
+  against its `mix` when the layer is built.
   Its graph half runs once over the whole sequence, once per layer input
   and distinct (flavor, self_mix).  A layer joins its threads at two points
   only.  The graph pass cuts the snapshots into contiguous ranges, one per
@@ -55,7 +57,7 @@ import numpy as np
 from . import _pool
 from ._checks import finite, integer, integers, negative
 from .discretize import MixMechanism
-from .scan import RecurrenceInputs, run_scan
+from .scan import RecurrenceInputs, check_backend, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
 
@@ -107,14 +109,15 @@ class GnnParams:
         object.__setattr__(self, "flavor", GnnFlavor(self.flavor))
 
 
-def _aggregate(flat: np.ndarray, degree: np.ndarray, blocks, p: GnnParams,
-               out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _aggregate(flat: np.ndarray, blocks, p: GnnParams, out: np.ndarray,
+               scratch: np.ndarray | None = None) -> np.ndarray:
     """Graph half of `gnn_diffuse`, read off p.flavor and p.self_mix only,
     written into out [R x D] and returned: (1 - self_mix) x + self_mix (r A c) x
     for x = flat [R x D], isolated nodes keeping x.  The rows are stacked
-    nodes with their neighbor counts `degree` [R]; `blocks` are the CSR
-    diagonal blocks of A that cover them, in order.  scratch, if given, is
-    an [R x D] array it may overwrite."""
+    nodes; `blocks` are the CSR diagonal blocks of A that cover them, in
+    order, and give their neighbor counts.  scratch, if given, is an [R x D]
+    array it may overwrite."""
+    degree = np.concatenate([np.diff(block.indptr) for block in blocks]).astype(float)
     rows, cols = degree_scales(degree, _FLAVOR_KIND[p.flavor])
     scaled = np.multiply(cols[:, None], flat, out=scratch)
     start = 0
@@ -136,12 +139,13 @@ def gnn_diffuse(x: np.ndarray, snap: Snapshot, p: GnnParams) -> np.ndarray:
     skip aggregation entirely (pure self term).  With identity weight and
     zero bias this is x - self_mix L x, L the symmetric (GcnLike) or random
     walk (SageMeanLike) Laplacian: (I + self_mix L)^{-1} to first order.  The
-    aggregation is a product with the snapshot's cached CSR adjacency.
+    aggregation is a product with the CSR block of the sequence (snap,).
     """
-    x = np.asarray(x, dtype=float)
+    x = finite(x, "x")
     if x.shape != (snap.num_nodes, p.weight.shape[0]):
         raise ValueError(f"x must be [{snap.num_nodes} x {p.weight.shape[0]}]")
-    agg = _aggregate(x, snap.degree, (snap.adjacency_csr,), p, np.empty(x.shape))
+    (blocks,) = SnapshotSequence((snap,)).csr_blocks([slice(0, 1)])
+    agg = _aggregate(x, blocks, p, np.empty(x.shape))
     return agg @ p.weight + p.bias
 
 
@@ -205,6 +209,7 @@ class SsmLayerParams:
     S6:  a [D x N]; b, c and the [V x D] step size are produced per snapshot
          by the selective GNNs (gnn_b, gnn_c -> N outputs; gnn_delta -> D
          outputs plus delta_bias [D]).
+    FEATURE_MIX needs `mix` as wide as gnn's input, REPR_MIX as its output.
     """
 
     variant: SsmVariant
@@ -225,6 +230,15 @@ class SsmLayerParams:
         object.__setattr__(self, "mix_mechanism", MixMechanism(self.mix_mechanism))
         if self.mix is not None and not isinstance(self.mix, InterpMixParams):
             raise ValueError(f"mix must be None or InterpMixParams, got {type(self.mix).__name__}")
+        mechanism = self.mix_mechanism
+        if mechanism is not MixMechanism.ORDINARY:
+            if self.mix is None:
+                raise ValueError(f"mix is None, but a {mechanism.value} layer needs it")
+            side = "output" if mechanism is MixMechanism.REPR_MIX else "input"
+            width = self.gnn.weight.shape[side == "output"]
+            if self.mix.b_scale.size != width:
+                raise ValueError(f"mix has width {self.mix.b_scale.size}, but {mechanism.value} "
+                                 f"mixes the layer's {side} width {width}")
         a = negative(self.a, "state matrix a")
         object.__setattr__(self, "a", a)
         d = self.gnn.weight.shape[1]
@@ -267,12 +281,12 @@ class SsmLayerParams:
         return self.a.shape[-1]
 
 
-def _check_hidden(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams):
-    hidden_in = finite(hidden_in, "hidden_in")
-    want = (seq.num_nodes, len(seq), p.gnn.weight.shape[0])
-    if hidden_in.shape != want:
-        raise ValueError(f"hidden_in must be [V x L x D] = {want}, got {hidden_in.shape}")
-    return hidden_in
+def _mixed(window, t, mix):
+    """Snapshots t, each mixed with the one before, from window(w), the
+    snapshots of slice w; the first snapshot of the sequence keeps its own."""
+    z = window(slice(max(t.start - 1, 0), t.stop))
+    mixed = apply_mix(z[:-1], z[1:], mix)
+    return mixed if t.start > 0 else np.concatenate([z[:1], mixed])
 
 
 def _graph_pass(seq, x, p, mechanism, parts):
@@ -297,21 +311,17 @@ def _graph_pass(seq, x, p, mechanism, parts):
         out["mix"] = np.empty((length * v, d))
     flat = np.empty((length * v, d)) if plain else None
     scratch = np.empty((length * v, d))
-    degree, ranges = seq.degree, _pool.ranges(length, parts)
+    ranges = _pool.ranges(length, parts)
 
     def run(t, own):                               # snapshots t, their blocks own
         rows = slice(t.start * v, t.stop * v)
         if plain:
             flat[rows].reshape(-1, v, d)[...] = x[t]
             for key, g in plain.items():
-                _aggregate(flat[rows], degree[rows], own, g, out[key][rows], scratch[rows])
+                _aggregate(flat[rows], own, g, out[key][rows], scratch[rows])
         if feature_mix:
-            lo = max(t.start - 1, 0)
-            mixed = apply_mix(x[lo:t.stop - 1], x[lo + 1:t.stop], p.mix)
-            if t.start == 0:
-                mixed = np.concatenate([x[:1], mixed])
-            _aggregate(mixed.reshape(-1, d), degree[rows], own, p.gnn, out["mix"][rows],
-                       scratch[rows])
+            mixed = _mixed(lambda w: x[w], t, p.mix)
+            _aggregate(mixed.reshape(-1, d), own, p.gnn, out["mix"][rows], scratch[rows])
     _pool.run(lambda part: run(*part), list(zip(ranges, seq.csr_blocks(ranges))))
     main = out["mix"] if feature_mix else out[p.gnn.flavor, p.gnn.self_mix]
     return tuple(a.reshape(length, v, d) for a in
@@ -323,11 +333,9 @@ def _drive(agg, t, rows, p, mechanism):
     snapshots of slice t and the nodes of slice rows, [T x R x D], from
     p.gnn's graph pass `agg`.  REPR_MIX mixes each snapshot's estimate with
     the one before, so a tile past the first also maps that snapshot."""
-    if mechanism is not MixMechanism.REPR_MIX:
-        return agg[t, rows] @ p.gnn.weight + p.gnn.bias
-    h = agg[max(t.start - 1, 0):t.stop, rows] @ p.gnn.weight + p.gnn.bias
-    mixed = apply_mix(h[:-1], h[1:], p.mix)
-    return mixed if t.start > 0 else np.concatenate([h[:1], mixed])
+    def estimate(w):
+        return agg[w, rows] @ p.gnn.weight + p.gnn.bias
+    return estimate(t) if mechanism is not MixMechanism.REPR_MIX else _mixed(estimate, t, p.mix)
 
 
 # Element count of one time tile's decay, drive and states each, summed over
@@ -366,7 +374,6 @@ _ROW_ALIGN = 16
 
 
 def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
-                mechanism: MixMechanism | None = None,
                 backend: str = "sequential") -> np.ndarray:
     """One layer over the sequence: per snapshot l and node,
 
@@ -390,27 +397,24 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     for every variant, so S4, S5 and S6 layers of one width and state size
     cut a sequence alike; a small layer runs both passes as one range on the
     calling thread.  Neither ranges nor tiles change a bit of the output.
+    The drive mixes under p.mix_mechanism.
     """
-    return _layer(seq, hidden_in, p, mechanism, backend)
+    return _layer(seq, hidden_in, p, backend)
 
 
-def _layer(seq, hidden_in, p, mechanism=None, backend="sequential", finish=None):
-    """`ssm_forward`, with a hook: finish(y, h), if given, runs in each node
-    range once its rows y [R x L x D] of the output are written, with the
-    same rows h of the checked layer input, and may rewrite y in place.
-    The layer joins its threads twice: after the graph pass and after the
-    node ranges with their `finish`."""
-    hidden_in = _check_hidden(seq, hidden_in, p)
+def _layer(seq, hidden_in, p, backend="sequential", finish=None, mixing=True):
+    """`ssm_forward`, with two hooks: finish(y, h), if given, runs in each
+    node range once its rows y [R x L x D] of the output are written, with
+    the same rows h of the checked layer input, and may rewrite y in place;
+    mixing=False runs the layer ORDINARY.  The layer joins its threads twice:
+    after the graph pass and after the node ranges with their `finish`."""
+    check_backend(backend)
+    hidden_in = finite(hidden_in, "hidden_in")
+    want = (seq.num_nodes, len(seq), p.gnn.weight.shape[0])
+    if hidden_in.shape != want:
+        raise ValueError(f"hidden_in must be [V x L x D] = {want}, got {hidden_in.shape}")
     x = np.moveaxis(hidden_in, 1, 0)                                          # [L,V,D]
-    mechanism = MixMechanism(p.mix_mechanism if mechanism is None else mechanism)
-    if mechanism is not MixMechanism.ORDINARY:
-        if p.mix is None:
-            raise ValueError(f"mix is None, but the layer is asked to {mechanism.value}")
-        side = "output" if mechanism is MixMechanism.REPR_MIX else "input"
-        width = p.gnn.weight.shape[side == "output"]
-        if p.mix.b_scale.size != width:
-            raise ValueError(f"mix has width {p.mix.b_scale.size}, but {mechanism.value} "
-                             f"mixes the layer's {side} width {width}")
+    mechanism = p.mix_mechanism if mixing else MixMechanism.ORDINARY
     v, length, d = seq.num_nodes, len(seq), p.gnn.weight.shape[1]
     parts = _pool.parts(length * v * d * p.state_size)
     agg, *selective = _graph_pass(seq, x, p, mechanism, parts)
@@ -520,11 +524,8 @@ def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
             raise TypeError(f"blocks[{k}] must be a BlockParams, got {type(blk).__name__}")
     hidden = hidden_in
     for k, blk in enumerate(blocks):
-        p = blk.layer
-        mech = p.mix_mechanism
-        if first_block_mixing_only and k > 0:
-            mech = MixMechanism.ORDINARY
-        hidden = _layer(seq, hidden, p, mech, backend, partial(_epilogue, blk, activation))
+        hidden = _layer(seq, hidden, blk.layer, backend, partial(_epilogue, blk, activation),
+                        mixing=k == 0 or not first_block_mixing_only)
     return hidden
 
 

@@ -140,6 +140,16 @@ def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray
     return flat_prod[:length]
 
 
+BACKENDS = ("sequential", "parallel")
+
+
+def check_backend(backend) -> str:
+    """backend, if it is one of `BACKENDS`; ValueError otherwise."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}, expected one of {', '.join(BACKENDS)}")
+    return backend
+
+
 def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
              out: np.ndarray | None = None) -> np.ndarray:
     """The recurrence's states under the named backend, written into `out`
@@ -147,32 +157,30 @@ def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
     overlaps no input), else into a new array; either is returned.  The
     sequential fold writes `out` directly; the parallel scan, kept as it is
     for the cross-check, computes its own array and copies it in."""
-    if backend == "sequential":
+    if check_backend(backend) == "sequential":
         return scan_sequential(inp, out)
-    if backend == "parallel":
-        if out is None:
-            return scan_parallel(inp)
-        np.copyto(_checked_out(inp, out), scan_parallel(inp))
-        return out
-    raise ValueError(f"unknown backend {backend!r}")
+    if out is None:
+        return scan_parallel(inp)
+    np.copyto(_checked_out(inp, out), scan_parallel(inp))
+    return out
 
 
-def bench_recurrence(l_values, lanes: int, backends=("sequential", "parallel"),
-                     repeats: int = 3, seed: int = 0):
-    """Time both backends; one row dict per (L, backend).
+def bench_recurrence(l_values=(1024, 2048, 4096, 8192, 16384, 32768, 65536), lanes: int = 128,
+                     backends=BACKENDS, repeats: int = 3, seed: int = 0):
+    """Time the backends; one row dict per (L, backend).
 
     Returns rows with keys L, lanes, backend, ns_per_element (best of
     `repeats` runs, so transient noise doesn't inflate a row).  ValueError
     before any timing unless both lists are non-empty, every backend is
-    sequential or parallel, every L, lanes and repeats is an integer >= 1
-    and seed one >= 0.
+    one of `BACKENDS`, every L, lanes and repeats is an integer >= 1 and
+    seed one >= 0.  The defaults are `gssm bench`'s.
     """
     l_values = [integer(length, "l_values: L", 1) for length in l_values]
     for name, values in (("l_values", l_values), ("backends", backends)):
         if not values:
             raise ValueError(f"{name} must hold at least one entry")
     for backend in backends:
-        if backend not in ("sequential", "parallel"):
+        if backend not in BACKENDS:
             raise ValueError(f"backends: unknown backend {backend!r}")
     for name, value in (("lanes", lanes), ("repeats", repeats)):
         integer(value, name, 1)

@@ -14,23 +14,20 @@ All types are immutable after construction and every operation is a pure
 function, so read-only instances can be shared freely.
 A :class:`Snapshot` stores its adjacency as a CSR pattern (`indptr`,
 `indices`), O(V + E) memory; the dense V x V matrix is derived on demand for
-small-graph callers and never kept.  A snapshot caches a boolean CSR array
-over its pattern and the degree vector, built on first access, and a
-:class:`SnapshotSequence` caches the same over its stacked [L*V] node axis:
-the stacked degree vector, and the CSR diagonal blocks of its adjacencies
-for one cut of the snapshots into contiguous ranges (`csr_blocks`), so
-graph diffusion over a whole sequence is a few sparse products.  The caches
-are not dataclass fields: equality, immutability and the stored arrays are
-unchanged by them.
+small-graph callers and never kept.  A snapshot caches nothing; a
+:class:`SnapshotSequence` alone builds sparse operators, and caches those of
+one cut of its snapshots into contiguous ranges (`csr_blocks`): the CSR
+diagonal blocks of its adjacencies over the stacked [L*V] node axis.  So
+graph diffusion over a sequence, of one snapshot or many, is a few sparse
+products.  The cache is not a dataclass field, so equality ignores it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from ._checks import finite, integers, numbers, read_records
+from ._checks import finite, integer, integers, numbers, read_records, square
 
 
 class Action(Enum):
@@ -67,8 +64,7 @@ class EventStream:
     events: tuple
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be positive")
+        object.__setattr__(self, "num_nodes", integer(self.num_nodes, "num_nodes", 1))
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError("horizon must be a positive finite time")
         edges = frozenset(self._edge(u, v, "edge") for u, v in self.initial_edges)
@@ -200,9 +196,7 @@ class Snapshot:
     timestamp: float
 
     def __init__(self, adjacency, features, timestamp):
-        adj = np.asarray(adjacency, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be square")
+        adj = square(adjacency, "adjacency").astype(bool, copy=False)
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))])
         self._store(indptr, np.nonzero(adj)[1], features, timestamp)
 
@@ -286,18 +280,6 @@ class Snapshot:
         adj.flags.writeable = False
         return adj
 
-    @cached_property
-    def adjacency_csr(self):
-        """Boolean CSR array over the stored pattern, built once."""
-        return _csr(self.indptr, self.indices)
-
-    @cached_property
-    def degree(self) -> np.ndarray:
-        """Per-node neighbor counts as floats, read off `indptr`."""
-        deg = np.diff(self.indptr).astype(float)
-        deg.flags.writeable = False
-        return deg
-
     def _upper(self):
         """(rows, cols) of the stored entries above the diagonal: each edge
         once as u < v, in sorted order."""
@@ -351,8 +333,8 @@ class SnapshotSequence:
         rows l*V .. (l+1)*V - 1), one tuple per range of `ranges`: contiguous
         slices of the snapshots covering them in order.  Within a range,
         consecutive snapshots share a block until the next would take it past
-        `_RUN_ENTRIES` stored entries; a lone snapshot's block is its
-        `Snapshot.adjacency_csr`.  Each block is built as soon as it closes.
+        `_RUN_ENTRIES` stored entries; a lone snapshot's block shares that
+        snapshot's `indptr` and `indices`.  Each block is built as soon as it closes.
         The blocks of the last cut asked for are kept, and a new cut drops
         them before it builds its own.
         """
@@ -378,13 +360,6 @@ class SnapshotSequence:
         self.__dict__["_csr_blocks"] = cut, blocks
         return blocks
 
-    @cached_property
-    def degree(self) -> np.ndarray:
-        """Stacked [L*V] neighbor counts as floats, read off each `indptr`."""
-        deg = np.concatenate([np.diff(s.indptr) for s in self.snapshots]).astype(float)
-        deg.flags.writeable = False
-        return deg
-
 
 # Stored entries at which a sequence's CSR blocks close.  A product with a
 # boolean CSR first copies its entries to float64 (8 bytes each), so the cap
@@ -405,11 +380,11 @@ def _csr(indptr, indices):
 
 
 def _block_csr(snaps):
-    """The CSR block of consecutive snapshots: a lone snapshot's own
-    `Snapshot.adjacency_csr`, or their adjacencies joined along the diagonal,
-    each snapshot's indices offset by its first row."""
+    """The CSR block of consecutive snapshots: a lone snapshot's adjacency
+    over its own `indptr` and `indices`, or their adjacencies joined along
+    the diagonal, each snapshot's indices offset by its first row."""
     if len(snaps) == 1:
-        return snaps[0].adjacency_csr
+        return _csr(snaps[0].indptr, snaps[0].indices)
     v, sizes = snaps[0].num_nodes, [s.indices.size for s in snaps]
     idx = _index_dtype(max(len(snaps) * v, sum(sizes)))
     starts = np.cumsum([0] + sizes[:-1]).tolist()
@@ -465,7 +440,7 @@ def laplacian(snap, kind: LaplacianKind) -> np.ndarray:
     Rows and columns of isolated nodes are identically zero, so (I + a*L)
     acts as the identity on them -- no neighbors means no smoothing.
     """
-    adj = snap.adjacency if isinstance(snap, Snapshot) else np.asarray(snap)
+    adj = snap.adjacency if isinstance(snap, Snapshot) else square(snap, "adjacency")
     adj = adj.astype(float)
     deg = adj.sum(axis=1)
     rows, cols = degree_scales(deg, kind)

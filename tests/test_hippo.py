@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -736,6 +737,17 @@ def test_smoothing_matrix_rejects_an_alpha_that_is_not_finite_and_nonnegative(al
     for kind in LaplacianKind:
         with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
             smoothing_matrix(adj, alpha, kind)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 3), (3,), (2, 2, 2)])
+def test_laplacian_and_its_users_reject_an_adjacency_that_is_not_square(shape):
+    adj = np.zeros(shape, dtype=bool)
+    for kind in LaplacianKind:
+        for call in (lambda: laplacian(adj, kind), lambda: smoothing_matrix(adj, 0.5, kind),
+                     lambda: consensus_profile(adj, kind)):
+            with pytest.raises(ValueError, match=re.escape(f"adjacency must be square, "
+                                                           f"got shape {shape}")):
+                call()
 
 
 def test_smoothing_matrix_raises_on_a_non_finite_matrix_or_a_lapack_failure(monkeypatch):

@@ -276,23 +276,19 @@ def test_diffuse_is_the_first_order_laplacian_smoother(adj, flavor, self_mix, d,
     assert np.max(np.abs(gnn_diffuse(x, snap, p) - smoothed)) <= 1e-12
 
 
-def test_snapshot_builds_its_sparse_adjacency_once():
+@pytest.mark.parametrize("flavor", list(GnnFlavor))
+def test_diffuse_equals_the_graph_pass_of_a_one_snapshot_sequence(flavor):
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, 2))
-    snap = Snapshot(adjacency=_random_adjacency(rng, 6), features=x, timestamp=0.0)
-    csr, deg = snap.adjacency_csr, snap.degree
-    for flavor in GnnFlavor:
-        gnn_diffuse(x, snap, _gnn(rng, 2, 2, flavor=flavor))
-    assert snap.adjacency_csr is csr
-    assert snap.degree is deg
-    assert np.array_equal(csr.toarray(), snap.adjacency)
-    assert np.array_equal(deg, snap.adjacency.sum(axis=1))
-    assert not csr.data.flags.writeable and not deg.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        snap.adjacency_csr = csr
+    d = 3
+    p = dataclasses.replace(_s4_params(rng, d, 2), gnn=_gnn(rng, d, d, flavor=flavor))
+    for snap in _sparse_sequence(rng, 6, 4, d):
+        x = rng.normal(size=(6, d))
+        one = SnapshotSequence((snap,))
+        drive = _drive_estimates(one, x[:, None, :], p, MixMechanism.ORDINARY)
+        assert gnn_diffuse(x, snap, p.gnn).tobytes() == drive[0].tobytes()
 
 
-def test_snapshot_equality_ignores_the_cached_operator():
+def test_a_snapshot_keeps_no_operator_and_compares_by_value():
     names = [f.name for f in dataclasses.fields(Snapshot)]
     assert names == ["indptr", "indices", "features", "timestamp"]
     # Single-node snapshots compare by value (size-1 arrays have a truth value).
@@ -300,7 +296,8 @@ def test_snapshot_equality_ignores_the_cached_operator():
     second = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[2.0]], timestamp=1.0)
     other = Snapshot(adjacency=np.zeros((1, 1), dtype=bool), features=[[3.0]], timestamp=1.0)
     assert first == second and first != other
-    first.adjacency_csr, first.degree
+    gnn_diffuse(first.features, first, GnnParams(weight=np.eye(1), bias=np.zeros(1)))
+    assert sorted(vars(first)) == sorted(names)
     assert first == second and first != other
 
 
@@ -317,17 +314,14 @@ def test_sequence_builds_its_blocks_once_per_cut(monkeypatch, cap):
     rng = np.random.default_rng(13)
     seq = _sparse_sequence(rng, 6, 7, 2)
     hidden = rng.normal(size=(6, 7, 2))
-    blocks, deg = _whole(seq), seq.degree
+    blocks = _whole(seq)
     p = _s4_params(rng, 2, 3, mechanism=MixMechanism.REPR_MIX)
     for flavor in GnnFlavor:
         _drive_estimates(seq, hidden, dataclasses.replace(p, gnn=_gnn(rng, 2, 2, flavor=flavor)),
                          p.mix_mechanism)
     assert all(a is b for a, b in zip(_whole(seq), blocks, strict=True))
-    assert seq.degree is deg
     assert np.array_equal(scipy.sparse.block_diag(blocks).toarray(),
                           scipy.linalg.block_diag(*(s.adjacency for s in seq)))
-    assert np.array_equal(deg, np.concatenate([s.adjacency.sum(axis=1) for s in seq]))
-    assert not deg.flags.writeable
     for block in blocks:
         assert block.indices.dtype == np.int32 and block.indptr.dtype == np.int32
         assert not any(a.flags.writeable for a in (block.data, block.indices, block.indptr))
@@ -338,8 +332,9 @@ def test_sequence_builds_its_blocks_once_per_cut(monkeypatch, cap):
 def test_sequence_blocks_cover_each_range_and_close_only_before_the_cap(monkeypatch, cap, cut):
     """Each range's blocks are exactly its snapshots' adjacencies along the
     diagonal; a block closes only where the next snapshot would take it past
-    the cap, or at the end of its range; a lone snapshot's block is that
-    snapshot's own cached CSR."""
+    the cap, or at the end of its range; a lone snapshot's block shares that
+    snapshot's indptr and indices, so a large graph's blocks hold no copy of
+    its pattern."""
     monkeypatch.setattr(tgraph, "_RUN_ENTRIES", cap)
     seq = _sparse_sequence(np.random.default_rng(17), 6, 7, 2)
     counts = [np.count_nonzero(s.adjacency) for s in seq]
@@ -357,7 +352,9 @@ def test_sequence_blocks_cover_each_range_and_close_only_before_the_cap(monkeypa
             if start + size < t.stop:  # closed early: the next snapshot would pass the cap
                 assert sum(counts[start:start + size + 1]) > cap
             if size == 1:
-                assert block is seq[start].adjacency_csr
+                assert np.shares_memory(block.indptr, seq[start].indptr)
+                assert (np.shares_memory(block.indices, seq[start].indices)
+                        or not block.indices.size)  # an empty array shares no memory
             start += size
         assert start == t.stop
 
@@ -399,7 +396,7 @@ def test_sequence_equality_ignores_the_cached_operator():
 
     first, second, other = single_node(2.0), single_node(2.0), single_node(3.0)
     assert first == second and first != other
-    first.csr_blocks([slice(0, 1), slice(1, 2)]), first.degree
+    first.csr_blocks([slice(0, 1), slice(1, 2)])
     assert first == second and first != other
 
 
@@ -451,44 +448,28 @@ def test_stacked_mixes_equal_their_per_snapshot_calls():
         apply_mix(z1[..., :2], z2[..., :2], p)
 
 
-@pytest.mark.parametrize("own, asked", [(MixMechanism.REPR_MIX, None),
-                                        (MixMechanism.FEATURE_MIX, None),
-                                        (MixMechanism.ORDINARY, MixMechanism.REPR_MIX),
-                                        (MixMechanism.ORDINARY, MixMechanism.FEATURE_MIX)])
-def test_a_layer_asked_to_mix_without_mix_params_fails_before_its_graph_pass(
-        monkeypatch, own, asked):
-    def graph_pass(*args):
-        raise AssertionError("the graph pass ran")
-    monkeypatch.setattr(layers, "_graph_pass", graph_pass)
-    rng = np.random.default_rng(17)
-    seq = _sequence(rng, 4, 3, 2)
-    hidden = rng.normal(size=(4, 3, 2))
-    p = dataclasses.replace(_s4_params(rng, 2, 2, mechanism=own), mix=None)
-    with pytest.raises(ValueError, match="^mix is None, but the layer is asked to "):
-        ssm_forward(seq, hidden, p, asked)
-    if asked is None:
-        with pytest.raises(ValueError, match="^mix is None"):
-            block_forward(hidden, seq, (BlockParams(layer=p),))
+@pytest.mark.parametrize("mechanism", [MixMechanism.REPR_MIX, "feature_mix"])
+@pytest.mark.parametrize("build", list(_PARAMS.values()), ids=[v.value for v in _PARAMS])
+def test_a_mixing_layer_without_mix_params_cannot_be_built(build, mechanism):
+    p = dataclasses.replace(build(np.random.default_rng(17), 2, 2), mix=None)
+    assert p.mix is None  # an ORDINARY layer does not read it
+    with pytest.raises(ValueError, match=f"^mix is None, but a {MixMechanism(mechanism).value} "
+                                         "layer needs it$"):
+        dataclasses.replace(p, mix_mechanism=mechanism)
 
 
 @pytest.mark.parametrize("mechanism, side, width, wrong", [
     (MixMechanism.FEATURE_MIX, "input", 3, 2), (MixMechanism.REPR_MIX, "output", 2, 3)])
-def test_a_mix_of_the_wrong_width_fails_before_the_graph_pass_naming_both_widths(
-        monkeypatch, mechanism, side, width, wrong):
-    def graph_pass(*args):
-        raise AssertionError("the graph pass ran")
-    monkeypatch.setattr(layers, "_graph_pass", graph_pass)
+def test_a_mix_of_the_wrong_width_cannot_be_built_and_the_error_names_both_widths(
+        mechanism, side, width, wrong):
     rng = np.random.default_rng(19)
-    seq = _sequence(rng, 4, 3, 3)
-    hidden = rng.normal(size=(4, 3, 3))
-    p = dataclasses.replace(_s4_params(rng, 2, 2), gnn=_gnn(rng, 3, 2), mix=_interp(rng, wrong),
-                            mix_mechanism=mechanism)
+    p = dataclasses.replace(_s4_params(rng, 2, 2), gnn=_gnn(rng, 3, 2), mix=_interp(rng, wrong))
     message = (f"^mix has width {wrong}, but {mechanism.value} mixes the layer's "
                f"{side} width {width}$")
     with pytest.raises(ValueError, match=message):
-        ssm_forward(seq, hidden, p)
-    with pytest.raises(ValueError, match=message):
-        block_forward(hidden, seq, (BlockParams(layer=p),))
+        dataclasses.replace(p, mix_mechanism=mechanism)
+    fitted = dataclasses.replace(p, mix=_interp(rng, width), mix_mechanism=mechanism)
+    assert fitted.mix.b_scale.size == width
 
 
 # ---------------------------------------------------------------------------
@@ -996,23 +977,23 @@ def test_one_cpu_starts_no_pool_thread(monkeypatch):
     assert threading.enumerate() == before
 
 
-def test_an_unknown_backend_raises_once_every_range_has_finished(monkeypatch):
+def test_an_error_in_a_range_is_raised_once_every_range_has_finished(monkeypatch):
+    """Both node ranges raise; the calling thread's range first, so the
+    error raised is its own, and only after the other range has finished."""
     _split(monkeypatch, 2)
     rng = np.random.default_rng(107)
     v, l, d, n = 40, 5, 3, 4
     seq = _sequence(rng, v, l, d)
     caller, finished = threading.get_ident(), []
 
-    def slow_scan(inp, backend, out=None):
+    def failing_scan(inp, backend, out=None):
         if threading.get_ident() != caller:
             time.sleep(0.2)  # the calling thread's range raises first
-        try:
-            return run_scan(inp, backend, out)
-        finally:
-            finished.append(threading.get_ident())
-    monkeypatch.setattr(layers, "run_scan", slow_scan)
-    with pytest.raises(ValueError, match="unknown backend 'nope'"):
-        ssm_forward(seq, rng.normal(size=(v, l, d)), _s4_params(rng, d, n), backend="nope")
+        finished.append(threading.get_ident())
+        raise ValueError(f"scan failed on thread {threading.get_ident()}")
+    monkeypatch.setattr(layers, "run_scan", failing_scan)
+    with pytest.raises(ValueError, match=f"^scan failed on thread {caller}$"):
+        ssm_forward(seq, rng.normal(size=(v, l, d)), _s4_params(rng, d, n))
     assert len(finished) == 2 and caller in finished
 
 
@@ -1097,13 +1078,18 @@ def test_forward_is_causal(variant):
     assert np.abs(bumped[:, l - 1] - base[:, l - 1]).max() > 0.0
 
 
-def test_forward_rejects_bad_backend_and_hidden_width():
+def test_forward_rejects_bad_backend_and_hidden_width(monkeypatch):
+    monkeypatch.setattr(layers, "_graph_pass", lambda *args: pytest.fail("the graph pass ran"))
     rng = np.random.default_rng(53)
     seq = _sequence(rng, 3, 2, 2)
     p4 = _s4_params(rng, 2, 2)
-    with pytest.raises(ValueError):
-        ssm_forward(seq, np.zeros((3, 2, 2)), p4, backend="vectorized")
-    with pytest.raises(ValueError):
+    for backend in ("vectorized", None):
+        with pytest.raises(ValueError, match=f"^unknown backend {backend!r}, expected one of "
+                                             "sequential, parallel$"):
+            ssm_forward(seq, np.zeros((3, 2, 2)), p4, backend=backend)
+        with pytest.raises(ValueError, match=f"^unknown backend {backend!r}"):
+            block_forward(np.zeros((3, 2, 2)), seq, [BlockParams(layer=p4)], backend=backend)
+    with pytest.raises(ValueError, match="^hidden_in must be"):
         ssm_forward(seq, np.zeros((3, 2, 7)), p4)
 
 
@@ -1169,6 +1155,7 @@ def _non_finite_cases():
         "b_blend": _with(s4.mix, b_blend=nan_at(s4.mix.b_blend)),
         "res_weight": _with(block, res_weight=nan_at(block.res_weight)),
         "res_bias": _with(block, res_bias=inf_at(block.res_bias)),
+        "gnn_diffuse_x": lambda: gnn_diffuse(nan_at(seq[0].features), seq[0], s4.gnn),
     }
 
 
@@ -1203,6 +1190,8 @@ def _not_real_cases():
                                "complex numbers"),
         "res_weight-str": (_with(block, res_weight=np.eye(d).astype(str)), "res_weight",
                            "strings"),
+        "gnn_diffuse-x-complex": (lambda: gnn_diffuse(seq[0].features + 0j, seq[0], s4.gnn),
+                                  "x", "complex numbers"),
     }
 
 

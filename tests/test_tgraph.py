@@ -91,6 +91,13 @@ def test_event_stream_rejects_time_outside_horizon():
         EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset(), events=((0, 1, 1.5, Action.INSERT),))
 
 
+@pytest.mark.parametrize("num_nodes", [2.5, True, 0, -1, float("nan"), "3"])
+def test_event_stream_rejects_a_num_nodes_that_is_not_a_positive_integer(num_nodes):
+    with pytest.raises(ValueError, match="^num_nodes must be an integer of at least 1"):
+        EventStream(num_nodes=num_nodes, horizon=1.0, initial_edges=frozenset(), events=())
+    assert EventStream(np.int64(3), 1.0, frozenset(), ()).num_nodes == 3
+
+
 def test_event_stream_rejects_self_loop():
     with pytest.raises(ValueError):
         EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset({(1, 1)}), events=())
@@ -643,8 +650,8 @@ def test_both_constructors_store_the_scipy_csr_pattern(adj):
         assert snap.indptr.dtype == snap.indices.dtype == np.int32
         assert not (snap.indptr.flags.writeable or snap.indices.flags.writeable)
         assert np.array_equal(snap.adjacency, adj) and not snap.adjacency.flags.writeable
-        assert np.array_equal(snap.adjacency_csr.toarray(), adj)
-        assert np.array_equal(snap.degree, adj.sum(axis=1))
+        ((block,),) = SnapshotSequence((snap,)).csr_blocks([slice(0, 1)])
+        assert np.array_equal(block.toarray(), adj)
         iu, iv = np.nonzero(np.triu(adj, 1))
         assert _edge_set(snap) == frozenset(zip(iu.tolist(), iv.tolist()))
 
