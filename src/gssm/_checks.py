@@ -138,6 +138,18 @@ def square(value, name: str) -> np.ndarray:
     return arr
 
 
+def symmetric(value, name: str) -> np.ndarray:
+    """value as a float array; ValueError unless it is a square matrix of
+    finite real numbers with a zero diagonal (no self-loops) that equals its
+    transpose: the rule a snapshot's adjacency pattern obeys."""
+    arr = finite(square(value, name), name)
+    if arr.diagonal().any():
+        raise ValueError(f"{name} diagonal must be zero (no self-loops)")
+    if not np.array_equal(arr, arr.T):
+        raise ValueError(f"{name} must be symmetric")
+    return arr
+
+
 def integer(value, name: str, least: int) -> int:
     """value as an int; ValueError unless it is an integer (of an integer
     type, not a bool) of at least `least`."""

@@ -7,18 +7,22 @@ affinity call).  `parts(work)` is the one split rule: work under
 `_SPLIT_WORK` runs as one part, since starting and joining parts would cost
 more than the other CPUs gain, and larger work as one part per CPU.
 `gssm.layers` counts a layer's drive and readout products, L*V*D*N, and
-cuts its graph pass into snapshot ranges and its recurrence into node
-ranges; `gssm.harness.gen_synthetic` counts node pairs, cuts each step's
-draws into pair ranges and then finishes as many snapshots at once as there
-are ranges.  `ranges` cuts them.  `run` runs the first part on the calling
-thread and the others on one module pool with one thread fewer than the
-CPUs; the pool starts no thread until its first task, so one part never
-starts one.  A forked child builds a pool of its own (where the platform
-has `os.register_at_fork`), as it has none of its parent's threads.
+cuts its recurrence into node ranges of equal count and its graph pass into
+snapshot ranges of about equal weight, a snapshot weighing its stored
+entries and rows; `gssm.harness.gen_synthetic` counts node pairs, cuts each
+step's draws into pair ranges and then finishes as many snapshots at once
+as there are ranges.  `ranges` is the one cut, by count or by weight.  `run`
+runs the first part on the calling thread and the others on one module pool
+with one thread fewer than the CPUs; the pool starts no thread until its
+first task, so one part never starts one.  A forked child builds a pool of
+its own (where the platform has `os.register_at_fork`), as it has none of
+its parent's threads.
 """
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor, wait
+from itertools import accumulate
 
 
 def cpus() -> int:
@@ -36,15 +40,36 @@ def parts(work: int) -> int:
     return cpus() if work >= _SPLIT_WORK else 1
 
 
-def ranges(n: int, parts: int, align: int = 1) -> list:
-    """At most `parts` contiguous slices covering range(n) in order, each
-    starting at a multiple of `align` and, unless it is range(n) itself,
-    holding at least `align` items; their counts of whole `align`-item
-    units differ by at most one, and the last also takes the n % align
-    tail."""
-    units = max(1, n // align)
+def ranges(n: int, parts: int, align: int = 1, weights=None) -> list:
+    """At most `parts` contiguous nonempty slices covering range(n) in order.
+
+    Without `weights`, each starts at a multiple of `align` and, unless it
+    is range(n) itself, holds at least `align` items; their counts of whole
+    `align`-item units differ by at most one, and the last also takes the
+    n % align tail.  With `weights`, n positive integers (align 1), each
+    slice holds about an even share of their total, and outweighs it by
+    less than its heaviest item.  Both are one cut, over units of weight
+    one where no weights are given: slice k ends after the longest run of
+    units weighing at most (k+1)/parts of the total, or one unit later if
+    that lightens the heavier of it and the slice after it; a slice left
+    empty is dropped.  Equal weights give the count cut."""
+    if weights is None:
+        units = max(1, n // align)
+        prefix = range(units + 1)
+    else:
+        units = n
+        prefix = list(accumulate(weights, initial=0))
     parts = min(parts, units)
-    bounds = [align * (units * k // parts) for k in range(parts)] + [n]
+    total = prefix[-1]
+    # bounds[k]: units in the longest prefix weighing at most k/parts of the total
+    bounds = [bisect_right(prefix, total * k, key=lambda w: w * parts) - 1
+              for k in range(parts)] + [units]
+    for k in range(1, parts):      # one unit later, where that lightens the heavier side
+        a, b, c = bounds[k - 1:k + 2]
+        if b < c and (max(prefix[b + 1] - prefix[a], prefix[c] - prefix[b + 1])
+                      < max(prefix[b] - prefix[a], prefix[c] - prefix[b])):
+            bounds[k] = b + 1
+    bounds = [align * b for b in dict.fromkeys(bounds[:-1])] + [n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

@@ -18,6 +18,7 @@ effective settings of any subcommand the same way.
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import pathlib
 import sys
@@ -235,7 +236,9 @@ _HELP = {"gen": dict(_TASK_HELP, seed="generator seed"),
                    "backends": f"comma list from {','.join(BACKENDS)}", "seed": "workload seed"}}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `gssm` parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="gssm",
         description="Temporal-graph state-space models: synthetic tasks, "

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, integer, nonnegative, square
+from ._checks import finite, integer, nonnegative, symmetric
 from .tgraph import (EventStream, LaplacianKind, Snapshot, adjacency_from_edges, edges_at,
                      laplacian, segments)
 
@@ -311,7 +311,7 @@ def consensus_profile(snap, kind: LaplacianKind):
     against the matrix -- each must be annihilated by L, and the null-space
     dimension must equal the component count -- before being returned.
     """
-    adj = snap.adjacency if isinstance(snap, Snapshot) else square(snap, "adjacency")
+    adj = snap.adjacency if isinstance(snap, Snapshot) else symmetric(snap, "adjacency")
     adj = adj.astype(bool)
     num_nodes = adj.shape[0]
     deg = adj.sum(axis=1).astype(float)

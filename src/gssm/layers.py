@@ -18,8 +18,10 @@ Building blocks, bottom up:
   Its graph half runs once over the whole sequence, once per layer input
   and distinct (flavor, self_mix).  A layer joins its threads at two points
   only.  The graph pass cuts the snapshots into contiguous ranges, one per
-  CPU the process may use, and each range runs its own rows through the
-  whole pass, one product per CSR block the sequence builds for that range
+  CPU the process may use, of about equal work: a snapshot weighs its
+  stored entries plus `_ROW_PASSES` per node, so a denser snapshot counts
+  for more.  Each range runs its own rows through the whole pass, one
+  product per CSR block the sequence builds for that range
   (`SnapshotSequence.csr_blocks`).  After it, every node's recurrence is
   independent: the nodes are cut into contiguous ranges, one per CPU, and
   each range builds its drive, delta, B, C, decay and states one time tile
@@ -289,15 +291,26 @@ def _mixed(window, t, mix):
     return mixed if t.start > 0 else np.concatenate([z[:1], mixed])
 
 
+# A snapshot's weight in the cut of the graph pass is counted in D-wide row
+# operations: one multiply-add per stored entry in its CSR product, and per
+# row about eight passes besides (the copy into `flat`, then in `_aggregate`
+# `scaled`, the product's zeroed result, the row scale, `*= self_mix`,
+# `(1 - self_mix) flat`, `+=` and the isolated-node `copyto`).  On V=2000,
+# L=32 tasks any value from 4 to 26 gives the same two ranges, which take
+# about equal time.
+_ROW_PASSES = 8
+
+
 def _graph_pass(seq, x, p, mechanism, parts):
     """The layer's one whole-sequence graph pass: `_aggregate` over the
     [L x V x D] layer input x for p.gnn, then for S6's gnn_delta, gnn_b and
     gnn_c, computed once per distinct (flavor, self_mix) -- the only
     parameters it reads.  Under FEATURE_MIX p.gnn diffuses the mix of
     consecutive inputs instead.  The snapshots are cut into at most `parts`
-    contiguous ranges, and each range runs its own rows, with its own CSR
-    blocks of the sequence (`SnapshotSequence.csr_blocks`), through the
-    whole pass on `_pool`."""
+    contiguous ranges of about equal work, each snapshot weighing its stored
+    entries plus `_ROW_PASSES` per node, and each range runs its own rows,
+    with its own CSR blocks of the sequence (`SnapshotSequence.csr_blocks`),
+    through the whole pass on `_pool`."""
     length, v, d = x.shape
     feature_mix = mechanism is MixMechanism.FEATURE_MIX
     selective = (p.gnn_delta, p.gnn_b, p.gnn_c) if p.variant is SsmVariant.S6 else ()
@@ -311,7 +324,8 @@ def _graph_pass(seq, x, p, mechanism, parts):
         out["mix"] = np.empty((length * v, d))
     flat = np.empty((length * v, d)) if plain else None
     scratch = np.empty((length * v, d))
-    ranges = _pool.ranges(length, parts)
+    ranges = _pool.ranges(length, parts,
+                          weights=[snap.indices.size + _ROW_PASSES * v for snap in seq])
 
     def run(t, own):                               # snapshots t, their blocks own
         rows = slice(t.start * v, t.stop * v)
@@ -391,11 +405,13 @@ def ssm_forward(seq: SnapshotSequence, hidden_in: np.ndarray, p: SsmLayerParams,
     B, C, the decay, drive, scan and readout, one tile of consecutive
     snapshots at a time, each tile starting from the last state of the one
     before; no [L x V x D] drive or [L x V x D x N] state is ever held.  The
-    graph pass itself is cut the same way, into contiguous snapshot ranges,
-    each with its own CSR blocks of the sequence's adjacency.  The range
-    count is `_pool.parts(L*V*D*N)`, the products of the drive and readout
-    for every variant, so S4, S5 and S6 layers of one width and state size
-    cut a sequence alike; a small layer runs both passes as one range on the
+    graph pass itself is cut into contiguous snapshot ranges of about equal
+    work, by the snapshots' stored entries and rows, each with its own CSR
+    blocks of the sequence's adjacency.  The range count is
+    `_pool.parts(L*V*D*N)`, the products of the drive and readout for every
+    variant, and the snapshot cut depends on the sequence and that count
+    alone, so S4, S5 and S6 layers of one width and state size cut a
+    sequence alike; a small layer runs both passes as one range on the
     calling thread.  Neither ranges nor tiles change a bit of the output.
     The drive mixes under p.mix_mechanism.
     """

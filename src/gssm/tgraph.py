@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import finite, integer, integers, numbers, read_records, square
+from ._checks import finite, integer, integers, numbers, read_records, square, symmetric
 
 
 class Action(Enum):
@@ -242,10 +242,9 @@ class Snapshot:
         transposed.sort()
         if not (transposed == keys).all():
             raise ValueError("adjacency must be symmetric")
-        feats = np.array(features, dtype=float)
+        feats = np.array(finite(features, "features"))
         if feats.ndim != 2 or feats.shape[0] != v:
             raise ValueError("features must be [num_nodes x d]")
-        finite(feats, "features")
         finite(timestamp, "timestamp")
         idx = _index_dtype(max(v, indices.size))
         indptr, indices = indptr.astype(idx), indices.astype(idx)
@@ -399,8 +398,9 @@ def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> Sna
 
     Snapshot l holds the edge set obtained by replaying every event with
     t <= observe_times[l] onto the initial edges, plus feature_fn(t) as the
-    node-feature matrix.  The feature function must return a [V x d] array;
-    the library never interpolates features between observations.
+    node-feature matrix.  The feature function must return a [V x d] array
+    of finite real numbers; the library never interpolates features between
+    observations.
     """
     times = [float(t) for t in observe_times]
     if (not all(0.0 <= t <= stream.horizon for t in times)
@@ -408,7 +408,7 @@ def materialize_snapshots(stream: EventStream, observe_times, feature_fn) -> Sna
         raise ValueError("observe_times must be strictly increasing within [0, horizon]")
     snaps = []
     for t, edges in zip(times, replay_edges(stream, times)):
-        feats = np.asarray(feature_fn(t), dtype=float)
+        feats = finite(feature_fn(t), f"feature_fn({t})")
         if feats.ndim != 2 or feats.shape[0] != stream.num_nodes:
             raise ValueError(f"feature_fn({t}) returned shape {feats.shape}, "
                              f"expected [{stream.num_nodes} x d]")
@@ -438,10 +438,12 @@ def laplacian(snap, kind: LaplacianKind) -> np.ndarray:
     RandomWalk:  I - D^{-1} A
 
     Rows and columns of isolated nodes are identically zero, so (I + a*L)
-    acts as the identity on them -- no neighbors means no smoothing.
+    acts as the identity on them -- no neighbors means no smoothing.  A raw
+    adjacency must be a square matrix of finite real numbers, symmetric with
+    a zero diagonal, as a snapshot's is.
     """
-    adj = snap.adjacency if isinstance(snap, Snapshot) else square(snap, "adjacency")
-    adj = adj.astype(float)
+    adj = (snap.adjacency.astype(float) if isinstance(snap, Snapshot)
+           else symmetric(snap, "adjacency"))
     deg = adj.sum(axis=1)
     rows, cols = degree_scales(deg, kind)
     return np.diag((deg > 0).astype(float)) - rows[:, None] * adj * cols

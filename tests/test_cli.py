@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 
@@ -76,6 +77,24 @@ def test_help_prints_the_defaults_the_settings_fall_back_to(capsys, monkeypatch,
     cfg.write_text("".join(f"{key} = {text}\n" for key, text in printed.items()),
                    encoding="ascii")
     assert settings(subcommand, cfg) == defaults
+
+
+def test_main_builds_its_parser_once_and_prints_the_help_of_a_fresh_one(capsys, monkeypatch):
+    fresh = _build_parser.__wrapped__()
+    subparsers = next(a.choices for a in fresh._actions if isinstance(a.choices, dict))
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    assert _run(capsys, ["--help"]) == (0, fresh.format_help(), "")
+    once = len(built)
+    assert once > 0
+    for command, subparser in subparsers.items():
+        assert _run(capsys, [command, "--help"]) == (0, subparser.format_help(), "")
+    assert len(built) == once
 
 
 # Arguments that are not settings: where output goes, and the file metrics reads.

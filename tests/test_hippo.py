@@ -750,10 +750,33 @@ def test_laplacian_and_its_users_reject_an_adjacency_that_is_not_square(shape):
                 call()
 
 
+_BAD_ADJACENCIES = {
+    "nan": (lambda adj: np.where(adj, np.nan, 0.0), "adjacency must be finite"),
+    "inf": (lambda adj: np.where(adj, np.inf, 0.0), "adjacency must be finite"),
+    "complex": (lambda adj: adj + 0j, "adjacency must hold real numbers, not complex numbers"),
+    "asymmetric": (lambda adj: np.triu(adj), "adjacency must be symmetric"),
+    "weights-asymmetric": (lambda adj: np.triu(adj) + 0.5 * np.tril(adj),
+                           "adjacency must be symmetric"),
+    "self-loop": (lambda adj: adj | np.eye(3, dtype=bool),
+                  re.escape("adjacency diagonal must be zero (no self-loops)")),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ADJACENCIES))
+def test_laplacian_and_its_users_reject_a_raw_adjacency_no_snapshot_could_hold(case):
+    bad, message = _BAD_ADJACENCIES[case]
+    adj = bad(adjacency_from_edges({(0, 1), (1, 2)}, 3))
+    for kind in LaplacianKind:
+        for call in (lambda: laplacian(adj, kind), lambda: smoothing_matrix(adj, 0.5, kind),
+                     lambda: consensus_profile(adj, kind)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call()
+
+
 def test_smoothing_matrix_raises_on_a_non_finite_matrix_or_a_lapack_failure(monkeypatch):
     adj = adjacency_from_edges({(0, 1), (1, 2)}, 3).astype(float)
     adj[0, 1] = np.nan
-    with pytest.raises(ValueError, match=r"^I \+ alpha\*L must be finite"):
+    with pytest.raises(ValueError, match=r"^adjacency must be finite"):
         smoothing_matrix(adj, 0.5, LaplacianKind.SYMMETRIC)
     getrf = scipy.linalg.lapack.dgetrf
     monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 2))

@@ -962,6 +962,33 @@ def test_ranges_are_aligned_runs_that_cover_every_row(n, parts, align):
     assert max(sizes) - min(sizes) <= 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.integers(1, 1000), min_size=1, max_size=40),
+       parts=st.integers(1, 6), unit=st.integers(1, 1000))
+def test_weighted_ranges_cover_every_item_and_share_the_weight(weights, parts, unit):
+    """Nonempty runs in order, at most min(parts, n) of them, none heavier
+    than an even share of the total by as much as its heaviest item; equal
+    weights give the count cut."""
+    n, total = len(weights), sum(weights)
+    got = _pool.ranges(n, parts, weights=weights)
+    assert [r.start for r in got] == [0] + [r.stop for r in got[:-1]] and got[-1].stop == n
+    assert all(r.stop > r.start for r in got) and len(got) <= min(parts, n)
+    share = min(parts, n)
+    assert all((sum(weights[r]) - max(weights[r])) * share < total for r in got)
+    assert _pool.ranges(n, parts, weights=[unit] * n) == _pool.ranges(n, parts)
+
+
+@pytest.mark.parametrize("weights, parts, stops", [
+    ([3, 3, 2, 2], 2, [2, 4]),          # not [1, 4]: one more item lightens the heavier side
+    ([10, 1, 1, 1], 2, [1, 4]),         # an item heavier than the share runs alone
+    ([1, 10, 1], 3, [1, 2, 3]),
+    ([10, 1, 1], 3, [1, 3]),            # a range left empty is dropped
+    ([4, 4, 1, 1, 1, 1], 3, [1, 2, 6]),
+])
+def test_weighted_ranges_end_where_the_heavier_side_is_lightest(weights, parts, stops):
+    assert [r.stop for r in _pool.ranges(len(weights), parts, weights=weights)] == stops
+
+
 def test_one_cpu_starts_no_pool_thread(monkeypatch):
     _split(monkeypatch, 1)
     pool = ThreadPoolExecutor(1)

@@ -38,6 +38,7 @@ from test_harness import _dense_gen_synthetic, _task_bytes, _tiny_task_cfg
 from test_layers import (
     _SMALL_CAP,
     _gnn,
+    _random_adjacency,
     _s4_params,
     _s5_params,
     _s6_mixed_selective_params,
@@ -196,6 +197,56 @@ def test_sequence_blocks_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     one = blocks()
     monkeypatch.setattr(_pool, "cpus", lambda: cpus)
     assert blocks() == one
+
+
+def _graph_cuts(monkeypatch) -> list:
+    """The list each `SnapshotSequence.csr_blocks` call appends its ranges to."""
+    cuts, real = [], tgraph.SnapshotSequence.csr_blocks
+
+    def csr_blocks(self, ranges):
+        cuts.append(list(ranges))
+        return real(self, ranges)
+    monkeypatch.setattr(tgraph.SnapshotSequence, "csr_blocks", csr_blocks)
+    return cuts
+
+
+def _denser_first_half(rng, v, l, d):
+    """Snapshots whose first half holds about twice the edges of the second."""
+    return tgraph.SnapshotSequence(tuple(
+        tgraph.Snapshot(_random_adjacency(rng, v, p=0.5 if step < l // 2 else 0.25),
+                        rng.normal(size=(v, d)), float(step)) for step in range(l)))
+
+
+def test_graph_pass_cuts_the_snapshots_by_stored_entries_and_rows(monkeypatch):
+    """Each snapshot weighs its stored entries plus `_ROW_PASSES` per node, so
+    a sequence denser at the front is cut ahead of the count cut."""
+    rng = np.random.default_rng(137)
+    v, l, d, n = 30, 10, 3, 4
+    seq = _denser_first_half(rng, v, l, d)
+    weights = [snap.indices.size + layers._ROW_PASSES * v for snap in seq]
+    assert _pool.ranges(l, 2, weights=weights) != _pool.ranges(l, 2)
+    cuts = _graph_cuts(monkeypatch)
+    layers._graph_pass(seq, rng.normal(size=(l, v, d)), _s6_params(rng, d, n),
+                       MixMechanism.ORDINARY, 2)
+    assert cuts == [_pool.ranges(l, 2, weights=weights)]
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_denser_first_half_is_cut_early_and_keeps_the_one_range_bytes(monkeypatch, parts):
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", 4 * _SMALL_CAP)
+    rng = np.random.default_rng(139)
+    v, l, d, n = 40, 12, 3, 4
+    seq = _denser_first_half(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    p = _s6_mixed_selective_params(rng, d, n, MixMechanism.REPR_MIX)
+    _split(monkeypatch, 1)
+    one = ssm_forward(seq, hidden, p)
+    _split(monkeypatch, parts)
+    cuts = _graph_cuts(monkeypatch)
+    assert ssm_forward(seq, hidden, p).tobytes() == one.tobytes()
+    (cut,) = cuts
+    assert len(cut) == parts
+    assert cut[0].stop < _pool.ranges(l, parts)[0].stop <= l // 2   # the midpoint at two parts
 
 
 @pytest.mark.parametrize("v, parts", [(1, 2), (37, 2), (50, 3)])

@@ -238,6 +238,23 @@ def test_materialize_rejects_unordered_observe_times():
         materialize_snapshots(stream, [0.6, 0.4], lambda t: np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1j, r"feature_fn\(0\.5\) must hold real numbers, not complex numbers"),
+    (np.nan, r"feature_fn\(0\.5\) must be finite"),
+    (np.inf, r"feature_fn\(0\.5\) must be finite"),
+])
+def test_materialize_rejects_non_real_features_naming_the_call(bad, message):
+    stream = EventStream(num_nodes=2, horizon=1.0, initial_edges=frozenset(), events=())
+    with pytest.raises(ValueError, match=f"^{message}"):
+        materialize_snapshots(stream, [0.5], lambda t: np.full((2, 1), bad))
+
+
+def test_snapshot_rejects_complex_features():
+    with pytest.raises(ValueError, match="^features must hold real numbers, not complex"):
+        Snapshot(adjacency=np.zeros((2, 2), dtype=bool), features=np.ones((2, 1)) * 1j,
+                 timestamp=0.0)
+
+
 def test_materialize_rejects_bad_feature_shape():
     stream = EventStream(num_nodes=3, horizon=1.0, initial_edges=frozenset(), events=())
     with pytest.raises(ValueError):
