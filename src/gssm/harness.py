@@ -8,13 +8,18 @@ labels reliably, but integrating both over the sequence is.
 The model backbone (layers module blocks) stays frozen at random parameters;
 only a linear readout is trained, by full-batch gradient descent with
 analytic gradients.  Micro/Macro-F1 on a stratified test split is the
-reported metric.
+reported metric.  `run_experiment` runs the readout fits of a large
+experiment on worker processes, one contiguous range of its jobs per CPU
+(see `gssm._pool.forked`).
 """
 
 import csv
 import hashlib
 import io
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -499,28 +504,61 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
     """Per (seed, init) and optional static-baseline test-split scores.
 
     Rows are dicts with keys seed, variant, init, micro_f1, macro_f1 --
-    the results CSV schema.  A seed's standardised feature sets share its
-    labels and split, so all of its readouts train as one batch.  lr, epochs
-    and l2 are checked as `train_readout` checks them, before any seed runs.
+    the results CSV schema -- in the order of the jobs: for each seed, each
+    init and then the static baseline.  Every argument is checked before
+    any task is built: seeds[k] must be an integer of at least 0 (not a
+    bool), inits[k] an `InitStrategy` or its value, include_static a bool,
+    and lr, epochs and l2 are checked as `train_readout` checks them.
+
+    The jobs are cut by `_pool.parts` of their readout products, seeds x
+    fits x epochs x V x D, into contiguous ranges, and `_pool.forked` runs
+    the first range in this process and each other on a worker process,
+    each at its share of the CPUs (one each on two CPUs).  A range builds
+    the tasks of its seeds again and trains each seed's fits in it as one
+    readout batch, which gives every fit's bits as its one-fit call does,
+    so the rows are the same however the jobs are cut.  Small work, one
+    CPU, or a process that cannot fork its workers runs every job here, as
+    one range.
     """
     _check_readout(lr, epochs, l2)
+    seeds = [integer(seed, f"seeds[{k}]", 0) for k, seed in enumerate(seeds)]
+    fits = [_init_strategy(init, f"inits[{k}]") for k, init in enumerate(inits)]
+    if not isinstance(include_static, (bool, np.bool_)):
+        raise ValueError(f"include_static must be a bool, got {include_static!r}")
+    if include_static:
+        fits.append(None)
+    jobs = [(seed, fit) for seed in seeds for fit in fits]
+    work = len(jobs) * epochs * task_cfg.num_nodes * task_cfg.num_features
+    job_rows = partial(_experiment_rows, jobs, task_cfg, model_cfg, lr, epochs, l2)
+    return _pool.forked(job_rows, _pool.ranges(len(jobs), _pool.parts(work)))
+
+
+def _init_strategy(init, name: str) -> InitStrategy:
+    try:
+        return InitStrategy(init)
+    except ValueError:
+        raise ValueError(f"{name} must be an InitStrategy, got {init!r}") from None
+
+
+def _experiment_rows(jobs, task_cfg, model_cfg, lr, epochs, l2, part) -> list:
+    """The rows of jobs[part], (seed, init) pairs with None for the static
+    baseline: each run of one seed's jobs builds its task once and trains
+    their readouts as one batch.  Every part of `run_experiment`, and its
+    plain path, runs this."""
     rows = []
-    for seed in seeds:
+    for seed, run in groupby(jobs[part], key=itemgetter(0)):
         task = gen_synthetic(seed, task_cfg)
         names, feats = [], []
-        for init in inits:
-            cfg_i = replace(model_cfg, init=init)
-            blocks = sample_model(named_rng(seed, "model"), cfg_i,
+        for _, init in run:
+            cfg = model_cfg if init is None else replace(model_cfg, init=init)
+            blocks = sample_model(named_rng(seed, "model"), cfg,
                                   task_cfg.num_features, task_cfg.seq_len)
-            names.append((cfg_i.variant.value, InitStrategy(init).value))
-            feats.append(extract_features(task, blocks))
-        if include_static:
-            blocks = sample_model(named_rng(seed, "model"), model_cfg,
-                                  task_cfg.num_features, task_cfg.seq_len)
-            names.append(("static", "none"))
-            feats.append(static_features(task, blocks[0].layer.gnn))
-        if not feats:
-            continue
+            if init is None:
+                names.append(("static", "none"))
+                feats.append(static_features(task, blocks[0].layer.gnn))
+            else:
+                names.append((cfg.variant.value, init.value))
+                feats.append(extract_features(task, blocks))
         z = np.stack([standardize(f, task.split.train) for f in feats])
         readouts = train_readout(z, task.labels, task.split, lr=lr, epochs=epochs,
                                  l2=l2, num_classes=task.num_classes)
@@ -528,7 +566,7 @@ def run_experiment(seeds, task_cfg: TaskConfig = TaskConfig(),
         for (variant, init), z_k, readout in zip(names, z, readouts):
             micro, macro = f1_scores(readout.predict(z_k[te]), task.labels[te],
                                      task.num_classes)
-            rows.append({"seed": int(seed), "variant": variant, "init": init,
+            rows.append({"seed": seed, "variant": variant, "init": init,
                          "micro_f1": micro, "macro_f1": macro})
     return rows
 

@@ -380,10 +380,13 @@ def _tile_buffers(size: int) -> tuple:
 
 
 # Node ranges start at multiples of this many rows and hold at least as many.
-# A BLAS matrix-vector kernel sums a row's products in an order set by the
-# row's place in its block of rows (OpenBLAS's Haswell dgemv takes 4 rows at
-# a time), and numpy hands a one-row matrix product to it as well; with
-# aligned ranges of many rows, every row is summed as in the whole-V product.
+# A BLAS matrix-vector kernel may sum a row's products in an order set by the
+# row's place in its block of rows, and numpy hands a one-row matrix product
+# to it as well, so a range cut at any row can move a last bit.  That aligned
+# ranges give the whole-V bits is what the tests hold, not a property of one
+# kernel: tests/test_split.py compares each variant's split forward with its
+# one-range forward, on weights where a cut at any row fails, and the digest
+# tests pin the forward's bits on one to three CPUs.
 _ROW_ALIGN = 16
 
 

@@ -183,11 +183,12 @@ class Snapshot:
     The adjacency is stored as its CSR pattern: `indptr` (V+1 row starts)
     and `indices` (each row's neighbors, sorted and listed once), read-only
     int32 arrays (int64 past int32's range).  `Snapshot(adjacency, features,
-    timestamp)` takes a dense square matrix and `Snapshot.from_csr` takes
-    the pattern; both go through one check that the graph is symmetric with
-    no self-loops.  `adjacency` rebuilds the dense read-only boolean matrix
-    on each access, so it is for small graphs.  The timestamp must be
-    finite.  Snapshots compare by value.
+    timestamp)` takes a dense square matrix of finite real numbers, an edge
+    where nonzero, and `Snapshot.from_csr` takes the pattern; both go
+    through one check that the graph is symmetric with no self-loops.
+    `adjacency` rebuilds the dense read-only boolean matrix on each access,
+    so it is for small graphs.  The timestamp must be finite.  Snapshots
+    compare by value.
     """
 
     indptr: np.ndarray
@@ -196,7 +197,10 @@ class Snapshot:
     timestamp: float
 
     def __init__(self, adjacency, features, timestamp):
-        adj = square(adjacency, "adjacency").astype(bool, copy=False)
+        adj = square(adjacency, "adjacency")
+        if adj.dtype.kind not in "biu":  # checked before the cast makes NaN an edge
+            adj = finite(adj, "adjacency")
+        adj = adj.astype(bool, copy=False)
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(adj, axis=1))])
         self._store(indptr, np.nonzero(adj)[1], features, timestamp)
 

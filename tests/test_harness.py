@@ -776,14 +776,28 @@ def test_run_experiment_one_init_gives_its_rows_of_the_full_run():
     assert static == [r for r in full if r["variant"] == "static"]
 
 
+_RUN_ERRORS = {"seeds": r"^seeds\[1\] must be an integer of at least 0",
+               "inits": r"^inits\[1\] must be an InitStrategy, got 'bogus'",
+               "include_static": r"^include_static must be a bool, got 'no'"}
+
+
 @pytest.mark.parametrize("setting", [{"lr": np.nan}, {"lr": 0.0}, {"epochs": 0},
-                                     {"epochs": 2.5}, {"l2": -1.0}, {"l2": np.inf}])
+                                     {"epochs": 2.5}, {"l2": -1.0}, {"l2": np.inf},
+                                     {"seeds": [0, -1]}, {"seeds": [0, True]},
+                                     {"seeds": [0, 1.0]},
+                                     {"inits": (InitStrategy.RANDOM, "bogus")},
+                                     {"include_static": "no"}])
 def test_run_experiment_checks_the_readout_settings_before_any_task_is_built(monkeypatch,
                                                                              setting):
+    """Also the seeds, inits and include_static, each named; no task is
+    built and no worker process started for any of them."""
     built = []
     monkeypatch.setattr(harness, "gen_synthetic", lambda *args: built.append(args))
-    with pytest.raises(ValueError, match="readout needs epochs >= 1|epochs must be an integer"):
-        run_experiment([0, 1], task_cfg=_tiny_task_cfg(), **setting)
+    monkeypatch.setattr(_pool, "forked", lambda *args: built.append(args))
+    (name,) = setting
+    match = _RUN_ERRORS.get(name, "readout needs epochs >= 1|epochs must be an integer")
+    with pytest.raises(ValueError, match=match):
+        run_experiment(**{"seeds": [0, 1], **setting}, task_cfg=_tiny_task_cfg())
     assert built == []
 
 
@@ -797,8 +811,10 @@ def test_acceptance_results_csv_keeps_its_digest(capsys, tmp_path):
 
 def test_the_acceptance_experiment_starts_no_pool_thread(monkeypatch, capsys, tmp_path):
     """Its task and layers are all under `_pool._SPLIT_WORK`: on two CPUs,
-    one seed runs every pass on the calling thread and gives the pool no
-    work."""
+    one seed's four fits are cut into two parts, for this process and a
+    worker process (or run here as one, where no worker can start), and
+    each process runs every pass of its task and layers on its calling
+    thread and gives the thread pool no work."""
     monkeypatch.setattr(_pool, "cpus", lambda: 2)
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(_pool, "_executor", pool)

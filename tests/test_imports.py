@@ -1,4 +1,5 @@
-"""Each subcommand loads only the scipy subpackages it uses.
+"""Each subcommand loads only the scipy subpackages it uses, and none but a
+split `run` loads multiprocessing.
 
 `import gssm` loads no scipy: `tgraph` imports scipy.sparse, `hippo`
 scipy.linalg and `layers` scipy.special inside the functions that call them.
@@ -40,20 +41,48 @@ def _python(script, *args):
     return done.stdout.splitlines()[-1].split()
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["gen", *_TINY_TASK, "--out", "{tmp}/g.seq"], []),
-    (["metrics", "{tmp}/tiny.seq"], []),
-    (["bench", "--l-values", "16", "--lanes", "2", "--repeats", "1",
-      "--out", "{tmp}/b.csv"], []),
-    (["verify", "--config", str(_ACCEPTANCE_CFG), "--instances", "3", "--schedules", "10",
-      "--ode-steps", "50"], ["scipy.linalg"]),
-    (["run", *_TINY_TASK, "--seeds", "0", "--epochs", "2", "--out", "{tmp}/r.csv"],
-     ["scipy.sparse", "scipy.special"]),
-], ids=["gen", "metrics", "bench", "verify", "run"])
-def test_each_subcommand_loads_only_the_scipy_it_uses(tmp_path, capsys, argv, loaded):
+# Each subcommand's argv ({tmp}: a directory holding the tiny task tiny.seq).
+_ARGV = {
+    "gen": ["gen", *_TINY_TASK, "--out", "{tmp}/g.seq"],
+    "metrics": ["metrics", "{tmp}/tiny.seq"],
+    "bench": ["bench", "--l-values", "16", "--lanes", "2", "--repeats", "1",
+              "--out", "{tmp}/b.csv"],
+    "verify": ["verify", "--config", str(_ACCEPTANCE_CFG), "--instances", "3",
+               "--schedules", "10", "--ode-steps", "50"],
+    "run": ["run", *_TINY_TASK, "--seeds", "0", "--epochs", "2", "--out", "{tmp}/r.csv"],
+}
+
+
+def _argv(tmp_path, capsys, command) -> list:
+    """`command`'s argv in `tmp_path`, with the tiny task written there."""
     assert main(["gen", *_TINY_TASK, "--out", str(tmp_path / "tiny.seq")]) == 0
     capsys.readouterr()
-    assert _python(_LIST_SCIPY, *(a.format(tmp=tmp_path) for a in argv)) == loaded
+    return [a.format(tmp=tmp_path) for a in _ARGV[command]]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("gen", []), ("metrics", []), ("bench", []), ("verify", ["scipy.linalg"]),
+    ("run", ["scipy.sparse", "scipy.special"]),
+], ids=list(_ARGV))
+def test_each_subcommand_loads_only_the_scipy_it_uses(tmp_path, capsys, command, loaded):
+    assert _python(_LIST_SCIPY, *_argv(tmp_path, capsys, command)) == loaded
+
+
+# Prints whether multiprocessing is loaded once the command, if any, has run.
+_HAS_MULTIPROCESSING = """
+import sys
+import gssm
+from gssm.cli import main
+assert not sys.argv[1:] or main(sys.argv[1:]) == 0
+print("multiprocessing" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["import", "gen", "metrics", "bench", "verify"])
+def test_only_a_split_experiment_loads_multiprocessing(tmp_path, capsys, command):
+    """`gssm._pool` imports it when it first forks its worker processes."""
+    argv = [] if command == "import" else _argv(tmp_path, capsys, command)
+    assert _python(_HAS_MULTIPROCESSING, *argv) == ["False"]
 
 
 def test_expit_imported_first_on_two_pool_threads_keeps_the_forward_digest():

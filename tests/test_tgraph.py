@@ -255,6 +255,28 @@ def test_snapshot_rejects_complex_features():
                  timestamp=0.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "^adjacency must be finite"), (np.inf, "^adjacency must be finite"),
+    (-np.inf, "^adjacency must be finite"),
+    (1j, "^adjacency must hold real numbers, not complex numbers"),
+])
+def test_snapshot_rejects_a_dense_adjacency_entry_that_is_not_a_finite_real(bad, message):
+    """Cast to bool, each of these would be an edge."""
+    with pytest.raises(ValueError, match=message):
+        Snapshot([[0, bad], [bad, 0]], np.zeros((2, 1)), 0.0)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float32, float])
+def test_a_dense_adjacency_of_any_real_type_gives_the_boolean_pattern(dtype):
+    adj = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]]) != 0
+    weighted = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]]).astype(dtype)
+    want = Snapshot(adj, np.zeros((3, 1)), 0.0)
+    got = Snapshot(weighted, np.zeros((3, 1)), 0.0)
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.indices.dtype == want.indices.dtype
+
+
 def test_materialize_rejects_bad_feature_shape():
     stream = EventStream(num_nodes=3, horizon=1.0, initial_edges=frozenset(), events=())
     with pytest.raises(ValueError):
