@@ -53,7 +53,7 @@ for name, params in (("S4", s4), ("S5", s5), ("S6", s6)):
           f"sequential-vs-parallel gap {float(gap):.1e}")
 
 # --- residual blocks -------------------------------------------------------------
-# activation(layer(H)) + H per block; mixing runs in the first block only.
+# relu(layer(H)) + H per block; mixing runs in the first block only.
 stack = (BlockParams(layer=s4), BlockParams(layer=s5))
 out = block_forward(hidden, seq, stack)
 print("\n2-block stack output:", out.shape)

@@ -1,5 +1,5 @@
 """Checks shared by every input boundary of the package: the reader of the
-two text formats (`read_records`, `LineReader`, `numbers`), config values
+sequence file format (`read_records`, `LineReader`, `numbers`), config values
 (`parse_like`), and the arrays and scalars of constructors and entry points.
 Every check raises ValueError naming what it checked.
 """

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _pool
-from ._checks import class_ids, finite, integer, integers, nonnegative, numbers, read_records
+from ._checks import class_ids, finite, integer, integers, nonnegative
 from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
@@ -107,21 +107,20 @@ class SyntheticTask:
         return self.sequence.num_nodes
 
 
-def split_nodes(labels: np.ndarray, rng: np.random.Generator,
-                fractions=(0.6, 0.2, 0.2)) -> Split:
-    """Stratified train/val/test split: per-class proportions within one node
-    of exact stratification."""
-    finite(fractions, "fractions")
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
-        raise ValueError("fractions must be three positive values summing to 1")
+_TRAIN_SHARE, _VAL_SHARE = 0.6, 0.2  # of each class; the test split takes the rest
+
+
+def split_nodes(labels: np.ndarray, rng: np.random.Generator) -> Split:
+    """Stratified 60/20/20 train/val/test split: per-class proportions within
+    one node of exact stratification."""
     labels = integers(labels, "labels")
     train, val, test = [], [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         n = idx.size
-        a = int(round(fractions[0] * n))
-        b = int(round((fractions[0] + fractions[1]) * n))
+        a = int(round(_TRAIN_SHARE * n))
+        b = int(round((_TRAIN_SHARE + _VAL_SHARE) * n))
         train.extend(idx[:a].tolist())
         val.extend(idx[a:b].tolist())
         test.extend(idx[b:].tolist())
@@ -287,11 +286,11 @@ class ModelConfig:
 
 def sample_model(rng: np.random.Generator, cfg: ModelConfig,
                  num_features: int, seq_len: int) -> list:
-    """Draw a random stack of blocks; only the first block carries the
-    configured mixing mechanism."""
+    """Draw a random stack of blocks, each with the configured mixing
+    mechanism; `block_forward` runs it in the first block only."""
     d, n = num_features, cfg.state_size
     blocks = []
-    for k in range(cfg.num_blocks):
+    for _ in range(cfg.num_blocks):
         extra = {}
         if cfg.variant is SsmVariant.S5:
             a = init_a(cfg.init, (n,), rng)
@@ -320,7 +319,7 @@ def sample_model(rng: np.random.Generator, cfg: ModelConfig,
                      "delta_bias": delta_bias_init(seq_len)}
         layer = SsmLayerParams(
             variant=cfg.variant, a=a, gnn=gnn, mix=mix,
-            mix_mechanism=cfg.mix_mechanism if k == 0 else MixMechanism.ORDINARY,
+            mix_mechanism=cfg.mix_mechanism,
             **extra, **delta)
         blocks.append(BlockParams(layer=layer,
                                   res_weight=glorot(rng, (d, d)) * _RES_SCALE,
@@ -592,26 +591,10 @@ def results_to_csv(rows) -> str:
 #   then V lines of integer class ids, one per node in id order.
 # ---------------------------------------------------------------------------
 
-_LABELS_MAGIC = "GSSML v1"
-
-
 def save_labels(labels: np.ndarray, num_classes: int, path) -> None:
     labels, c = class_ids(labels, num_classes)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_LABELS_MAGIC} {labels.size} {c}\n")
+        fh.write(f"GSSML v1 {labels.size} {c}\n")
         for x in labels.tolist():
             fh.write(f"{x}\n")
 
-
-def load_labels(path):
-    """Read a file written by `save_labels`: (labels, class count).  Every
-    malformed record raises ValueError naming the path."""
-    return read_records(path, _parse_labels)
-
-
-def _parse_labels(rd):
-    v, c = rd.header(_LABELS_MAGIC, "<V> <C>")
-    if v < 0:
-        raise ValueError(f"negative node count {v}")
-    ids = [numbers([rd.next("label")], int, "label")[0] for _ in range(v)]
-    return class_ids(np.array(ids, dtype=int), c)

@@ -37,9 +37,9 @@ Building blocks, bottom up:
   readout products sets the range count, so with one CPU, or a small
   layer, each pass is one range and no thread starts.
 * `block_forward` -- residual block composition around a layer: each node
-  range applies the activation, the residual and S6's layer normalization
-  to its own rows in place.  The mixing mechanism is by default confined
-  to the first block.
+  range applies ReLU, the residual and S6's layer normalization to its own
+  rows in place.  It alone owns the rule that confines the mixing
+  mechanism to the first block (on by default).
 * `init_a`, `delta_bias_init`, `align_memory`.
 
 All recurrences run through the scan module, one `run_scan` call per time
@@ -57,7 +57,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool
-from ._checks import finite, integer, integers, negative
+from ._checks import finite, integer, integers, negative, symmetric
 from .discretize import MixMechanism
 from .scan import RecurrenceInputs, check_backend, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
@@ -65,10 +65,6 @@ from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
 def softplus(x):
     return np.logaddexp(0.0, x)
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +500,7 @@ def _normalize(xc: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockParams:
-    """One residual block: activation(layer(H)) + residual(H).
+    """One residual block: relu(layer(H)) + residual(H).
 
     res_weight=None means an identity residual; otherwise an affine map.
     """
@@ -525,16 +521,20 @@ class BlockParams:
 
 
 def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
-                  activation=relu, backend: str = "sequential",
+                  backend: str = "sequential",
                   first_block_mixing_only: bool = True) -> np.ndarray:
     """Residual composition of K blocks over the sequence.
 
     By default any FeatureMix/ReprMix mechanism is honored only in the first
-    block; later blocks run the plain estimate.  The selective variant's
-    block appends a layer normalization as its final operation.  `blocks`
-    is any iterable of at least one BlockParams; ValueError for none,
+    block; later blocks run the plain estimate, whatever their own.  The
+    selective variant's block appends a layer normalization as its final
+    operation.  `blocks` is any iterable of at least one BlockParams;
+    ValueError for none or a first_block_mixing_only that is not a bool,
     TypeError naming blocks[k] for an entry of another type.
     """
+    if not isinstance(first_block_mixing_only, (bool, np.bool_)):
+        raise ValueError("first_block_mixing_only must be a bool, "
+                         f"got {first_block_mixing_only!r}")
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one block")
@@ -543,19 +543,19 @@ def block_forward(hidden_in: np.ndarray, seq: SnapshotSequence, blocks,
             raise TypeError(f"blocks[{k}] must be a BlockParams, got {type(blk).__name__}")
     hidden = hidden_in
     for k, blk in enumerate(blocks):
-        hidden = _layer(seq, hidden, blk.layer, backend, partial(_epilogue, blk, activation),
+        hidden = _layer(seq, hidden, blk.layer, backend, partial(_epilogue, blk),
                         mixing=k == 0 or not first_block_mixing_only)
     return hidden
 
 
-def _epilogue(blk, activation, y, h):
+def _epilogue(blk, y, h):
     """The rest of block `blk` on one node range, in place: y, the layer's
-    output rows, becomes activation(y) + residual(h), h being the same rows
-    of the block input, then S6's layer normalization."""
+    output rows, becomes relu(y) + residual(h), h being the same rows of the
+    block input, then S6's layer normalization."""
     res = h if blk.res_weight is None else h @ blk.res_weight
     if blk.res_bias is not None:
         res = np.add(res, blk.res_bias, out=None if blk.res_weight is None else res)
-    np.add(y if activation is None else activation(y), res, out=y)
+    np.add(np.maximum(y, 0.0, out=y), res, out=y)
     if blk.layer.variant is SsmVariant.S6:
         y -= y.mean(axis=-1, keepdims=True)
         _normalize(y)
@@ -626,7 +626,8 @@ def align_memory(u_prev: np.ndarray, v_prev, v_new, rule: StateInitRule = StateI
     sorted(v_new).  Nodes present in both keep their state rows unchanged
     (bit-exact); departed rows are dropped; new nodes start at zero or, with
     NEIGHBOR_MEAN, at the mean state of their surviving neighbors in the new
-    graph (`adjacency`, indexed like sorted(v_new)) -- isolated or
+    graph (`adjacency`, indexed like sorted(v_new), checked as a snapshot's
+    is: finite, real, symmetric, no self-loops) -- isolated or
     all-new-neighbor nodes fall back to zero.
     """
     rule = StateInitRule(rule)
@@ -638,7 +639,7 @@ def align_memory(u_prev: np.ndarray, v_prev, v_new, rule: StateInitRule = StateI
     if rule is StateInitRule.NEIGHBOR_MEAN:
         if adjacency is None:
             raise ValueError("NEIGHBOR_MEAN needs the new snapshot's adjacency")
-        adjacency = np.asarray(adjacency, dtype=bool)
+        adjacency = symmetric(adjacency, "adjacency").astype(bool)
         if adjacency.shape != (len(new_ids), len(new_ids)):
             raise ValueError("adjacency must be indexed like sorted(v_new)")
 

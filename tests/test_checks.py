@@ -1,5 +1,5 @@
-"""The input boundaries: the two file formats read through one reader, and
-the label-range check every entry point shares."""
+"""The input boundaries: the sequence file format, read through the shared
+reader, and the label-range check every entry point shares."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gssm import (Snapshot, SnapshotSequence, SyntheticTask, TaskConfig,
-                  f1_scores, gen_synthetic, load_labels, load_sequence,
+                  f1_scores, gen_synthetic, load_sequence,
                   readout_loss, save_labels, save_sequence, train_readout)
 
 
@@ -27,8 +27,6 @@ def _sequence():
 _FORMATS = {
     "sequence": (_sequence(), save_sequence, load_sequence,
                  lambda a, b: a == b, "T 9.0\nE 0\ngarbage\n"),
-    "labels": ((np.array([0, 2, 1, 1]), 3), lambda obj, path: save_labels(*obj, path),
-               load_labels, lambda a, b: a[1] == b[1] and np.array_equal(a[0], b[0]), "1\n"),
 }
 
 
@@ -131,8 +129,6 @@ def _labelled():
 _LABEL_ENTRY_POINTS = {
     "task": lambda task, labels, path: SyntheticTask(task.sequence, labels, 3, task.split),
     "save_labels": lambda task, labels, path: save_labels(labels, 3, path),
-    "load_labels": lambda task, labels, path: (
-        path.write_text("GSSML v1 12 3\n" + "".join(f"{x}\n" for x in labels)), load_labels(path)),
     "readout_loss": lambda task, labels, path: readout_loss(
         np.zeros(3 * 3), np.ones((12, 2)), labels, 3),
     "train_readout": lambda task, labels, path: train_readout(

@@ -13,7 +13,6 @@ from gssm import (
     SnapshotSequence,
     TaskConfig,
     gen_synthetic,
-    load_labels,
     load_sequence,
     save_sequence,
 )
@@ -215,9 +214,8 @@ def test_gen_output_reloads_and_matches_the_library_generator(capsys, tmp_path):
         assert np.array_equal(got.adjacency, want.adjacency)
         assert np.array_equal(got.features, want.features)
 
-    labels, num_classes = load_labels(str(out) + ".labels")
-    assert num_classes == 3
-    assert np.array_equal(labels, task.labels)
+    sidecar = pathlib.Path(str(out) + ".labels").read_text(encoding="ascii")
+    assert sidecar == "GSSML v1 24 3\n" + "".join(f"{x}\n" for x in task.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,17 @@ from gssm import (
     extract_features,
     f1_scores,
     gen_synthetic,
-    load_labels,
     named_rng,
     run_experiment,
     sample_model,
     save_labels,
-    split_nodes,
-    standardize,
     static_features,
     train_readout,
 )
 from gssm import _pool, harness
 from gssm._checks import finite
 from gssm.cli import main
-from gssm.harness import _upper_pairs, readout_loss, results_to_csv
+from gssm.harness import _upper_pairs, readout_loss, results_to_csv, split_nodes, standardize
 from test_layers import _split
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -330,6 +327,22 @@ def test_gen_split_is_stratified_within_one_node():
         for part, frac in zip(task.split, (0.6, 0.2, 0.2)):
             got = np.sum(labels[part] == c)
             assert abs(got - frac * n_c) <= 1.0
+
+
+@pytest.mark.parametrize("size, counts", [
+    (1, (1, 0, 0)), (2, (1, 1, 0)), (3, (2, 0, 1)), (4, (2, 1, 1)),
+    (5, (3, 1, 1)), (7, (4, 2, 1)), (10, (6, 2, 2)), (12, (7, 3, 2)), (20, (12, 4, 4)),
+])
+def test_split_nodes_rounds_60_20_20_of_each_class(size, counts):
+    """Class 0 of `size` nodes next to a class of ten: each class's train and
+    train+val counts are 60% and 80% of it, rounded; test takes the rest."""
+    labels = np.array([0] * size + [1] * 10)
+    np.random.default_rng(size).shuffle(labels)
+    split = split_nodes(labels, np.random.default_rng(3))
+    assert tuple(int(np.sum(labels[part] == 0)) for part in split) == counts
+    assert tuple(int(np.sum(labels[part] == 1)) for part in split) == (6, 2, 2)
+    assert all(np.array_equal(part, np.sort(part)) for part in split)
+    assert np.array_equal(np.sort(np.concatenate(split)), np.arange(labels.size))
 
 
 def test_gen_splits_partition_all_nodes():
@@ -898,85 +911,34 @@ def test_named_rng_and_gen_reject_a_seed_that_is_not_a_nonnegative_integer(seed)
         gen_synthetic(seed, _tiny_task_cfg())
 
 
-def test_labels_round_trip(tmp_path):
-    labels = np.array([0, 2, 1, 1, 0])
+def test_save_labels_writes_the_header_then_one_class_id_a_line(tmp_path):
     path = tmp_path / "task.labels"
-    save_labels(labels, 3, path)
-    back, c = load_labels(path)
-    assert c == 3
-    assert np.array_equal(back, labels)
+    save_labels(np.array([0, 2, 1, 1, 0]), 3, path)
+    assert path.read_text() == "GSSML v1 5 3\n0\n2\n1\n1\n0\n"
 
 
-def test_labels_of_no_nodes_round_trip(tmp_path):
+def test_save_labels_of_no_nodes_writes_the_header_alone(tmp_path):
     path = tmp_path / "empty.labels"
     save_labels(np.array([], dtype=int), 3, path)
     assert path.read_text() == "GSSML v1 0 3\n"
-    back, c = load_labels(path)
-    assert c == 3 and back.shape == (0,)
 
 
-def test_labels_reject_malformed_files(tmp_path):
+@pytest.mark.parametrize("labels, num_classes, message", [
+    ([0, 3, 1], 3, r"labels must lie in \[0, 3\), got 3"),
+    ([0, -1, 1], 3, r"labels must lie in \[0, 3\), got -1"),
+    ([0, 1], 0, "class count 0 is below 1"),
+    ([0, 1], -2, "class count -2 is below 1"),
+    ([0, np.nan], 3, "labels must be integers"),
+    ([0, np.inf], 3, "labels must be integers"),
+    ([[0, 1], [1, 0]], 3, "labels must assign one class per node"),
+], ids=["past_classes", "negative", "zero_classes", "negative_classes", "nan", "inf",
+        "two_dimensional"])
+def test_save_labels_checks_its_input_before_creating_the_file(tmp_path, labels,
+                                                               num_classes, message):
     path = tmp_path / "bad.labels"
-    path.write_text("GSSML v2 2 2\n0\n1\n")
-    with pytest.raises(ValueError):
-        load_labels(path)
-    path.write_text("GSSML v1 3 2\n0\n1\n")
-    with pytest.raises(ValueError):
-        load_labels(path)
-    path.write_text("GSSML v1 2 2\n0\n5\n")
-    with pytest.raises(ValueError):
-        load_labels(path)
-
-
-@pytest.mark.parametrize("text", ["GSSML v1 0 -3\n", "GSSML v1 0 0\n", "GSSML v1 2 0\n0\n0\n"],
-                         ids=["negative_empty", "zero_empty", "zero_with_labels"])
-def test_labels_reject_a_class_count_below_one(tmp_path, text):
-    path = tmp_path / "bad.labels"
-    path.write_text(text)
-    with pytest.raises(ValueError) as excinfo:
-        load_labels(path)
-    assert str(excinfo.value).startswith(f"{path}: class count ")
-
-
-def test_labels_reject_a_negative_count_and_lines_past_the_count(tmp_path):
-    path = tmp_path / "bad.labels"
-    path.write_text("GSSML v1 -1 3\n")
-    with pytest.raises(ValueError, match="negative"):
-        load_labels(path)
-    path.write_text("GSSML v1 2 3\n0\n1\n2\n5\n")
-    with pytest.raises(ValueError, match="past the declared count"):
-        load_labels(path)
-    path.write_text("GSSML v1 2 3\n0\n1\n\n  \n")
-    back, c = load_labels(path)
-    assert c == 3 and np.array_equal(back, [0, 1])
-
-
-@pytest.mark.parametrize("text, message", [
-    ("GSSML v1 2 3\n0\n1.5\n", "malformed label '1.5'"),
-    ("GSSML v1 x 3\n", "malformed header sizes 'x 3'"),
-    ("GSSML v1 2 y\n0\n1\n", "malformed header sizes '2 y'"),
-    ("", "malformed header"),
-    ("GSSML v1 1 3\n0 1\n", "malformed label '0 1'"),
-    ("GSSML v1 2.5 3\n", "malformed header sizes '2.5 3'"),
-    ("GSSML v1 2\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
-    ("GSSML v1 2 3 4\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
-    ("GSSM v1 1 3\n0\n", "malformed header (expected 'GSSML v1 <V> <C>')"),
-    ("GSSML v1 1 3\nnan\n", "malformed label 'nan'"),
-    ("GSSML v1 1 3\ninf\n", "malformed label 'inf'"),
-    ("GSSML v1 1 3\n1e0\n", "malformed label '1e0'"),
-    ("GSSML v1 1 3\n\n", "malformed label ''"),
-    ("GSSML v1 2 3\n0\n", "unexpected end of file while reading label"),
-    ("GSSML v1 1 3\n-1\n", "labels must lie in [0, 3), got -1"),
-    ("GSSML v1 1 3\n3\n", "labels must lie in [0, 3), got 3"),
-], ids=["float_label", "bad_count", "bad_classes", "empty", "two_tokens", "float_count",
-        "short_header", "long_header", "wrong_magic", "nan_label", "inf_label",
-        "exponent_label", "blank_label", "truncated", "negative_label", "label_past_classes"])
-def test_labels_parse_errors_name_the_path(tmp_path, text, message):
-    path = tmp_path / "bad.labels"
-    path.write_text(text)
-    with pytest.raises(ValueError) as excinfo:
-        load_labels(path)
-    assert str(excinfo.value).startswith(f"{path}: {message}")
+    with pytest.raises(ValueError, match=message):
+        save_labels(np.array(labels), num_classes, path)
+    assert not path.exists()
 
 
 def test_task_rejects_non_integer_labels_and_split_indices():
@@ -1005,17 +967,3 @@ def test_split_nodes_and_save_labels_reject_non_integer_labels(tmp_path):
         split_nodes(np.array([0, 1, 1.5]), np.random.default_rng(0))
     with pytest.raises(ValueError, match="labels must be integers"):
         save_labels(np.array([0, 1, 2.5]), 3, tmp_path / "bad.labels")
-
-
-def test_split_nodes_rejects_bad_fractions():
-    with pytest.raises(ValueError):
-        split_nodes(np.array([0, 1]), np.random.default_rng(0), fractions=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        split_nodes(np.array([0, 1]), np.random.default_rng(0),
-                    fractions=(0.8, 0.3, -0.1))
-
-
-@pytest.mark.parametrize("fractions", [(0.6, np.nan, 0.2), (np.nan, 0.5, 0.5), (np.inf, 0.2, 0.2)])
-def test_split_nodes_rejects_non_finite_fractions_by_name(fractions):
-    with pytest.raises(ValueError, match="fractions must be finite"):
-        split_nodes(np.array([0, 1, 0, 1]), np.random.default_rng(0), fractions=fractions)

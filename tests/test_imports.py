@@ -4,18 +4,23 @@ split `run` loads multiprocessing.
 `import gssm` loads no scipy: `tgraph` imports scipy.sparse, `hippo`
 scipy.linalg and `layers` scipy.special inside the functions that call them.
 Each case runs in a fresh interpreter, so the modules it lists are the
-ones its own command loaded.
+ones its own command loaded.  `gssm.__all__` names the public API, so the
+API cannot grow unnoticed, and it covers every name the demos and the
+acceptance tests import from `gssm`.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
+import gssm
 from gssm.cli import main
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -108,3 +113,31 @@ print(hashlib.sha256(out.tobytes()).hexdigest())
 """
     assert _python(script) == [
         "348a19dc674dd13930b1291a6f08c5203a4c9ca01c7b7ac18566a6f94de4ec52"]
+
+
+def test_gssm_all_names_every_public_name():
+    """Every public name of the package namespace, submodules aside, is in
+    `gssm.__all__` once, and every entry resolves."""
+    public = {name for name, value in vars(gssm).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(gssm.__all__) == sorted(public)
+
+
+def test_star_import_of_gssm_runs_under_warnings_as_errors():
+    script = """
+import warnings
+warnings.simplefilter("error")
+from gssm import *
+print(block_forward.__module__)
+"""
+    assert _python(script) == ["gssm.layers"]
+
+
+@pytest.mark.parametrize("path", sorted(_ROOT.glob("demos/*.py")) + [
+    _ROOT / "tests" / "test_acceptance.py"], ids=lambda path: path.name)
+def test_every_name_a_caller_imports_from_gssm_is_declared(path):
+    names = [alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "gssm"
+             for alias in node.names]
+    assert names
+    assert [name for name in names if name not in gssm.__all__] == []

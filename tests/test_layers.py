@@ -40,14 +40,13 @@ from gssm import (
     glorot,
     init_a,
     laplacian,
-    layer_norm,
     mixed_estimate,
-    relu,
     sample_model,
     softplus,
     ssm_forward,
 )
 from gssm import _pool, layers, tgraph
+from gssm.layers import layer_norm
 from gssm.scan import RecurrenceInputs, run_scan, scan_sequential
 
 
@@ -730,7 +729,8 @@ def test_drive_estimates_equal_the_per_snapshot_reference(monkeypatch, mechanism
 @pytest.mark.parametrize("variant", list(SsmVariant))
 def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mechanism):
     """Sampled models (S6's four GNNs share one flavor and self_mix) over a
-    sequence whose operator splits into blocks, against `_stepwise_forward`."""
+    sequence whose operator splits into blocks, against `_stepwise_forward`
+    with every block after the first demoted to ORDINARY."""
     monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
     rng = np.random.default_rng(59)
     v, l, d = 6, 7, 3
@@ -738,12 +738,35 @@ def test_block_forward_equals_the_per_snapshot_blocks(monkeypatch, variant, mech
     hidden = rng.normal(size=(v, l, d))
     blocks = sample_model(rng, ModelConfig(variant=variant, mix_mechanism=mechanism), d, l)
     ref = hidden
-    for blk in blocks:
-        y = _stepwise_forward(seq, ref, blk.layer, blk.layer.mix_mechanism)
-        ref = relu(y) + (ref @ blk.res_weight + blk.res_bias)
+    for k, blk in enumerate(blocks):
+        y = _stepwise_forward(seq, ref, blk.layer, mechanism if k == 0 else MixMechanism.ORDINARY)
+        ref = np.maximum(y, 0.0) + (ref @ blk.res_weight + blk.res_bias)
         if variant is SsmVariant.S6:
             ref = layer_norm(ref)
     assert np.array_equal(block_forward(hidden, seq, blocks), ref)
+
+
+@pytest.mark.parametrize("mechanism", list(MixMechanism))
+@pytest.mark.parametrize("variant", list(SsmVariant))
+def test_a_sampled_model_mixes_in_every_block_without_the_first_block_rule(
+        monkeypatch, variant, mechanism):
+    """`sample_model` builds every block with the configured mechanism, so
+    with `first_block_mixing_only=False` each block equals its per-snapshot
+    forward at that mechanism: the first-block rule lives in `block_forward`."""
+    monkeypatch.setattr(tgraph, "_RUN_ENTRIES", _SMALL_CAP)
+    rng = np.random.default_rng(61)
+    v, l, d = 6, 7, 3
+    seq = _sparse_sequence(rng, v, l, d)
+    hidden = rng.normal(size=(v, l, d))
+    blocks = sample_model(rng, ModelConfig(variant=variant, mix_mechanism=mechanism), d, l)
+    assert [blk.layer.mix_mechanism for blk in blocks] == [mechanism] * len(blocks)
+    ref = hidden
+    for blk in blocks:
+        y = _stepwise_forward(seq, ref, blk.layer, mechanism)
+        ref = np.maximum(y, 0.0) + (ref @ blk.res_weight + blk.res_bias)
+        if variant is SsmVariant.S6:
+            ref = layer_norm(ref)
+    assert np.array_equal(block_forward(hidden, seq, blocks, first_block_mixing_only=False), ref)
 
 
 def _split(monkeypatch, parts):
@@ -1267,7 +1290,7 @@ def test_block_zero_everything_with_zero_residual_weight_is_zero():
         delta_bias=0.0,
     )
     blk = BlockParams(layer=zero_layer, res_weight=np.zeros((d, d)))
-    out = block_forward(np.zeros((v, l, d)), seq, [blk], activation=None)
+    out = block_forward(np.zeros((v, l, d)), seq, [blk])
     assert np.array_equal(out, np.zeros((v, l, d)))
 
 
@@ -1327,6 +1350,15 @@ def test_block_forward_names_an_entry_that_is_not_a_block(k):
     with pytest.raises(TypeError,
                        match=fr"^blocks\[{k}\] must be a BlockParams, got SsmLayerParams$"):
         block_forward(rng.normal(size=(v, l, d)), seq, iter(blocks))
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_block_forward_requires_first_block_mixing_only_to_be_a_bool(flag):
+    rng = np.random.default_rng(89)
+    seq = _sequence(rng, 2, 2, 2)
+    blocks = [BlockParams(layer=_s4_params(rng, 2, 2))]
+    with pytest.raises(ValueError, match=f"^first_block_mixing_only must be a bool, got {flag!r}$"):
+        block_forward(np.zeros((2, 2, 2)), seq, blocks, first_block_mixing_only=flag)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
@@ -1458,6 +1490,19 @@ def test_align_neighbor_mean_without_surviving_neighbors_falls_back_to_zero():
 def test_align_neighbor_mean_requires_adjacency():
     with pytest.raises(ValueError):
         align_memory(np.ones((1, 2)), [0], [0, 1], rule=StateInitRule.NEIGHBOR_MEAN)
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([[0, np.nan], [np.nan, 0]], "adjacency must be finite"),
+    ([[0, 1j], [1j, 0]], "adjacency must hold real numbers, not complex numbers"),
+    ([[0, 1], [0, 0]], "adjacency must be symmetric"),
+    ([[0, 1], [1, 1]], r"adjacency diagonal must be zero \(no self-loops\)"),
+], ids=["nan", "complex", "asymmetric", "self_loop"])
+def test_align_neighbor_mean_rejects_an_adjacency_no_snapshot_could_hold(adjacency, message):
+    """Checked before the cast to bool, which would make NaN and 1j edges."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        align_memory(np.ones((1, 2)), [0], [0, 1], rule=StateInitRule.NEIGHBOR_MEAN,
+                     adjacency=adjacency)
 
 
 def test_align_rejects_a_non_finite_state_row():

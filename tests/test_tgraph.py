@@ -16,12 +16,11 @@ from gssm import (
     laplacian,
     load_sequence,
     materialize_snapshots,
-    replay_edges,
     save_sequence,
     segments,
     temporal_continuity,
 )
-from gssm.tgraph import _csr_from_pairs
+from gssm.tgraph import _csr_from_pairs, replay_edges
 
 
 def _snap(adj, feats, t=0.0):
