@@ -1,68 +1,11 @@
-"""Checks shared by every input boundary of the package: the reader of the
-sequence file format (`read_records`, `LineReader`, `numbers`), config values
-(`parse_like`), and the arrays and scalars of constructors and entry points.
-Every check raises ValueError naming what it checked.
+"""Checks shared by the input boundaries of the package: the decoding of a
+text file (`read_text`), and the arrays and scalars of constructors and
+entry points.  Every check raises ValueError naming what it checked.
 """
 
 import numbers as _numbers
 
 import numpy as np
-
-
-class LineReader:
-    """The lines of a text file, handed out in order to a format's parser."""
-
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self, what: str) -> str:
-        """The next line; ValueError naming `what` at the end of the file."""
-        if self.pos >= len(self.lines):
-            raise ValueError(f"unexpected end of file while reading {what}")
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    def header(self, magic: str, sizes: str) -> list:
-        """The integers after `magic` on the first line, one per field of
-        `sizes` (e.g. '<V> <C>'); ValueError for any other first line."""
-        tokens = (self.lines[0] if self.lines else "").split()
-        self.pos = 1
-        cut = len(magic.split())
-        if tokens[:cut] != magic.split() or len(tokens) != cut + len(sizes.split()):
-            raise ValueError(f"malformed header (expected '{magic} {sizes}')")
-        return numbers(tokens[cut:], int, "header sizes")
-
-
-def numbers(tokens, kind, what: str) -> list:
-    """The tokens parsed by `kind` (int or float); ValueError naming `what`
-    and quoting the first eight tokens if one does not parse."""
-    try:
-        return [kind(x) for x in tokens]
-    except ValueError:
-        shown = " ".join(tokens[:8]) + (" ..." if len(tokens) > 8 else "")
-        raise ValueError(f"malformed {what} {shown!r}: expected "
-                         + ("integers" if kind is int else "numbers")) from None
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def parse_like(text: str, like):
-    """text parsed as the type of `like`: a boolean (1/0, true/false, yes/no,
-    on/off), an integer or a number; for any other `like`, text as it is."""
-    if isinstance(like, bool):
-        if text.lower() in _TRUE | _FALSE:
-            return text.lower() in _TRUE
-        raise ValueError(f"expected a boolean, got {text!r}")
-    for kind, name in ((int, "an integer"), (float, "a number")):
-        if isinstance(like, kind):
-            try:
-                return kind(text)
-            except ValueError:
-                raise ValueError(f"expected {name}, got {text!r}") from None
-    return text
 
 
 def read_text(path, encoding: str) -> str:
@@ -75,22 +18,6 @@ def read_text(path, encoding: str) -> str:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: non-{encoding} byte {data[exc.start]:#04x} "
                          f"at offset {exc.start}") from None
-
-
-def read_records(path, parse):
-    """parse(reader) over the lines of the ASCII text file at `path`.  Only
-    blank lines may follow the last line the parser reads.  A malformed
-    record, a non-ASCII byte or a line past the last record raises
-    ValueError starting with '<path>: '."""
-    rd = LineReader(read_text(path, "ASCII").splitlines())
-    try:
-        out = parse(rd)
-        extra = [k for k in range(rd.pos, len(rd.lines)) if rd.lines[k].strip()]
-        if extra:
-            raise ValueError(f"records past the declared count, from line {extra[0] + 1}")
-        return out
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 _NOT_REAL = {"c": "complex numbers", "S": "bytes", "U": "strings"}
@@ -124,7 +51,10 @@ def negative(value, name: str) -> np.ndarray:
 
 
 def nonnegative(value, name: str) -> float:
-    """value as a float; ValueError unless it is finite and >= 0."""
+    """value as a float; ValueError unless it is one real number (not a
+    bool, string, complex value or array of several) that is finite and >= 0."""
+    if np.ndim(value) or np.asarray(value).dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
@@ -159,11 +89,11 @@ def integer(value, name: str, least: int) -> int:
 
 
 def integers(values, name: str) -> np.ndarray:
-    """values as an int array; ValueError for any value that is not an
-    integer (integer-valued floats are accepted)."""
+    """values as an int array; ValueError naming `name` for any value that
+    is not an integer or an integer-valued float."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
-        arr = np.asarray(arr, dtype=float)
+        arr = _real(arr, name)
         if not (np.isfinite(arr).all() and (arr == np.floor(arr)).all()):
             raise ValueError(f"{name} must be integers")
     return arr.astype(int)
@@ -173,8 +103,11 @@ def class_ids(values, num_classes: int | None = None, rows: int | None = None,
               name: str = "labels"):
     """(values as a 1-D int array, class count C); C is num_classes, or the
     largest value plus one when that is None.  ValueError unless a given
-    num_classes is at least 1 and every value is an integer in [0, C), with
-    one per row when `rows` is given."""
+    num_classes is an integer (not a bool) of at least 1 and every value is
+    an integer in [0, C), with one per row when `rows` is given."""
+    if num_classes is not None and (isinstance(num_classes, bool)
+                                    or not isinstance(num_classes, _numbers.Integral)):
+        raise ValueError(f"num_classes must be an integer, got {num_classes!r}")
     arr = integers(values, name)
     if arr.ndim != 1 or (rows is not None and arr.size != rows):
         raise ValueError(f"{name} must assign one class per node")

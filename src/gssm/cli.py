@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import verify
-from ._checks import parse_like, read_text
+from ._checks import read_text
 from .discretize import MixMechanism
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, results_to_csv,
                       run_experiment, save_labels)
@@ -71,6 +71,26 @@ def _parse_seeds(text: str):
     return seeds
 
 
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def _parse_like(text: str, like):
+    """text parsed as the type of `like`: a boolean (1/0, true/false, yes/no,
+    on/off), an integer or a number; for any other `like`, text as it is."""
+    if isinstance(like, bool):
+        if text.lower() in _TRUE | _FALSE:
+            return text.lower() in _TRUE
+        raise ValueError(f"expected a boolean, got {text!r}")
+    for kind, name in ((int, "an integer"), (float, "a number")):
+        if isinstance(like, kind):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ValueError(f"expected {name}, got {text!r}") from None
+    return text
+
+
 # Task flag -> TaskConfig field; the four size fields have one-letter flags.
 _SHORT = {"num_nodes": "v", "seq_len": "l", "num_features": "d", "num_classes": "c"}
 _TASK_FLAGS = {_SHORT.get(f.name, f.name): f.name for f in dataclasses.fields(TaskConfig)}
@@ -92,7 +112,7 @@ _DEFAULTS = {
               for k, p in inspect.signature(bench_recurrence).parameters.items()},
 }
 _PARSERS = {"seeds": _parse_seeds,
-            "l_values": lambda text: [parse_like(x, 0) for x in text.split(",") if x.strip()],
+            "l_values": lambda text: [_parse_like(x, 0) for x in text.split(",") if x.strip()],
             "backends": lambda text: [x.strip() for x in text.split(",") if x.strip()]}
 _CHOICES = {"variant": [v.value for v in SsmVariant],
             "init": [s.value for s in InitStrategy] + ["all"],
@@ -124,7 +144,7 @@ def settings(command: str, config=None, flags=None) -> dict:
         value = file_cfg[key] if from_file else (default if flag is None else flag)
         try:
             if from_file:
-                value = parse_like(value, _like(default))
+                value = _parse_like(value, _like(default))
             if key in _PARSERS and isinstance(value, str):
                 value = _PARSERS[key](value)
             if key in _CHOICES and value not in _CHOICES[key]:

@@ -482,19 +482,16 @@ def _layer(seq, hidden_in, p, backend="sequential", finish=None, mixing=True):
     return out
 
 
-def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Non-learnable normalization over the last axis; eps must be finite
-    and > 0 (at eps <= 0 a constant row divides zero by zero)."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    return _normalize(x - x.mean(axis=-1, keepdims=True), eps)
+def layer_norm(x: np.ndarray) -> np.ndarray:
+    """Non-learnable normalization over the last axis, on a copy of x."""
+    return _normalize(x - x.mean(axis=-1, keepdims=True))
 
 
-def _normalize(xc: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _normalize(xc: np.ndarray) -> np.ndarray:
     """Divide the rows of xc, already centered over the last axis, by
-    sqrt(variance + eps) in place, and return xc."""
+    sqrt(variance + 1e-5) in place, and return xc."""
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / xc.shape[-1]
-    xc /= np.sqrt(var + eps)
+    xc /= np.sqrt(var + 1e-5)
     return xc
 
 

@@ -8,13 +8,14 @@ through the associative combine rule
 
     (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2)
 
-with a chunked two-pass layout (Martin & Cundy, arXiv 1709.04057): a
-vectorized intra-chunk inclusive scan, a short sequential carry across chunk
-boundaries, then a vectorized broadcast of the carries back through each
-chunk.  Work is O(L) per lane (each element is touched a constant number of
-times), so per-element time should stay flat as L grows -- that is what the
-bench below measures.  At the layer shapes in use it is no faster than the
-fold; it stays as the cross-check of the layers and of criterion 5.
+with a chunked two-pass layout (Martin & Cundy, arXiv 1709.04057) over
+chunks of ceil(sqrt(L)) steps: a vectorized intra-chunk inclusive scan, a
+short sequential carry across chunk boundaries, then a vectorized broadcast
+of the carries back through each chunk.  Work is O(L) per lane (each element
+is touched a constant number of times), so per-element time should stay flat
+as L grows -- that is what the bench below measures.  At the layer shapes in
+use it is no faster than the fold; it stays as the cross-check of the layers
+and of criterion 5.
 
 The layers call `run_scan` once per time tile of their snapshot sequence,
 passing a copy of the previous tile's last state as `u0`; both backends
@@ -98,18 +99,14 @@ def scan_sequential(inp: RecurrenceInputs, out: np.ndarray | None = None) -> np.
     return out
 
 
-def scan_parallel(inp: RecurrenceInputs, chunk: int | None = None) -> np.ndarray:
+def scan_parallel(inp: RecurrenceInputs) -> np.ndarray:
     """Chunked two-pass scan; elementwise within 1e-10 of scan_sequential.
-
-    chunk=None picks ceil(sqrt(L)), balancing the vectorized passes against
-    the sequential carry.
-    """
+    A chunk holds ceil(sqrt(L)) steps, balancing the vectorized passes
+    against the sequential carry."""
     length = inp.length
-    if chunk is None:
-        chunk = max(1, int(np.ceil(np.sqrt(length))))
-    integer(chunk, "chunk", 1)
     if length == 0:
         return np.empty_like(inp.drive)
+    chunk = int(np.ceil(np.sqrt(length)))
     lane_shape = inp.decay.shape[1:]
     num_chunks = -(-length // chunk)
     # The only copies of the inputs: padded [chunks x chunk x lanes] buffers

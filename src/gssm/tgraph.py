@@ -7,8 +7,9 @@ deletions (:class:`EventStream`), observed as a :class:`SnapshotSequence` of
 of times; `edges_at`, `segments` (the constant-graph pieces of an interval)
 and `materialize_snapshots` all read from it.  The module also owns the degree
 normalization (`degree_scales`) of the graph Laplacians and of the layers'
-diffusion, computes temporal-continuity metrics over a sequence, and
-serializes sequences to a line-oriented text format.
+diffusion, computes temporal-continuity metrics over a sequence, and owns
+the sequence file format: its magic, writer (`save_sequence`) and reader
+(`load_sequence`).
 
 All types are immutable after construction and every operation is a pure
 function, so read-only instances can be shared freely.
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import finite, integer, integers, numbers, read_records, square, symmetric
+from ._checks import finite, integer, integers, read_text, square, symmetric
 
 
 class Action(Enum):
@@ -327,10 +328,6 @@ class SnapshotSequence:
     def num_features(self):
         return self.snapshots[0].num_features
 
-    @property
-    def timestamps(self):
-        return np.array([s.timestamp for s in self.snapshots])
-
     def csr_blocks(self, ranges) -> tuple:
         """CSR diagonal blocks of the stacked [L*V] adjacency (snapshot l owns
         rows l*V .. (l+1)*V - 1), one tuple per range of `ranges`: contiguous
@@ -507,54 +504,80 @@ def save_sequence(seq: SnapshotSequence, path) -> None:
 
 
 def load_sequence(path) -> SnapshotSequence:
-    """Read a file written by `save_sequence`.  Every malformed record
-    raises ValueError naming the path, and the snapshot for one inside a
-    snapshot."""
-    return read_records(path, _parse_sequence)
+    """Read a file written by `save_sequence`.  Only blank lines may follow
+    the last snapshot.  A malformed record, a non-ASCII byte or a line past
+    the last snapshot raises ValueError starting with '<path>: ', and with
+    'snapshot k: ' too for a record inside snapshot k."""
+    lines = enumerate(read_text(path, "ASCII").splitlines(), 1)
+
+    def take(what: str) -> str:
+        line = next(lines, (0, None))[1]
+        if line is None:
+            raise ValueError(f"unexpected end of file while reading {what}")
+        return line
+
+    try:
+        tokens = next(lines, (0, ""))[1].split()
+        if tokens[:2] != _MAGIC.split() or len(tokens) != 5:
+            raise ValueError(f"malformed header (expected '{_MAGIC} <V> <d> <L>')")
+        num_nodes, d, length = _numbers(tokens[2:], int, "header sizes")
+        if num_nodes < 1 or d < 0 or length < 1:
+            raise ValueError("nonsensical sizes in header")
+        snaps = []
+        for snap_idx in range(length):
+            try:
+                snaps.append(_read_snapshot(take, num_nodes, d))
+            except ValueError as exc:
+                raise ValueError(f"snapshot {snap_idx}: {exc}") from None
+        extra = next((n for n, line in lines if line.strip()), None)
+        if extra is not None:
+            raise ValueError(f"records past the declared count, from line {extra}")
+        return SnapshotSequence(tuple(snaps))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_sequence(rd) -> SnapshotSequence:
-    num_nodes, d, length = rd.header(_MAGIC, "<V> <d> <L>")
-    if num_nodes < 1 or d < 0 or length < 1:
-        raise ValueError("nonsensical sizes in header")
-    snaps = []
-    for snap_idx in range(length):
-        try:
-            snaps.append(_read_snapshot(rd, num_nodes, d))
-        except ValueError as exc:
-            raise ValueError(f"snapshot {snap_idx}: {exc}") from None
-    return SnapshotSequence(tuple(snaps))
+def _numbers(tokens, kind, what: str) -> list:
+    """The tokens parsed by `kind` (int or float); ValueError naming `what`
+    and quoting the first eight tokens if one does not parse."""
+    try:
+        return [kind(x) for x in tokens]
+    except ValueError:
+        shown = " ".join(tokens[:8]) + (" ..." if len(tokens) > 8 else "")
+        raise ValueError(f"malformed {what} {shown!r}: expected "
+                         + ("integers" if kind is int else "numbers")) from None
 
 
-def _read_snapshot(rd, num_nodes: int, d: int) -> Snapshot:
-    """One snapshot's records: 'T', 'E' and its edge lines, 'X' and V rows."""
-    t_line = rd.next("timestamp").split()
+def _read_snapshot(take, num_nodes: int, d: int) -> Snapshot:
+    """One snapshot's records, each line from take(what): 'T', 'E' and its
+    edge lines, 'X' and V rows."""
+    t_line = take("timestamp").split()
     if len(t_line) != 2 or t_line[0] != "T":
         raise ValueError("expected 'T <timestamp>'")
-    (timestamp,) = numbers(t_line[1:], float, "timestamp")
-    e_line = rd.next("edge count").split()
+    (timestamp,) = _numbers(t_line[1:], float, "timestamp")
+    e_line = take("edge count").split()
     if len(e_line) != 2 or e_line[0] != "E":
         raise ValueError("expected 'E <num_edges>'")
-    (num_edges,) = numbers(e_line[1:], int, "edge count")
+    (num_edges,) = _numbers(e_line[1:], int, "edge count")
     if num_edges < 0:
         raise ValueError(f"negative edge count {num_edges}")
     pairs = []
     for _ in range(num_edges):
-        parts = rd.next("edge").split()
+        parts = take("edge").split()
         if len(parts) != 2:
             raise ValueError("malformed edge line")
-        u, w = numbers(parts, int, "edge")
+        u, w = _numbers(parts, int, "edge")
         if not (0 <= u < num_nodes and 0 <= w < num_nodes):
             raise ValueError(f"edge ({u}, {w}) references a node outside [0, {num_nodes})")
         pairs.append((u, w))
-    if rd.next("feature marker") != "X":
+    if take("feature marker") != "X":
         raise ValueError("expected 'X' marker")
     rows = []
     for _ in range(num_nodes):
-        row = rd.next("feature row").split()
+        row = take("feature row").split()
         if len(row) != d:
             raise ValueError(f"feature row has {len(row)} values, expected {d}")
-        rows.append(numbers(row, float, "feature row"))
+        rows.append(_numbers(row, float, "feature row"))
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return Snapshot.from_csr(*_csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes),
                              np.array(rows, dtype=float).reshape(num_nodes, d), timestamp)

@@ -1,5 +1,6 @@
-"""The input boundaries: the sequence file format, read through the shared
-reader, and the label-range check every entry point shares."""
+"""The input boundaries: the sequence file format, read and written by
+`tgraph` alone, the label-range check every entry point shares, and the
+check of every setting that must be a real number >= 0."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssm import (Snapshot, SnapshotSequence, SyntheticTask, TaskConfig,
-                  f1_scores, gen_synthetic, load_sequence,
-                  readout_loss, save_labels, save_sequence, train_readout)
+from gssm import (HippoConfig, LaplacianKind, MutationSchedule, Snapshot,
+                  SnapshotSequence, SyntheticTask, TaskConfig, f1_scores,
+                  gen_synthetic, load_sequence, readout_loss, save_labels,
+                  save_sequence, smoothing_matrix, train_readout, zoh_oracle_step)
+from gssm.verify import suites
 
 
 def _sequence():
@@ -151,3 +154,30 @@ def test_empty_labels_without_a_class_count_name_the_labels(entry):
     with pytest.raises(ValueError, match=r"^(preds|labels) are empty: the class count "
                                          r"cannot be inferred"):
         entry(np.array([], dtype=int))
+
+
+_SCHEDULE = MutationSchedule(0.0, 1.0, (), (np.zeros((2, 2), dtype=bool),), (np.zeros(2),))
+
+# boundary -> (call with the setting set to `bad`, the name its error starts with)
+_NONNEGATIVE_SETTINGS = {
+    "HippoConfig": (lambda bad: HippoConfig(order=2, alpha=bad), "alpha"),
+    "TaskConfig.noise": (lambda bad: TaskConfig(noise=bad), "infeasible config: noise"),
+    "TaskConfig.radius": (lambda bad: TaskConfig(radius=bad), "infeasible config: radius"),
+    "smoothing_matrix": (lambda bad: smoothing_matrix(np.zeros((2, 2)), bad,
+                                                      LaplacianKind.SYMMETRIC), "alpha"),
+    "zoh_oracle_step": (lambda bad: zoh_oracle_step(np.zeros((2, 1)), _SCHEDULE, [-1.0],
+                                                    [1.0], bad, LaplacianKind.SYMMETRIC),
+                        "alpha"),
+    "verify.suites": (lambda bad: suites(alpha=bad), "alpha"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 0.5 + 0j,
+                                 np.array([0.5, 1.0])],
+                         ids=["true", "false", "numpy_bool", "string", "complex", "array"])
+@pytest.mark.parametrize("boundary", list(_NONNEGATIVE_SETTINGS))
+def test_every_nonnegative_setting_rejects_a_value_that_is_not_one_real_number(boundary,
+                                                                                bad):
+    call, name = _NONNEGATIVE_SETTINGS[boundary]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call(bad)

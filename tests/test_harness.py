@@ -931,8 +931,15 @@ def test_save_labels_of_no_nodes_writes_the_header_alone(tmp_path):
     ([0, np.nan], 3, "labels must be integers"),
     ([0, np.inf], 3, "labels must be integers"),
     ([[0, 1], [1, 0]], 3, "labels must assign one class per node"),
+    ([0, 1], 2.5, "num_classes must be an integer, got 2.5"),
+    ([0, 1], "3", "num_classes must be an integer, got '3'"),
+    ([0, 1], True, "num_classes must be an integer, got True"),
+    ([0, 1j], 3, "labels must hold real numbers, not complex numbers"),
+    ([b"0", b"1"], 3, "labels must hold real numbers, not bytes"),
+    (["0", "1"], 3, "labels must hold real numbers, not strings"),
 ], ids=["past_classes", "negative", "zero_classes", "negative_classes", "nan", "inf",
-        "two_dimensional"])
+        "two_dimensional", "float_classes", "string_classes", "bool_classes", "complex",
+        "bytes", "strings"])
 def test_save_labels_checks_its_input_before_creating_the_file(tmp_path, labels,
                                                                num_classes, message):
     path = tmp_path / "bad.labels"

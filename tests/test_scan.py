@@ -72,12 +72,16 @@ def test_parallel_single_step_equals_sequential():
     assert scan_parallel(inp) == pytest.approx(scan_sequential(inp), abs=0.0)
 
 
-def test_parallel_matches_sequential_across_chunk_sizes():
-    rng = np.random.default_rng(31)
-    inp = _random_inputs(rng, 128, (5,))
-    reference = scan_sequential(inp)
-    for chunk in (1, 2, 7, 12, 128, 200):
-        assert np.abs(scan_parallel(inp, chunk=chunk) - reference).max() <= 1e-10
+# Lengths whose ceil(sqrt(L))-step chunks end in a full chunk (1, 2) or a
+# ragged one (the rest: e.g. L=128 is ten chunks of 12 and one of 8).
+_LENGTHS = (1, 2, 3, 7, 10, 11, 50, 128, 129)
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_parallel_matches_sequential_across_chunk_sizes(length):
+    rng = np.random.default_rng(31 + length)
+    inp = _random_inputs(rng, length, (5,))
+    assert np.abs(scan_parallel(inp) - scan_sequential(inp)).max() <= 1e-10
 
 
 def test_parallel_matches_sequential_on_stacked_lane_axes():
@@ -92,13 +96,6 @@ def test_parallel_default_chunk_is_deterministic():
     inp = _random_inputs(rng, 100, (6,))
     assert np.array_equal(scan_parallel(inp), scan_parallel(inp))
     assert np.array_equal(scan_sequential(inp), scan_sequential(inp))
-
-
-def test_parallel_rejects_zero_chunk():
-    rng = np.random.default_rng(47)
-    inp = _random_inputs(rng, 8, (2,))
-    with pytest.raises(ValueError):
-        scan_parallel(inp, chunk=0)
 
 
 def test_inputs_reject_shape_mismatches():
@@ -141,15 +138,14 @@ def test_bench_rejects_an_empty_list_or_an_unknown_backend_before_timing(
         bench_recurrence(l_values, lanes=2, backends=backends, repeats=1)
 
 
-@pytest.mark.parametrize("length,chunk,lane_shape",
-                         [(7, 3, (4,)), (10, 4, (2, 3)), (5, 8, (3,)),
-                          (11, None, (6,))])
+@pytest.mark.parametrize("lane_shape", [(4,), (2, 3)])
+@pytest.mark.parametrize("length", _LENGTHS)
 def test_parallel_leaves_inputs_untouched_and_matches_with_a_ragged_last_chunk(
-        length, chunk, lane_shape):
+        length, lane_shape):
     rng = np.random.default_rng(length)
     inp = _random_inputs(rng, length, lane_shape)
     decay, drive, u0 = inp.decay.copy(), inp.drive.copy(), inp.u0.copy()
-    states = scan_parallel(inp, chunk=chunk)
+    states = scan_parallel(inp)
     assert np.array_equal(inp.decay, decay)
     assert np.array_equal(inp.drive, drive)
     assert np.array_equal(inp.u0, u0)
