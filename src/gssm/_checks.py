@@ -50,13 +50,25 @@ def negative(value, name: str) -> np.ndarray:
     return arr
 
 
-def nonnegative(value, name: str) -> float:
-    """value as a float; ValueError unless it is one real number (not a
-    bool, string, complex value or array of several) that is finite and >= 0."""
+def real(value, name: str) -> float:
+    """value as a float; ValueError unless it is one real number: not a
+    bool, string, complex value or array of several."""
     if np.ndim(value) or np.asarray(value).dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (np.isfinite(value) and value >= 0):
+    return float(value)
+
+
+def nonnegative(value, name: str) -> float:
+    """`real`, and ValueError unless value is finite and >= 0."""
+    if not (np.isfinite(real(value, name)) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def unit_interval(value, name: str) -> float:
+    """`real`, and ValueError unless value lies in [0, 1]."""
+    if not 0.0 <= real(value, name) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
 
 
@@ -90,9 +102,13 @@ def integer(value, name: str, least: int) -> int:
 
 def integers(values, name: str) -> np.ndarray:
     """values as an int array; ValueError naming `name` for any value that
-    is not an integer or an integer-valued float."""
+    is not an integer or an integer-valued float, a bool included."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biu":
+    # A list mixing bools and ints converts to ints: look at its entries.
+    if arr.dtype.kind == "b" or (not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)):
+        raise ValueError(f"{name} must be integers, got a bool")
+    if arr.dtype.kind not in "iu":
         arr = _real(arr, name)
         if not (np.isfinite(arr).all() and (arr == np.floor(arr)).all()):
             raise ValueError(f"{name} must be integers")

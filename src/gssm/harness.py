@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _pool
-from ._checks import class_ids, finite, integer, integers, nonnegative
+from ._checks import class_ids, finite, integer, integers, nonnegative, real, unit_interval
 from .discretize import MixMechanism
 from .layers import (BlockParams, GnnFlavor, GnnParams, InitStrategy,
                      InterpMixParams, SsmLayerParams, SsmVariant,
@@ -70,9 +70,8 @@ class TaskConfig:
         if self.num_nodes < 4 * self.num_classes:
             raise ValueError("infeasible config: need num_nodes >= 4 * num_classes")
         for name in ("p_in", "p_out", "p_decay", "drift_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"infeasible config: {name} must lie in [0, 1]")
-        finite(self.omega, "infeasible config: omega")
+            unit_interval(getattr(self, name), f"infeasible config: {name}")
+        finite(real(self.omega, "infeasible config: omega"), "infeasible config: omega")
         for name in ("noise", "radius"):
             nonnegative(getattr(self, name), f"infeasible config: {name}")
 
@@ -139,17 +138,17 @@ def _upper_pairs(v: int):
 _CHUNK_PAIRS = 1 << 15
 
 
-def _draw_pairs(state, same_u, rows, redraw_gen, pair_gen, rates, chunk):
-    """One step's draws for the pairs `rows` (a slice), `chunk` pairs at a
-    time.  Given a `redraw_gen`, a pair is redrawn where its uniform from it
+def _draw_pairs(state, same_u, rows, redraw_gen, pair_gen, rates):
+    """One step's draws for the pairs `rows` (a slice), `_CHUNK_PAIRS` pairs
+    at a time.  Given a `redraw_gen`, a pair is redrawn where its uniform from it
     falls under the drift rate and keeps its state elsewhere; a drawn pair is
     present where its uniform from `pair_gen` falls under its rate (pin_l
     within a community, p_out across).  Updates `state[rows]` in place and
     returns the flat indices of its present pairs, one array a chunk."""
     drift, pin_l, p_out = rates
     found = []
-    for a in range(rows.start, rows.stop, chunk):
-        b = min(a + chunk, rows.stop)
+    for a in range(rows.start, rows.stop, _CHUNK_PAIRS):
+        b = min(a + _CHUNK_PAIRS, rows.stop)
         redraw = None if redraw_gen is None else redraw_gen.random(b - a) < drift
         # Each pair's draw at its rate (boolean algebra in place of np.where,
         # which is slower on boolean operands).
@@ -183,7 +182,7 @@ def _step_pairs(rng, streams, state, same_u, parts, first, rates):
             gen.bit_generator.state = start
             gen.bit_generator.advance(offset)
         found[k] = _draw_pairs(state, same_u, parts[k], None if first else redraw_gen,
-                               pair_gen, rates, _CHUNK_PAIRS)
+                               pair_gen, rates)
     _pool.run(draw, range(len(parts)))
     rng.bit_generator.advance(n if first else 2 * n)
     return np.concatenate([idx for part in found for idx in part])

@@ -27,11 +27,11 @@ Building blocks, bottom up:
   each range builds its drive, delta, B, C, decay and states one time tile
   at a time (consecutive snapshots holding about `_TILE_ELEMENTS` state
   entries over all ranges), then, inside `block_forward`, finishes its rows
-  of the block.  A range writes a tile's decay, drive and states in place
-  into its thread's kept buffers (`_tile_buffers`): each thread keeps one
-  set of three, `_TILE_ELEMENTS` floats each (1.5 MB), from call to call,
-  so repeated calls do not fault fresh pages in; a larger tile gets a set
-  for its call only.  No array a call returns shares memory with them.
+  of the block.  A range writes a tile's decay and drive, then states, into
+  its thread's kept buffers (`_tile_buffers`): each thread keeps one set of
+  three, `_TILE_ELEMENTS` floats each (1.5 MB), from call to call, so
+  repeated calls do not fault fresh pages in; a larger tile gets a set for
+  its call only.  No array a call returns shares memory with them.
   The first range of each pass runs on the calling thread, the others on
   `_pool`'s threads; `_pool.parts` of the layer's L*V*D*N drive and
   readout products sets the range count, so with one CPU, or a small
@@ -43,8 +43,8 @@ Building blocks, bottom up:
 * `init_a`, `delta_bias_init`, `align_memory`.
 
 All recurrences run through the scan module, one `run_scan` call per time
-tile and node range with a copy of the previous tile's last state as its
-initial state and the kept state buffer as `out`: the sequential fold by
+tile and node range, with the previous tile's last state as its initial
+state, writing the states over the tile's drive: the sequential fold by
 default, the chunked parallel scan on request.
 """
 
@@ -57,9 +57,9 @@ from functools import partial
 import numpy as np
 
 from . import _pool
-from ._checks import finite, integer, integers, negative, symmetric
+from ._checks import finite, integer, integers, negative, symmetric, unit_interval
 from .discretize import MixMechanism
-from .scan import RecurrenceInputs, check_backend, run_scan
+from .scan import check_backend, run_scan
 from .tgraph import LaplacianKind, Snapshot, SnapshotSequence, degree_scales
 
 
@@ -100,8 +100,7 @@ class GnnParams:
         b = finite(self.bias, "bias").reshape(-1)
         if w.ndim != 2 or b.size != w.shape[1]:
             raise ValueError("weight must be [D_in x D_out] with matching bias")
-        if not (0.0 <= self.self_mix <= 1.0):
-            raise ValueError("self_mix must lie in [0, 1]")
+        unit_interval(self.self_mix, "self_mix")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "flavor", GnnFlavor(self.flavor))
@@ -348,11 +347,11 @@ def _drive(agg, t, rows, p, mechanism):
     return estimate(t) if mechanism is not MixMechanism.REPR_MIX else _mixed(estimate, t, p.mix)
 
 
-# Element count of one time tile's decay, drive and states each, summed over
-# the node ranges: a layer builds and scans the per-state arrays a tile of
-# snapshots at a time, so no [L x V x D x N] array exists and a tile stays in
-# cache through its scan.  It also bounds what a thread keeps between calls
-# (`_tile_buffers`): three buffers of at most this many floats, 1.5 MB.
+# Element count of one time tile's decay and drive (then states) each, summed
+# over the node ranges: a layer builds and scans the per-state arrays a tile
+# of snapshots at a time, so no [L x V x D x N] array exists and a tile stays
+# in cache through its scan.  It also bounds what a thread keeps between
+# calls (`_tile_buffers`): three buffers of at most this many floats, 1.5 MB.
 _TILE_ELEMENTS = 1 << 16
 
 # The calling thread's kept tile buffers (`_tile_buffers`).
@@ -361,12 +360,12 @@ _workspace = threading.local()
 
 def _tile_buffers(size: int) -> tuple:
     """Three flat float64 buffers of at least `size` entries, for one node
-    range's decay, drive and states.  Up to `_TILE_ELEMENTS` entries they
-    are the calling thread's kept set, `_TILE_ELEMENTS` floats each, made on
+    range's decay and, in turn, its tiles' drives, which their states
+    overwrite: a tile leaves the last tile's states alone.  Up to
+    `_TILE_ELEMENTS` entries they are the calling thread's kept set, made on
     its first such call; a larger tile gets a set of its own, released with
     its call.  A range views each buffer in its tile's shape and reuses it
-    for every tile of its call, so the kernel hands out no fresh pages on
-    every tile and call."""
+    for every tile of its call, so no tile or call faults fresh pages in."""
     if size > _TILE_ELEMENTS:
         return tuple(np.empty(size) for _ in range(3))
     kept = getattr(_workspace, "buffers", None)
@@ -465,17 +464,18 @@ def _layer(seq, hidden_in, p, backend="sequential", finish=None, mixing=True):
 
     def run(rows):
         lanes = (rows.stop - rows.start,) + p.a.shape
-        buffers = _tile_buffers(min(step, length) * math.prod(lanes))
-        carry = np.zeros(lanes)
-        for start in range(0, length, step):
+        decay_buffer, *state_buffers = _tile_buffers(min(step, length) * math.prod(lanes))
+        prev = np.broadcast_to(0.0, lanes)
+        for k, start in enumerate(range(0, length, step)):
             t = slice(start, min(start + step, length))
             shape = (t.stop - t.start,) + lanes
-            decay, drive, states = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-            delta, c = tile(t, rows, _drive(agg, t, rows, p, mechanism), drive)
+            decay, states = (b[:math.prod(shape)].reshape(shape)
+                             for b in (decay_buffer, state_buffers[k % 2]))
+            delta, c = tile(t, rows, _drive(agg, t, rows, p, mechanism), states)
             np.exp(np.multiply(delta, p.a, out=decay), out=decay)
-            run_scan(RecurrenceInputs(decay, drive, carry), backend, out=states)
+            run_scan(decay, states, prev, backend)
             np.einsum(readout, states, c, out=out[rows, t])
-            np.copyto(carry, states[-1])                 # the next tile overwrites states
+            prev = states[-1]
         if finish is not None:
             finish(out[rows], hidden_in[rows])
     _pool.run(run, _pool.ranges(v, parts, _ROW_ALIGN))

@@ -2,9 +2,9 @@
 
     u_l = a_l * u_{l-1} + b_l        (elementwise, l = 1..L)
 
-`scan_sequential` is the bit-exact reference fold and the backend the
-layers use by default.  `scan_parallel` computes the same prefix states
-through the associative combine rule
+`scan_sequential` is the bit-exact reference fold, and its in-place form
+the backend the layers use by default.  `scan_parallel` computes the same
+prefix states through the associative combine rule
 
     (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2)
 
@@ -18,9 +18,8 @@ use it is no faster than the fold; it stays as the cross-check of the layers
 and of criterion 5.
 
 The layers call `run_scan` once per time tile of their snapshot sequence,
-passing a copy of the previous tile's last state as `u0`; both backends
-continue a recurrence that way.  They pass their thread's kept state buffer
-as `out`, so a tile's states need no new array.
+with the previous tile's last state as `u0` (both backends continue a
+recurrence that way), and it writes the tile's states over its drive.
 """
 
 import time
@@ -71,32 +70,22 @@ def combine(first, second):
     return a1 * a2, a2 * b1 + b2
 
 
-def _checked_out(inp: RecurrenceInputs, out) -> np.ndarray:
-    """out, if the states of inp may be written into it; ValueError naming
-    `out` unless it is a writeable float64 array of the drive's shape that
-    shares no memory with the decay, drive or u0."""
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 \
-            or out.shape != inp.drive.shape:
-        raise ValueError(f"out must be a float64 array of the drive's shape {inp.drive.shape}")
-    if not out.flags.writeable:
-        raise ValueError("out must be writeable")
-    for name in ("decay", "drive", "u0"):
-        if np.may_share_memory(out, getattr(inp, name)):
-            raise ValueError(f"out must not overlap {name}")
-    return out
+def _fold(decay: np.ndarray, states: np.ndarray, u0) -> np.ndarray:
+    """The fold in place: `states` [L x lanes...] holds the drive on entry
+    and the states, returned, on exit.  Each decay row takes its product
+    with the previous state, so `decay` is overwritten."""
+    # A 1-D array's rows would iterate as scalars: it gets a unit lane axis.
+    rows = zip(decay, states) if states.ndim > 1 else zip(decay[:, None], states[:, None])
+    prev = u0
+    for a, s in rows:
+        s += np.multiply(a, prev, out=a)
+        prev = s
+    return states
 
 
-def scan_sequential(inp: RecurrenceInputs, out: np.ndarray | None = None) -> np.ndarray:
-    """Left-to-right fold; the reference semantics.  Each step is written in
-    place into its output row, with no temporaries.  The states go into
-    `out` when it is given (see `_checked_out`), else into a new array;
-    either is returned."""
-    out = np.empty_like(inp.drive) if out is None else _checked_out(inp, out)
-    state = inp.u0
-    for l in range(inp.length):
-        state = np.multiply(inp.decay[l], state, out=out[l, ...])
-        state += inp.drive[l]
-    return out
+def scan_sequential(inp: RecurrenceInputs) -> np.ndarray:
+    """Left-to-right fold over copies of the drive and decay; the reference semantics."""
+    return _fold(inp.decay.copy(), inp.drive.copy(), inp.u0)
 
 
 def scan_parallel(inp: RecurrenceInputs) -> np.ndarray:
@@ -147,19 +136,14 @@ def check_backend(backend) -> str:
     return backend
 
 
-def run_scan(inp: RecurrenceInputs, backend: str = "sequential",
-             out: np.ndarray | None = None) -> np.ndarray:
-    """The recurrence's states under the named backend, written into `out`
-    when it is given (a writeable float64 array of the drive's shape that
-    overlaps no input), else into a new array; either is returned.  The
-    sequential fold writes `out` directly; the parallel scan, kept as it is
-    for the cross-check, computes its own array and copies it in."""
+def run_scan(decay: np.ndarray, drive: np.ndarray, u0, backend: str) -> None:
+    """Write the recurrence's states over `drive` [L x lanes...] under the
+    named backend.  The sequential fold also overwrites `decay`; the
+    parallel scan, kept for the cross-check, computes its own array first."""
     if check_backend(backend) == "sequential":
-        return scan_sequential(inp, out)
-    if out is None:
-        return scan_parallel(inp)
-    np.copyto(_checked_out(inp, out), scan_parallel(inp))
-    return out
+        _fold(decay, drive, u0)
+    else:
+        drive[...] = scan_parallel(RecurrenceInputs(decay, drive, u0))
 
 
 def bench_recurrence(l_values=(1024, 2048, 4096, 8192, 16384, 32768, 65536), lanes: int = 128,
@@ -187,12 +171,12 @@ def bench_recurrence(l_values=(1024, 2048, 4096, 8192, 16384, 32768, 65536), lan
     for length in l_values:
         decay = rng.uniform(0.2, 1.0, size=(length, lanes))
         drive = rng.standard_normal((length, lanes))
-        inp = RecurrenceInputs(decay, drive, np.zeros(lanes))
         for backend in backends:
             best = np.inf
             for _ in range(repeats):
+                inputs = decay.copy(), drive.copy(), np.zeros(lanes)  # run_scan writes over them
                 start = time.perf_counter()
-                run_scan(inp, backend)
+                run_scan(*inputs, backend)
                 best = min(best, time.perf_counter() - start)
             rows.append({"L": int(length), "lanes": int(lanes), "backend": backend,
                          "ns_per_element": best / (length * lanes) * 1e9})

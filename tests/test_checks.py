@@ -1,6 +1,7 @@
 """The input boundaries: the sequence file format, read and written by
-`tgraph` alone, the label-range check every entry point shares, and the
-check of every setting that must be a real number >= 0."""
+`tgraph` alone, the label-range check every entry point shares, the check
+of every setting that must be one real number (>= 0, in [0, 1] or finite)
+and the rejection of bools where integers are due."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssm import (HippoConfig, LaplacianKind, MutationSchedule, Snapshot,
-                  SnapshotSequence, SyntheticTask, TaskConfig, f1_scores,
+from gssm import (EventStream, GnnParams, HippoConfig, LaplacianKind, MutationSchedule,
+                  Snapshot, SnapshotSequence, SyntheticTask, TaskConfig, f1_scores,
                   gen_synthetic, load_sequence, readout_loss, save_labels,
                   save_sequence, smoothing_matrix, train_readout, zoh_oracle_step)
 from gssm.verify import suites
@@ -172,12 +173,63 @@ _NONNEGATIVE_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 0.5 + 0j,
-                                 np.array([0.5, 1.0])],
-                         ids=["true", "false", "numpy_bool", "string", "complex", "array"])
+# Settings that must lie in [0, 1], in the same form.
+_UNIT_INTERVAL_SETTINGS = {
+    **{f"TaskConfig.{field}": (lambda bad, field=field: TaskConfig(**{field: bad}),
+                               f"infeasible config: {field}")
+       for field in ("p_in", "p_out", "p_decay", "drift_rate")},
+    "GnnParams.self_mix": (lambda bad: GnnParams(np.eye(2), np.zeros(2), self_mix=bad),
+                           "self_mix"),
+}
+
+# The same, with omega, which must be one finite real number.
+_REAL_SETTINGS = {**_UNIT_INTERVAL_SETTINGS,
+                  "TaskConfig.omega": (lambda bad: TaskConfig(omega=bad), "infeasible config: omega")}
+
+_NOT_ONE_REAL_NUMBER = pytest.mark.parametrize(
+    "bad", [True, False, np.bool_(True), "0.5", 0.5 + 0j, np.array([0.5, 1.0])],
+    ids=["true", "false", "numpy_bool", "string", "complex", "array"])
+
+
+@_NOT_ONE_REAL_NUMBER
 @pytest.mark.parametrize("boundary", list(_NONNEGATIVE_SETTINGS))
 def test_every_nonnegative_setting_rejects_a_value_that_is_not_one_real_number(boundary,
                                                                                 bad):
     call, name = _NONNEGATIVE_SETTINGS[boundary]
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
         call(bad)
+
+
+@_NOT_ONE_REAL_NUMBER
+@pytest.mark.parametrize("boundary", list(_REAL_SETTINGS))
+def test_every_unit_interval_setting_and_omega_reject_a_value_that_is_not_one_real_number(
+        boundary, bad):
+    call, name = _REAL_SETTINGS[boundary]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize("boundary", list(_UNIT_INTERVAL_SETTINGS))
+def test_every_unit_interval_setting_rejects_a_number_outside_it(boundary, bad):
+    call, name = _UNIT_INTERVAL_SETTINGS[boundary]
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda path: save_labels(np.array([True, False, True]), 2, path), "labels"),
+    (lambda path: save_labels([0, True, 1], 2, path), "labels"),
+    (lambda path: EventStream(3, 1.0, [(True, 2)], []), r"edge \(True, 2\) node ids"),
+    (lambda path: EventStream(3, 1.0, [], [(0, np.bool_(True), 0.5, "insert")]),
+     r"event \(0, True\) node ids"),
+], ids=["bool-array", "bool-in-list", "bool-edge", "numpy-bool-event"])
+def test_integer_values_reject_a_bool_by_name(tmp_path, call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be integers, got a bool"):
+        call(tmp_path / "bad")
+
+
+def test_integer_values_in_a_list_accept_integer_valued_floats(tmp_path):
+    save_labels([0.0, 1.0, 1], 2, tmp_path / "floats.labels")
+    assert (tmp_path / "floats.labels").read_text(encoding="ascii") == "GSSML v1 3 2\n0\n1\n1\n"
+    assert EventStream(3, 1.0, [(0.0, 2)], []).initial_edges == {(0, 2)}

@@ -785,9 +785,9 @@ def _tiled(monkeypatch, tile, v, p):
     monkeypatch.setattr(layers, "_TILE_ELEMENTS", tile * v * p.a.size)
     lengths = []
 
-    def spy(inp, backend, out=None):
-        lengths.append(inp.length)
-        return run_scan(inp, backend, out)
+    def spy(decay, drive, u0, backend):
+        lengths.append(len(drive))
+        run_scan(decay, drive, u0, backend)
     monkeypatch.setattr(layers, "run_scan", spy)
     return lengths
 
@@ -906,8 +906,9 @@ def test_successive_forwards_return_arrays_of_their_own():
 @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "over-the-bound"])
 def test_a_thread_keeps_only_tile_buffers_up_to_the_bound(monkeypatch, over):
     """A one-snapshot tile of V*D*N entries: at `_TILE_ELEMENTS` its thread
-    keeps the buffers it scans into, one over it the call scans every tile
-    into one state buffer of its own and the thread keeps none."""
+    keeps the buffers it scans in, one over it the call scans in buffers of
+    its own and the thread keeps none.  Either way the tiles' drives, which
+    their states overwrite, alternate between two buffers."""
     rng = np.random.default_rng(131)
     v, l, d, n = 6, 4, 3, 4
     seq = _sequence(rng, v, l, d)
@@ -915,11 +916,11 @@ def test_a_thread_keeps_only_tile_buffers_up_to_the_bound(monkeypatch, over):
     p = _s4_params(rng, d, n)
     _split(monkeypatch, 1)
     monkeypatch.setattr(layers, "_TILE_ELEMENTS", v * p.a.size - over)
-    outs = []
+    drives = []
 
-    def spy(inp, backend, out=None):
-        outs.append(out)
-        return run_scan(inp, backend, out)
+    def spy(decay, drive, u0, backend):
+        drives.append(drive)
+        run_scan(decay, drive, u0, backend)
     monkeypatch.setattr(layers, "run_scan", spy)
 
     def forward():
@@ -927,12 +928,14 @@ def test_a_thread_keeps_only_tile_buffers_up_to_the_bound(monkeypatch, over):
         return y, getattr(layers._workspace, "buffers", None)
     y, kept = _on_new_thread(forward)
     assert np.array_equal(y, _stepwise_forward(seq, hidden, p, p.mix_mechanism))
-    assert len(outs) == l
-    assert all(out.base is outs[0].base for out in outs)
+    assert len(drives) == l
+    assert drives[0].base is not drives[1].base
+    assert all(drive.base is drives[k % 2].base for k, drive in enumerate(drives))
     if over:
         assert kept is None
     else:
-        assert [buf.size for buf in kept] == [v * p.a.size] * 3 and outs[0].base is kept[2]
+        assert [buf.size for buf in kept] == [v * p.a.size] * 3
+        assert drives[0].base is kept[1] and drives[1].base is kept[2]
 
 
 def test_concurrent_block_forwards_match_their_serial_runs(monkeypatch):
@@ -1036,7 +1039,7 @@ def test_an_error_in_a_range_is_raised_once_every_range_has_finished(monkeypatch
     seq = _sequence(rng, v, l, d)
     caller, finished = threading.get_ident(), []
 
-    def failing_scan(inp, backend, out=None):
+    def failing_scan(decay, drive, u0, backend):
         if threading.get_ident() != caller:
             time.sleep(0.2)  # the calling thread's range raises first
         finished.append(threading.get_ident())
