@@ -368,43 +368,116 @@ def standardize(features: np.ndarray, train_idx: np.ndarray):
     return (features - mu) / sd
 
 
-def _readout_grad(x, xt, onehot, w, b, l2):
-    """Softmax-readout gradient for K fits at once: features x [K x n x D]
-    and their transposes xt [K x D x n], one-hot labels [n x C], weights
-    w [K x D x C] and biases b [K x C].  Returns the class probabilities and
-    the gradients, with respect to w and b, of the mean cross-entropy plus
-    0.5 * l2 * |w|^2."""
-    logits = x @ w + b[:, None, :]
-    # The max over the short class axis is faster over a class-major copy.
-    logits -= np.ascontiguousarray(logits.transpose(2, 0, 1)).max(axis=0)[..., None]
-    expl = np.exp(logits)
-    prob = expl / expl.sum(axis=2, keepdims=True)
-    g = (prob - onehot) / x.shape[1]
-    return prob, xt @ g + l2 * w, g.sum(axis=1)
+# numpy sums a last axis shorter than this in order, as a sum over an outer
+# axis runs, and a longer one pairwise.
+_IN_ORDER_CLASSES = 8
+
+
+class _Readouts:
+    """K softmax readouts of D features and C classes over n rows: their
+    parameters and every array `_readout_grad` writes, made once per
+    `train_readout` or `readout_loss` call, and the views they are read
+    through.
+
+    params [K x (D+1) x C] stacks each fit's weights w (its first D rows)
+    and bias b (its last row), as grad stacks their gradients, so one step
+    updates both.  g [n x K x C] holds the logits and then the loss
+    gradient; its view g_by_fit [K x n x C] is row-major per fit, the layout
+    whose BLAS bits the products were taken on.  soft [C x K x n] holds the
+    class-major softmax, and row [K x n] one value per (fit, row): the max,
+    then the class sum.
+    """
+
+    def __init__(self, k: int, n: int, d: int, c: int):
+        self.params = np.zeros((k, d + 1, c))
+        self.w, self.b_by_class = self.params[:, :d], self.params[:, d].T[:, :, None]
+        self.g = np.empty((n, k, c))
+        self.g_by_fit = self.g.transpose(1, 0, 2)
+        self.soft = np.empty((c, k, n))
+        self.row = np.empty((k, n))
+        self.grad = np.empty((k, d + 1, c))
+        self.grad_w, self.grad_b = self.grad[:, :d], self.grad[:, d]
+        self.l2_w = np.empty((k, d, c))
+
+
+def _readout_grad(x, xt, onehot, l2, r: _Readouts):
+    """Softmax-readout gradient of the K fits in `r` at once, for features
+    x [K x n x D], their transposes xt [K x D x n] and one-hot labels
+    [n x K x C].  Writes the class probabilities to r.soft and the gradient
+    of the mean cross-entropy plus 0.5 * l2 * |w|^2 with respect to w and b
+    to r.grad.
+
+    The softmax runs on the class-major r.soft, so that its max and class
+    sum reduce over the outer axis.  That sum adds the classes in order, as
+    numpy sums a last axis of fewer than `_IN_ORDER_CLASSES`; a longer class
+    axis is summed from an [n x K x C] copy, as numpy sums it.  The bias
+    gradient sums g over its outer (row) axis, in order as numpy sums a
+    middle axis.  So every value is the same bit for bit as from a softmax
+    over the last axis of [K x n x C] arrays.  Each elementwise ufunc and
+    matmul takes its out positionally, which numpy parses faster than an
+    out= keyword.
+    """
+    g, soft, row = r.g, r.soft, r.row
+    np.matmul(x, r.w, r.g_by_fit)
+    np.add(g.T, r.b_by_class, soft)
+    np.maximum.reduce(soft, axis=0, out=row)
+    np.subtract(soft, row, soft)
+    np.exp(soft, soft)
+    if soft.shape[0] < _IN_ORDER_CLASSES:
+        np.add.reduce(soft, axis=0, out=row)
+    else:
+        np.copyto(g, soft.T)
+        np.add.reduce(g, axis=2, out=row.T)
+    np.divide(soft, row, soft)
+    np.subtract(soft.T, onehot, g)
+    np.divide(g, g.shape[0], g)
+    np.matmul(xt, r.g_by_fit, r.grad_w)
+    np.multiply(r.w, l2, r.l2_w)
+    np.add(r.grad_w, r.l2_w, r.grad_w)
+    np.add.reduce(g, axis=0, out=r.grad_b)
 
 
 def readout_loss(params_flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, num_classes: int, l2: float = 0.0):
     """Mean cross-entropy of the softmax readout plus an l2 penalty on the
     weights, with its analytic gradient.  params_flat stacks W row-major
-    followed by the bias.  Raises ValueError for labels that are not one per
-    feature row, are not integers or lie outside [0, num_classes)."""
-    labels, _ = class_ids(labels, num_classes, rows=features.shape[0])
-    d = features.shape[1]
-    w = params_flat[: d * num_classes].reshape(d, num_classes)
-    b = params_flat[d * num_classes:]
-    onehot = np.eye(num_classes)[labels]
-    prob, grad_w, grad_b = _readout_grad(features[None], features.T[None], onehot,
-                                         w[None], b[None], l2)
-    loss = -np.mean(np.sum(onehot * np.log(prob[0] + 1e-300), axis=1))
-    loss += 0.5 * l2 * np.sum(w * w)
-    return loss, np.concatenate([grad_w[0].reshape(-1), grad_b[0]])
+    followed by the bias.  Raises ValueError for features that are not a
+    finite [n x D] array; labels that are not one per feature row, are not
+    integers or lie outside [0, num_classes); params_flat that is not
+    D * C + C finite values; and an l2 that is not one finite real number
+    >= 0."""
+    features = finite(features, "features")
+    if features.ndim != 2:
+        raise ValueError(f"features must be [n x D], got shape {features.shape}")
+    labels, c = class_ids(labels, num_classes, rows=features.shape[0])
+    n, d = features.shape
+    params = finite(params_flat, "params_flat")
+    if params.shape != (d * c + c,):
+        raise ValueError(f"params_flat must be D * C + C = {d * c + c} values, "
+                         f"got shape {params.shape}")
+    l2 = nonnegative(l2, "l2")
+    r = _Readouts(1, n, d, c)
+    r.params.flat = params
+    onehot = np.eye(c)[labels]
+    _readout_grad(features[None], features.T[None], onehot[:, None], l2, r)
+    prob = r.soft[:, 0].T.copy()
+    loss = -np.mean(np.sum(onehot * np.log(prob + 1e-300), axis=1))
+    loss += 0.5 * l2 * np.sum(r.w[0] * r.w[0])
+    return loss, r.grad.reshape(-1)
 
 
 def _check_readout(lr, epochs, l2) -> None:
-    if not (epochs >= 1 and np.isfinite(lr) and lr > 0 and np.isfinite(l2) and l2 >= 0):
-        raise ValueError("readout needs epochs >= 1, a finite lr > 0 and a finite l2 >= 0")
-    integer(epochs, "epochs", 1)
+    """ValueError naming the first of epochs, lr and l2 that is not an
+    integer >= 1, one finite real number > 0 and one finite real number
+    >= 0 respectively."""
+    try:
+        integer(epochs, "epochs", 1)
+        if not (np.isfinite(real(lr, "lr")) and lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+        nonnegative(l2, "l2")
+    except ValueError as exc:
+        raise ValueError(f"{exc} (readout needs epochs >= 1, a finite lr > 0 "
+                         f"and a finite l2 >= 0)") from None
 
 
 def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
@@ -418,14 +491,17 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
     [K x V x D] for K fits that share the labels and split, which returns a
     tuple of K.  The K fits train in one loop of batched products; each
     keeps its own best, and fit k equals the [V x D] fit on features[k].
+    An epoch writes only into the arrays of one `_Readouts`, made once per
+    call, and a validation check takes its argmax over class-major logits,
+    whose first maximum is the one along the class axis.
 
     Raises ValueError on entry for epochs that is not an integer of at
-    least 1, an lr that is not finite and positive, an l2 that is not finite
-    and >= 0, features that are not 2-D or 3-D or not finite, labels that
-    are not one per node, are not integers or lie outside [0, num_classes),
-    split indices outside [0, V), and an empty train or validation split;
-    and, at a validation check, for parameters that training drove to
-    non-finite values.
+    least 1, an lr that is not one finite real number > 0, an l2 that is not
+    one finite real number >= 0, features that are not 2-D or 3-D or not
+    finite, labels that are not one per node, are not integers or lie
+    outside [0, num_classes), split indices outside [0, V), and an empty
+    train or validation split; and, at a validation check, for parameters
+    that training drove to non-finite values.
     """
     _check_readout(lr, epochs, l2)
     features = np.asarray(features, dtype=float)
@@ -433,7 +509,7 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
         raise ValueError("features must be [V x D] or [K x V x D]")
     finite(features, "features")
     x = features if features.ndim == 3 else features[None]
-    v = x.shape[1]
+    k, v, d = x.shape
     labels, c = class_ids(labels, num_classes, rows=v)
     tr, va = integers(split.train, "split.train"), integers(split.val, "split.val")
     if tr.size == 0:
@@ -445,25 +521,27 @@ def train_readout(features: np.ndarray, labels: np.ndarray, split: Split,
 
     x_tr, x_va = x[:, tr], x[:, va]
     xt_tr = x_tr.transpose(0, 2, 1)
-    onehot = np.eye(c)[labels[tr]]
+    onehot = np.repeat(np.eye(c)[labels[tr], None], k, axis=1)
     y_va = labels[va]
-    w, b = np.zeros((x.shape[0], x.shape[2], c)), np.zeros((x.shape[0], c))
-    best_w, best_b = w.copy(), b.copy()
+    r = _Readouts(k, tr.size, d, c)
+    best = r.params.copy()
+    va_logits, va_by_class = np.empty((k, va.size, c)), np.empty((c, k, va.size))
     # Micro-F1 over one label per node is the share of correct predictions,
     # so on a fixed validation split the counts rank the checks alike.
-    best_hits = np.full(x.shape[0], -1)
+    best_hits = np.full(k, -1)
     for epoch in range(epochs):
-        _, grad_w, grad_b = _readout_grad(x_tr, xt_tr, onehot, w, b, l2)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
+        _readout_grad(x_tr, xt_tr, onehot, l2, r)
+        np.multiply(r.grad, lr, r.grad)
+        np.subtract(r.params, r.grad, r.params)
         if epoch % 10 == 0 or epoch == epochs - 1:
-            finite(w, "readout parameters")
-            finite(b, "readout parameters")
-            hits = np.sum(np.argmax(x_va @ w + b[:, None, :], axis=2) == y_va, axis=1)
+            finite(r.params, "readout parameters")
+            np.matmul(x_va, r.w, va_logits)
+            np.add(va_logits.transpose(2, 0, 1), r.b_by_class, va_by_class)
+            hits = np.count_nonzero(np.argmax(va_by_class, axis=0) == y_va, axis=1)
             better = hits > best_hits
             best_hits[better] = hits[better]
-            best_w[better], best_b[better] = w[better], b[better]
-    fits = tuple(ReadoutParams(bw, bb) for bw, bb in zip(best_w, best_b))
+            best[better] = r.params[better]
+    fits = tuple(ReadoutParams(p[:d].copy(), p[d].copy()) for p in best)
     return fits if features.ndim == 3 else fits[0]
 
 

@@ -1,4 +1,5 @@
-"""Session-wide test helpers: which OpenBLAS kernel numpy runs on.
+"""Session-wide test helpers: which OpenBLAS kernel numpy runs on, and no
+worker process kept from one test to the next.
 
 A pinned output digest, or a pinned printed digit, holds for the kernel it
 was taken on; other OpenBLAS kernels may round a product differently.  The
@@ -15,6 +16,8 @@ import pathlib
 
 import numpy as np
 import pytest
+
+from gssm import _pool
 
 # The OpenBLAS core that numpy's bundled OpenBLAS picked where the pinned
 # digests and digits were taken (an x86-64 host with AVX-512).
@@ -49,3 +52,14 @@ def pytest_runtest_makereport(item, call):
             "OpenBLAS core",
             f"pinned digests were taken on {DIGEST_CORE}; this run uses "
             f"{openblas_core() or 'an unknown core'}"))
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_pool_outlives_its_test():
+    """Shut down and drop any worker pool a test forked.  A worker runs the
+    modules as they were at its fork, so a pool kept for a later test would
+    run a function that test patches as it was before the patch."""
+    yield
+    if _pool._processes is not None:
+        _pool._processes.shutdown()
+        _pool._processes = None

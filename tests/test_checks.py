@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gssm import (EventStream, GnnParams, HippoConfig, LaplacianKind, MutationSchedule,
-                  Snapshot, SnapshotSequence, SyntheticTask, TaskConfig, f1_scores,
+                  Snapshot, SnapshotSequence, Split, SyntheticTask, TaskConfig, f1_scores,
                   gen_synthetic, load_sequence, readout_loss, save_labels,
                   save_sequence, smoothing_matrix, train_readout, zoh_oracle_step)
 from gssm.verify import suites
@@ -170,6 +170,10 @@ _NONNEGATIVE_SETTINGS = {
                                                     [1.0], bad, LaplacianKind.SYMMETRIC),
                         "alpha"),
     "verify.suites": (lambda bad: suites(alpha=bad), "alpha"),
+    "readout_loss.l2": (lambda bad: readout_loss(np.zeros(6), np.ones((4, 2)), [0, 1, 0, 1], 2,
+                                                 l2=bad), "l2"),
+    "train_readout.l2": (lambda bad: train_readout(np.ones((4, 2)), [0, 1, 0, 1],
+                                                   Split([0, 1], [2], [3]), l2=bad), "l2"),
 }
 
 

@@ -558,6 +558,79 @@ def test_readout_rejects_an_empty_validation_split():
         train_readout(feats, labels, split._replace(val=np.array([], dtype=int)))
 
 
+def _fits_digest(fits) -> str:
+    h = hashlib.sha256()
+    for fit in fits:
+        h.update(fit.weight.tobytes())
+        h.update(fit.bias.tobytes())
+    return h.hexdigest()
+
+
+# Taken with the softmax over the last axis of [K x n x C] arrays, before the
+# epoch ran class-major in kept buffers: that rewrite must keep every bit.
+@pytest.mark.parametrize("k, c, digest", [
+    (1, 2, "ee499bbed40e217048d5b292ff901246d00ca9beff0a0eb775feb26cbe917fb4"),
+    (1, 3, "5adf23fface5b933d0795bd34ebc0a9b19132a359fec1361d48b83be5701591e"),
+    (1, 4, "d153f5a2099c045727ff835803f76a105abf704f1a278be7f081f57cd9615e26"),
+    (3, 2, "81b5b052ae6fc0bdbba06a1623ba53fd678c7735eae0096f2a5477481fc3ef37"),
+    (3, 3, "dd8fbf203cc885d1f78a518f9734a2b4b2134185dd936cd6112e92508dbc2f0d"),
+    (3, 4, "474fc7b41752aeb7e482346a152ab1dfcf2fd00cd92cda8311c89e2810c52d1c"),
+])
+def test_readout_fits_keep_their_digests(k, c, digest):
+    feats, labels, split = _readout_problem(80 + 10 * k + c, k=k, c=c)
+    assert _fits_digest(train_readout(feats, labels, split, num_classes=c)) == digest
+
+
+def test_a_readout_of_eight_or_more_classes_keeps_its_digest():
+    """numpy sums a last axis of 8 or more values pairwise, not in order as
+    over an outer axis, so the class-major softmax sums such a class axis
+    from a row-major copy; the digest was taken before it ran class-major."""
+    feats, labels, split = _readout_problem(97, k=2, v=80, c=10)
+    assert _fits_digest(train_readout(feats, labels, split, num_classes=10)) == (
+        "df6ce6c21a4f5b146622423e56c53157c4efb2d66e4558bfc211a868b4504619")
+
+
+_X6, _Y6 = np.arange(18.0).reshape(6, 3) / 10.0, np.array([0, 1, 0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: readout_loss(np.zeros(7), _X6, _Y6, 2), r"^params_flat must be D \* C \+ C = 8 "),
+    (lambda: readout_loss(np.zeros(20), _X6, _Y6, 2), r"^params_flat must be D \* C \+ C = 8 "),
+    (lambda: readout_loss(np.zeros((2, 4)), _X6, _Y6, 2), r"^params_flat must be D \* C \+ C"),
+    (lambda: readout_loss(np.full(8, np.nan), _X6, _Y6, 2), "^params_flat must be finite"),
+    (lambda: readout_loss(np.zeros(8), np.where(_X6 > 1, np.nan, _X6), _Y6, 2),
+     "^features must be finite"),
+    (lambda: readout_loss(np.zeros(8), _X6[:, 0], _Y6, 2), r"^features must be \[n x D\]"),
+    (lambda: readout_loss(np.zeros(8), _X6, _Y6, 2, l2=np.nan), "^l2 must be finite and >= 0"),
+    (lambda: readout_loss(np.zeros(8), _X6, _Y6, 2, l2=-1.0), "^l2 must be finite and >= 0"),
+    (lambda: readout_loss(np.zeros(8), _X6, _Y6, 2, l2=True), "^l2 must be a real number"),
+], ids=["short-params", "long-params", "2d-params", "nan-params", "nan-features",
+        "1d-features", "nan-l2", "negative-l2", "bool-l2"])
+def test_readout_loss_rejects_params_features_and_l2_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+    loss, grad = readout_loss(np.zeros(8), _X6, _Y6, 2)
+    assert loss == pytest.approx(np.log(2)) and grad.shape == (8,)
+
+
+@pytest.mark.parametrize("setting", ["lr", "l2"])
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", 0.5 + 0j, np.array([0.5, 0.5])],
+                         ids=["true", "numpy_bool", "string", "complex", "array"])
+def test_readout_settings_reject_a_value_that_is_not_one_real_number(setting, bad):
+    feats, labels, split = _readout_problem(79)
+    with pytest.raises(ValueError, match=f"^{setting} must be a real number, got "):
+        train_readout(feats, labels, split, **{setting: bad})
+    with pytest.raises(ValueError, match=f"^{setting} must be a real number, got "):
+        run_experiment([0], task_cfg=_tiny_task_cfg(), **{setting: bad})
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.5, np.nan, np.inf])
+def test_readout_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    feats, labels, split = _readout_problem(83)
+    with pytest.raises(ValueError, match="^lr must be finite and > 0, got "):
+        train_readout(feats, labels, split, lr=lr)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -796,6 +869,7 @@ _RUN_ERRORS = {"seeds": r"^seeds\[1\] must be an integer of at least 0",
 
 @pytest.mark.parametrize("setting", [{"lr": np.nan}, {"lr": 0.0}, {"epochs": 0},
                                      {"epochs": 2.5}, {"l2": -1.0}, {"l2": np.inf},
+                                     {"lr": True}, {"lr": "0.5"}, {"l2": True},
                                      {"seeds": [0, -1]}, {"seeds": [0, True]},
                                      {"seeds": [0, 1.0]},
                                      {"inits": (InitStrategy.RANDOM, "bogus")},
