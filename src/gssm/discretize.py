@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import finite, negative, nonnegative
+from ._checks import finite, negative, nonnegative, real
 from .hippo import smoothing_matrix
 from .tgraph import EventStream, LaplacianKind, adjacency_from_edges, segments
 
@@ -32,8 +32,10 @@ class MutationSchedule:
 
     Segment i covers [s_i, s_{i+1}) where s_0 = t_start, s_{M+1} = t_end;
     `adjacencies[i]` and `features[i]` are the graph and the per-node scalar
-    features in force on that segment (M+1 of each).  The boundaries must be
-    finite and strictly increasing, and every feature value finite.
+    features in force on that segment (M+1 of each).  Each time must be one
+    real number, not a bool, string or complex value, and is stored as a
+    float; the boundaries must be finite and strictly increasing, and every
+    feature value finite.
     """
 
     t_start: float
@@ -43,7 +45,9 @@ class MutationSchedule:
     features: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.mutation_times)
+        object.__setattr__(self, "t_start", real(self.t_start, "t_start"))
+        object.__setattr__(self, "t_end", real(self.t_end, "t_end"))
+        times = tuple(real(t, "mutation_times") for t in self.mutation_times)
         object.__setattr__(self, "mutation_times", times)
         _check_boundaries(self.boundaries)
         adjs = tuple(np.asarray(a, dtype=bool) for a in self.adjacencies)
@@ -77,8 +81,8 @@ class MutationSchedule:
 def _check_boundaries(boundaries, ndim=1) -> np.ndarray:
     """Boundary times as a float array of `ndim` dimensions whose rows along
     the last axis are each at least two finite, strictly increasing values."""
-    s = np.asarray(boundaries, dtype=float)
-    if not (s.ndim == ndim and s.shape[-1] >= 2 and np.isfinite(s).all()
+    s = finite(boundaries, "boundary times")
+    if not (s.ndim == ndim and s.shape[-1] >= 2
             and (np.diff(s, axis=-1) > 0).all()):
         raise ValueError("boundary times must be at least two finite, strictly "
                          "increasing values")
@@ -89,8 +93,8 @@ def segment_weights(boundaries, a_diag) -> np.ndarray:
     """Convex weights [S x N] tying each of the S = len(boundaries) - 1
     segments' drive into the zero-order-hold update.
 
-    Closed form per diagonal entry a < 0, with s = boundaries = (t_start,
-    *mutation_times, t_end) finite and strictly increasing:
+    Closed form per entry a < 0 of the 1-D diagonal, with s = boundaries =
+    (t_start, *mutation_times, t_end) finite and strictly increasing:
 
         w_i = e^{(t_end - s_{i+1}) a} * (e^{(s_{i+1} - s_i) a} - 1) / (e^{(t_end - t_start) a} - 1)
 
@@ -100,8 +104,10 @@ def segment_weights(boundaries, a_diag) -> np.ndarray:
     one-schedule case of `_segment_weights_stack`, which computes a stack of
     schedules with the same segment and diagonal counts in one pass.
     """
-    bounds = np.asarray(boundaries, dtype=float)[None]
-    return _segment_weights_stack(bounds, np.reshape(a_diag, (1, -1)))[0]
+    if np.ndim(a_diag) != 1:
+        raise ValueError(f"a_diag (diagonal state entries) must be 1-D, got shape "
+                         f"{np.shape(a_diag)}")
+    return _segment_weights_stack(np.asarray(boundaries)[None], np.asarray(a_diag)[None])[0]
 
 
 def _segment_weights_stack(boundaries, a_diag) -> np.ndarray:
@@ -130,13 +136,14 @@ def zoh_oracle_step(u_prev: np.ndarray, sched: MutationSchedule, a_diag, b,
 
     everything elementwise over the diagonal entries `a_diag`; d is the
     interval length and w_i are `segment_weights`.  `alpha` must be finite
-    and >= 0, as in `HippoConfig`; `u_prev` and `b` must be finite.
+    and >= 0, as in `HippoConfig`; `a_diag` and `b` must be 1-D arrays of
+    one length, and `u_prev` and `b` finite.
     """
     alpha = nonnegative(alpha, "alpha")
-    a = negative(a_diag, "diagonal state entries").reshape(-1)
-    b = finite(b, "b").reshape(-1)
-    if b.size != a.size:
-        raise ValueError("a_diag and b must have equal length")
+    a = negative(a_diag, "diagonal state entries")
+    b = finite(b, "b")
+    if a.ndim != 1 or b.shape != a.shape:
+        raise ValueError("the diagonal a_diag and b must be 1-D and of equal length")
     u_prev = finite(u_prev, "u_prev")
     if u_prev.shape != (sched.num_nodes, a.size):
         raise ValueError(f"u_prev must have shape ({sched.num_nodes}, {a.size})")

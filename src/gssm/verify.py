@@ -109,24 +109,37 @@ def suite_zoh(seed: int, instances: int, alphas, ode_steps: int):
 def suite_weights(seed: int, schedules: int):
     """Convexity of the segment weights: entries in [0,1], columns sum to 1.
 
-    The schedules are drawn one at a time, then their bounds and diagonals
-    built and weighed as one stack per (mutation count, diagonal size)."""
+    Every schedule is drawn at once, one array per quantity in this order:
+    diagonal sizes n, mutation counts m, starts, lengths, an [S x 6] block of
+    mutation fractions and an [S x 8] block of log-rates.  A schedule sorts
+    its first m fractions, and one whose first m repeat a value draws them
+    again, its row only.  The schedules are weighed as one stack per
+    mutation count, each diagonal padded to 8 columns by its unused rates,
+    and the worst is taken over each schedule's own n columns.  These are
+    other schedules than earlier versions drew one at a time, from the same
+    distributions."""
     rng = named_rng(seed, "verify-weights")
-    stacks = {}
-    for _ in range(schedules):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 7))
-        t0 = rng.uniform(-5.0, 5.0)
-        length = rng.uniform(1e-3, 50.0)
-        fracs = _sorted_distinct(rng, 0.02, 0.98, m)
-        stacks.setdefault((m, n), []).append((t0, length, fracs, rng.uniform(-7.0, 3.5, size=n)))
+    n = rng.integers(1, 9, schedules)
+    m = rng.integers(0, 7, schedules)
+    t0 = rng.uniform(-5.0, 5.0, schedules)
+    length = rng.uniform(1e-3, 50.0, schedules)
+    fracs = rng.uniform(0.02, 0.98, (schedules, 6))
+    rates = -np.exp(rng.uniform(-7.0, 3.5, (schedules, 8)))
+    cols = np.arange(8)
+    # Unused fractions sort last as NaN, and no difference with a NaN is 0.
+    fracs = np.sort(np.where(cols[:6] < m[:, None], fracs, np.nan), axis=1)
+    for row in np.flatnonzero((np.diff(fracs, axis=1) == 0).any(axis=1)):
+        fracs[row, :m[row]] = _sorted_distinct(rng, 0.02, 0.98, m[row])
+    own = cols < n[:, None]
     worst = 0.0
-    for rows in stacks.values():
-        t0, length, fracs, log_rate = map(np.array, zip(*rows))
-        bounds = np.column_stack((t0, t0[:, None] + length[:, None] * fracs, t0 + length))
-        w = _segment_weights_stack(bounds, -np.exp(log_rate))
-        worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()),
-                    float(-w.min()), float(w.max() - 1.0))
+    for count in np.unique(m):
+        rows = m == count
+        start, span = t0[rows, None], length[rows, None]
+        bounds = np.hstack((start, start + span * fracs[rows, :count], start + span))
+        w = _segment_weights_stack(bounds, rates[rows])
+        err = np.maximum(np.abs(w.sum(axis=1) - 1.0),
+                         np.maximum(-w.min(axis=1), w.max(axis=1) - 1.0))
+        worst = max(worst, float(err[own[rows]].max()))
     return worst
 
 

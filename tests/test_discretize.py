@@ -18,6 +18,7 @@ from gssm import (
     segment_weights,
     zoh_oracle_step,
 )
+from gssm import verify
 from gssm.discretize import _segment_weights_stack
 from gssm.harness import named_rng
 from gssm.verify import suite_weights
@@ -107,16 +108,17 @@ def test_weights_are_convex_on_random_schedules():
 
 @pytest.mark.parametrize("bounds", [
     (0.0, math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, 0.5, 0.5, 1.0),
-    (0.0, 0.7, 0.3, 1.0), (1.0, 0.0), (0.0,), (), [[0.0, 1.0]],
+    (0.0, 0.7, 0.3, 1.0), (1.0, 0.0), (0.0,), (), [[0.0, 1.0]], ("0", "1"), (0.0, 1.0j),
 ], ids=["nan", "inf", "neg_inf", "repeated", "decreasing", "reversed", "one", "none",
-        "two_dimensional"])
+        "two_dimensional", "strings", "complex"])
 def test_weights_reject_bad_boundaries(bounds):
     with pytest.raises(ValueError, match="boundary times"):
         segment_weights(bounds, np.array([-1.0]))
 
 
-@pytest.mark.parametrize("a", [[-1.0, 0.0], [-math.inf, -1.0], [math.nan, -1.0]],
-                         ids=["zero", "neg_inf", "nan"])
+@pytest.mark.parametrize("a", [[-1.0, 0.0], [-math.inf, -1.0], [math.nan, -1.0],
+                               [[-1.0, -2.0], [-3.0, -4.0]], -1.0],
+                         ids=["zero", "neg_inf", "nan", "two_dimensional", "scalar"])
 def test_weights_reject_nonnegative_or_non_finite_diagonal(a):
     with pytest.raises(ValueError, match="diagonal"):
         segment_weights((0.0, 1.0), np.array(a))
@@ -165,30 +167,134 @@ def test_weight_stack_rejects_one_bad_row_like_the_single_schedule(bad, row):
     assert str(stacked.value) == str(single.value)
 
 
-def _suite_weights_loop(seed, schedules):
-    """Reference: the weights suite one schedule at a time, as it was drawn."""
-    rng = named_rng(seed, "verify-weights")
-    worst_sum = 0.0
-    worst_range = 0.0
-    for _ in range(schedules):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, 7))
-        t0 = float(rng.uniform(-5.0, 5.0))
-        length = float(rng.uniform(1e-3, 50.0))
-        fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
-        while len(set(fracs.tolist())) != m:
-            fracs = np.sort(rng.uniform(0.02, 0.98, size=m))
-        bounds = (t0, *(t0 + length * fracs), t0 + length)
-        a = -np.exp(rng.uniform(-7.0, 3.5, size=n))
+def _suite_weights_loop(seed, schedules, rng=None):
+    """Reference: the weights suite's draws, one array per quantity, then each
+    schedule weighed alone, a repeat among its fractions drawn again first.
+    Returns each schedule's (bounds, diagonal, weights) and the worst error."""
+    rng = named_rng(seed, "verify-weights") if rng is None else rng
+    n = rng.integers(1, 9, schedules)
+    m = rng.integers(0, 7, schedules)
+    t0 = rng.uniform(-5.0, 5.0, schedules)
+    length = rng.uniform(1e-3, 50.0, schedules)
+    fracs = rng.uniform(0.02, 0.98, (schedules, 6))
+    log_rate = rng.uniform(-7.0, 3.5, (schedules, 8))
+    found = []
+    worst = 0.0
+    for i in range(schedules):
+        cuts = np.sort(fracs[i, :m[i]])
+        while len(set(cuts.tolist())) != m[i]:
+            cuts = np.sort(rng.uniform(0.02, 0.98, size=m[i]))
+        bounds = np.array([t0[i], *(t0[i] + length[i] * cuts), t0[i] + length[i]])
+        a = -np.exp(log_rate[i, :n[i]])
         w = segment_weights(bounds, a)
-        worst_sum = max(worst_sum, float(np.abs(w.sum(axis=0) - 1.0).max()))
-        worst_range = max(worst_range, float(max(-w.min(), w.max() - 1.0)))
-    return max(worst_sum, worst_range)
+        worst = max(worst, float(np.abs(w.sum(axis=0) - 1.0).max()),
+                    float(-w.min()), float(w.max() - 1.0))
+        found.append((bounds, a, w))
+    return found, worst
+
+
+def _record_stacks(monkeypatch, pad_sizes=None):
+    """Wrap the suite's `_segment_weights_stack` so that the returned list
+    keeps a copy of every stack's (bounds, diagonals, weights).  With
+    pad_sizes, which maps a mutation count to its stack's diagonal sizes,
+    every weight past a row's own columns is set to 5.0 first."""
+    stacks = []
+
+    def stack(bounds, a_diag):
+        w = _segment_weights_stack(bounds, a_diag)
+        if pad_sizes is not None:
+            for row, size in enumerate(pad_sizes[bounds.shape[1] - 2]):
+                w[row, :, size:] = 5.0
+        stacks.append((bounds.copy(), a_diag.copy(), w.copy()))
+        return w
+
+    monkeypatch.setattr(verify, "_segment_weights_stack", stack)
+    return stacks
+
+
+def _by_count(schedules) -> dict:
+    """The reference's schedules grouped by mutation count, in count order."""
+    groups = {}
+    for s in sorted(schedules, key=lambda s: s[0].size):
+        groups.setdefault(s[0].size - 2, []).append(s)
+    return groups
+
+
+def _assert_stacks_are(stacks, schedules):
+    """One stack per mutation count, in count order, whose rows are the
+    reference's schedules in draw order: the same bounds, and diagonals and
+    weights whose own columns are the reference's, bit for bit."""
+    groups = _by_count(schedules)
+    assert len(stacks) == len(groups) <= 7
+    for (bounds, a, w), rows in zip(stacks, groups.values()):
+        assert a.shape == (len(rows), 8)
+        assert w.shape == (len(rows), bounds.shape[1] - 1, 8)
+        for row, (want_bounds, want_a, want_w) in enumerate(rows):
+            size = want_a.size
+            assert bounds[row].tobytes() == want_bounds.tobytes()
+            assert a[row, :size].tobytes() == want_a.tobytes()
+            assert w[row, :, :size].tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_weights_suite_equals_the_per_schedule_loop(seed):
-    assert suite_weights(seed, 1000) == _suite_weights_loop(seed, 1000)
+def test_weights_suite_equals_the_per_schedule_loop(monkeypatch, seed):
+    stacks = _record_stacks(monkeypatch)
+    worst = suite_weights(seed, 1000)
+    schedules, want = _suite_weights_loop(seed, 1000)
+    _assert_stacks_are(stacks, schedules)
+    assert worst == want
+
+
+class _EditedRng:
+    """A generator whose outputs pass through edit(draw index, output) before
+    the caller sees them; `shapes` logs each draw's method and output shape."""
+
+    def __init__(self, rng, edit):
+        self._rng, self._edit, self.shapes = rng, edit, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = self._edit(len(self.shapes), getattr(self._rng, name)(*args, **kwargs))
+            self.shapes.append((name, np.shape(out)))
+            return out
+        return draw
+
+
+def test_weights_suite_draws_again_only_the_row_that_repeats_a_fraction(monkeypatch):
+    seed, count = 3, 60
+    probe = named_rng(seed, "verify-weights")
+    probe.integers(1, 9, count)
+    m = probe.integers(0, 7, count)
+    # A row that sorts 2 to 5 of its 6 fractions, and a later row that sorts
+    # two or more and keeps its draw.
+    row = int(np.flatnonzero((m >= 2) & (m < 6))[0])
+    assert (m[row + 1:] >= 2).any()
+
+    def repeat(index, out):
+        if index == 4:  # the [S x 6] fraction block
+            out[row, 1] = out[row, 0]
+        return out
+
+    rngs = [_EditedRng(named_rng(seed, "verify-weights"), repeat) for _ in range(2)]
+    monkeypatch.setattr(verify, "named_rng", lambda s, name: rngs[0])
+    stacks = _record_stacks(monkeypatch)
+    worst = suite_weights(seed, count)
+    schedules, want = _suite_weights_loop(seed, count, rngs[1])
+    blocks = [("integers", (count,))] * 2 + [("uniform", (count,))] * 2 + [
+        ("uniform", (count, 6)), ("uniform", (count, 8))]
+    assert rngs[0].shapes == rngs[1].shapes == blocks + [("uniform", (int(m[row]),))]
+    _assert_stacks_are(stacks, schedules)
+    assert len(set(schedules[row][0].tolist())) == m[row] + 2
+    assert worst == want
+
+
+def test_weights_suite_reads_no_padded_column(monkeypatch):
+    schedules, want = _suite_weights_loop(2, 1000)
+    sizes = {count: [a.size for _, a, _ in rows]
+             for count, rows in _by_count(schedules).items()}
+    stacks = _record_stacks(monkeypatch, pad_sizes=sizes)
+    assert suite_weights(2, 1000) == want
+    assert any((w == 5.0).any() for _, _, w in stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +410,45 @@ _STREAM = EventStream(num_nodes=2, horizon=2.0, initial_edges=frozenset(),
                       events=((0, 1, 1.0, Action.INSERT),))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: MutationSchedule(0.0, math.inf, (), (_ADJ,), (np.zeros(2),)),
-    lambda: MutationSchedule(-math.inf, 1.0, (), (_ADJ,), (np.zeros(2),)),
-    lambda: MutationSchedule(math.nan, 1.0, (), (_ADJ,), (np.zeros(2),)),
-    lambda: MutationSchedule(0.0, 1.0, (), (_ADJ,), (np.array([0.0, math.nan]),)),
-    lambda: MutationSchedule(0.0, 1.0, (0.5,), (_ADJ, _ADJ),
-                             (np.zeros(2), np.array([math.inf, 0.0]))),
-    lambda: MutationSchedule.from_stream(_STREAM, 0.2, math.inf, (np.zeros(2),) * 2),
-    lambda: MutationSchedule.from_stream(_STREAM, 0.2, 2.5, (np.zeros(2),) * 2),
-    lambda: MutationSchedule.from_stream(_STREAM, -0.5, 0.5, (np.zeros(2),)),
+@pytest.mark.parametrize("build, match", [
+    (lambda: MutationSchedule(0.0, math.inf, (), (_ADJ,), (np.zeros(2),)), None),
+    (lambda: MutationSchedule(-math.inf, 1.0, (), (_ADJ,), (np.zeros(2),)), None),
+    (lambda: MutationSchedule(math.nan, 1.0, (), (_ADJ,), (np.zeros(2),)), None),
+    (lambda: MutationSchedule(0.0, 1.0, (), (_ADJ,), (np.array([0.0, math.nan]),)), None),
+    (lambda: MutationSchedule(0.0, 1.0, (0.5,), (_ADJ, _ADJ),
+                              (np.zeros(2), np.array([math.inf, 0.0]))), None),
+    (lambda: MutationSchedule.from_stream(_STREAM, 0.2, math.inf, (np.zeros(2),) * 2), None),
+    (lambda: MutationSchedule.from_stream(_STREAM, 0.2, 2.5, (np.zeros(2),) * 2), None),
+    (lambda: MutationSchedule.from_stream(_STREAM, -0.5, 0.5, (np.zeros(2),)), None),
+    (lambda: MutationSchedule("0", 1.0, ("0.5",), (_ADJ, _ADJ), (np.zeros(2),) * 2),
+     "^t_start must be a real number"),
+    (lambda: MutationSchedule(0.0, 1.0, ("0.5",), (_ADJ, _ADJ), (np.zeros(2),) * 2),
+     "^mutation_times must be a real number"),
+    (lambda: MutationSchedule(False, True, (), (_ADJ,), (np.zeros(2),)),
+     "^t_start must be a real number"),
+    (lambda: MutationSchedule(0.0, np.True_, (), (_ADJ,), (np.zeros(2),)),
+     "^t_end must be a real number"),
+    (lambda: MutationSchedule(0.0, 1.0 + 0j, (), (_ADJ,), (np.zeros(2),)),
+     "^t_end must be a real number"),
+    (lambda: MutationSchedule(0.0, 1.0, (0.5j,), (_ADJ, _ADJ), (np.zeros(2),) * 2),
+     "^mutation_times must be a real number"),
+    (lambda: MutationSchedule(0.0, 1.0, (np.array([0.2, 0.5]),), (_ADJ, _ADJ),
+                              (np.zeros(2),) * 2),
+     "^mutation_times must be a real number"),
 ], ids=["t_end_inf", "t_start_neg_inf", "t_start_nan", "nan_feature", "inf_feature",
-        "from_stream_t_end_inf", "from_stream_past_horizon", "from_stream_before_zero"])
-def test_schedule_rejects_non_finite_or_out_of_range_input(build):
-    with pytest.raises(ValueError):
+        "from_stream_t_end_inf", "from_stream_past_horizon", "from_stream_before_zero",
+        "string_t_start", "string_mutation_time", "bool_times", "numpy_bool_t_end",
+        "complex_t_end", "complex_mutation_time", "array_mutation_time"])
+def test_schedule_rejects_non_finite_or_out_of_range_input(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_schedule_stores_its_times_as_floats():
+    sched = MutationSchedule(np.int64(0), 2, (np.float32(0.5), 1), (_ADJ,) * 3,
+                             (np.zeros(2),) * 3)
+    assert sched.boundaries == (0.0, 0.5, 1.0, 2.0)
+    assert all(type(t) is float for t in sched.boundaries)
 
 
 def test_oracle_step_rejects_wrong_state_shape():
@@ -336,8 +466,9 @@ def test_oracle_step_rejects_negative_or_non_finite_alpha(alpha):
                         LaplacianKind.SYMMETRIC)
 
 
-@pytest.mark.parametrize("a", [[-math.inf, -1.0], [math.nan, -1.0], [-1.0, 0.0]],
-                         ids=["neg_inf", "nan", "zero"])
+@pytest.mark.parametrize("a", [[-math.inf, -1.0], [math.nan, -1.0], [-1.0, 0.0],
+                               [[-1.0, -2.0]], [-1.0, -2.0, -3.0]],
+                         ids=["neg_inf", "nan", "zero", "two_dimensional", "longer_than_b"])
 def test_oracle_step_rejects_nonnegative_or_non_finite_diagonal(a):
     sched = _blank_schedule(0.0, 1.0, ())
     with pytest.raises(ValueError, match="diagonal"):

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gssm import (
@@ -568,6 +568,8 @@ def _fits_digest(fits) -> str:
 
 # Taken with the softmax over the last axis of [K x n x C] arrays, before the
 # epoch ran class-major in kept buffers: that rewrite must keep every bit.
+# The digests hold on one BLAS kernel; on any kernel the readout is held to
+# `_plain_train_readout` by `test_readout_equals_the_plain_last_axis_loop`.
 @pytest.mark.parametrize("k, c, digest", [
     (1, 2, "ee499bbed40e217048d5b292ff901246d00ca9beff0a0eb775feb26cbe917fb4"),
     (1, 3, "5adf23fface5b933d0795bd34ebc0a9b19132a359fec1361d48b83be5701591e"),
@@ -588,6 +590,80 @@ def test_a_readout_of_eight_or_more_classes_keeps_its_digest():
     feats, labels, split = _readout_problem(97, k=2, v=80, c=10)
     assert _fits_digest(train_readout(feats, labels, split, num_classes=10)) == (
         "df6ce6c21a4f5b146622423e56c53157c4efb2d66e4558bfc211a868b4504619")
+
+
+def _plain_readout_grad(x, xt, onehot, w, b, l2):
+    """Reference: the softmax-readout gradient of K fits over the last axis
+    of [K x n x C] arrays, as `harness._readout_grad` computed it before its
+    epoch ran class-major in kept buffers.  Returns the class probabilities
+    and the gradients of the mean cross-entropy plus 0.5 * l2 * |w|^2 with
+    respect to w [K x D x C] and b [K x C]."""
+    logits = x @ w + b[:, None, :]
+    logits -= np.ascontiguousarray(logits.transpose(2, 0, 1)).max(axis=0)[..., None]
+    expl = np.exp(logits)
+    prob = expl / expl.sum(axis=2, keepdims=True)
+    g = (prob - onehot) / x.shape[1]
+    return prob, xt @ g + l2 * w, g.sum(axis=1)
+
+
+def _plain_readout_loss(params_flat, features, labels, c, l2):
+    """Reference: `readout_loss` through `_plain_readout_grad`."""
+    d = features.shape[1]
+    w = params_flat[: d * c].reshape(d, c)
+    b = params_flat[d * c:]
+    onehot = np.eye(c)[labels]
+    prob, grad_w, grad_b = _plain_readout_grad(features[None], features.T[None], onehot,
+                                               w[None], b[None], l2)
+    loss = -np.mean(np.sum(onehot * np.log(prob[0] + 1e-300), axis=1))
+    loss += 0.5 * l2 * np.sum(w * w)
+    return loss, np.concatenate([grad_w[0].reshape(-1), grad_b[0]])
+
+
+def _plain_train_readout(features, labels, split, lr, epochs, l2, c):
+    """Reference: `train_readout`'s per-epoch loop over [K x n x C] arrays,
+    new arrays every epoch, for K fits on features [K x V x D]; returns
+    each fit's best (weight, bias)."""
+    x_tr, x_va = features[:, split.train], features[:, split.val]
+    xt_tr = x_tr.transpose(0, 2, 1)
+    onehot = np.eye(c)[labels[split.train]]
+    y_va = labels[split.val]
+    w, b = np.zeros((features.shape[0], features.shape[2], c)), np.zeros((features.shape[0], c))
+    best_w, best_b = w.copy(), b.copy()
+    best_hits = np.full(features.shape[0], -1)
+    for epoch in range(epochs):
+        _, grad_w, grad_b = _plain_readout_grad(x_tr, xt_tr, onehot, w, b, l2)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+        if epoch % 10 == 0 or epoch == epochs - 1:
+            hits = np.sum(np.argmax(x_va @ w + b[:, None, :], axis=2) == y_va, axis=1)
+            better = hits > best_hits
+            best_hits[better] = hits[better]
+            best_w[better], best_b[better] = w[better], b[better]
+    return list(zip(best_w, best_b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), c=st.integers(2, 11),
+       extra=st.integers(0, 40), d=st.integers(1, 9), epochs=st.integers(1, 45),
+       lr=st.sampled_from([0.05, 0.5, 1.3]), l2=st.sampled_from([0.0, 1e-3, 0.1]))
+@example(seed=5, k=1, c=harness._IN_ORDER_CLASSES - 1, extra=30, d=4, epochs=25, lr=0.5, l2=1e-3)
+@example(seed=6, k=4, c=harness._IN_ORDER_CLASSES, extra=30, d=4, epochs=25, lr=0.5, l2=1e-3)
+def test_readout_equals_the_plain_last_axis_loop(seed, k, c, extra, d, epochs, lr, l2):
+    """`train_readout` and `readout_loss` give the bytes of the plain loop,
+    on both sides of `_IN_ORDER_CLASSES` (classes summed in order or from
+    a row-major copy)."""
+    feats, labels, split = _readout_problem(seed, k=k, v=2 * c + extra, d=d, c=c)
+    assume(split.val.size > 0)
+    fits = train_readout(feats, labels, split, lr=lr, epochs=epochs, l2=l2, num_classes=c)
+    want = _plain_train_readout(feats, labels, split, lr, epochs, l2, c)
+    for fit, (w, b) in zip(fits, want, strict=True):
+        assert fit.weight.tobytes() == w.tobytes()
+        assert fit.bias.tobytes() == b.tobytes()
+    params = np.random.default_rng(seed).normal(size=d * c + c)
+    loss, grad = readout_loss(params, feats[0], labels, c, l2)
+    want_loss, want_grad = _plain_readout_loss(params, feats[0], labels, c, l2)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 _X6, _Y6 = np.arange(18.0).reshape(6, 3) / 10.0, np.array([0, 1, 0, 1, 0, 1])
@@ -922,7 +998,10 @@ def test_block_forward_output_keeps_its_digest(monkeypatch, variant, digest, cpu
     """The forward's bits on a generated task (V=64, L=128), as the
     whole-sequence layer produced them before it was run in time tiles, on
     hosts of one to three CPUs: every S4, S5 and S6 layer's L*V*D*N is over
-    `_pool._SPLIT_WORK`, so each of its passes runs one range per CPU."""
+    `_pool._SPLIT_WORK`, so each of its passes runs one range per CPU.
+    The digests hold on one BLAS kernel; on any kernel the forward is held
+    to `test_layers._stepwise_forward` by the comparisons that
+    `test_split._ANY_KERNEL_CASES` names."""
     monkeypatch.setattr(_pool, "cpus", lambda: cpus)
     task = gen_synthetic(0, TaskConfig(num_nodes=64, seq_len=128))
     seq = task.sequence

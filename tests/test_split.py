@@ -328,15 +328,28 @@ def test_partitioned_block_forward_equals_the_one_range_forward(monkeypatch, var
     assert forward(parts).tobytes() == one.tobytes()
 
 
+# Comparisons that hold bit for bit on any BLAS kernel: the split against
+# one range, the readout against its plain loop, and the forward against its
+# stepwise and per-snapshot references.
+_ANY_KERNEL_CASES = (
+    "test_split.py::test_partitioned_block_forward_equals_the_one_range_forward",
+    "test_harness.py::test_readout_equals_the_plain_last_axis_loop",
+    "test_layers.py::test_forward_equals_the_stepwise_reference",
+    "test_layers.py::test_block_forward_equals_the_per_snapshot_blocks",
+    "test_layers.py::test_tiled_forward_equals_the_stepwise_reference",
+)
+
+
 def test_partitioned_block_forward_equals_the_one_range_forward_on_a_second_blas_kernel():
-    """The comparison above, run again in a fresh process on OpenBLAS's
-    Sandybridge kernel.  That kernel rounds some products unlike the default
-    one on AVX-512 hosts, so the pinned digests hold on one kernel only, but
-    a split must give the one-range bytes on any kernel."""
-    case = (f"{pathlib.Path(__file__).resolve()}::"
-            f"{test_partitioned_block_forward_equals_the_one_range_forward.__name__}")
+    """The comparisons of `_ANY_KERNEL_CASES`, run again in a fresh process
+    on OpenBLAS's Sandybridge kernel.  That kernel rounds some products
+    unlike the default one on AVX-512 hosts, so the pinned digests hold on
+    one kernel only, but a split must give the one-range bytes, and a fast
+    path its reference's bytes, on any kernel."""
+    tests = pathlib.Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
-    done = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", case],
+    done = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                           *(str(tests / case) for case in _ANY_KERNEL_CASES)],
                           cwd=_SRC.parent.parent, env=env, capture_output=True, text=True,
                           timeout=300)
     if "openblas core: Sandybridge" not in done.stdout:
