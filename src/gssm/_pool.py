@@ -18,7 +18,8 @@ with one thread fewer than the CPUs; the pool starts no thread until its
 first task, so one part never starts one.
 
 `forked` is the process side of `run`, for work that holds the interpreter
-lock (`gssm.harness.run_experiment`'s readout fits): it runs the first part
+lock (`gssm.harness.run_experiment`'s readout fits, and `gssm verify`'s
+suites in `gssm.cli.cmd_verify`): it runs the first part
 in the calling process and the others on one module pool of worker
 processes, one fewer than the CPUs.  The pool is forked once, on the first
 call that cuts its work into more than one part, and kept until the

@@ -22,11 +22,10 @@ import functools
 import inspect
 import pathlib
 import sys
-import time
 
 import numpy as np
 
-from . import verify
+from . import _pool, verify
 from ._checks import read_text
 from .discretize import MixMechanism
 from .harness import (ModelConfig, TaskConfig, gen_synthetic, results_to_csv,
@@ -164,11 +163,23 @@ def _task_config(cfg: dict) -> TaskConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, cfg) -> int:
+    """One line per suite of `verify.suites(**cfg)`, printed in table order
+    once every suite has returned; 1 if any breaks its tolerance.
+
+    The table is cut into whole-suite ranges by `_pool.parts` of its work,
+    instances x ode_steps x 16 (the projection horizon) x 512 (8 * 8**2, the
+    largest V*N^2 the suites draw), and `_pool.forked` runs the first range
+    here and each other on a worker process.  Each suite draws from its own
+    named seed stream, so its max_err does not depend on where it ran, and
+    its time is its own, in the process that ran it.  Small work, one CPU,
+    or a process that cannot fork its workers runs every suite here.
+    """
+    table = verify.suites(**cfg)  # a bad setting is rejected before any suite runs
+    work = cfg["instances"] * cfg["ode_steps"] * 16 * 8 * 8 ** 2
+    rows = _pool.forked(functools.partial(verify.verify, cfg),
+                        _pool.ranges(len(table), _pool.parts(work)))
     failed = False
-    for name, tol, call in verify.suites(**cfg):
-        t0 = time.perf_counter()
-        err = call()
-        took = time.perf_counter() - t0
+    for name, tol, err, took in rows:
         ok = err <= tol
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'} {name} max_err={err:.3e} "

@@ -30,9 +30,10 @@ features X(t) through a feature path on a time grid:
 once per block of RK4 steps on the block's stage times, the oracle once on
 its quadrature nodes; each result is checked once for shape and finiteness.
 
-scipy.linalg is imported inside the functions that use it (LAPACK in
-`smoothing_matrix`, `eigvalsh` in `consensus_profile`), so `import gssm`
-does not load it: only a command that smooths a graph pays for it.
+The dense linear algebra (`smoothing_matrix`'s solve, `consensus_profile`'s
+`eigvalsh`) runs on numpy's LAPACK, so no function here loads scipy.linalg;
+`consensus_profile` imports scipy.sparse's `connected_components` inside
+itself, so `import gssm` does not load it.
 """
 
 import functools
@@ -89,25 +90,23 @@ class HippoConfig:
 def smoothing_matrix(adj, alpha: float, kind: LaplacianKind) -> np.ndarray:
     """Dense (I + alpha*L)^{-1} for the graph with adjacency `adj`.
 
-    One LU factorization solved against I (LU rather than Cholesky: the
-    random-walk Laplacian is not symmetric).  The explicit inverse is safe:
-    the eigenvalues of I + alpha*L lie in [1, 1 + 2*alpha] for both kinds, so
-    the symmetric kind's condition number is at most 1 + 2*alpha; the
-    random-walk matrix is similar to it through D^{1/2}, which adds at most
-    a factor max(degree)/min(degree) over the non-isolated nodes.  alpha
-    must be finite and >= 0: below 0 the matrix can be singular.
+    One LU factorization solved against I by numpy's LAPACK (`np.linalg.solve`;
+    LU rather than Cholesky: the random-walk Laplacian is not symmetric).
+    The explicit inverse is safe: the eigenvalues of I + alpha*L lie in
+    [1, 1 + 2*alpha] for both kinds, so the symmetric kind's condition number
+    is at most 1 + 2*alpha; the random-walk matrix is similar to it through
+    D^{1/2}, which adds at most a factor max(degree)/min(degree) over the
+    non-isolated nodes.  alpha must be finite and >= 0: below 0 the matrix
+    can be singular.  A factorization that fails raises ValueError naming
+    I + alpha*L.
     """
     alpha = nonnegative(alpha, "alpha")
     lap = laplacian(adj, kind)
     eye = np.eye(lap.shape[0])
-    if not eye.size:
-        return eye
-    from scipy.linalg.lapack import dgetrf, dgetrs  # scipy.linalg loads on first use
-    lu, piv, info = dgetrf(finite(eye + alpha * lap, "I + alpha*L"), overwrite_a=True)
-    inv, solved = dgetrs(lu, piv, eye, overwrite_b=True)
-    if info or solved:
-        raise ValueError(f"I + alpha*L: LAPACK getrf/getrs info {info}/{solved}")
-    return inv
+    try:
+        return np.linalg.solve(finite(eye + alpha * lap, "I + alpha*L"), eye)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"I + alpha*L: {exc}") from None
 
 
 def _feature_grid(feature_path, times: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -340,8 +339,7 @@ def consensus_profile(snap, kind: LaplacianKind):
     # Null dimension of the symmetric Laplacian equals the component count for
     # both kinds (the random-walk matrix is similar to the symmetric one on
     # the support of the degree vector).
-    from scipy.linalg import eigvalsh
-    sym_eigs = eigvalsh(laplacian(adj, LaplacianKind.SYMMETRIC))
+    sym_eigs = np.linalg.eigvalsh(laplacian(adj, LaplacianKind.SYMMETRIC))
     if int(np.sum(np.abs(sym_eigs) < 1e-8)) != len(components):
         raise RuntimeError("null-space dimension does not match component count")
     return profiles

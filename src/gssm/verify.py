@@ -3,8 +3,11 @@ seed stream and returns the worst error it finds; `suites` is the one table
 of their names, tolerances and calls.  The references are the quadrature
 projection oracle (HiPPO, Gu et al., arXiv 2008.07669), the exact one-interval
 ZOH step, the convexity of the segment weights, and independent per-node
-flows when smoothing is off.
+flows when smoothing is off.  `verify` runs a range of the table and times
+each suite in the process that runs it.
 """
+
+import time
 
 import numpy as np
 
@@ -218,3 +221,15 @@ def suites(seed: int = 0, instances: int = 20, schedules: int = 1000, alpha=None
     if 0.0 in alphas:
         table.append(("hippo-reduction", 1e-10, lambda: suite_reduction(seed, 6, ode_steps)))
     return table
+
+
+def verify(settings: dict, part: slice) -> list:
+    """(name, tolerance, max_err, seconds) of each suite of
+    suites(**settings)[part], run here in table order; seconds is the
+    suite's own wall time."""
+    rows = []
+    for name, tol, call in suites(**settings)[part]:
+        start = time.perf_counter()
+        err = call()
+        rows.append((name, tol, err, time.perf_counter() - start))
+    return rows

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from gssm import hippo, verify
@@ -721,13 +720,18 @@ def test_smoothing_matrix_inverts_the_smoother_for_both_laplacians(kind):
 
 @pytest.mark.parametrize("kind", list(LaplacianKind))
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-def test_smoothing_matrix_equals_scipys_lu_solve_bit_for_bit(kind, alpha):
+def test_smoothing_matrix_equals_numpys_solve_bit_for_bit(kind, alpha):
+    """numpy's solve, bit for bit; scipy's LU (another OpenBLAS build) agrees
+    within 1e-15, above the largest difference measured: 4.2e-17 over 200
+    random graphs (V 2-39, both kinds, alpha 0.5 and 2) and 6.9e-18 here."""
     rng = np.random.default_rng(23)
     for v in range(1, 41):
         adj = np.triu(rng.random((v, v)) < 0.3, 1)
         adj = adj | adj.T
-        ref = lu_solve(lu_factor(np.eye(v) + alpha * laplacian(adj, kind)), np.eye(v))
-        assert smoothing_matrix(adj, alpha, kind).tobytes() == ref.tobytes()
+        smoother = np.eye(v) + alpha * laplacian(adj, kind)
+        inv = smoothing_matrix(adj, alpha, kind)
+        assert inv.tobytes() == np.linalg.solve(smoother, np.eye(v)).tobytes()
+        assert np.abs(inv - lu_solve(lu_factor(smoother), np.eye(v))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, np.nan, np.inf, -np.inf])
@@ -778,7 +782,9 @@ def test_smoothing_matrix_raises_on_a_non_finite_matrix_or_a_lapack_failure(monk
     adj[0, 1] = np.nan
     with pytest.raises(ValueError, match=r"^adjacency must be finite"):
         smoothing_matrix(adj, 0.5, LaplacianKind.SYMMETRIC)
-    getrf = scipy.linalg.lapack.dgetrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 2))
-    with pytest.raises(ValueError, match="getrf/getrs info 2/0"):
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ValueError, match=r"^I \+ alpha\*L: Singular matrix$"):
         smoothing_matrix(np.zeros((2, 2), dtype=bool), 0.5, LaplacianKind.SYMMETRIC)

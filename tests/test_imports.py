@@ -1,8 +1,9 @@
 """Each subcommand loads only the scipy subpackages it uses, and none but a
-split `run` loads multiprocessing.
+split `run` or `verify` loads multiprocessing.
 
-`import gssm` loads no scipy: `tgraph` imports scipy.sparse, `hippo`
-scipy.linalg and `layers` scipy.special inside the functions that call them.
+`import gssm` loads no scipy: `tgraph` and `hippo` import scipy.sparse and
+`layers` scipy.special inside the functions that call them, and `verify`,
+whose linear algebra runs on numpy's LAPACK, loads none.
 Each case runs in a fresh interpreter, so the modules it lists are the
 ones its own command loaded.  `gssm.__all__` names the public API, so the
 API cannot grow unnoticed, and it covers every name the demos and the
@@ -66,7 +67,7 @@ def _argv(tmp_path, capsys, command) -> list:
 
 
 @pytest.mark.parametrize("command, loaded", [
-    ("gen", []), ("metrics", []), ("bench", []), ("verify", ["scipy.linalg"]),
+    ("gen", []), ("metrics", []), ("bench", []), ("verify", []),
     ("run", ["scipy.sparse", "scipy.special"]),
 ], ids=list(_ARGV))
 def test_each_subcommand_loads_only_the_scipy_it_uses(tmp_path, capsys, command, loaded):
@@ -83,11 +84,23 @@ print("multiprocessing" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("command", ["import", "gen", "metrics", "bench", "verify"])
+@pytest.mark.parametrize("command", ["import", "gen", "metrics", "bench"])
 def test_only_a_split_experiment_loads_multiprocessing(tmp_path, capsys, command):
     """`gssm._pool` imports it when it first forks its worker processes."""
     argv = [] if command == "import" else _argv(tmp_path, capsys, command)
     assert _python(_HAS_MULTIPROCESSING, *argv) == ["False"]
+
+
+@pytest.mark.parametrize("ode_steps, loaded", [("50", "True"), ("20", "False")],
+                         ids=["split", "one part"])
+def test_a_split_verify_loads_multiprocessing_and_a_one_part_verify_does_not(
+        ode_steps, loaded):
+    """On two CPUs, one instance per suite at 20 RK4 steps per unit is work
+    `_pool.parts` leaves in one part, so no worker forks; 50 steps split."""
+    argv = ["verify", "--config", str(_ACCEPTANCE_CFG), "--instances", "1",
+            "--schedules", "10", "--ode-steps", ode_steps]
+    script = "from gssm import _pool\n_pool.cpus = lambda: 2\n" + _HAS_MULTIPROCESSING
+    assert _python(script, *argv) == [loaded]
 
 
 def test_expit_imported_first_on_two_pool_threads_keeps_the_forward_digest():

@@ -1,4 +1,5 @@
-"""Worker processes: `_pool.forked` and the `run_experiment` fits it runs.
+"""Worker processes: `_pool.forked`, the `run_experiment` fits and the
+`gssm verify` suites it runs.
 
 A process forks its worker processes once and keeps them, and a worker sees
 the modules as they were at its fork, so the cases that start workers run
@@ -151,6 +152,77 @@ def test_gssm_run_on_two_cpus_keeps_its_digest_and_leaves_no_worker(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# `gssm verify <argv>` for each argv given (as JSON), on one CPU (the plain
+# path) and then on two; prints both stdouts with each time= value masked,
+# then whether workers started.
+_VERIFY_BYTES = """
+import contextlib, io, json, re, sys
+from gssm import _pool
+from gssm.cli import main
+
+def masked(argv, cpus):
+    _pool.cpus = lambda: cpus
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", *argv]) == 0
+    return re.sub(r"time=\\S+s", "time=s", out.getvalue())
+
+runs = [[masked(argv, 1), masked(argv, 2)] for argv in json.loads(sys.argv[1])]
+print(json.dumps([runs, _pool._processes is not None]))
+"""
+
+_BENCH_OP = ["--config", str(_ACCEPTANCE_CFG), "--instances", "3", "--ode-steps", "50"]
+
+
+def test_gssm_verify_split_over_a_worker_prints_the_plain_bytes():
+    """The benchmark op at seeds 0-2, the acceptance config, and the config
+    at alpha 0.5 (three suites): split, each prints what the plain path
+    prints, but for the suites' own times."""
+    argvs = [[*_BENCH_OP, "--seed", str(seed)] for seed in range(3)]
+    argvs += [["--config", str(_ACCEPTANCE_CFG)],
+              ["--config", str(_ACCEPTANCE_CFG), "--alpha", "0.5"]]
+    runs, started = json.loads(_python(_VERIFY_BYTES, json.dumps(argvs)).stdout)
+    assert started
+    for (plain, split), suites in zip(runs, [4, 4, 4, 4, 3]):
+        assert split == plain
+        assert len(plain.splitlines()) == suites
+        assert all(line.startswith("PASS ") for line in plain.splitlines())
+
+
+# `gssm verify <argv>` twice on two CPUs, each range appending (pid, start,
+# stop) to the file sys.argv[1]; prints this process's id and the worker
+# pids after each call.
+_VERIFY_WHERE = """
+import json, os, sys
+from gssm import _pool, verify
+from gssm.cli import main
+_pool.cpus = lambda: 2
+real = verify.verify
+
+def where(settings, part):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()} {part.start} {part.stop}\\n")
+    return real(settings, part)
+
+verify.verify = where
+calls = []
+for _ in range(2):
+    assert main(["verify", *sys.argv[2:]]) == 0
+    calls.append(sorted(_pool._processes._processes))
+print(json.dumps([os.getpid(), calls]))
+"""
+
+
+def test_gssm_verify_runs_its_second_range_on_the_one_kept_worker(tmp_path):
+    log = tmp_path / "ranges"
+    me, calls = json.loads(_python(_VERIFY_WHERE, log, *_BENCH_OP).stdout.splitlines()[-1])
+    assert len(calls[0]) == 1 and calls[1] == calls[0]
+    worker = calls[0][0]
+    ranges = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    here, there = (me, 0, 2), (worker, 2, 4)
+    assert ranges == sorted([here, there] * 2)
 
 
 # ---------------------------------------------------------------------------
